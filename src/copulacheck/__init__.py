@@ -22,10 +22,8 @@ from .families import (
     product_df,
 )
 from .monotone import (
-    CheckEntry,
     FfResult,
     Knot,
-    LemmaReport,
     MonotoneFn,
     discrete_cdf,
     ff_check,
@@ -35,7 +33,6 @@ from .monotone import (
 )
 from .mvdf import (
     Cuboid,
-    DfReport,
     MultivariateDf,
     check_df_axioms,
     df_eval,
@@ -44,13 +41,12 @@ from .mvdf import (
     vertex_sum,
     volume,
 )
+from .report import Report, Section
 from .rng import SplitMix64
 from .scalars import NEG_INF, POS_INF, ExtScalar, Scalar, fmt, parse_ext, parse_scalar
 from .sklar import (
-    CheckReport,
     Copula,
     GridSpec,
-    Violation,
     copula_eval,
     extract_copula,
     verify_copula_axioms,
@@ -63,14 +59,11 @@ __version__ = "0.1.0"
 __all__ = [
     "NEG_INF",
     "POS_INF",
-    "CheckEntry",
-    "CheckReport",
     "ComonotoneDf",
     "Copula",
     "CopulaCheckError",
     "CountermonotoneDf",
     "Cuboid",
-    "DfReport",
     "DomainError",
     "EmpiricalDf",
     "ExtScalar",
@@ -79,14 +72,14 @@ __all__ = [
     "GridMass",
     "GridSpec",
     "Knot",
-    "LemmaReport",
     "MonotoneFn",
     "MultivariateDf",
     "ProductDf",
+    "Report",
     "Scalar",
+    "Section",
     "SplitMix64",
     "ValidationError",
-    "Violation",
     "check_df_axioms",
     "comonotone_df",
     "copula_eval",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from itertools import product as iter_product
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from .scalars import fmt, parse_ext, parse_scalar
 from .sklar import (
     GridSpec,
     extract_copula,
+    level_axes,
     verify_copula_axioms,
     verify_sklar_identity,
     verify_uniform_margins,
@@ -110,14 +110,9 @@ def cmd_margin(args) -> int:
 def cmd_extract(args) -> int:
     df = _load_df(args.df_path)
     copula = extract_copula(df)
-    grid = GridSpec(args.grid)
-    axes = []
-    for m in copula.margins:
-        levels = [lv for lv in m.critical_levels() if 0 <= lv <= 1]
-        axes.append(grid.axis_points(Fraction(0), Fraction(1), levels))
     values = [
         {"s": [fmt(c) for c in combo], "value": fmt(copula.eval(combo))}
-        for combo in iter_product(*axes)
+        for combo in iter_product(*level_axes(copula, GridSpec(args.grid)))
     ]
     payload = {"dim": copula.dim, "grid_m": args.grid, "values": values}
     _emit(json.dumps(payload, indent=2) + "\n", args.output)
@@ -125,13 +120,11 @@ def cmd_extract(args) -> int:
 
 
 def _lemma_grids(fn: MonotoneFn, m: int):
-    c, d = fn.inf_value, fn.sup_value
-    us = {c + Fraction(k, m) * (d - c) for k in range(m + 1)}
-    us.update(fn.critical_levels())
-    lo, hi = fn.knot_xs()[0] - 1, fn.knot_xs()[-1] + 1
-    xs = {lo + Fraction(k, m) * (hi - lo) for k in range(m + 1)}
-    xs.update(fn.knot_xs())
-    return sorted(us), sorted(xs)
+    """Level and point grids for ``lemma_report``, merged with the levels and knots of G."""
+    grid = GridSpec(m)
+    xs = fn.knot_xs()
+    us = grid.axis_points(fn.inf_value, fn.sup_value, fn.critical_levels())
+    return us, grid.axis_points(xs[0] - 1, xs[-1] + 1, xs)
 
 
 def cmd_verify(args) -> int:
@@ -222,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=20,
         metavar="K",
-        help="cap on emitted violations per list (default 20)",
+        help="cap on emitted violations per list (default 20; below 0: no cap)",
     )
     add_output(p)
     p.set_defaults(func=cmd_verify)

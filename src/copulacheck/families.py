@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
-from .monotone import Knot, MonotoneFn
+from .monotone import Knot, MonotoneFn, two_probe_limit
 from .mvdf import MultivariateDf, Point
 from .scalars import as_scalar, fmt, is_finite
 
@@ -30,20 +30,6 @@ def _sorted_gap_delta(values: Sequence[Fraction]) -> Fraction:
     """Half the smallest positive gap between sorted values (1 if fewer than two)."""
     gaps = [b - a for a, b in zip(values, values[1:]) if b > a]
     return min(gaps) / 2 if gaps else Fraction(1)
-
-
-def _margin_right_limit(fn: MonotoneFn, x: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact one-sided limit of a margin at x, plus the probe window used.
-
-    Both samples land strictly inside the knot-free window (x, next knot), on
-    which the margin is a single affine piece, so extrapolating back to x is
-    exact and independent of the margin's own value at x.
-    """
-    beyond = [k for k in fn.knot_xs() if k > x]
-    delta = (min(beyond) - x) / 2 if beyond else Fraction(1)
-    v1 = fn.eval(x + delta)
-    v2 = fn.eval(x + delta / 2)
-    return 2 * v2 - v1, delta
 
 
 def _cumulative_step(pairs: list[tuple[Fraction, Fraction]], total: Fraction) -> MonotoneFn:
@@ -162,7 +148,12 @@ class _MarginComposedDf(MultivariateDf):
     def axis_right_limit(self, t: Point, axis: int) -> tuple[Fraction, Fraction]:
         if not is_finite(t[axis]):
             raise ValidationError("right limit probes need a finite coordinate")
-        limit, delta = _margin_right_limit(self.margins[axis], t[axis])
+        # both probes land strictly inside the knot-free window (x, next knot), on
+        # which the margin is a single affine piece, so the extrapolation is exact
+        x = t[axis]
+        beyond = [k for k in self.margins[axis].knot_xs() if k > x]
+        delta = (min(beyond) - x) / 2 if beyond else Fraction(1)
+        limit = two_probe_limit(self.margins[axis].eval, x, delta)
         values = [
             limit if j == axis else m.eval(c)
             for j, (m, c) in enumerate(zip(self.margins, t))

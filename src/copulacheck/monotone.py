@@ -30,9 +30,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, ValidationError
+from .report import Report, Section
 from .scalars import NEG_INF, POS_INF, ExtScalar, as_ext, as_scalar, is_finite
 
 
@@ -199,10 +200,20 @@ class MonotoneFn:
             raise DomainError(f"left limit of the inverse undefined at the infimum {u}")
         below = [lv for lv in self.critical_levels() if lv < u]
         delta = (u - max(below)) / 2 if below else Fraction(1)
-        r1 = self.gen_inverse(u - delta)
-        r2 = self.gen_inverse(u - delta / 2)
-        assert is_finite(r1) and is_finite(r2)
-        return 2 * r2 - r1
+        return two_probe_limit(self.gen_inverse, u, -delta)
+
+
+def two_probe_limit(f: Callable[[Fraction], ExtScalar], x: Fraction, h: Fraction) -> Fraction:
+    """Exact one-sided limit of ``f`` at ``x``, approached from the side of ``h``.
+
+    Valid when ``f`` is affine on the open window between ``x`` and ``x + h``:
+    the probes at ``x + h`` and ``x + h/2`` then extrapolate back to ``x`` as
+    2 f(x + h/2) - f(x + h), whatever ``f`` does at ``x`` itself.
+    """
+    far = f(x + h)
+    near = f(x + h / 2)
+    assert is_finite(far) and is_finite(near)
+    return 2 * near - far
 
 
 def make_monotone(knots: Iterable) -> MonotoneFn:
@@ -248,52 +259,6 @@ class FfResult:
     holds: bool
 
 
-@dataclass(frozen=True)
-class CheckEntry:
-    """One exact comparison; the meaning of lhs/rhs depends on the check."""
-
-    point: Fraction
-    lhs: ExtScalar
-    rhs: ExtScalar
-    holds: bool
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    """Exact verdicts for the inverse-function property suite of one MonotoneFn."""
-
-    checks_a: tuple[CheckEntry, ...]
-    checks_b: tuple[CheckEntry, ...]
-    left_continuity: tuple[CheckEntry, ...]
-    ff_results: tuple[FfResult, ...]
-
-    @property
-    def ff_witnesses(self) -> tuple[FfResult, ...]:
-        return tuple(r for r in self.ff_results if not r.holds)
-
-    @property
-    def pass_a(self) -> bool:
-        return all(e.holds for e in self.checks_a)
-
-    @property
-    def pass_b(self) -> bool:
-        return all(e.holds for e in self.checks_b)
-
-    @property
-    def pass_leftcont(self) -> bool:
-        return all(e.holds for e in self.left_continuity)
-
-    @property
-    def passed(self) -> bool:
-        """True only when every check holds and there are no round-trip witnesses."""
-        return self.pass_a and self.pass_b and self.pass_leftcont and not self.ff_witnesses
-
-    def to_json_dict(self, max_witnesses: int = 20) -> dict:
-        from .serialize import lemma_report_json_dict
-
-        return lemma_report_json_dict(self, max_witnesses)
-
-
 def ff_check(fn: MonotoneFn, xs: Sequence) -> list[FfResult]:
     """Round-trip check gen_inverse_right(G, G(x)) == x at each x.
 
@@ -311,37 +276,50 @@ def ff_check(fn: MonotoneFn, xs: Sequence) -> list[FfResult]:
     return out
 
 
-def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence) -> LemmaReport:
+def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence) -> Report:
     """Run the full inverse-property suite on level grid ``us`` and point grid ``xs``.
 
     Raises DomainError if some u lies outside [inf G, sup G].  Left-continuity
     is only defined strictly above the infimum, so grid levels equal to inf G
-    are skipped for that check.
+    are skipped for that check.  Witnesses carry the checked point and both
+    sides of the failed comparison.
     """
     us = [fn._require_level(u) for u in us]
     xs = [as_scalar(x) for x in xs]
 
-    checks_a = []
+    violations_a = []
     for u in us:
         value = fn.eval(fn.gen_inverse(u))
-        checks_a.append(CheckEntry(point=u, lhs=value, rhs=u, holds=value >= u))
+        if value < u:
+            violations_a.append({"point": u, "lhs": value, "rhs": u})
 
-    checks_b = []
+    violations_b = []
     for x in xs:
         inv = fn.gen_inverse(fn.eval(x))
-        checks_b.append(CheckEntry(point=x, lhs=inv, rhs=x, holds=inv <= x))
+        if inv > x:
+            violations_b.append({"point": x, "lhs": inv, "rhs": x})
 
-    left_continuity = []
-    for u in us:
-        if u == fn.inf_value:
-            continue
+    levels = [u for u in us if u != fn.inf_value]
+    violations_lc = []
+    for u in levels:
         limit = fn.gen_inverse_left_limit(u)
         at = fn.gen_inverse(u)
-        left_continuity.append(CheckEntry(point=u, lhs=limit, rhs=at, holds=limit == at))
+        if limit != at:
+            violations_lc.append({"point": u, "lhs": limit, "rhs": at})
 
-    return LemmaReport(
-        checks_a=tuple(checks_a),
-        checks_b=tuple(checks_b),
-        left_continuity=tuple(left_continuity),
-        ff_results=tuple(ff_check(fn, xs)),
+    ff_witnesses = tuple({"x": r.x, "lhs": r.lhs} for r in ff_check(fn, xs) if not r.holds)
+    return Report(
+        "lemma",
+        (
+            Section("a", "violations_a", len(us), tuple(violations_a), "pass_a"),
+            Section("b", "violations_b", len(xs), tuple(violations_b), "pass_b"),
+            Section(
+                "left_continuity",
+                "violations_leftcont",
+                len(levels),
+                tuple(violations_lc),
+                "pass_leftcont",
+            ),
+            Section("ff", "ff_witnesses", len(xs), ff_witnesses),
+        ),
     )

@@ -22,6 +22,7 @@ from typing import Callable, ClassVar, Iterable
 
 from .errors import DomainError, ValidationError
 from .monotone import MonotoneFn
+from .report import Report, Section
 from .rng import SplitMix64
 from .scalars import NEG_INF, POS_INF, ExtScalar, as_ext
 
@@ -172,62 +173,6 @@ def random_unit_cuboids(seed: int, dim: int, count: int) -> list[Cuboid]:
 # -- axiom checking ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VolumeCheck:
-    box: Cuboid
-    volume: Fraction
-
-    @property
-    def holds(self) -> bool:
-        return self.volume >= 0
-
-
-@dataclass(frozen=True)
-class LimitCheck:
-    point: Point
-    value: Fraction
-    expected: Fraction
-
-    @property
-    def holds(self) -> bool:
-        return self.value == self.expected
-
-
-@dataclass(frozen=True)
-class ContinuityCheck:
-    point: Point
-    axis: int  # 1-based in reports
-    delta: Fraction
-    value_at: Fraction
-    value_right: Fraction
-
-    @property
-    def holds(self) -> bool:
-        return self.value_at == self.value_right
-
-
-@dataclass(frozen=True)
-class DfReport:
-    """Exact verdicts for the distribution-function axioms of one family instance."""
-
-    volume_checks: tuple[VolumeCheck, ...]
-    limit_checks: tuple[LimitCheck, ...]
-    right_continuity_checks: tuple[ContinuityCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return (
-            all(c.holds for c in self.volume_checks)
-            and all(c.holds for c in self.limit_checks)
-            and all(c.holds for c in self.right_continuity_checks)
-        )
-
-    def to_json_dict(self, max_witnesses: int = 20) -> dict:
-        from .serialize import df_report_json_dict
-
-        return df_report_json_dict(self, max_witnesses)
-
-
 def _probe_points(df: MultivariateDf, seed: int, cap: int) -> list[Point]:
     """Breakpoint-grid points where right-continuity is probed.
 
@@ -254,7 +199,7 @@ def check_df_axioms(
     n_cuboids: int,
     seed: int,
     max_probe_points: int = 200,
-) -> DfReport:
+) -> Report:
     """Probe non-negative volumes, the two limit conditions, and right-continuity.
 
     Volumes are checked on ``n_cuboids`` seeded random boxes in [0,1]^d.  The
@@ -266,40 +211,50 @@ def check_df_axioms(
     if n_cuboids < 1:
         raise ValidationError(f"n_cuboids must be >= 1, got {n_cuboids}")
 
-    volume_checks = tuple(
-        VolumeCheck(box=box, volume=volume(df, box))
-        for box in random_unit_cuboids(seed, df.dim, n_cuboids)
-    )
+    volume_violations = []
+    for box in random_unit_cuboids(seed, df.dim, n_cuboids):
+        vol = volume(df, box)
+        if vol < 0:
+            volume_violations.append({"a": box.a, "b": box.b, "volume": vol})
 
     lo, hi = df.support_box()
     mid = tuple((l + h) / 2 for l, h in zip(lo, hi))
-    limit_checks = []
+    limit_points = []
     for i in range(df.dim):
         for others in (POS_INF, None):
             point = tuple(
                 NEG_INF if j == i else (others if others is not None else mid[j])
                 for j in range(df.dim)
             )
-            limit_checks.append(LimitCheck(point=point, value=df.eval(point), expected=Fraction(0)))
-    top = tuple(POS_INF for _ in range(df.dim))
-    limit_checks.append(LimitCheck(point=top, value=df.eval(top), expected=Fraction(1)))
+            limit_points.append((point, Fraction(0)))
+    limit_points.append((tuple(POS_INF for _ in range(df.dim)), Fraction(1)))
+    limit_violations = []
+    for point, expected in limit_points:
+        value = df.eval(point)
+        if value != expected:
+            limit_violations.append({"point": point, "value": value, "expected": expected})
 
-    continuity_checks = []
-    for point in _probe_points(df, seed, max_probe_points):
+    probes = _probe_points(df, seed, max_probe_points)
+    continuity_violations = []
+    for point in probes:
         for i in range(df.dim):
             limit, delta = df.axis_right_limit(point, i)
-            continuity_checks.append(
-                ContinuityCheck(
-                    point=point,
-                    axis=i + 1,
-                    delta=delta,
-                    value_at=df.eval(point),
-                    value_right=limit,
+            value_at = df.eval(point)
+            if value_at != limit:
+                continuity_violations.append(
+                    dict(point=point, axis=i + 1, delta=delta, value_at=value_at, value_right=limit)
                 )
-            )
 
-    return DfReport(
-        volume_checks=volume_checks,
-        limit_checks=tuple(limit_checks),
-        right_continuity_checks=tuple(continuity_checks),
+    return Report(
+        "df_axioms",
+        (
+            Section("volumes", "volume_violations", n_cuboids, tuple(volume_violations)),
+            Section("limits", "limit_violations", len(limit_points), tuple(limit_violations)),
+            Section(
+                "right_continuity",
+                "right_continuity_violations",
+                len(probes) * df.dim,
+                tuple(continuity_violations),
+            ),
+        ),
     )

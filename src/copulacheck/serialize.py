@@ -27,10 +27,9 @@ from .families import (
     GridMass,
     ProductDf,
 )
-from .monotone import Knot, LemmaReport, MonotoneFn
-from .mvdf import DfReport, MultivariateDf
+from .monotone import Knot, MonotoneFn
+from .mvdf import MultivariateDf
 from .scalars import fmt, parse_scalar
-from .sklar import CheckReport
 
 
 # -- monotone functions --------------------------------------------------------
@@ -125,6 +124,8 @@ def load_payload(text: str):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError("invalid JSON: nested too deeply") from exc
     # wrong JSON types surface as Type/Key errors deep in the builders; at this
     # boundary they all mean the same thing: the payload is malformed
     try:
@@ -171,127 +172,6 @@ def rows_from_csv(text: str, has_header: bool = False) -> tuple[tuple, ...]:
 # -- report JSON -------------------------------------------------------------------
 
 
-def _truncate(entries: list, max_witnesses: int) -> tuple[list, bool]:
-    if max_witnesses >= 0 and len(entries) > max_witnesses:
-        return entries[:max_witnesses], True
-    return entries, False
-
-
-def _point_json(point) -> list:
-    out = []
-    for c in point:
-        out.append(_point_json(c) if isinstance(c, tuple) else fmt(c))
-    return out
-
-
-def check_report_json_dict(report: CheckReport, max_witnesses: int = 20) -> dict:
-    entries = [
-        {
-            "point": _point_json(v.point),
-            "expected": fmt(v.expected),
-            "got": fmt(v.got),
-            "deviation": fmt(v.deviation),
-            "kind": v.kind,
-        }
-        for v in report.violations
-    ]
-    shown, truncated = _truncate(entries, max_witnesses)
-    return {
-        "check": report.check_name,
-        "points": report.points_tested,
-        "pass": report.passed,
-        "max_deviation": fmt(report.max_deviation),
-        "violations": shown,
-        "truncated": truncated,
-    }
-
-
-def lemma_report_json_dict(report: LemmaReport, max_witnesses: int = 20) -> dict:
-    def entry_json(e):
-        return {
-            "point": fmt(e.point),
-            "lhs": fmt(e.lhs),
-            "rhs": fmt(e.rhs),
-        }
-
-    viol_a, trunc_a = _truncate(
-        [entry_json(e) for e in report.checks_a if not e.holds], max_witnesses
-    )
-    viol_b, trunc_b = _truncate(
-        [entry_json(e) for e in report.checks_b if not e.holds], max_witnesses
-    )
-    viol_lc, trunc_lc = _truncate(
-        [entry_json(e) for e in report.left_continuity if not e.holds], max_witnesses
-    )
-    witnesses, trunc_ff = _truncate(
-        [{"x": fmt(w.x), "lhs": fmt(w.lhs)} for w in report.ff_witnesses], max_witnesses
-    )
-    return {
-        "check": "lemma",
-        "pass": report.passed,
-        "pass_a": report.pass_a,
-        "pass_b": report.pass_b,
-        "pass_leftcont": report.pass_leftcont,
-        "points": {
-            "a": len(report.checks_a),
-            "b": len(report.checks_b),
-            "left_continuity": len(report.left_continuity),
-            "ff": len(report.ff_results),
-        },
-        "violations_a": viol_a,
-        "violations_b": viol_b,
-        "violations_leftcont": viol_lc,
-        "ff_witnesses": witnesses,
-        "truncated": trunc_a or trunc_b or trunc_lc or trunc_ff,
-    }
-
-
-def df_report_json_dict(report: DfReport, max_witnesses: int = 20) -> dict:
-    vol, trunc_v = _truncate(
-        [
-            {"a": _point_json(c.box.a), "b": _point_json(c.box.b), "volume": fmt(c.volume)}
-            for c in report.volume_checks
-            if not c.holds
-        ],
-        max_witnesses,
-    )
-    lim, trunc_l = _truncate(
-        [
-            {"point": _point_json(c.point), "value": fmt(c.value), "expected": fmt(c.expected)}
-            for c in report.limit_checks
-            if not c.holds
-        ],
-        max_witnesses,
-    )
-    cont, trunc_c = _truncate(
-        [
-            {
-                "point": _point_json(c.point),
-                "axis": c.axis,
-                "delta": fmt(c.delta),
-                "value_at": fmt(c.value_at),
-                "value_right": fmt(c.value_right),
-            }
-            for c in report.right_continuity_checks
-            if not c.holds
-        ],
-        max_witnesses,
-    )
-    return {
-        "check": "df_axioms",
-        "pass": report.passed,
-        "points": {
-            "volumes": len(report.volume_checks),
-            "limits": len(report.limit_checks),
-            "right_continuity": len(report.right_continuity_checks),
-        },
-        "volume_violations": vol,
-        "limit_violations": lim,
-        "right_continuity_violations": cont,
-        "truncated": trunc_v or trunc_l or trunc_c,
-    }
-
-
 def report_to_json(report, max_witnesses: int = 20) -> str:
-    """Deterministic pretty JSON for any report type, ending in a newline."""
+    """Deterministic pretty JSON of a report, ending in a newline."""
     return json.dumps(report.to_json_dict(max_witnesses), indent=2) + "\n"

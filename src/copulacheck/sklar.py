@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 from .errors import DomainError, ValidationError
 from .monotone import MonotoneFn
 from .mvdf import MultivariateDf, Point, random_unit_cuboids, vertex_sum
+from .report import Report, Section
 from .scalars import as_scalar
 
 
@@ -99,43 +100,31 @@ def copula_eval(copula: Copula, s: Sequence) -> Fraction:
     return copula.eval(s)
 
 
-# -- reports -------------------------------------------------------------------
+# -- verifiers ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+def _witness(point: tuple, expected: Fraction, got: Fraction, kind: str) -> dict:
     """One exact mismatch; ``point`` is the grid point (or the (a, b) corner pair)."""
-
-    point: tuple
-    expected: Fraction
-    got: Fraction
-    kind: str
-
-    @property
-    def deviation(self) -> Fraction:
-        return abs(self.got - self.expected)
+    deviation = abs(got - expected)
+    return {"point": point, "expected": expected, "got": got, "deviation": deviation, "kind": kind}
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one verification sweep; passes iff no violations were found."""
+def _flat_report(check: str, points: int, witnesses: list) -> Report:
+    """One-section report, which emits the flat layout with ``max_deviation``."""
+    return Report(check, (Section(check, "violations", points, tuple(witnesses)),))
 
-    check_name: str
-    points_tested: int
-    violations: tuple[Violation, ...]
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
+def level_axes(copula: Copula, grid: GridSpec) -> list[tuple[Fraction, ...]]:
+    """Per-axis levels on [0, 1]: the grid points merged with the margin's critical levels.
 
-    @property
-    def max_deviation(self) -> Fraction:
-        return max((v.deviation for v in self.violations), default=Fraction(0))
-
-    def to_json_dict(self, max_witnesses: int = 20) -> dict:
-        from .serialize import check_report_json_dict
-
-        return check_report_json_dict(self, max_witnesses)
+    A jump of a margin forces the copula away from its axioms exactly at these
+    levels, so no verification grid may step over them.
+    """
+    axes = []
+    for m in copula.margins:
+        levels = [lv for lv in m.critical_levels() if 0 <= lv <= 1]
+        axes.append(grid.axis_points(Fraction(0), Fraction(1), levels))
+    return axes
 
 
 def _merged_axes(
@@ -154,7 +143,7 @@ def verify_sklar_identity(
     df: MultivariateDf,
     grid: GridSpec = GridSpec(),
     box: Optional[tuple[Point, Point]] = None,
-) -> CheckReport:
+) -> Report:
     """Compare F(x) against C(F_1(x_1), ..., F_d(x_d)) on a merged grid.
 
     The grid spans ``box`` (default: the support box of F) merged with every
@@ -176,13 +165,11 @@ def verify_sklar_identity(
         got = df.eval(tuple(transformed[i][j] for i, j in enumerate(idx)))
         points += 1
         if got != expected:
-            violations.append(Violation(point=x, expected=expected, got=got, kind="identity"))
-    return CheckReport(
-        check_name="sklar_identity", points_tested=points, violations=tuple(violations)
-    )
+            violations.append(_witness(x, expected, got, "identity"))
+    return _flat_report("sklar_identity", points, violations)
 
 
-def verify_uniform_margins(copula: Copula, grid: GridSpec = GridSpec()) -> CheckReport:
+def verify_uniform_margins(copula: Copula, grid: GridSpec = GridSpec()) -> Report:
     """Check every one-dimensional section C(1, .., s, .., 1) == s exactly.
 
     The s-grid merges the critical levels of each margin, which is where a
@@ -190,19 +177,14 @@ def verify_uniform_margins(copula: Copula, grid: GridSpec = GridSpec()) -> Check
     """
     violations = []
     points = 0
-    for i, m in enumerate(copula.margins):
-        levels = [lv for lv in m.critical_levels() if 0 <= lv <= 1]
-        for s in grid.axis_points(Fraction(0), Fraction(1), levels):
+    for i, levels in enumerate(level_axes(copula, grid)):
+        for s in levels:
             point = tuple(s if j == i else Fraction(1) for j in range(copula.dim))
             got = copula.eval(point)
             points += 1
             if got != s:
-                violations.append(
-                    Violation(point=point, expected=s, got=got, kind=f"margin_{i + 1}")
-                )
-    return CheckReport(
-        check_name="uniform_margins", points_tested=points, violations=tuple(violations)
-    )
+                violations.append(_witness(point, s, got, f"margin_{i + 1}"))
+    return _flat_report("uniform_margins", points, violations)
 
 
 def verify_copula_axioms(
@@ -210,7 +192,7 @@ def verify_copula_axioms(
     n_cuboids: int = 200,
     seed: int = 0,
     grid: GridSpec = GridSpec(),
-) -> CheckReport:
+) -> Report:
     """Check d-increase on random boxes, groundedness, and the dependence envelope.
 
     Random boxes live in [0,1]^d and come from the seeded deterministic
@@ -228,15 +210,9 @@ def verify_copula_axioms(
         vol = vertex_sum(copula.eval, box)
         points += 1
         if vol < 0:
-            violations.append(
-                Violation(point=(box.a, box.b), expected=Fraction(0), got=vol, kind="d_increasing")
-            )
+            violations.append(_witness((box.a, box.b), Fraction(0), vol, "d_increasing"))
 
-    axis_levels = []
-    for m in copula.margins:
-        levels = [lv for lv in m.critical_levels() if 0 <= lv <= 1]
-        axis_levels.append(grid.axis_points(Fraction(0), Fraction(1), levels))
-
+    axis_levels = level_axes(copula, grid)
     # per-axis quantile transform, so the full sweep costs one F-eval per point
     transformed = [
         {s: m.gen_inverse_right(s) for s in pts}
@@ -249,19 +225,11 @@ def verify_copula_axioms(
         )
         points += 1
         if any(s == 0 for s in combo) and value != 0:
-            violations.append(
-                Violation(point=combo, expected=Fraction(0), got=value, kind="grounded")
-            )
+            violations.append(_witness(combo, Fraction(0), value, "grounded"))
         lower = max(sum(combo) - (d - 1), Fraction(0))
         upper = min(combo)
         if value < lower:
-            violations.append(
-                Violation(point=combo, expected=lower, got=value, kind="fh_lower")
-            )
+            violations.append(_witness(combo, lower, value, "fh_lower"))
         if value > upper:
-            violations.append(
-                Violation(point=combo, expected=upper, got=value, kind="fh_upper")
-            )
-    return CheckReport(
-        check_name="copula_axioms", points_tested=points, violations=tuple(violations)
-    )
+            violations.append(_witness(combo, upper, value, "fh_upper"))
+    return _flat_report("copula_axioms", points, violations)

@@ -141,6 +141,20 @@ def test_verify_lemma_flat_reports_ff_only(workdir):
     assert report["ff_witnesses"]
 
 
+def test_verify_lemma_bad_grid_exits_2(workdir):
+    for m in ("0", "-1"):
+        r = run_cli("verify", "lemma", "g_flat.json", "--grid", m, cwd=workdir)
+        assert (r.returncode, r.stdout) == (2, ""), m
+        assert r.stderr.startswith("error: grid resolution must be an integer >= 1"), r.stderr
+
+
+def test_deeply_nested_payload_exits_2(workdir):
+    (workdir / "deep.json").write_text("[" * 200_000)
+    r = run_cli("verify", "sklar", "deep.json", cwd=workdir)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith("error: invalid JSON"), r.stderr
+
+
 def test_verify_df_and_copula_and_margins(workdir):
     run_cli("ingest", "rows.csv", "-o", "emp.json", cwd=workdir)
     assert verdict("verify", "df", "emp.json", "--cuboids", "50", cwd=workdir) == (0, True)

@@ -167,24 +167,26 @@ def test_ff_equality_iff_right_increase(g_id, g_bern, g_flat):
 
 def test_lemma_report_identity(g_id):
     rep = lemma_report(g_id, us=grid(0, 1, 10), xs=grid(0, 1, 10))
-    assert rep.pass_a and rep.pass_b and rep.pass_leftcont
+    a, b, leftcont, ff = rep.sections
+    assert not (a.witnesses or b.witnesses or leftcont.witnesses)
     # the constant tail beyond x=1 breaks the round trip at x=1 itself
-    assert [w.x for w in rep.ff_witnesses] == [1]
+    assert [w["x"] for w in ff.witnesses] == [1]
     assert rep.passed is False
 
 
 def test_lemma_report_interior_grid_identity(g_id):
     rep = lemma_report(g_id, us=grid(0, 1, 10), xs=grid(0, F(9, 10), 9))
-    assert rep.passed and not rep.ff_witnesses
+    assert rep.passed
 
 
 def test_lemma_report_bernoulli(g_bern):
     rep = lemma_report(
         g_bern, us=[F(3, 10), F(1, 2), F(9, 10)], xs=[F(-1), F(0), F(1, 2), F(1)]
     )
-    assert rep.pass_a and rep.pass_b and rep.pass_leftcont
-    by_x = {w.x: w for w in rep.ff_witnesses}
-    assert by_x[F(1, 2)].lhs == 1
+    a, b, leftcont, ff = rep.sections
+    assert not (a.witnesses or b.witnesses or leftcont.witnesses)
+    by_x = {w["x"]: w for w in ff.witnesses}
+    assert by_x[F(1, 2)]["lhs"] == 1
     # every grid point of a purely discrete cdf fails the round trip
     assert set(by_x) == {F(-1), F(0), F(1, 2), F(1)}
 
@@ -197,11 +199,11 @@ def test_lemma_report_flat_witnesses(g_flat):
     confirms; the flat's right endpoint 3/2 satisfies the round trip.
     """
     xs = grid(0, 2, 8)
-    rep = lemma_report(g_flat, us=grid(0, 1, 8), xs=xs)
-    assert rep.pass_a and rep.pass_b and rep.pass_leftcont
+    a, b, leftcont, ff = lemma_report(g_flat, us=grid(0, 1, 8), xs=xs).sections
+    assert not (a.witnesses or b.witnesses or leftcont.witnesses)
     expected = {x for x in xs if not is_right_increase(g_flat, x)}
     assert expected == {F(1, 2), F(3, 4), F(1), F(5, 4), F(2)}
-    assert {w.x for w in rep.ff_witnesses} == expected
+    assert {w["x"] for w in ff.witnesses} == expected
 
 
 def test_lemma_report_rejects_out_of_range_levels(g_bern):

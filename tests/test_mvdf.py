@@ -179,7 +179,8 @@ def test_axioms_pass_for_valid_families(f_unif2, emp2):
     for df in (f_unif2, emp2):
         report = check_df_axioms(df, n_cuboids=100, seed=7)
         assert report.passed
-        assert all(c.holds for c in report.right_continuity_checks)
+        continuity = report.sections[2]
+        assert continuity.name == "right_continuity" and continuity.points > 0
 
 
 def test_axioms_catch_corrupted_lower_bound_extension():
@@ -191,8 +192,8 @@ def test_axioms_catch_corrupted_lower_bound_extension():
     assert volume(bad, witness) == F(-1, 2)
     report = check_df_axioms(bad, n_cuboids=100, seed=7)
     assert not report.passed
-    negatives = [c for c in report.volume_checks if not c.holds]
-    assert negatives and all(c.volume < 0 for c in negatives)
+    negatives = report.sections[0].witnesses
+    assert negatives and all(w["volume"] < 0 for w in negatives)
 
 
 def test_axioms_catch_broken_right_continuity():
@@ -206,7 +207,7 @@ def test_axioms_catch_broken_right_continuity():
     broken = LeftContinuousEmpirical(((F(0),), (F(1),)))
     report = check_df_axioms(broken, n_cuboids=10, seed=1)
     assert not report.passed
-    assert any(not c.holds for c in report.right_continuity_checks)
+    assert report.sections[2].witnesses
 
 
 def test_axioms_reject_bad_count(f_unif2):

@@ -125,7 +125,7 @@ def test_lemma_report_json_shape(g_flat):
     assert obj["pass_a"] and obj["pass_b"] and obj["pass_leftcont"]
     assert obj["pass"] is False
     assert {"x", "lhs"} == set(obj["ff_witnesses"][0])
-    assert obj["points"]["a"] == len(rep.checks_a)
+    assert obj["points"]["a"] == rep.sections[0].points == 9
 
 
 def test_df_report_json_shape():
