@@ -11,14 +11,24 @@ dimension restrictions); the classes themselves only enforce structure, so
 deliberately broken instances can be built for negative testing - e.g. the
 lower-bound formula extended beyond two dimensions, which fails the
 non-negative-volume axiom and must be caught by ``check_df_axioms``.
+
+The two counting families (empirical and grid) evaluate in rank space: F(t)
+depends only on where each coordinate of t falls among that axis's sorted
+breakpoints, so a query finds those ranks and then scans integer rank rows,
+or, once the rows scanned reach the size of the d-dimensional cumulative
+table, builds that table and answers by one lookup.  The index is
+built on first use, and each value becomes one ``Fraction`` at the end.
 """
 
 from __future__ import annotations
 
 from abc import abstractmethod
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import lcm
+from operator import le, mul
+from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
 from .monotone import Knot, MonotoneFn, two_probe_limit
@@ -55,15 +65,128 @@ def _require_cdf_margins(margins: Sequence[MonotoneFn], what: str) -> tuple[Mono
     return margins
 
 
-# -- empirical ---------------------------------------------------------------
+# -- counting families: rank-space evaluation --------------------------------
+
+
+class _RankIndex:
+    """A counting df in rank space: F(t) = (weight of the rows <= t) / denominator.
+
+    The df is constant between breakpoints, so F(t) depends only on the ranks
+    r_i = bisect_right(axis_i, t_i), with -inf at rank 0 and +inf at rank k_i;
+    a row is <= t exactly when each of its coordinate ranks is <= r_i
+    (dominance counting).  Queries scan the integer rank rows until the rows
+    scanned reach the cells of the cumulative table; only then is that
+    d-dimensional prefix-sum table built, and each later query is one lookup.
+    So a job with few evaluations never pays for the table, and a sweep pays
+    for it at most once over.
+    """
+
+    def __init__(
+        self, points: Sequence[tuple[Fraction, ...]], weights: Sequence[int], denominator: int
+    ):
+        dim = len(points[0])
+        self.axes = tuple(tuple(sorted({p[i] for p in points})) for i in range(dim))
+        self.deltas = tuple(_sorted_gap_delta(bps) for bps in self.axes)
+        # rank of each breakpoint, so a query coordinate that is one needs no bisect
+        self._rank_of = [{x: r for r, x in enumerate(bps, 1)} for bps in self.axes]
+        merged: dict[tuple[int, ...], int] = {}
+        for p, w in zip(points, weights):
+            ranks = tuple(table[x] for table, x in zip(self._rank_of, p))
+            merged[ranks] = merged.get(ranks, 0) + w
+        self._rows = tuple(merged.items())
+        self._total = sum(weights)
+        self._denominator = denominator
+        self._sizes = [len(bps) + 1 for bps in self.axes]
+        self._strides = [1] * dim
+        for i in range(dim - 2, -1, -1):
+            self._strides[i] = self._strides[i + 1] * self._sizes[i + 1]
+        self._cells = self._strides[0] * self._sizes[0]
+        self._scanned = 0
+        self._table: list[int] | None = None
+
+    def eval(self, t: Point) -> Fraction:
+        ranks = []
+        for bps, rank_of, c in zip(self.axes, self._rank_of, t):
+            r = rank_of.get(c)
+            ranks.append(bisect_right(bps, c) if r is None else r)
+        return Fraction(self._weight_below(ranks), self._denominator)
+
+    def _weight_below(self, ranks: list[int]) -> int:
+        if self._table is None:
+            self._scanned += len(self._rows)
+            if self._scanned < self._cells:
+                return sum(w for row, w in self._rows if all(map(le, row, ranks)))
+            self._table = self._cumulative_table()
+        return self._table[sum(map(mul, ranks, self._strides))]
+
+    def _cumulative_table(self) -> list[int]:
+        table = [0] * self._cells
+        for row, w in self._rows:
+            table[sum(map(mul, row, self._strides))] += w
+        # prefix sums along each axis in turn; a cell adds its predecessor on that axis
+        for stride, size in zip(self._strides, self._sizes):
+            block = stride * size
+            for start in range(0, self._cells, block):
+                for i in range(start + stride, start + block):
+                    table[i] += table[i - stride]
+        return table
+
+    def margin(self, axis: int) -> MonotoneFn:
+        sums = [0] * self._sizes[axis]
+        for row, w in self._rows:
+            sums[row[axis]] += w
+        pairs = [(x, Fraction(s)) for x, s in zip(self.axes[axis], sums[1:])]
+        return _cumulative_step(pairs, Fraction(self._total))
 
 
 @dataclass(frozen=True)
-class EmpiricalDf(MultivariateDf):
+class _CountingDf(MultivariateDf):
+    """Shared evaluation of the counting families through a lazily built rank index.
+
+    The index is built on first use, so loading a payload does no work for it,
+    and it takes no part in ``==``, ``hash``, ``repr`` or the payload.
+    Concurrent first uses may each build an equal index; either one answers
+    identically.
+    """
+
+    _index: Optional[_RankIndex] = field(default=None, init=False, repr=False, compare=False)
+
+    @abstractmethod
+    def _weighted_points(self) -> tuple[Sequence[tuple[Fraction, ...]], Sequence[int], int]:
+        """Support points, their integer weights, and the common denominator."""
+
+    def _rank_index(self) -> _RankIndex:
+        if self._index is None:
+            object.__setattr__(self, "_index", _RankIndex(*self._weighted_points()))
+        return self._index
+
+    def eval(self, t: Point) -> Fraction:
+        return self._rank_index().eval(t)
+
+    def margin_fn(self, axis: int) -> MonotoneFn:
+        return self._rank_index().margin(axis)
+
+    def axis_breakpoints(self, axis: int) -> tuple[Fraction, ...]:
+        return self._rank_index().axes[axis]
+
+    def axis_right_limit(self, t: Point, axis: int) -> tuple[Fraction, Fraction]:
+        delta = self._rank_index().deltas[axis]
+        shifted = tuple(c + delta if j == axis else c for j, c in enumerate(t))
+        return self.eval(shifted), delta
+
+
+@dataclass(frozen=True)
+class EmpiricalDf(_CountingDf):
     """F(t) = (number of data rows <= t componentwise) / n."""
 
     rows: tuple[tuple[Fraction, ...], ...]
     family = "empirical"
+
+    # bench/spans.py traces these by name in each counting class's own __dict__
+    eval = _CountingDf.eval
+    margin_fn = _CountingDf.margin_fn
+    axis_breakpoints = _CountingDf.axis_breakpoints
+    axis_right_limit = _CountingDf.axis_right_limit
 
     def __post_init__(self) -> None:
         if not self.rows:
@@ -83,24 +206,8 @@ class EmpiricalDf(MultivariateDf):
     def dim(self) -> int:
         return len(self.rows[0])
 
-    def eval(self, t: Point) -> Fraction:
-        hits = sum(1 for row in self.rows if all(r <= c for r, c in zip(row, t)))
-        return Fraction(hits, len(self.rows))
-
-    def margin_fn(self, axis: int) -> MonotoneFn:
-        counts: dict[Fraction, int] = {}
-        for row in self.rows:
-            counts[row[axis]] = counts.get(row[axis], 0) + 1
-        pairs = [(x, Fraction(k)) for x, k in sorted(counts.items())]
-        return _cumulative_step(pairs, Fraction(len(self.rows)))
-
-    def axis_breakpoints(self, axis: int) -> tuple[Fraction, ...]:
-        return tuple(sorted({row[axis] for row in self.rows}))
-
-    def axis_right_limit(self, t: Point, axis: int) -> tuple[Fraction, Fraction]:
-        delta = _sorted_gap_delta(self.axis_breakpoints(axis))
-        shifted = tuple(c + delta if j == axis else c for j, c in enumerate(t))
-        return self.eval(shifted), delta
+    def _weighted_points(self) -> tuple[Sequence[tuple[Fraction, ...]], Sequence[int], int]:
+        return self.rows, [1] * len(self.rows), len(self.rows)
 
     def to_payload(self) -> dict:
         return {
@@ -245,11 +352,17 @@ class GridMass:
 
 
 @dataclass(frozen=True)
-class GridDf(MultivariateDf):
+class GridDf(_CountingDf):
     """F(t) = total mass of support points <= t componentwise."""
 
     masses: tuple[GridMass, ...]
     family = "grid"
+
+    # bench/spans.py traces these by name in each counting class's own __dict__
+    eval = _CountingDf.eval
+    margin_fn = _CountingDf.margin_fn
+    axis_breakpoints = _CountingDf.axis_breakpoints
+    axis_right_limit = _CountingDf.axis_right_limit
 
     def __post_init__(self) -> None:
         masses = tuple(
@@ -274,28 +387,10 @@ class GridDf(MultivariateDf):
     def dim(self) -> int:
         return len(self.masses[0].point)
 
-    def eval(self, t: Point) -> Fraction:
-        total = Fraction(0)
-        for gm in self.masses:
-            if all(p <= c for p, c in zip(gm.point, t)):
-                total += gm.mass
-        return total
-
-    def margin_fn(self, axis: int) -> MonotoneFn:
-        sums: dict[Fraction, Fraction] = {}
-        for gm in self.masses:
-            key = gm.point[axis]
-            sums[key] = sums.get(key, Fraction(0)) + gm.mass
-        total = sum(sums.values())
-        return _cumulative_step(sorted(sums.items()), total)
-
-    def axis_breakpoints(self, axis: int) -> tuple[Fraction, ...]:
-        return tuple(sorted({gm.point[axis] for gm in self.masses}))
-
-    def axis_right_limit(self, t: Point, axis: int) -> tuple[Fraction, Fraction]:
-        delta = _sorted_gap_delta(self.axis_breakpoints(axis))
-        shifted = tuple(c + delta if j == axis else c for j, c in enumerate(t))
-        return self.eval(shifted), delta
+    def _weighted_points(self) -> tuple[Sequence[tuple[Fraction, ...]], Sequence[int], int]:
+        denominator = lcm(*(gm.mass.denominator for gm in self.masses))
+        weights = [gm.mass.numerator * (denominator // gm.mass.denominator) for gm in self.masses]
+        return [gm.point for gm in self.masses], weights, denominator
 
     def to_payload(self) -> dict:
         return {

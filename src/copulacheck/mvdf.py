@@ -237,9 +237,9 @@ def check_df_axioms(
     probes = _probe_points(df, seed, max_probe_points)
     continuity_violations = []
     for point in probes:
+        value_at = df.eval(point)
         for i in range(df.dim):
             limit, delta = df.axis_right_limit(point, i)
-            value_at = df.eval(point)
             if value_at != limit:
                 continuity_violations.append(
                     dict(point=point, axis=i + 1, delta=delta, value_at=value_at, value_right=limit)

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the closed-form code paths it is used to
 check: the scan oracle walks a literal grid of evaluation points, the
 right-increase test reads the knot structure directly, and the box-count
-oracle counts rows one by one.  ``run_cli`` runs the command line in a child
+and counting-df oracles walk the rows one by one with ``Fraction``
+comparisons.  ``run_cli`` runs the command line in a child
 process that imports the package from this checkout's ``src``.
 """
 
@@ -16,7 +17,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
-from copulacheck import Knot, MonotoneFn, NEG_INF, POS_INF, SplitMix64
+from copulacheck import EmpiricalDf, Knot, MonotoneFn, NEG_INF, POS_INF, SplitMix64
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -150,3 +151,34 @@ def count_in_box(rows, a, b) -> int:
     return sum(
         1 for r in rows if all(ai < ri <= bi for ri, ai, bi in zip(r, a, b))
     )
+
+
+# -- row-scan oracle for the counting families -----------------------------------
+
+
+def _weighted_rows(df) -> list[tuple[tuple, Fraction]]:
+    if isinstance(df, EmpiricalDf):
+        return [(row, Fraction(1, len(df.rows))) for row in df.rows]
+    return [(gm.point, gm.mass) for gm in df.masses]
+
+
+def scan_eval(df, t) -> Fraction:
+    """F(t) of an empirical or grid df: the weight of every row <= t, summed one by one."""
+    total = Fraction(0)
+    for row, weight in _weighted_rows(df):
+        if all(r <= c for r, c in zip(row, t)):
+            total += weight
+    return total
+
+
+def scan_axis_breakpoints(df, axis: int) -> tuple[Fraction, ...]:
+    return tuple(sorted({row[axis] for row, _ in _weighted_rows(df)}))
+
+
+def scan_axis_right_limit(df, t, axis: int) -> tuple[Fraction, Fraction]:
+    """F with coordinate ``axis`` moved right by half the smallest breakpoint gap."""
+    bps = scan_axis_breakpoints(df, axis)
+    gaps = [b - a for a, b in zip(bps, bps[1:])]
+    delta = min(gaps) / 2 if gaps else Fraction(1)
+    shifted = tuple(c + delta if j == axis else c for j, c in enumerate(t))
+    return scan_eval(df, shifted), delta

@@ -1,0 +1,234 @@
+"""Rank-space evaluation of the counting families against the row-scan oracle.
+
+Empirical and grid dfs answer queries from a lazily built rank index: an
+integer scan of the rank rows first, then a cumulative table once the rows
+scanned reach the table's cell count.  These tests check both paths against
+the ``Fraction`` row scan in ``helpers``, that the index never shows in the
+value semantics or the payload of a df, and that a job with few evaluations
+never builds the table.
+"""
+
+import json
+import random
+import sys
+import threading
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from copulacheck import (
+    NEG_INF,
+    POS_INF,
+    EmpiricalDf,
+    GridDf,
+    GridSpec,
+    ValidationError,
+    check_df_axioms,
+    copula_eval,
+    empirical_from_rows,
+    extract_copula,
+    fmt,
+    verify_sklar_identity,
+    verify_uniform_margins,
+)
+from copulacheck import cli
+from copulacheck.serialize import dumps_payload, load_payload
+from helpers import scan_axis_breakpoints, scan_axis_right_limit, scan_eval
+
+F = Fraction
+
+# a small pool of coordinates, so rows tie often
+COORD = st.integers(-3, 3).map(lambda k: F(k, 2))
+
+
+@st.composite
+def empirical_dfs(draw):
+    dim = draw(st.integers(1, 3))
+    return empirical_from_rows(draw(st.lists(st.tuples(*[COORD] * dim), min_size=1, max_size=8)))
+
+
+def _grid_payload_df(points, masses):
+    """A grid df loaded leniently: masses may be zero, negative, or not sum to 1."""
+    payload = {
+        "family": "grid",
+        "dim": len(points[0]),
+        "masses": [{"point": [fmt(c) for c in p], "mass": fmt(m)} for p, m in zip(points, masses)],
+    }
+    return load_payload(json.dumps(payload))
+
+
+@st.composite
+def lenient_grid_dfs(draw):
+    dim = draw(st.integers(1, 3))
+    points = draw(st.lists(st.tuples(*[COORD] * dim), min_size=1, max_size=8, unique=True))
+    masses = draw(
+        st.lists(
+            st.fractions(min_value=-2, max_value=2, max_denominator=6),
+            min_size=len(points),
+            max_size=len(points),
+        )
+    )
+    return _grid_payload_df(points, masses)
+
+
+def _query_pool(df, axis):
+    """Breakpoints, the points between and beyond them, and both infinities."""
+    bps = scan_axis_breakpoints(df, axis)
+    between = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+    return [NEG_INF, POS_INF, bps[0] - 1, bps[-1] + F(1, 3), *bps, *between]
+
+
+def _check_against_scan(df, seed):
+    rng = random.Random(seed)
+    pools = [_query_pool(df, i) for i in range(df.dim)]
+    for i in range(df.dim):
+        assert df.axis_breakpoints(i) == scan_axis_breakpoints(df, i)
+
+    queries = 0
+    while queries == 0 or df._index._table is None:
+        t = tuple(rng.choice(pool) for pool in pools)
+        value = df.eval(t)
+        assert type(value) is Fraction and value == scan_eval(df, t), t
+        if queries == 0:
+            assert df._index._table is None, "the first query must scan"
+        axis = rng.randrange(df.dim)
+        assert df.axis_right_limit(t, axis) == scan_axis_right_limit(df, t, axis), (t, axis)
+        queries += 1
+        # each query scans at least one row, so the table is built within its cell count
+        assert queries <= df._index._cells + 1
+    for _ in range(20):
+        t = tuple(rng.choice(pool) for pool in pools)
+        assert df.eval(t) == scan_eval(df, t), t
+
+    top = scan_eval(df, (POS_INF,) * df.dim)
+    if top == 0:
+        return
+    for i in range(df.dim):
+        def level(x):
+            return scan_eval(df, tuple(x if j == i else POS_INF for j in range(df.dim))) / top
+
+        bps = scan_axis_breakpoints(df, i)
+        steps = [F(0)] + [level(x) for x in bps]
+        if any(b < a for a, b in zip(steps, steps[1:])):
+            # negative masses can make a margin decrease, which no MonotoneFn holds
+            with pytest.raises(ValidationError):
+                df.margin_fn(i)
+            continue
+        fn = df.margin_fn(i)
+        assert fn.knot_xs() == bps
+        assert all(fn.eval(x) == level(x) for x in pools[i][2:])
+
+
+@settings(max_examples=80, deadline=None)
+@given(empirical_dfs(), st.integers(0, 2**32))
+def test_empirical_rank_eval_matches_row_scan(df, seed):
+    _check_against_scan(df, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lenient_grid_dfs(), st.integers(0, 2**32))
+@example(
+    _grid_payload_df(
+        [(F(0), F(1)), (F(1), F(0)), (F(1), F(1)), (F(2), F(2))],
+        [F(0), F(-1, 3), F(2, 3), F(2, 3)],
+    ),
+    0,
+)
+@example(_grid_payload_df([(F(0),), (F(1),)], [F(1, 2), F(-1, 2)]), 1)
+def test_lenient_grid_rank_eval_matches_mass_scan(df, seed):
+    _check_against_scan(df, seed)
+
+
+def test_rank_index_is_invisible(tmp_path):
+    """Evaluating a df changes none of ==, hash, repr, the payload, or CLI output."""
+    (tmp_path / "data.csv").write_text("0,1/2\n1/4,1\n1/4,1\n3/4,0\n", encoding="utf-8")
+    emp_path = tmp_path / "emp.json"
+    assert cli.main(["ingest", str(tmp_path / "data.csv"), "-o", str(emp_path)]) == 0
+    grid_path = tmp_path / "grid.json"
+    grid = _grid_payload_df([(F(0), F(1)), (F(1), F(0)), (F(2), F(2))], [F(1, 4), F(1, 4), F(1, 2)])
+    grid_path.write_text(dumps_payload(grid.to_payload()), encoding="utf-8")
+    for path in (emp_path, grid_path):
+        text = path.read_text(encoding="utf-8")
+        df, fresh = load_payload(text), load_payload(text)
+        before = (repr(df), hash(df), df.to_payload())
+        verify_sklar_identity(df, GridSpec(4))
+        assert df._index._table is not None and fresh._index is None
+        assert (repr(df), hash(df), df.to_payload()) == before
+        assert df == fresh and fresh == df and hash(df) == hash(fresh)
+        assert dumps_payload(df.to_payload()) == text
+
+        outs = []
+        for k in range(2):
+            out = tmp_path / f"extract{k}.json"
+            assert cli.main(["extract", str(path), "--grid", "4", "-o", str(out)]) == 0
+            outs.append(out.read_text(encoding="utf-8"))
+        assert outs[0] == outs[1]
+        copula = extract_copula(df)
+        for entry in json.loads(outs[0])["values"]:
+            assert fmt(copula_eval(copula, [F(c) for c in entry["s"]])) == entry["value"]
+
+
+def test_margins_job_on_a_large_3d_dataset_builds_no_table():
+    """101^3 table cells dwarf the few hundred evaluations of a margins check."""
+    # 37 and 61 are units mod 100, so every axis has 100 distinct values
+    rows = [(F(i), F(37 * i % 100), F(61 * i % 100)) for i in range(100)]
+    df = empirical_from_rows(rows)
+    report = verify_uniform_margins(extract_copula(df), GridSpec(10))
+    assert report.sections[0].points == 3 * 101
+    assert df._index._cells == 101**3
+    assert df._index._table is None
+
+
+def test_threads_racing_through_the_switch_agree_with_the_scan():
+    """Concurrent queries on one fresh df, across the scan-to-table switch."""
+    rows = [(F(i % 7), F(i * 3 % 11)) for i in range(40)]
+    shared, reference = empirical_from_rows(rows), empirical_from_rows(rows)
+    rng = random.Random(3)
+    pools = [_query_pool(reference, i) for i in range(2)]
+    queries = [tuple(rng.choice(pool) for pool in pools) for _ in range(400)]
+    expected = [scan_eval(reference, t) for t in queries]
+    results = {}
+
+    def work(k):
+        order = list(range(len(queries)))
+        random.Random(k).shuffle(order)
+        results[k] = all(shared.eval(queries[j]) == expected[j] for j in order)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == {k: True for k in range(8)}
+    assert shared._index._table is not None
+
+
+def test_right_continuity_evaluates_each_probe_point_once():
+    calls = Counter()
+
+    class CountedEmpirical(EmpiricalDf):
+        def eval(self, t):
+            calls[t] += 1
+            return super().eval(t)
+
+    # breakpoints outside [0, 1], so no random box vertex is a probe point
+    df = CountedEmpirical(((F(2), F(3)), (F(3), F(5)), (F(5), F(2))))
+    report = check_df_axioms(df, n_cuboids=5, seed=0)
+    assert report.passed
+    probes = [(x, y) for x in (F(2), F(3), F(5)) for y in (F(2), F(3), F(5))]
+    assert [calls[p] for p in probes] == [1] * len(probes)
+
+
+@pytest.mark.parametrize("cls", [EmpiricalDf, GridDf])
+def test_counting_classes_own_the_traced_methods(cls):
+    # bench/spans.py wraps these by name, reading them from each class's own __dict__
+    for name in ("eval", "margin_fn", "axis_breakpoints", "axis_right_limit"):
+        assert name in cls.__dict__, name
