@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the requested check passes (or the command is not a check),
 1 when a verification ran to completion and found violations (the report is
-still emitted), 2 on malformed input, unusable arguments, or domain errors.
+still emitted), 2 on malformed input, unusable arguments, or domain errors,
+3 on an internal error (any other exception).
 
 Scalar arguments accept exact decimals ("0.3") and rational strings ("3/10");
 points are comma-separated coordinates and may use "-inf" / "+inf" where a
@@ -240,6 +241,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from operator import le, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
-from .monotone import Knot, MonotoneFn, two_probe_limit
+from .monotone import MonotoneFn, step_cdf, two_probe_limit
 from .mvdf import MultivariateDf, Point
 from .scalars import as_scalar, fmt, is_finite
 
@@ -40,16 +40,6 @@ def _sorted_gap_delta(values: Sequence[Fraction]) -> Fraction:
     """Half the smallest positive gap between sorted values (1 if fewer than two)."""
     gaps = [b - a for a, b in zip(values, values[1:]) if b > a]
     return min(gaps) / 2 if gaps else Fraction(1)
-
-
-def _cumulative_step(pairs: list[tuple[Fraction, Fraction]], total: Fraction) -> MonotoneFn:
-    """Step cdf from sorted (coordinate, mass) pairs, normalized by ``total``."""
-    knots = []
-    acc = Fraction(0)
-    for x, mass in pairs:
-        knots.append(Knot(x, acc / total, (acc + mass) / total))
-        acc += mass
-    return MonotoneFn(tuple(knots))
 
 
 def _require_cdf_margins(margins: Sequence[MonotoneFn], what: str) -> tuple[MonotoneFn, ...]:
@@ -135,8 +125,7 @@ class _RankIndex:
         sums = [0] * self._sizes[axis]
         for row, w in self._rows:
             sums[row[axis]] += w
-        pairs = [(x, Fraction(s)) for x, s in zip(self.axes[axis], sums[1:])]
-        return _cumulative_step(pairs, Fraction(self._total))
+        return step_cdf(zip(self.axes[axis], sums[1:]), self._total)
 
 
 @dataclass(frozen=True)
@@ -258,8 +247,9 @@ class _MarginComposedDf(MultivariateDf):
         # both probes land strictly inside the knot-free window (x, next knot), on
         # which the margin is a single affine piece, so the extrapolation is exact
         x = t[axis]
-        beyond = [k for k in self.margins[axis].knot_xs() if k > x]
-        delta = (min(beyond) - x) / 2 if beyond else Fraction(1)
+        xs = self.margins[axis].knot_xs()
+        i = bisect_right(xs, x)
+        delta = (xs[i] - x) / 2 if i < len(xs) else Fraction(1)
         limit = two_probe_limit(self.margins[axis].eval, x, delta)
         values = [
             limit if j == axis else m.eval(c)

@@ -10,14 +10,20 @@ piecewise-linear-with-jumps function G on the whole real line:
 * G(x) = ``knots[-1].value`` at and beyond the last knot (the supremum ``d``).
 
 Right-continuity is structural: every piece is closed on the left.  The module
-offers exact evaluation, one-sided limits, the two generalized inverses
+offers exact evaluation, one-sided limits, and the two generalized inverses
 
     gen_inverse(u)       = inf { x : G(x) >= u }
     gen_inverse_right(u) = inf { x : G(x) > u }
 
-and a report runner checking, point by point, the classical inverse
-inequalities G(G^-1(u)) >= u and G^-1(G(x)) <= x, left-continuity of the
-inverse, and the round-trip identity gen_inverse_right(G(x)) == x.  The
+Both inverses bisect one cached sequence, the knot levels interleaved as
+``(left_0, value_0, left_1, ...)``, which valid knots make non-decreasing.  The
+first position past u names the answer: a ``value_k`` is the jump at knot k,
+a ``left_k`` the affine crossing on the piece ending at knot k, and the end of
+the sequence +inf (Embrechts & Hofert, "A note on generalized inverses", 2013).
+
+The module also has a report runner checking, point by point, the classical
+inverse inequalities G(G^-1(u)) >= u and G^-1(G(x)) <= x, left-continuity of
+the inverse, and the round-trip identity gen_inverse_right(G(x)) == x.  The
 round-trip identity genuinely fails wherever G is not strictly increasing to
 the right of x (flat pieces, constant tails); those points are reported as
 witnesses, never raised as errors.
@@ -27,7 +33,7 @@ All arithmetic is rational, so every verdict is exact with tolerance zero.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -62,6 +68,7 @@ class MonotoneFn:
 
     knots: tuple[Knot, ...]
     _xs: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    _levels: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         knots = tuple(_coerce_knot(k, i) for i, k in enumerate(self.knots))
@@ -84,6 +91,7 @@ class MonotoneFn:
                     )
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "_xs", tuple(k.x for k in knots))
+        object.__setattr__(self, "_levels", tuple(lv for k in knots for lv in (k.left, k.value)))
 
     # -- range and endpoints -------------------------------------------------
 
@@ -115,8 +123,7 @@ class MonotoneFn:
 
     def critical_levels(self) -> tuple[Fraction, ...]:
         """Sorted distinct levels at which the inverse can change its local form."""
-        levels = {k.left for k in self.knots} | {k.value for k in self.knots}
-        return tuple(sorted(levels))
+        return tuple(dict.fromkeys(self._levels))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -137,17 +144,11 @@ class MonotoneFn:
     def eval_left(self, x) -> Fraction:
         """Exact limit of G from below at finite x."""
         x = as_scalar(x)
-        i = bisect_right(self._xs, x) - 1
-        if i < 0:
-            return self.inf_value
-        k = self.knots[i]
-        if x == k.x:
-            return k.left
-        if i == len(self.knots) - 1:
-            return k.value
-        nxt = self.knots[i + 1]
-        # interior of a piece: G is continuous there, left limit equals value
-        return k.value + (nxt.left - k.value) * (x - k.x) / (nxt.x - k.x)
+        i = bisect_left(self._xs, x)
+        if i < len(self._xs) and self._xs[i] == x:
+            return self.knots[i].left
+        # G is continuous away from the knots
+        return self.eval(x)
 
     # -- generalized inverses ------------------------------------------------
 
@@ -159,47 +160,41 @@ class MonotoneFn:
             )
         return u
 
+    def _inverse_at(self, u: Fraction, p: int) -> ExtScalar:
+        """The inverse at u, from p, the first position in ``_levels`` whose level clears u."""
+        if p == len(self._levels):
+            return POS_INF
+        k = self.knots[p // 2]
+        if p % 2:
+            return k.x
+        prev = self.knots[p // 2 - 1]
+        # the piece before k rises through u: solve the affine crossing
+        return prev.x + (u - prev.value) * (k.x - prev.x) / (k.left - prev.value)
+
     def gen_inverse(self, u) -> ExtScalar:
         """inf { x : G(x) >= u }; -inf at u = inf G, where the set is all of R."""
         u = self._require_level(u)
         if u == self.inf_value:
             return NEG_INF
-        for i, k in enumerate(self.knots):
-            if k.value >= u:
-                if i == 0:
-                    return k.x
-                prev = self.knots[i - 1]
-                if k.left >= u:
-                    # the piece before k rises through u: solve the affine crossing
-                    return prev.x + (u - prev.value) * (k.x - prev.x) / (k.left - prev.value)
-                return k.x
-        raise AssertionError("unreachable: the last knot attains the supremum")
+        return self._inverse_at(u, bisect_left(self._levels, u))
 
     def gen_inverse_right(self, u) -> ExtScalar:
         """inf { x : G(x) > u }; +inf at u = sup G, where the set is empty."""
         u = self._require_level(u)
-        for i, k in enumerate(self.knots):
-            if k.value > u:
-                if i == 0:
-                    return k.x
-                prev = self.knots[i - 1]
-                if k.left > u:
-                    return prev.x + (u - prev.value) * (k.x - prev.x) / (k.left - prev.value)
-                return k.x
-        return POS_INF
+        return self._inverse_at(u, bisect_right(self._levels, u))
 
     def gen_inverse_left_limit(self, u) -> Fraction:
         """Exact limit of gen_inverse from below at u, for u in (inf G, sup G].
 
-        On a level window free of critical levels the inverse is affine (inside
-        a strictly rising piece) or constant (across a jump), so two
-        evaluations just below u extrapolate the limit exactly.
+        On a level window free of knot levels the inverse is affine (inside a
+        strictly rising piece) or constant (across a jump), so two evaluations
+        just below u extrapolate the limit exactly.  The window spans half the
+        gap down to the highest level below u, which exists because u > inf G.
         """
         u = self._require_level(u)
         if u == self.inf_value:
             raise DomainError(f"left limit of the inverse undefined at the infimum {u}")
-        below = [lv for lv in self.critical_levels() if lv < u]
-        delta = (u - max(below)) / 2 if below else Fraction(1)
+        delta = (u - self._levels[bisect_left(self._levels, u) - 1]) / 2
         return two_probe_limit(self.gen_inverse, u, -delta)
 
 
@@ -239,11 +234,18 @@ def discrete_cdf(weights: dict) -> MonotoneFn:
         raise ValidationError("discrete_cdf: negative mass")
     if total != 1:
         raise ValidationError(f"discrete_cdf: masses sum to {total}, expected 1")
+    return step_cdf(items, total)
+
+
+def step_cdf(atoms: Iterable[tuple[Fraction, Fraction | int]], total: Fraction | int) -> MonotoneFn:
+    """Step function of sorted (atom, mass) pairs, each mass divided by ``total``."""
+    if total == 0:
+        raise ValidationError("masses sum to 0, so they cannot be normalized to a cdf")
     knots = []
     acc = Fraction(0)
-    for x, w in items:
-        knots.append(Knot(x, acc, acc + w))
-        acc += w
+    for x, mass in atoms:
+        knots.append(Knot(x, acc / total, (acc + mass) / total))
+        acc += mass
     return MonotoneFn(tuple(knots))
 
 

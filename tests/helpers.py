@@ -2,6 +2,7 @@
 
 Everything here deliberately avoids the closed-form code paths it is used to
 check: the scan oracle walks a literal grid of evaluation points, the
+knot-walk oracle finds each inverse by walking the knots in order, the
 right-increase test reads the knot structure directly, and the box-count
 and counting-df oracles walk the rows one by one with ``Fraction``
 comparisons.  ``run_cli`` runs the command line in a child
@@ -90,6 +91,55 @@ def assert_matches_scan(fn: MonotoneFn, u: Fraction, result, strict: bool, step=
         assert hit is not None, f"closed form {result} but scan found nothing"
         assert result <= hit, f"closed form {result} above scan hit {hit}"
         assert prev is None or prev <= result, f"scan point {prev} below closed form {result}"
+
+
+# -- knot-walk oracle for the generalized inverses --------------------------------
+
+
+def walk_inverse(fn: MonotoneFn, u: Fraction, strict: bool):
+    """inf {x : G(x) >= u} (or > u when ``strict``), walking the knots in order."""
+    if not strict and u == fn.inf_value:
+        return NEG_INF
+    for i, k in enumerate(fn.knots):
+        if (k.value > u) if strict else (k.value >= u):
+            if i == 0:
+                return k.x
+            prev = fn.knots[i - 1]
+            if (k.left > u) if strict else (k.left >= u):
+                return prev.x + (u - prev.value) * (k.x - prev.x) / (k.left - prev.value)
+            return k.x
+    assert strict, "the last knot attains the supremum"
+    return POS_INF
+
+
+def walk_critical_levels(fn: MonotoneFn) -> tuple[Fraction, ...]:
+    return tuple(sorted({k.left for k in fn.knots} | {k.value for k in fn.knots}))
+
+
+def walk_left_probes(fn: MonotoneFn, u: Fraction) -> tuple[Fraction, Fraction]:
+    """u - delta and u - delta/2, with delta half the way down to the next level below u."""
+    delta = (u - max(lv for lv in walk_critical_levels(fn) if lv < u)) / 2
+    return u - delta, u - delta / 2
+
+
+def walk_left_limit(fn: MonotoneFn, u: Fraction) -> Fraction:
+    """Limit of gen_inverse from below at u, extrapolated from two walks below u."""
+    far, near = walk_left_probes(fn, u)
+    return 2 * walk_inverse(fn, near, False) - walk_inverse(fn, far, False)
+
+
+def walk_eval_left(fn: MonotoneFn, x: Fraction) -> Fraction:
+    """Limit of G from below at x, interpolating on the piece that holds x."""
+    i = bisect_right(fn.knot_xs(), x) - 1
+    if i < 0:
+        return fn.inf_value
+    k = fn.knots[i]
+    if x == k.x:
+        return k.left
+    if i == len(fn.knots) - 1:
+        return k.value
+    nxt = fn.knots[i + 1]
+    return k.value + (nxt.left - k.value) * (x - k.x) / (nxt.x - k.x)
 
 
 # -- structural right-increase oracle ------------------------------------------

@@ -1,14 +1,18 @@
 """End-to-end CLI checks: each runs ``python -m copulacheck.cli`` in a child
-process that imports the package from this checkout's ``src``.
+process that imports the package from this checkout's ``src``, except the
+internal-error check, which patches a failure into ``cli`` and calls
+``cli.main`` in process.
 
 Every check of a verify exit code also reads the report on stdout, so a child
-that crashes (which exits 1 with nothing on stdout) never passes for a verdict.
+that crashes before ``cli.main`` runs (an import failure exits 1 with nothing on
+stdout) never passes for a verdict.
 """
 
 import json
 from fractions import Fraction
 import pytest
 
+from copulacheck import cli
 from helpers import run_cli
 
 F = Fraction
@@ -153,6 +157,41 @@ def test_deeply_nested_payload_exits_2(workdir):
     r = run_cli("verify", "sklar", "deep.json", cwd=workdir)
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr.startswith("error: invalid JSON"), r.stderr
+
+
+@pytest.mark.parametrize("masses", [("0", "0"), ("1", "-1")], ids=["zeros", "one-minus-one"])
+def test_grid_masses_summing_to_zero_exit_2(workdir, masses):
+    points = (["0", "0"], ["1", "1"])
+    (workdir / "zero.json").write_text(
+        json.dumps(
+            {
+                "family": "grid",
+                "dim": 2,
+                "masses": [{"point": p, "mass": m} for p, m in zip(points, masses)],
+            }
+        )
+    )
+    for args in (
+        ("verify", "sklar", "zero.json"),
+        ("verify", "margins", "zero.json"),
+        ("verify", "copula", "zero.json"),
+        ("margin", "zero.json", "1"),
+        ("extract", "zero.json"),
+    ):
+        r = run_cli(*args, cwd=workdir)
+        assert (r.returncode, r.stdout) == (2, ""), args
+        assert r.stderr.startswith("error: masses sum to 0"), (args, r.stderr)
+
+
+def test_internal_error_exits_3(workdir, monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "lemma_report", broken)
+    assert cli.main(["verify", "lemma", str(workdir / "g_flat.json")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_verify_df_and_copula_and_margins(workdir):

@@ -24,6 +24,7 @@ from copulacheck import (
     EmpiricalDf,
     GridDf,
     GridSpec,
+    MonotoneFn,
     ValidationError,
     check_df_axioms,
     copula_eval,
@@ -227,8 +228,25 @@ def test_right_continuity_evaluates_each_probe_point_once():
     assert [calls[p] for p in probes] == [1] * len(probes)
 
 
-@pytest.mark.parametrize("cls", [EmpiricalDf, GridDf])
-def test_counting_classes_own_the_traced_methods(cls):
+COUNTING_TRACED = ("eval", "margin_fn", "axis_breakpoints", "axis_right_limit")
+MONOTONE_TRACED = (
+    "eval",
+    "gen_inverse",
+    "gen_inverse_right",
+    "gen_inverse_left_limit",
+    "critical_levels",
+)
+
+
+@pytest.mark.parametrize(
+    "cls, names",
+    [
+        pytest.param(EmpiricalDf, COUNTING_TRACED, id="EmpiricalDf"),
+        pytest.param(GridDf, COUNTING_TRACED, id="GridDf"),
+        pytest.param(MonotoneFn, MONOTONE_TRACED, id="MonotoneFn"),
+    ],
+)
+def test_counting_classes_own_the_traced_methods(cls, names):
     # bench/spans.py wraps these by name, reading them from each class's own __dict__
-    for name in ("eval", "margin_fn", "axis_breakpoints", "axis_right_limit"):
+    for name in names:
         assert name in cls.__dict__, name

@@ -11,7 +11,18 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from copulacheck import Knot, MonotoneFn, NEG_INF, SplitMix64
-from helpers import assert_matches_scan, grid, is_right_increase, merged, random_monotone
+from helpers import (
+    assert_matches_scan,
+    grid,
+    is_right_increase,
+    merged,
+    random_monotone,
+    walk_critical_levels,
+    walk_eval_left,
+    walk_inverse,
+    walk_left_limit,
+    walk_left_probes,
+)
 
 F = Fraction
 
@@ -99,6 +110,43 @@ def test_closed_form_matches_scan(fn):
     for u in level_grid(fn, m=4):
         assert_matches_scan(fn, u, fn.gen_inverse(u), strict=False, step=F(1, 24))
         assert_matches_scan(fn, u, fn.gen_inverse_right(u), strict=True, step=F(1, 24))
+
+
+def _same(got, want):
+    assert type(got) is type(want) and got == want, (got, want)
+
+
+def _between(values):
+    """The values, the midpoints of neighbours, and one step beyond each end."""
+    values = sorted(set(values))
+    mids = [(a + b) / 2 for a, b in zip(values, values[1:])]
+    return merged(values + mids, [values[0] - 1, values[-1] + 1])
+
+
+def _left_limit_probes(fn, u):
+    """The levels at which gen_inverse_left_limit(u) evaluates the inverse."""
+    spy, probes = MonotoneFn(fn.knots), []
+    object.__setattr__(spy, "gen_inverse", lambda v: probes.append(v) or fn.gen_inverse(v))
+    spy.gen_inverse_left_limit(u)
+    return tuple(probes)
+
+
+@given(monotone_fns())
+@settings(max_examples=150, deadline=None)
+def test_inverses_equal_the_knot_walk(fn):
+    # exact equality, not a bracket: an off-by-one in the level bisect shows here
+    _same(fn.critical_levels(), walk_critical_levels(fn))
+    c, d = fn.inf_value, fn.sup_value
+    knot_levels = [lv for k in fn.knots for lv in (k.left, k.value)]
+    for u in merged(level_grid(fn), [u for u in _between(knot_levels) if c <= u <= d]):
+        _same(fn.gen_inverse(u), walk_inverse(fn, u, strict=False))
+        _same(fn.gen_inverse_right(u), walk_inverse(fn, u, strict=True))
+        if u != c:
+            _same(fn.gen_inverse_left_limit(u), walk_left_limit(fn, u))
+            # the inverse is left-continuous, so only the probes show a window that is off
+            assert _left_limit_probes(fn, u) == walk_left_probes(fn, u)
+    for x in _between(fn.knot_xs()):
+        _same(fn.eval_left(x), walk_eval_left(fn, x))
 
 
 def test_seeded_corpus_spot_checks():
