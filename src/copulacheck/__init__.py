@@ -5,6 +5,12 @@ generalized inverses, the box-volume axioms of multivariate distribution
 functions, and the copula obtained from a cdf by the right-limit quantile
 transform; wherever a property genuinely fails (discrete margins, flat
 pieces), the reports carry exact rational counterexample witnesses.
+
+Dfs and copulas evaluate one point with ``eval`` and a product grid with
+``eval_grid(axes)``, which yields values in ``itertools.product`` order.
+``vertex_sum(grid_fn, box)`` takes such a grid evaluator (``df.eval_grid``
+or ``copula.eval_grid``), not a point evaluator, and sums over the box's
+corners as one 2 x ... x 2 grid.
 """
 
 from .errors import CopulaCheckError, DomainError, ValidationError

@@ -111,9 +111,10 @@ def cmd_margin(args) -> int:
 def cmd_extract(args) -> int:
     df = _load_df(args.df_path)
     copula = extract_copula(df)
+    axes = level_axes(copula, GridSpec(args.grid))
     values = [
-        {"s": [fmt(c) for c in combo], "value": fmt(copula.eval(combo))}
-        for combo in iter_product(*level_axes(copula, GridSpec(args.grid)))
+        {"s": [fmt(c) for c in combo], "value": fmt(value)}
+        for combo, value in zip(iter_product(*axes), copula.eval_grid(axes))
     ]
     payload = {"dim": copula.dim, "grid_m": args.grid, "values": values}
     _emit(json.dumps(payload, indent=2) + "\n", args.output)

@@ -18,6 +18,10 @@ breakpoints, so a query finds those ranks and then scans integer rank rows,
 or, once the rows scanned reach the size of the d-dimensional cumulative
 table, builds that table and answers by one lookup.  The index is
 built on first use, and each value becomes one ``Fraction`` at the end.
+
+Every family evaluates a product grid through ``eval_grid`` from per-axis
+codes computed once per axis point: the ranks for the counting families, the
+margin values for the margin-composed ones, which then combine them.
 """
 
 from __future__ import annotations
@@ -26,14 +30,15 @@ from abc import abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product as iter_product
 from math import lcm
 from operator import le, mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ValidationError
 from .monotone import MonotoneFn, step_cdf, two_probe_limit
-from .mvdf import MultivariateDf, Point
-from .scalars import as_scalar, fmt, is_finite
+from .mvdf import Axes, MultivariateDf, Point
+from .scalars import ExtScalar, as_scalar, fmt, is_finite
 
 
 def _sorted_gap_delta(values: Sequence[Fraction]) -> Fraction:
@@ -94,14 +99,20 @@ class _RankIndex:
         self._scanned = 0
         self._table: list[int] | None = None
 
+    def _rank(self, axis: int, c: ExtScalar) -> int:
+        r = self._rank_of[axis].get(c)
+        return bisect_right(self.axes[axis], c) if r is None else r
+
     def eval(self, t: Point) -> Fraction:
-        ranks = []
-        for bps, rank_of, c in zip(self.axes, self._rank_of, t):
-            r = rank_of.get(c)
-            ranks.append(bisect_right(bps, c) if r is None else r)
+        ranks = [self._rank(i, c) for i, c in enumerate(t)]
         return Fraction(self._weight_below(ranks), self._denominator)
 
-    def _weight_below(self, ranks: list[int]) -> int:
+    def eval_grid(self, axes: Axes) -> Iterator[Fraction]:
+        rank_axes = [[self._rank(i, c) for c in values] for i, values in enumerate(axes)]
+        for ranks in iter_product(*rank_axes):
+            yield Fraction(self._weight_below(ranks), self._denominator)
+
+    def _weight_below(self, ranks: Sequence[int]) -> int:
         if self._table is None:
             self._scanned += len(self._rows)
             if self._scanned < self._cells:
@@ -151,6 +162,9 @@ class _CountingDf(MultivariateDf):
 
     def eval(self, t: Point) -> Fraction:
         return self._rank_index().eval(t)
+
+    def eval_grid(self, axes: Axes) -> Iterator[Fraction]:
+        return self._rank_index().eval_grid(axes)
 
     def margin_fn(self, axis: int) -> MonotoneFn:
         return self._rank_index().margin(axis)
@@ -230,10 +244,14 @@ class _MarginComposedDf(MultivariateDf):
         return len(self.margins)
 
     @abstractmethod
-    def _combine(self, values: list[Fraction]) -> Fraction: ...
+    def _combine(self, values: Sequence[Fraction]) -> Fraction: ...
 
     def eval(self, t: Point) -> Fraction:
         return self._combine([m.eval(c) for m, c in zip(self.margins, t)])
+
+    def eval_grid(self, axes: Axes) -> Iterator[Fraction]:
+        value_axes = [[m.eval(c) for c in values] for m, values in zip(self.margins, axes)]
+        return map(self._combine, iter_product(*value_axes))
 
     def margin_fn(self, axis: int) -> MonotoneFn:
         return self.margins[axis]
@@ -273,7 +291,7 @@ class ProductDf(_MarginComposedDf):
 
     family = "product"
 
-    def _combine(self, values: list[Fraction]) -> Fraction:
+    def _combine(self, values: Sequence[Fraction]) -> Fraction:
         out = Fraction(1)
         for v in values:
             out *= v
@@ -286,7 +304,7 @@ class ComonotoneDf(_MarginComposedDf):
 
     family = "comonotone"
 
-    def _combine(self, values: list[Fraction]) -> Fraction:
+    def _combine(self, values: Sequence[Fraction]) -> Fraction:
         return min(values)
 
 
@@ -307,7 +325,7 @@ class CountermonotoneDf(_MarginComposedDf):
         if len(self.margins) < 2:
             raise ValidationError("countermonotone df needs at least two margins")
 
-    def _combine(self, values: list[Fraction]) -> Fraction:
+    def _combine(self, values: Sequence[Fraction]) -> Fraction:
         return max(sum(values) - (len(values) - 1), Fraction(0))
 
 

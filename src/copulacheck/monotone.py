@@ -289,9 +289,10 @@ def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence) -> Report:
     us = [fn._require_level(u) for u in us]
     xs = [as_scalar(x) for x in xs]
 
+    inverses = [fn.gen_inverse(u) for u in us]
     violations_a = []
-    for u in us:
-        value = fn.eval(fn.gen_inverse(u))
+    for u, inv in zip(us, inverses):
+        value = fn.eval(inv)
         if value < u:
             violations_a.append({"point": u, "lhs": value, "rhs": u})
 
@@ -301,11 +302,11 @@ def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence) -> Report:
         if inv > x:
             violations_b.append({"point": x, "lhs": inv, "rhs": x})
 
-    levels = [u for u in us if u != fn.inf_value]
+    # section a already holds the inverse at each level
+    levels = [(u, at) for u, at in zip(us, inverses) if u != fn.inf_value]
     violations_lc = []
-    for u in levels:
+    for u, at in levels:
         limit = fn.gen_inverse_left_limit(u)
-        at = fn.gen_inverse(u)
         if limit != at:
             violations_lc.append({"point": u, "lhs": limit, "rhs": at})
 

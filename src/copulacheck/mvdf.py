@@ -7,6 +7,12 @@ distribution function when it is right-continuous and every such volume is
 non-negative; it is a cdf when additionally any coordinate at -inf forces the
 value 0 and all coordinates at +inf give 1.
 
+Every family is separable by axis: its value at t combines per-axis codes
+(margin values, or ranks among the axis breakpoints) that each depend on one
+coordinate only.  So a product grid is evaluated by ``eval_grid``, which
+computes each code once per axis point, and a box's vertices are just the
+2 x .. x 2 grid of its corners.
+
 :func:`check_df_axioms` probes all of this exactly on seeded random boxes and
 on the structural breakpoints of the family, and returns a report; failures
 are report entries carrying exact witnesses, never exceptions.
@@ -18,7 +24,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Callable, ClassVar, Iterable
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ValidationError
 from .monotone import MonotoneFn
@@ -27,6 +33,8 @@ from .rng import SplitMix64
 from .scalars import NEG_INF, POS_INF, ExtScalar, as_ext
 
 Point = tuple[ExtScalar, ...]
+# the per-axis coordinates of a product grid
+Axes = Sequence[Sequence[ExtScalar]]
 
 
 def as_point(coords: Iterable) -> Point:
@@ -58,12 +66,17 @@ class Cuboid:
         return len(self.a)
 
 
-def vertex_sum(fn: Callable[[Point], Fraction], box: Cuboid) -> Fraction:
-    """Signed inclusion-exclusion sum of ``fn`` over the vertices of ``box``."""
+def vertex_sum(grid_fn: Callable[[Axes], Iterable[Fraction]], box: Cuboid) -> Fraction:
+    """Signed inclusion-exclusion sum over the vertices of ``box``, as one grid call.
+
+    ``grid_fn`` evaluates a product grid in ``itertools.product`` order, like
+    :meth:`MultivariateDf.eval_grid`.  The box is the grid ``((b_i, a_i))_i``,
+    so the vertex at index ``eps`` takes ``a_i`` where ``eps_i`` is 1 and has
+    the sign ``(-1)`` to the number of ``a`` coordinates.
+    """
     total = Fraction(0)
-    for eps in iter_product((0, 1), repeat=box.dim):
-        vertex = tuple(box.a[i] if e else box.b[i] for i, e in enumerate(eps))
-        term = fn(vertex)
+    choices = iter_product((0, 1), repeat=box.dim)
+    for eps, term in zip(choices, grid_fn(tuple(zip(box.b, box.a)))):
         total += -term if sum(eps) % 2 else term
     return total
 
@@ -86,6 +99,16 @@ class MultivariateDf(ABC):
     @abstractmethod
     def eval(self, t: Point) -> Fraction:
         """Exact value at a point with extended coordinates."""
+
+    @abstractmethod
+    def eval_grid(self, axes: Axes) -> Iterator[Fraction]:
+        """Exact values on the product grid of ``axes``, in ``itertools.product`` order.
+
+        Equal to ``eval`` at each grid point, with the coordinates taken as
+        ``eval`` takes them.  The per-axis codes are computed once per axis
+        point and the values are yielded lazily, so no list over the grid is
+        ever built.
+        """
 
     @abstractmethod
     def margin_fn(self, axis: int) -> MonotoneFn:
@@ -141,7 +164,7 @@ def volume(df: MultivariateDf, box: Cuboid) -> Fraction:
     """Exact volume assigned by ``df`` to the half-open box ]a, b]."""
     if box.dim != df.dim:
         raise DomainError(f"box dimension {box.dim} does not match df dimension {df.dim}")
-    return vertex_sum(df.eval, box)
+    return vertex_sum(df.eval_grid, box)
 
 
 def margin(df: MultivariateDf, i: int) -> MonotoneFn:

@@ -19,7 +19,10 @@ because for discontinuous margins the construction genuinely breaks and
 exhibiting the exact break points is the purpose of this module.
 
 Verification grids always merge the structural breakpoints of the inputs, so a
-violation at a jump cannot hide between grid points.
+violation at a jump cannot hide between grid points.  Every sweep, boxes
+included, is a product grid evaluated by one ``eval_grid`` call: the
+quantile transform and the df's per-axis codes are computed once per axis
+point, not once per grid point.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError, ValidationError
 from .monotone import MonotoneFn
-from .mvdf import MultivariateDf, Point, random_unit_cuboids, vertex_sum
+from .mvdf import Axes, MultivariateDf, Point, random_unit_cuboids, vertex_sum
 from .report import Report, Section
 from .scalars import as_scalar
 
@@ -79,6 +82,23 @@ class Copula:
                 raise DomainError(f"copula argument {c} outside [0, 1]")
         transformed = tuple(m.gen_inverse_right(c) for m, c in zip(self.margins, coords))
         return self.source.eval(transformed)
+
+    def eval_grid(self, axes: Axes) -> Iterator[Fraction]:
+        """Exact values on the product grid of ``axes``, in ``itertools.product`` order.
+
+        Each level is checked and transformed once per axis point, then the
+        source evaluates the transformed grid; equal to ``eval`` at each point.
+        """
+        if len(axes) != self.dim:
+            raise DomainError(f"grid has {len(axes)} axes, expected {self.dim}")
+        transformed = []
+        for m, levels in zip(self.margins, axes):
+            coords = [as_scalar(c) for c in levels]
+            for c in coords:
+                if not 0 <= c <= 1:
+                    raise DomainError(f"copula argument {c} outside [0, 1]")
+            transformed.append([m.gen_inverse_right(c) for c in coords])
+        return self.source.eval_grid(transformed)
 
 
 def extract_copula(df: MultivariateDf) -> Copula:
@@ -147,8 +167,8 @@ def verify_sklar_identity(
     """Compare F(x) against C(F_1(x_1), ..., F_d(x_d)) on a merged grid.
 
     The grid spans ``box`` (default: the support box of F) merged with every
-    structural breakpoint.  Quantile transforms are precomputed per axis; each
-    grid point then costs two evaluations of F.
+    structural breakpoint.  Two grid passes of F run side by side: one on the
+    grid itself and one on its per-axis quantile transform.
     """
     copula = extract_copula(df)
     axes = _merged_axes(df, grid, box)
@@ -159,10 +179,8 @@ def verify_sklar_identity(
 
     violations = []
     points = 0
-    for idx in iter_product(*(range(len(a)) for a in axes)):
-        x = tuple(axes[i][j] for i, j in enumerate(idx))
-        expected = df.eval(x)
-        got = df.eval(tuple(transformed[i][j] for i, j in enumerate(idx)))
+    sweep = zip(iter_product(*axes), df.eval_grid(axes), df.eval_grid(transformed))
+    for x, expected, got in sweep:
         points += 1
         if got != expected:
             violations.append(_witness(x, expected, got, "identity"))
@@ -178,9 +196,9 @@ def verify_uniform_margins(copula: Copula, grid: GridSpec = GridSpec()) -> Repor
     violations = []
     points = 0
     for i, levels in enumerate(level_axes(copula, grid)):
-        for s in levels:
-            point = tuple(s if j == i else Fraction(1) for j in range(copula.dim))
-            got = copula.eval(point)
+        section = [levels if j == i else (Fraction(1),) for j in range(copula.dim)]
+        for point, got in zip(iter_product(*section), copula.eval_grid(section)):
+            s = point[i]
             points += 1
             if got != s:
                 violations.append(_witness(point, s, got, f"margin_{i + 1}"))
@@ -207,22 +225,13 @@ def verify_copula_axioms(
     points = 0
 
     for box in random_unit_cuboids(seed, d, n_cuboids):
-        vol = vertex_sum(copula.eval, box)
+        vol = vertex_sum(copula.eval_grid, box)
         points += 1
         if vol < 0:
             violations.append(_witness((box.a, box.b), Fraction(0), vol, "d_increasing"))
 
     axis_levels = level_axes(copula, grid)
-    # per-axis quantile transform, so the full sweep costs one F-eval per point
-    transformed = [
-        {s: m.gen_inverse_right(s) for s in pts}
-        for m, pts in zip(copula.margins, axis_levels)
-    ]
-
-    for combo in iter_product(*axis_levels):
-        value = copula.source.eval(
-            tuple(transformed[i][s] for i, s in enumerate(combo))
-        )
+    for combo, value in zip(iter_product(*axis_levels), copula.eval_grid(axis_levels)):
         points += 1
         if any(s == 0 for s in combo) and value != 0:
             violations.append(_witness(combo, Fraction(0), value, "grounded"))

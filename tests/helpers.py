@@ -5,8 +5,9 @@ check: the scan oracle walks a literal grid of evaluation points, the
 knot-walk oracle finds each inverse by walking the knots in order, the
 right-increase test reads the knot structure directly, and the box-count
 and counting-df oracles walk the rows one by one with ``Fraction``
-comparisons.  ``run_cli`` runs the command line in a child
-process that imports the package from this checkout's ``src``.
+comparisons, and the grid and box oracles evaluate one point at a time.
+``run_cli`` runs the command line in a child process that imports the
+package from this checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,19 @@ import subprocess
 import sys
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
-from copulacheck import EmpiricalDf, Knot, MonotoneFn, NEG_INF, POS_INF, SplitMix64
+from copulacheck import (
+    NEG_INF,
+    POS_INF,
+    Cuboid,
+    EmpiricalDf,
+    Knot,
+    MonotoneFn,
+    SplitMix64,
+    vertex_sum,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -232,3 +243,66 @@ def scan_axis_right_limit(df, t, axis: int) -> tuple[Fraction, Fraction]:
     delta = min(gaps) / 2 if gaps else Fraction(1)
     shifted = tuple(c + delta if j == axis else c for j, c in enumerate(t))
     return scan_eval(df, shifted), delta
+
+
+# -- point-wise oracles for grid evaluation --------------------------------------
+
+
+def naive_vertex_sum(fn, box) -> Fraction:
+    """Signed sum of the point evaluator ``fn`` over the 2^d vertices of ``box``, one by one."""
+    total = Fraction(0)
+    for eps in product((0, 1), repeat=box.dim):
+        vertex = tuple(box.a[i] if e else box.b[i] for i, e in enumerate(eps))
+        term = fn(vertex)
+        total += -term if sum(eps) % 2 else term
+    return total
+
+
+def level_pool(margin: MonotoneFn, m: int = 8) -> list[Fraction]:
+    """Copula levels for one axis: k/m, the margin's critical levels in [0, 1], and midpoints."""
+    levels = {Fraction(k, m) for k in range(m + 1)}
+    levels.update(lv for lv in margin.critical_levels() if 0 <= lv <= 1)
+    levels = sorted(levels)
+    return merged(levels, [(a + b) / 2 for a, b in zip(levels, levels[1:])])
+
+
+def random_axes(rng, pools, max_len: int = 4) -> list[list]:
+    """One coordinate list per pool, drawn with repeats and in no particular order."""
+    return [[rng.choice(pool) for _ in range(rng.randint(1, max_len))] for pool in pools]
+
+
+def random_boxes(rng, pools, count: int) -> list[Cuboid]:
+    """``count`` boxes with corners drawn from the pools, then ``count`` degenerate ones.
+
+    A degenerate box has a_i == b_i on at least one axis, so its volume is 0
+    under any function.
+    """
+    boxes = []
+    for k in range(2 * count):
+        flat = set(rng.sample(range(len(pools)), rng.randint(1, len(pools)))) if k >= count else ()
+        a, b = [], []
+        for i, pool in enumerate(pools):
+            lo, hi = sorted((rng.choice(pool), rng.choice(pool)))
+            a.append(lo)
+            b.append(lo if i in flat else hi)
+        boxes.append(Cuboid(tuple(a), tuple(b)))
+    return boxes
+
+
+def check_grid_against_points(obj, rng, pools, rounds: int = 3) -> None:
+    """``eval_grid`` against ``eval`` on random grids, and on boxes through ``vertex_sum``.
+
+    Grid values must equal the point values in ``product`` order and have the
+    same type, so a grid path that yields an int or a float fails here.
+    """
+    for _ in range(rounds):
+        axes = random_axes(rng, pools)
+        got = list(obj.eval_grid(axes))
+        want = [obj.eval(p) for p in product(*axes)]
+        assert got == want, axes
+        assert [type(v) for v in got] == [type(v) for v in want], axes
+    for box in random_boxes(rng, pools, rounds):
+        vol = vertex_sum(obj.eval_grid, box)
+        assert type(vol) is Fraction and vol == naive_vertex_sum(obj.eval, box), box
+        if any(lo == hi for lo, hi in zip(box.a, box.b)):
+            assert vol == 0, box

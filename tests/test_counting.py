@@ -13,6 +13,7 @@ import random
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,13 @@ from copulacheck import (
 )
 from copulacheck import cli
 from copulacheck.serialize import dumps_payload, load_payload
-from helpers import scan_axis_breakpoints, scan_axis_right_limit, scan_eval
+from helpers import (
+    check_grid_against_points,
+    level_pool,
+    scan_axis_breakpoints,
+    scan_axis_right_limit,
+    scan_eval,
+)
 
 F = Fraction
 
@@ -140,6 +147,36 @@ def test_empirical_rank_eval_matches_row_scan(df, seed):
 @example(_grid_payload_df([(F(0),), (F(1),)], [F(1, 2), F(-1, 2)]), 1)
 def test_lenient_grid_rank_eval_matches_mass_scan(df, seed):
     _check_against_scan(df, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(empirical_dfs(), lenient_grid_dfs()), st.integers(0, 2**32))
+@example(
+    _grid_payload_df(
+        [(F(0), F(1)), (F(1), F(0)), (F(1), F(1)), (F(2), F(2))],
+        [F(0), F(-1, 3), F(2, 3), F(2, 3)],
+    ),
+    0,
+)
+@example(_grid_payload_df([(F(0),), (F(1),)], [F(1, 2), F(-1, 2)]), 1)
+def test_eval_grid_matches_point_eval(df, seed):
+    """Grids and boxes through eval_grid equal eval point by point, on both index paths."""
+    df = replace(df)  # a fresh rank index, whatever earlier examples did to this object
+    rng = random.Random(seed)
+    pools = [_query_pool(df, i) for i in range(df.dim)]
+    # a fresh index answers by scanning its rows: the table has more cells than rows
+    check_grid_against_points(df, rng, pools, rounds=1)
+    assert df._index._cells > len(df._index._rows)
+    # each evaluation scans at least one row, so the table comes within its cell count
+    while df._index._table is None:
+        check_grid_against_points(df, rng, pools, rounds=1)
+    check_grid_against_points(df, rng, pools)
+
+    try:
+        copula = extract_copula(df)
+    except ValidationError:
+        return  # a lenient payload whose margins are not cdfs has no copula
+    check_grid_against_points(copula, rng, [level_pool(m) for m in copula.margins])
 
 
 def test_rank_index_is_invisible(tmp_path):

@@ -6,14 +6,27 @@ lists that are valid by construction, mixing jumps, flats, and strictly
 rising pieces.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from copulacheck import Knot, MonotoneFn, NEG_INF, SplitMix64
+from copulacheck import (
+    NEG_INF,
+    POS_INF,
+    ComonotoneDf,
+    CountermonotoneDf,
+    Knot,
+    MonotoneFn,
+    ProductDf,
+    SplitMix64,
+    extract_copula,
+)
 from helpers import (
     assert_matches_scan,
+    check_grid_against_points,
     grid,
+    level_pool,
     is_right_increase,
     merged,
     random_monotone,
@@ -28,7 +41,7 @@ F = Fraction
 
 
 @st.composite
-def monotone_fns(draw):
+def monotone_fns(draw, cdf=False):
     n = draw(st.integers(min_value=1, max_value=4))
     xs = draw(
         st.lists(
@@ -47,9 +60,19 @@ def monotone_fns(draw):
             )
         )
     )
+    if cdf:
+        levels[0], levels[-1] = F(0), F(1)
     return MonotoneFn(
         tuple(Knot(x, levels[2 * i], levels[2 * i + 1]) for i, x in enumerate(sorted(xs)))
     )
+
+
+@st.composite
+def composed_dfs(draw):
+    """Product, comonotone or countermonotone dfs on 1-3 cdf margins (countermonotone on 2-3)."""
+    cls = draw(st.sampled_from([ProductDf, ComonotoneDf, CountermonotoneDf]))
+    dim = draw(st.integers(2 if cls is CountermonotoneDf else 1, 3))
+    return cls(tuple(draw(monotone_fns(cdf=True)) for _ in range(dim)))
 
 
 def level_grid(fn, m=8):
@@ -161,3 +184,13 @@ def test_seeded_corpus_spot_checks():
             lhs = fn.gen_inverse_right(fn.eval(x))
             assert lhs >= x
             assert (lhs == x) == is_right_increase(fn, x)
+
+
+@given(composed_dfs(), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_eval_grid_matches_point_eval(df, seed):
+    """Grids and boxes through eval_grid equal eval point by point, for the df and its copula."""
+    rng = random.Random(seed)
+    pools = [[NEG_INF, POS_INF, *_between(m.knot_xs())] for m in df.margins]
+    check_grid_against_points(df, rng, pools)
+    check_grid_against_points(extract_copula(df), rng, [level_pool(m) for m in df.margins])

@@ -83,6 +83,14 @@ def test_copula_eval_domain(f_unif2):
         copula_eval(c, (F(1, 2),))
 
 
+def test_copula_eval_grid_domain(f_unif2):
+    c = extract_copula(f_unif2)
+    bad = ([[F(1, 2)], [F(0), F(3, 2)]], [[F(-1, 2)], [F(1)]], [[F(1, 2)]], [[F(1, 2)]] * 3)
+    for axes in bad:
+        with pytest.raises(DomainError):
+            list(c.eval_grid(axes))
+
+
 def test_extract_rejects_non_cdf():
     from copulacheck import ProductDf
 
