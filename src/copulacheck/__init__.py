@@ -8,9 +8,13 @@ pieces), the reports carry exact rational counterexample witnesses.
 
 Dfs and copulas evaluate one point with ``eval`` and a product grid with
 ``eval_grid(axes)``, which yields values in ``itertools.product`` order.
-``vertex_sum(grid_fn, box)`` takes such a grid evaluator (``df.eval_grid``
-or ``copula.eval_grid``), not a point evaluator, and sums over the box's
-corners as one 2 x ... x 2 grid.
+``eval_grid`` is built on two public hooks that every df and copula has:
+``axis_codes(axis, values)`` codes the coordinates of one axis, and
+``code_value(codes)`` turns one code per axis into the exact value.
+``vertex_sum(grid_fn, box)`` takes a grid evaluator (``df.eval_grid``,
+``copula.eval_grid``, or the lattice-index evaluator that
+``mvdf.index_box_grid`` builds for a batch of seeded boxes), not a point
+evaluator, and sums over the box's corners as one 2 x ... x 2 grid.
 """
 
 from .errors import CopulaCheckError, DomainError, ValidationError

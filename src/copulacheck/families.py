@@ -19,9 +19,10 @@ or, once the rows scanned reach the size of the d-dimensional cumulative
 table, builds that table and answers by one lookup.  The index is
 built on first use, and each value becomes one ``Fraction`` at the end.
 
-Every family evaluates a product grid through ``eval_grid`` from per-axis
-codes computed once per axis point: the ranks for the counting families, the
-margin values for the margin-composed ones, which then combine them.
+For the hooks of ``mvdf.AxisSeparable``, a counting family's ``axis_codes``
+are ranks and its ``code_value`` the weight below them over the denominator;
+a margin-composed family's codes are margin values and its ``code_value``
+combines them (product, minimum, lower bound).
 """
 
 from __future__ import annotations
@@ -30,14 +31,13 @@ from abc import abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iter_product
 from math import lcm
 from operator import le, mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
 from .monotone import MonotoneFn, step_cdf, two_probe_limit
-from .mvdf import Axes, MultivariateDf, Point
+from .mvdf import MultivariateDf, Point
 from .scalars import ExtScalar, as_scalar, fmt, is_finite
 
 
@@ -104,13 +104,10 @@ class _RankIndex:
         return bisect_right(self.axes[axis], c) if r is None else r
 
     def eval(self, t: Point) -> Fraction:
-        ranks = [self._rank(i, c) for i, c in enumerate(t)]
-        return Fraction(self._weight_below(ranks), self._denominator)
+        return self.value([self._rank(i, c) for i, c in enumerate(t)])
 
-    def eval_grid(self, axes: Axes) -> Iterator[Fraction]:
-        rank_axes = [[self._rank(i, c) for c in values] for i, values in enumerate(axes)]
-        for ranks in iter_product(*rank_axes):
-            yield Fraction(self._weight_below(ranks), self._denominator)
+    def value(self, ranks: Sequence[int]) -> Fraction:
+        return Fraction(self._weight_below(ranks), self._denominator)
 
     def _weight_below(self, ranks: Sequence[int]) -> int:
         if self._table is None:
@@ -163,8 +160,12 @@ class _CountingDf(MultivariateDf):
     def eval(self, t: Point) -> Fraction:
         return self._rank_index().eval(t)
 
-    def eval_grid(self, axes: Axes) -> Iterator[Fraction]:
-        return self._rank_index().eval_grid(axes)
+    def axis_codes(self, axis: int, values: Sequence[ExtScalar]) -> list[int]:
+        rank = self._rank_index()._rank
+        return [rank(axis, c) for c in values]
+
+    def code_value(self, codes: Sequence[int]) -> Fraction:
+        return self._rank_index().value(codes)
 
     def margin_fn(self, axis: int) -> MonotoneFn:
         return self._rank_index().margin(axis)
@@ -244,14 +245,15 @@ class _MarginComposedDf(MultivariateDf):
         return len(self.margins)
 
     @abstractmethod
-    def _combine(self, values: Sequence[Fraction]) -> Fraction: ...
+    def code_value(self, codes: Sequence[Fraction]) -> Fraction:
+        """The family's combining operation on the margin values, one per axis."""
 
     def eval(self, t: Point) -> Fraction:
-        return self._combine([m.eval(c) for m, c in zip(self.margins, t)])
+        return self.code_value([m.eval(c) for m, c in zip(self.margins, t)])
 
-    def eval_grid(self, axes: Axes) -> Iterator[Fraction]:
-        value_axes = [[m.eval(c) for c in values] for m, values in zip(self.margins, axes)]
-        return map(self._combine, iter_product(*value_axes))
+    def axis_codes(self, axis: int, values: Sequence[ExtScalar]) -> list[Fraction]:
+        margin = self.margins[axis]
+        return [margin.eval(c) for c in values]
 
     def margin_fn(self, axis: int) -> MonotoneFn:
         return self.margins[axis]
@@ -273,7 +275,7 @@ class _MarginComposedDf(MultivariateDf):
             limit if j == axis else m.eval(c)
             for j, (m, c) in enumerate(zip(self.margins, t))
         ]
-        return self._combine(values), delta
+        return self.code_value(values), delta
 
     def to_payload(self) -> dict:
         from .serialize import monotone_to_payload
@@ -291,9 +293,9 @@ class ProductDf(_MarginComposedDf):
 
     family = "product"
 
-    def _combine(self, values: Sequence[Fraction]) -> Fraction:
+    def code_value(self, codes: Sequence[Fraction]) -> Fraction:
         out = Fraction(1)
-        for v in values:
+        for v in codes:
             out *= v
         return out
 
@@ -304,8 +306,8 @@ class ComonotoneDf(_MarginComposedDf):
 
     family = "comonotone"
 
-    def _combine(self, values: Sequence[Fraction]) -> Fraction:
-        return min(values)
+    def code_value(self, codes: Sequence[Fraction]) -> Fraction:
+        return min(codes)
 
 
 @dataclass(frozen=True)
@@ -325,8 +327,8 @@ class CountermonotoneDf(_MarginComposedDf):
         if len(self.margins) < 2:
             raise ValidationError("countermonotone df needs at least two margins")
 
-    def _combine(self, values: Sequence[Fraction]) -> Fraction:
-        return max(sum(values) - (len(values) - 1), Fraction(0))
+    def code_value(self, codes: Sequence[Fraction]) -> Fraction:
+        return max(sum(codes) - (len(codes) - 1), Fraction(0))
 
 
 def product_df(margins: Sequence[MonotoneFn]) -> ProductDf:

@@ -7,11 +7,13 @@ distribution function when it is right-continuous and every such volume is
 non-negative; it is a cdf when additionally any coordinate at -inf forces the
 value 0 and all coordinates at +inf give 1.
 
-Every family is separable by axis: its value at t combines per-axis codes
-(margin values, or ranks among the axis breakpoints) that each depend on one
-coordinate only.  So a product grid is evaluated by ``eval_grid``, which
-computes each code once per axis point, and a box's vertices are just the
-2 x .. x 2 grid of its corners.
+Every family is separable by axis (:class:`AxisSeparable`): ``axis_codes``
+codes one axis's coordinates (margin values, or ranks among the axis
+breakpoints) and ``code_value`` combines one code per axis into the value.
+``eval_grid`` codes each axis point of a product grid once, and a box's
+vertices are the 2 x .. x 2 grid of its corners.  The seeded boxes are drawn
+as integer indices k of corners k/1000 (:class:`IndexBox`), and
+:func:`index_box_grid` codes each distinct corner index of a batch once.
 
 :func:`check_df_axioms` probes all of this exactly on seeded random boxes and
 on the structural breakpoints of the family, and returns a report; failures
@@ -35,6 +37,9 @@ from .scalars import NEG_INF, POS_INF, ExtScalar, as_ext
 Point = tuple[ExtScalar, ...]
 # the per-axis coordinates of a product grid
 Axes = Sequence[Sequence[ExtScalar]]
+GridFn = Callable[[Axes], Iterable[Fraction]]
+# random box corners lie on the lattice k/LATTICE, 0 <= k <= LATTICE
+LATTICE = 1000
 
 
 def as_point(coords: Iterable) -> Point:
@@ -66,13 +71,35 @@ class Cuboid:
         return len(self.a)
 
 
-def vertex_sum(grid_fn: Callable[[Axes], Iterable[Fraction]], box: Cuboid) -> Fraction:
+class IndexBox:
+    """The box ]a / LATTICE, b / LATTICE] given by the integer lattice indices of its corners."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: tuple[int, ...], b: tuple[int, ...]) -> None:
+        self.a = a
+        self.b = b
+
+    @property
+    def dim(self) -> int:
+        return len(self.a)
+
+    def cuboid(self) -> Cuboid:
+        """The same box with its corners as exact levels k / LATTICE."""
+        return Cuboid(
+            tuple(Fraction(k, LATTICE) for k in self.a),
+            tuple(Fraction(k, LATTICE) for k in self.b),
+        )
+
+
+def vertex_sum(grid_fn: GridFn, box: Cuboid | IndexBox) -> Fraction:
     """Signed inclusion-exclusion sum over the vertices of ``box``, as one grid call.
 
     ``grid_fn`` evaluates a product grid in ``itertools.product`` order, like
-    :meth:`MultivariateDf.eval_grid`.  The box is the grid ``((b_i, a_i))_i``,
-    so the vertex at index ``eps`` takes ``a_i`` where ``eps_i`` is 1 and has
-    the sign ``(-1)`` to the number of ``a`` coordinates.
+    :meth:`AxisSeparable.eval_grid` (or :func:`index_box_grid` for an
+    :class:`IndexBox`).  The box is the grid ``((b_i, a_i))_i``, so the vertex
+    at index ``eps`` takes ``a_i`` where ``eps_i`` is 1 and has the sign
+    ``(-1)`` to the number of ``a`` coordinates.
     """
     total = Fraction(0)
     choices = iter_product((0, 1), repeat=box.dim)
@@ -81,7 +108,34 @@ def vertex_sum(grid_fn: Callable[[Axes], Iterable[Fraction]], box: Cuboid) -> Fr
     return total
 
 
-class MultivariateDf(ABC):
+class AxisSeparable(ABC):
+    """A function of d coordinates whose value combines one code per axis."""
+
+    @property
+    @abstractmethod
+    def dim(self) -> int: ...
+
+    @abstractmethod
+    def axis_codes(self, axis: int, values: Sequence[ExtScalar]) -> list:
+        """Codes of ``values`` along a 0-based axis; raises as ``eval`` would."""
+
+    @abstractmethod
+    def code_value(self, codes: Sequence) -> Fraction:
+        """Exact value at the point whose coordinates have ``codes``, one per axis."""
+
+    def eval_grid(self, axes: Axes) -> Iterator[Fraction]:
+        """Exact values on the product grid of ``axes``, in ``itertools.product`` order.
+
+        Equal to ``eval`` at each grid point.  Each axis is coded once, when
+        this is called; the values are yielded lazily.
+        """
+        if len(axes) != self.dim:
+            raise DomainError(f"grid has {len(axes)} axes, expected {self.dim}")
+        code_axes = [self.axis_codes(i, values) for i, values in enumerate(axes)]
+        return map(self.code_value, iter_product(*code_axes))
+
+
+class MultivariateDf(AxisSeparable):
     """Shared contract of the concrete distribution-function families.
 
     ``eval`` must implement the extended-real semantics (any -inf coordinate
@@ -92,23 +146,9 @@ class MultivariateDf(ABC):
 
     family: ClassVar[str]
 
-    @property
-    @abstractmethod
-    def dim(self) -> int: ...
-
     @abstractmethod
     def eval(self, t: Point) -> Fraction:
         """Exact value at a point with extended coordinates."""
-
-    @abstractmethod
-    def eval_grid(self, axes: Axes) -> Iterator[Fraction]:
-        """Exact values on the product grid of ``axes``, in ``itertools.product`` order.
-
-        Equal to ``eval`` at each grid point, with the coordinates taken as
-        ``eval`` takes them.  The per-axis codes are computed once per axis
-        point and the values are yielded lazily, so no list over the grid is
-        ever built.
-        """
 
     @abstractmethod
     def margin_fn(self, axis: int) -> MonotoneFn:
@@ -174,8 +214,8 @@ def margin(df: MultivariateDf, i: int) -> MonotoneFn:
     return df.margin_fn(i - 1)
 
 
-def random_unit_cuboids(seed: int, dim: int, count: int) -> list[Cuboid]:
-    """Seed-deterministic boxes in [0,1]^d with coordinates k/1000.
+def random_index_boxes(seed: int, dim: int, count: int) -> list[IndexBox]:
+    """Seed-deterministic boxes in [0,1]^d, as lattice indices of their corners.
 
     Per box, axes are drawn in order and each axis takes two draws from
     :class:`SplitMix64`, sorted into the lower and upper corner.
@@ -185,12 +225,37 @@ def random_unit_cuboids(seed: int, dim: int, count: int) -> list[Cuboid]:
     for _ in range(count):
         a, b = [], []
         for _axis in range(dim):
-            u = Fraction(rng.below(1001), 1000)
-            v = Fraction(rng.below(1001), 1000)
+            u = rng.below(LATTICE + 1)
+            v = rng.below(LATTICE + 1)
             a.append(min(u, v))
             b.append(max(u, v))
-        boxes.append(Cuboid(tuple(a), tuple(b)))
+        boxes.append(IndexBox(tuple(a), tuple(b)))
     return boxes
+
+
+def random_unit_cuboids(seed: int, dim: int, count: int) -> list[Cuboid]:
+    """The boxes of :func:`random_index_boxes`, with corners k/1000."""
+    return [box.cuboid() for box in random_index_boxes(seed, dim, count)]
+
+
+def index_box_grid(fn: AxisSeparable, boxes: Sequence[IndexBox]) -> GridFn:
+    """A grid evaluator on lattice indices, for ``vertex_sum`` over ``boxes``.
+
+    Each axis codes the distinct corner indices of all the boxes with one
+    ``axis_codes`` call; the evaluator looks codes up by integer index.
+    """
+    tables = []
+    for axis in range(fn.dim):
+        ks = sorted({k for box in boxes for k in (box.a[axis], box.b[axis])})
+        codes = fn.axis_codes(axis, [Fraction(k, LATTICE) for k in ks])
+        tables.append(dict(zip(ks, codes)))
+    code_value = fn.code_value
+
+    def grid_fn(index_axes: Sequence[Sequence[int]]) -> Iterator[Fraction]:
+        code_axes = [[table[k] for k in ks] for table, ks in zip(tables, index_axes)]
+        return map(code_value, iter_product(*code_axes))
+
+    return grid_fn
 
 
 # -- axiom checking ------------------------------------------------------------
@@ -235,9 +300,12 @@ def check_df_axioms(
         raise ValidationError(f"n_cuboids must be >= 1, got {n_cuboids}")
 
     volume_violations = []
-    for box in random_unit_cuboids(seed, df.dim, n_cuboids):
-        vol = volume(df, box)
+    boxes = random_index_boxes(seed, df.dim, n_cuboids)
+    grid_fn = index_box_grid(df, boxes)
+    for box in boxes:
+        vol = vertex_sum(grid_fn, box)
         if vol < 0:
+            box = box.cuboid()
             volume_violations.append({"a": box.a, "b": box.b, "volume": vol})
 
     lo, hi = df.support_box()

@@ -19,10 +19,11 @@ because for discontinuous margins the construction genuinely breaks and
 exhibiting the exact break points is the purpose of this module.
 
 Verification grids always merge the structural breakpoints of the inputs, so a
-violation at a jump cannot hide between grid points.  Every sweep, boxes
-included, is a product grid evaluated by one ``eval_grid`` call: the
-quantile transform and the df's per-axis codes are computed once per axis
-point, not once per grid point.
+violation at a jump cannot hide between grid points.  The copula's
+``axis_codes`` checks and transforms each level, then codes it with the
+source's ``axis_codes``; its ``code_value`` is the source's.  So every sweep
+transforms each axis point once, and the random boxes (``mvdf.IndexBox``)
+transform each distinct corner level of the whole batch once.
 """
 
 from __future__ import annotations
@@ -30,11 +31,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, ValidationError
 from .monotone import MonotoneFn
-from .mvdf import Axes, MultivariateDf, Point, random_unit_cuboids, vertex_sum
+from .mvdf import (
+    AxisSeparable,
+    MultivariateDf,
+    Point,
+    index_box_grid,
+    random_index_boxes,
+    vertex_sum,
+)
 from .report import Report, Section
 from .scalars import as_scalar
 
@@ -59,7 +67,7 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class Copula:
+class Copula(AxisSeparable):
     """Candidate copula of a cdf: right-limit quantile transform then evaluation.
 
     Margins are cached at extraction time; evaluation is lazy and no grid is
@@ -83,22 +91,19 @@ class Copula:
         transformed = tuple(m.gen_inverse_right(c) for m, c in zip(self.margins, coords))
         return self.source.eval(transformed)
 
-    def eval_grid(self, axes: Axes) -> Iterator[Fraction]:
-        """Exact values on the product grid of ``axes``, in ``itertools.product`` order.
+    def axis_codes(self, axis: int, levels: Sequence) -> list:
+        """The source's codes of the quantile-transformed levels along ``axis``."""
+        coords = [as_scalar(c) for c in levels]
+        for c in coords:
+            if not 0 <= c <= 1:
+                raise DomainError(f"copula argument {c} outside [0, 1]")
+        m = self.margins[axis]
+        return self.source.axis_codes(axis, [m.gen_inverse_right(c) for c in coords])
 
-        Each level is checked and transformed once per axis point, then the
-        source evaluates the transformed grid; equal to ``eval`` at each point.
-        """
-        if len(axes) != self.dim:
-            raise DomainError(f"grid has {len(axes)} axes, expected {self.dim}")
-        transformed = []
-        for m, levels in zip(self.margins, axes):
-            coords = [as_scalar(c) for c in levels]
-            for c in coords:
-                if not 0 <= c <= 1:
-                    raise DomainError(f"copula argument {c} outside [0, 1]")
-            transformed.append([m.gen_inverse_right(c) for c in coords])
-        return self.source.eval_grid(transformed)
+    @property
+    def code_value(self) -> Callable[[Sequence], Fraction]:
+        """The source's ``code_value``: the codes already are the source's."""
+        return self.source.code_value
 
 
 def extract_copula(df: MultivariateDf) -> Copula:
@@ -224,10 +229,13 @@ def verify_copula_axioms(
     violations = []
     points = 0
 
-    for box in random_unit_cuboids(seed, d, n_cuboids):
-        vol = vertex_sum(copula.eval_grid, box)
+    boxes = random_index_boxes(seed, d, n_cuboids)
+    grid_fn = index_box_grid(copula, boxes)
+    for box in boxes:
+        vol = vertex_sum(grid_fn, box)
         points += 1
         if vol < 0:
+            box = box.cuboid()
             violations.append(_witness((box.a, box.b), Fraction(0), vol, "d_increasing"))
 
     axis_levels = level_axes(copula, grid)

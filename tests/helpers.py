@@ -5,7 +5,8 @@ check: the scan oracle walks a literal grid of evaluation points, the
 knot-walk oracle finds each inverse by walking the knots in order, the
 right-increase test reads the knot structure directly, and the box-count
 and counting-df oracles walk the rows one by one with ``Fraction``
-comparisons, and the grid and box oracles evaluate one point at a time.
+comparisons, the grid and box oracles evaluate one point at a time, and the
+seeded box oracle draws its corners as ``Fraction`` levels directly.
 ``run_cli`` runs the command line in a child process that imports the
 package from this checkout's ``src``.
 """
@@ -30,6 +31,7 @@ from copulacheck import (
     SplitMix64,
     vertex_sum,
 )
+from copulacheck.mvdf import IndexBox, index_box_grid, random_index_boxes
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -306,3 +308,43 @@ def check_grid_against_points(obj, rng, pools, rounds: int = 3) -> None:
         assert type(vol) is Fraction and vol == naive_vertex_sum(obj.eval, box), box
         if any(lo == hi for lo, hi in zip(box.a, box.b)):
             assert vol == 0, box
+
+
+# -- oracles for the seeded lattice boxes ------------------------------------------
+
+
+def oracle_unit_cuboids(seed: int, dim: int, count: int) -> list[Cuboid]:
+    """Seeded boxes in [0,1]^d drawn as ``Fraction`` corners k/1000, with no index step.
+
+    The same SplitMix64 draws as the library: per box, axes in order, two
+    draws per axis sorted into the lower and upper corner.
+    """
+    rng = SplitMix64(seed)
+    boxes = []
+    for _ in range(count):
+        a, b = [], []
+        for _axis in range(dim):
+            u = Fraction(rng.below(1001), 1000)
+            v = Fraction(rng.below(1001), 1000)
+            a.append(min(u, v))
+            b.append(max(u, v))
+        boxes.append(Cuboid(tuple(a), tuple(b)))
+    return boxes
+
+
+def check_index_boxes(obj, seed: int, count: int = 20) -> None:
+    """Volumes of a batch of index boxes against ``naive_vertex_sum(obj.eval)`` on the oracle's boxes.
+
+    The batch also holds boxes with every corner at one of the indices 0,
+    499, 500, 999 and 1000, where an index off by one or a lattice with the
+    wrong denominator moves a level across the common breakpoints 1/2 and 1.
+    """
+    index_boxes = random_index_boxes(seed, obj.dim, count)
+    boxes = oracle_unit_cuboids(seed, obj.dim, count)
+    for lo, hi in ((0, 499), (499, 500), (500, 999), (999, 1000), (0, 1000)):
+        index_boxes.append(IndexBox((lo,) * obj.dim, (hi,) * obj.dim))
+        boxes.append(Cuboid((Fraction(lo, 1000),) * obj.dim, (Fraction(hi, 1000),) * obj.dim))
+    grid_fn = index_box_grid(obj, index_boxes)
+    for index_box, box in zip(index_boxes, boxes):
+        vol = vertex_sum(grid_fn, index_box)
+        assert type(vol) is Fraction and vol == naive_vertex_sum(obj.eval, box), box

@@ -39,6 +39,7 @@ from copulacheck import cli
 from copulacheck.serialize import dumps_payload, load_payload
 from helpers import (
     check_grid_against_points,
+    check_index_boxes,
     level_pool,
     scan_axis_breakpoints,
     scan_axis_right_limit,
@@ -160,23 +161,26 @@ def test_lenient_grid_rank_eval_matches_mass_scan(df, seed):
 )
 @example(_grid_payload_df([(F(0),), (F(1),)], [F(1, 2), F(-1, 2)]), 1)
 def test_eval_grid_matches_point_eval(df, seed):
-    """Grids and boxes through eval_grid equal eval point by point, on both index paths."""
+    """Grids, boxes and index boxes equal eval point by point, on both index paths."""
     df = replace(df)  # a fresh rank index, whatever earlier examples did to this object
     rng = random.Random(seed)
     pools = [_query_pool(df, i) for i in range(df.dim)]
     # a fresh index answers by scanning its rows: the table has more cells than rows
-    check_grid_against_points(df, rng, pools, rounds=1)
+    check_index_boxes(df, seed, count=1)
     assert df._index._cells > len(df._index._rows)
+    check_grid_against_points(df, rng, pools, rounds=1)
     # each evaluation scans at least one row, so the table comes within its cell count
     while df._index._table is None:
         check_grid_against_points(df, rng, pools, rounds=1)
     check_grid_against_points(df, rng, pools)
+    check_index_boxes(df, seed)
 
     try:
         copula = extract_copula(df)
     except ValidationError:
         return  # a lenient payload whose margins are not cdfs has no copula
     check_grid_against_points(copula, rng, [level_pool(m) for m in copula.margins])
+    check_index_boxes(copula, seed)
 
 
 def test_rank_index_is_invisible(tmp_path):

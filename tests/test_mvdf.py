@@ -15,14 +15,18 @@ from copulacheck import (
     countermonotone_df,
     df_eval,
     empirical_from_rows,
+    extract_copula,
     grid_df,
     margin,
     product_df,
     random_unit_cuboids,
     uniform_cdf,
+    verify_copula_axioms,
     volume,
 )
-from helpers import count_in_box, random_rows
+from copulacheck import mvdf, sklar
+from copulacheck.mvdf import random_index_boxes
+from helpers import check_index_boxes, count_in_box, oracle_unit_cuboids, random_rows
 
 F = Fraction
 
@@ -221,6 +225,50 @@ def test_random_cuboids_deterministic_and_sorted():
     assert a == b
     assert all(box.a[i] <= box.b[i] for box in a for i in range(2))
     assert all(1000 % c.denominator == 0 for box in a for c in box.a + box.b)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_seeded_boxes_match_the_fraction_draw(dim):
+    for seed in range(21):
+        want = oracle_unit_cuboids(seed, dim, 30)
+        index_boxes = random_index_boxes(seed, dim, 30)
+        assert all(0 <= k <= 1000 for box in index_boxes for k in box.a + box.b)
+        assert [box.cuboid() for box in index_boxes] == want
+        assert random_unit_cuboids(seed, dim, 30) == want
+
+
+def test_index_boxes_on_uniform_margins():
+    """Every lattice level moves a uniform margin, so each index maps to its own code."""
+    u = uniform_cdf()
+    dfs = [
+        product_df([u, u]),
+        product_df([u, u, u]),
+        comonotone_df([u, u, u]),
+        countermonotone_df(u, u),
+        CountermonotoneDf((u, u, u)),
+    ]
+    for seed in range(3):
+        for df in dfs:
+            check_index_boxes(df, seed)
+            check_index_boxes(extract_copula(df), seed)
+
+
+def test_box_loops_call_vertex_sum_once_per_box(monkeypatch):
+    calls = []
+    original = mvdf.vertex_sum
+
+    def counted(grid_fn, box):
+        calls.append(box)
+        return original(grid_fn, box)
+
+    monkeypatch.setattr(sklar, "vertex_sum", counted)
+    u = uniform_cdf()
+    verify_copula_axioms(extract_copula(product_df([u, u])), n_cuboids=7, seed=1)
+    assert len(calls) == 7
+    monkeypatch.setattr(mvdf, "vertex_sum", counted)
+    calls.clear()
+    check_df_axioms(comonotone_df([u, u, u]), n_cuboids=9, seed=1)
+    assert len(calls) == 9
 
 
 def test_monotone_coordinatewise(f_unif2, emp2):

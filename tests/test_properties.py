@@ -25,6 +25,7 @@ from copulacheck import (
 from helpers import (
     assert_matches_scan,
     check_grid_against_points,
+    check_index_boxes,
     grid,
     level_pool,
     is_right_increase,
@@ -189,8 +190,11 @@ def test_seeded_corpus_spot_checks():
 @given(composed_dfs(), st.integers(0, 2**32))
 @settings(max_examples=80, deadline=None)
 def test_eval_grid_matches_point_eval(df, seed):
-    """Grids and boxes through eval_grid equal eval point by point, for the df and its copula."""
+    """Grids, boxes and index boxes equal eval point by point, for the df and its copula."""
     rng = random.Random(seed)
     pools = [[NEG_INF, POS_INF, *_between(m.knot_xs())] for m in df.margins]
     check_grid_against_points(df, rng, pools)
-    check_grid_against_points(extract_copula(df), rng, [level_pool(m) for m in df.margins])
+    check_index_boxes(df, seed)
+    copula = extract_copula(df)
+    check_grid_against_points(copula, rng, [level_pool(m) for m in df.margins])
+    check_index_boxes(copula, seed)

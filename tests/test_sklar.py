@@ -89,6 +89,9 @@ def test_copula_eval_grid_domain(f_unif2):
     for axes in bad:
         with pytest.raises(DomainError):
             list(c.eval_grid(axes))
+    for levels in ([F(1, 2), F(3, 2)], [F(-1, 2)]):
+        with pytest.raises(DomainError):
+            c.axis_codes(0, levels)
 
 
 def test_extract_rejects_non_cdf():
