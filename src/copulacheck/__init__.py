@@ -32,11 +32,9 @@ from .families import (
     product_df,
 )
 from .monotone import (
-    FfResult,
     Knot,
     MonotoneFn,
     discrete_cdf,
-    ff_check,
     lemma_report,
     make_monotone,
     uniform_cdf,
@@ -47,7 +45,6 @@ from .mvdf import (
     check_df_axioms,
     df_eval,
     margin,
-    random_unit_cuboids,
     vertex_sum,
     volume,
 )
@@ -77,7 +74,6 @@ __all__ = [
     "DomainError",
     "EmpiricalDf",
     "ExtScalar",
-    "FfResult",
     "GridDf",
     "GridMass",
     "GridSpec",
@@ -98,7 +94,6 @@ __all__ = [
     "discrete_cdf",
     "empirical_from_rows",
     "extract_copula",
-    "ff_check",
     "fmt",
     "grid_df",
     "lemma_report",
@@ -107,7 +102,6 @@ __all__ = [
     "parse_ext",
     "parse_scalar",
     "product_df",
-    "random_unit_cuboids",
     "uniform_cdf",
     "verify_copula_axioms",
     "verify_sklar_identity",

@@ -8,7 +8,8 @@ still emitted), 2 on malformed input, unusable arguments, or domain errors,
 Scalar arguments accept exact decimals ("0.3") and rational strings ("3/10");
 points are comma-separated coordinates and may use "-inf" / "+inf" where a
 limit is meant.  Reports are emitted as deterministic JSON: same inputs and
-same seed give byte-identical output.
+same seed give byte-identical output.  Every grid a command checks or dumps
+comes from ``sklar.GridSpec``; ``--grid M`` only sets its resolution.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .scalars import fmt, parse_ext, parse_scalar
 from .sklar import (
     GridSpec,
     extract_copula,
-    level_axes,
     verify_copula_axioms,
     verify_sklar_identity,
     verify_uniform_margins,
@@ -111,7 +111,8 @@ def cmd_margin(args) -> int:
 def cmd_extract(args) -> int:
     df = _load_df(args.df_path)
     copula = extract_copula(df)
-    axes = level_axes(copula, GridSpec(args.grid))
+    grid = GridSpec(args.grid)
+    axes = [grid.levels(m) for m in copula.margins]
     values = [
         {"s": [fmt(c) for c in combo], "value": fmt(value)}
         for combo, value in zip(iter_product(*axes), copula.eval_grid(axes))
@@ -121,19 +122,10 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _lemma_grids(fn: MonotoneFn, m: int):
-    """Level and point grids for ``lemma_report``, merged with the levels and knots of G."""
-    grid = GridSpec(m)
-    xs = fn.knot_xs()
-    us = grid.axis_points(fn.inf_value, fn.sup_value, fn.critical_levels())
-    return us, grid.axis_points(xs[0] - 1, xs[-1] + 1, xs)
-
-
 def cmd_verify(args) -> int:
     if args.kind == "lemma":
         fn = _load_fn(args.path)
-        us, xs = _lemma_grids(fn, args.grid)
-        report = lemma_report(fn, us, xs)
+        report = lemma_report(fn, *GridSpec(args.grid).lemma_grids(fn))
     elif args.kind == "df":
         report = check_df_axioms(_load_df(args.path), n_cuboids=args.cuboids, seed=args.seed)
     elif args.kind == "sklar":

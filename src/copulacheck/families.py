@@ -82,11 +82,9 @@ class _RankIndex:
         dim = len(points[0])
         self.axes = tuple(tuple(sorted({p[i] for p in points})) for i in range(dim))
         self.deltas = tuple(_sorted_gap_delta(bps) for bps in self.axes)
-        # rank of each breakpoint, so a query coordinate that is one needs no bisect
-        self._rank_of = [{x: r for r, x in enumerate(bps, 1)} for bps in self.axes]
         merged: dict[tuple[int, ...], int] = {}
         for p, w in zip(points, weights):
-            ranks = tuple(table[x] for table, x in zip(self._rank_of, p))
+            ranks = tuple(map(bisect_right, self.axes, p))
             merged[ranks] = merged.get(ranks, 0) + w
         self._rows = tuple(merged.items())
         self._total = sum(weights)
@@ -99,12 +97,8 @@ class _RankIndex:
         self._scanned = 0
         self._table: list[int] | None = None
 
-    def _rank(self, axis: int, c: ExtScalar) -> int:
-        r = self._rank_of[axis].get(c)
-        return bisect_right(self.axes[axis], c) if r is None else r
-
     def eval(self, t: Point) -> Fraction:
-        return self.value([self._rank(i, c) for i, c in enumerate(t)])
+        return self.value([bisect_right(self.axes[i], c) for i, c in enumerate(t)])
 
     def value(self, ranks: Sequence[int]) -> Fraction:
         return Fraction(self._weight_below(ranks), self._denominator)
@@ -161,8 +155,8 @@ class _CountingDf(MultivariateDf):
         return self._rank_index().eval(t)
 
     def axis_codes(self, axis: int, values: Sequence[ExtScalar]) -> list[int]:
-        rank = self._rank_index()._rank
-        return [rank(axis, c) for c in values]
+        bps = self._rank_index().axes[axis]
+        return [bisect_right(bps, c) for c in values]
 
     def code_value(self, codes: Sequence[int]) -> Fraction:
         return self._rank_index().value(codes)

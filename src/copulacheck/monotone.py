@@ -252,39 +252,15 @@ def step_cdf(atoms: Iterable[tuple[Fraction, Fraction | int]], total: Fraction |
 # -- verification reports ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FfResult:
-    """One round-trip check: lhs = gen_inverse_right(G, G(x)); holds iff lhs == x."""
-
-    x: Fraction
-    lhs: ExtScalar
-    holds: bool
-
-
-def ff_check(fn: MonotoneFn, xs: Sequence) -> list[FfResult]:
-    """Round-trip check gen_inverse_right(G, G(x)) == x at each x.
-
-    The one-sided bound lhs >= x holds for every valid MonotoneFn and is
-    asserted unconditionally; equality failures are returned as results with
-    ``holds == False``, not raised.
-    """
-    out = []
-    for raw in xs:
-        x = as_scalar(raw)
-        lhs = fn.gen_inverse_right(fn.eval(x))
-        if not lhs >= x:
-            raise AssertionError(f"one-sided bound violated at x={x}: lhs={lhs}")
-        out.append(FfResult(x=x, lhs=lhs, holds=lhs == x))
-    return out
-
-
 def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence) -> Report:
     """Run the full inverse-property suite on level grid ``us`` and point grid ``xs``.
 
     Raises DomainError if some u lies outside [inf G, sup G].  Left-continuity
     is only defined strictly above the infimum, so grid levels equal to inf G
     are skipped for that check.  Witnesses carry the checked point and both
-    sides of the failed comparison.
+    sides of the failed comparison.  The ``ff`` section checks the round trip
+    gen_inverse_right(G(x)) == x; its one-sided bound lhs >= x holds for every
+    valid MonotoneFn and is asserted, while equality failures are witnesses.
     """
     us = [fn._require_level(u) for u in us]
     xs = [as_scalar(x) for x in xs]
@@ -297,10 +273,17 @@ def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence) -> Report:
             violations_a.append({"point": u, "lhs": value, "rhs": u})
 
     violations_b = []
+    ff_witnesses = []
     for x in xs:
-        inv = fn.gen_inverse(fn.eval(x))
+        level = fn.eval(x)
+        inv = fn.gen_inverse(level)
         if inv > x:
             violations_b.append({"point": x, "lhs": inv, "rhs": x})
+        lhs = fn.gen_inverse_right(level)
+        if not lhs >= x:
+            raise AssertionError(f"one-sided bound violated at x={x}: lhs={lhs}")
+        if lhs != x:
+            ff_witnesses.append({"x": x, "lhs": lhs})
 
     # section a already holds the inverse at each level
     levels = [(u, at) for u, at in zip(us, inverses) if u != fn.inf_value]
@@ -310,7 +293,6 @@ def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence) -> Report:
         if limit != at:
             violations_lc.append({"point": u, "lhs": limit, "rhs": at})
 
-    ff_witnesses = tuple({"x": r.x, "lhs": r.lhs} for r in ff_check(fn, xs) if not r.holds)
     return Report(
         "lemma",
         (
@@ -323,6 +305,6 @@ def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence) -> Report:
                 tuple(violations_lc),
                 "pass_leftcont",
             ),
-            Section("ff", "ff_witnesses", len(xs), ff_witnesses),
+            Section("ff", "ff_witnesses", len(xs), tuple(ff_witnesses)),
         ),
     )

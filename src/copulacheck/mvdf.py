@@ -40,6 +40,8 @@ Axes = Sequence[Sequence[ExtScalar]]
 GridFn = Callable[[Axes], Iterable[Fraction]]
 # random box corners lie on the lattice k/LATTICE, 0 <= k <= LATTICE
 LATTICE = 1000
+# right-continuity is probed at most at this many breakpoint-grid points
+PROBE_POINTS = 200
 
 
 def as_point(coords: Iterable) -> Point:
@@ -233,11 +235,6 @@ def random_index_boxes(seed: int, dim: int, count: int) -> list[IndexBox]:
     return boxes
 
 
-def random_unit_cuboids(seed: int, dim: int, count: int) -> list[Cuboid]:
-    """The boxes of :func:`random_index_boxes`, with corners k/1000."""
-    return [box.cuboid() for box in random_index_boxes(seed, dim, count)]
-
-
 def index_box_grid(fn: AxisSeparable, boxes: Sequence[IndexBox]) -> GridFn:
     """A grid evaluator on lattice indices, for ``vertex_sum`` over ``boxes``.
 
@@ -282,19 +279,15 @@ def _probe_points(df: MultivariateDf, seed: int, cap: int) -> list[Point]:
     return points
 
 
-def check_df_axioms(
-    df: MultivariateDf,
-    n_cuboids: int,
-    seed: int,
-    max_probe_points: int = 200,
-) -> Report:
+def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int) -> Report:
     """Probe non-negative volumes, the two limit conditions, and right-continuity.
 
     Volumes are checked on ``n_cuboids`` seeded random boxes in [0,1]^d.  The
     limit conditions expect 0 whenever one coordinate is -inf and 1 at the
     all-+inf point.  Right-continuity is probed along every axis at breakpoint
-    grid points (capped at ``max_probe_points``), comparing the value with the
-    independently computed one-sided limit.
+    grid points (at most ``PROBE_POINTS``), comparing the value with the
+    independently computed one-sided limit.  The probes are breakpoints only,
+    so they take no k/m grid from ``sklar.GridSpec``, the one grid builder.
     """
     if n_cuboids < 1:
         raise ValidationError(f"n_cuboids must be >= 1, got {n_cuboids}")
@@ -325,7 +318,7 @@ def check_df_axioms(
         if value != expected:
             limit_violations.append({"point": point, "value": value, "expected": expected})
 
-    probes = _probe_points(df, seed, max_probe_points)
+    probes = _probe_points(df, seed, PROBE_POINTS)
     continuity_violations = []
     for point in probes:
         value_at = df.eval(point)

@@ -8,6 +8,7 @@ equality on extended scalars are decidable with tolerance zero.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -44,6 +45,19 @@ def as_ext(value) -> ExtScalar:
 
 def parse_scalar(text: str) -> Fraction:
     """Parse ``"p/q"`` or an exact decimal string (``"0.3"`` -> 3/10)."""
+    # Fraction computes 10 ** exponent, so bound the digits on the text first: the
+    # value has at most the mantissa's length plus the exponent's magnitude in digits
+    mantissa, sep, exponent = text.strip().lower().partition("e")
+    if sep:
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        try:
+            magnitude = abs(int(exponent))
+        except ValueError:
+            magnitude = 0  # not an exponent: Fraction rejects the text below
+        if len(mantissa) + magnitude > limit:
+            raise ValidationError(
+                f"exponent too large in {text.strip()!r}: the value would need more than {limit} digits"
+            )
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -18,8 +18,9 @@ comparisons are exact; failures become report entries with rational witnesses,
 because for discontinuous margins the construction genuinely breaks and
 exhibiting the exact break points is the purpose of this module.
 
-Verification grids always merge the structural breakpoints of the inputs, so a
-violation at a jump cannot hide between grid points.  The copula's
+:class:`GridSpec` builds every verification grid and always merges the
+structural breakpoints of the inputs, so a violation at a jump cannot hide
+between grid points.  Only :class:`Copula` applies the quantile transform: its
 ``axis_codes`` checks and transforms each level, then codes it with the
 source's ``axis_codes``; its ``code_value`` is the source's.  So every sweep
 transforms each axis point once, and the random boxes (``mvdf.IndexBox``)
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import groupby, product as iter_product
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, ValidationError
@@ -49,7 +50,7 @@ from .scalars import as_scalar
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid resolution: each axis takes the points k/m scaled to its range."""
+    """The one builder of verification axes: k/m points on a range, merged with its breakpoints."""
 
     m: int = 20
 
@@ -58,12 +59,39 @@ class GridSpec:
             raise ValidationError(f"grid resolution must be an integer >= 1, got {self.m!r}")
 
     def axis_points(self, lo: Fraction, hi: Fraction, extra: Sequence[Fraction] = ()) -> tuple[Fraction, ...]:
-        """k/m points on [lo, hi] merged with the given structural breakpoints."""
+        """k/m points on [lo, hi] merged with the given structural breakpoints, sorted and distinct."""
         if lo > hi:
             raise ValidationError(f"grid range [{lo}, {hi}] is empty")
-        points = {lo + Fraction(k, self.m) * (hi - lo) for k in range(self.m + 1)}
-        points.update(extra)
-        return tuple(sorted(points))
+        # with lo = a/b and hi = c/d, point k is (a d m + k (c b - a d)) / (b d m), exactly hi at k = m
+        a, b, c, d, m = lo.numerator, lo.denominator, hi.numerator, hi.denominator, self.m
+        start, span, den = a * d * m, c * b - a * d, b * d * m
+        points = sorted([*(Fraction(start + k * span, den) for k in range(m + 1)), *extra])
+        return tuple(p for p, _ in groupby(points))
+
+    def levels(self, fn: MonotoneFn) -> tuple[Fraction, ...]:
+        """Levels on [inf G, sup G] merged with the critical levels of G.
+
+        A jump of a margin forces the copula away from its axioms exactly at
+        these levels, so no verification grid may step over them.
+        """
+        return self.axis_points(fn.inf_value, fn.sup_value, fn.critical_levels())
+
+    def lemma_grids(self, fn: MonotoneFn) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        """The level grid of G and its point grid, one unit past the knots on each side."""
+        xs = fn.knot_xs()
+        return self.levels(fn), self.axis_points(xs[0] - 1, xs[-1] + 1, xs)
+
+    def df_axes(
+        self, df: MultivariateDf, box: Optional[tuple[Point, Point]] = None
+    ) -> list[tuple[Fraction, ...]]:
+        """Per-axis points on ``box`` (default: the support box of ``df``) merged with its breakpoints."""
+        lo, hi = box if box is not None else df.support_box()
+        if len(lo) != df.dim or len(hi) != df.dim:
+            raise DomainError("bounding box dimension does not match the df")
+        return [
+            self.axis_points(as_scalar(lo[i]), as_scalar(hi[i]), df.axis_breakpoints(i))
+            for i in range(df.dim)
+        ]
 
 
 @dataclass(frozen=True)
@@ -139,31 +167,6 @@ def _flat_report(check: str, points: int, witnesses: list) -> Report:
     return Report(check, (Section(check, "violations", points, tuple(witnesses)),))
 
 
-def level_axes(copula: Copula, grid: GridSpec) -> list[tuple[Fraction, ...]]:
-    """Per-axis levels on [0, 1]: the grid points merged with the margin's critical levels.
-
-    A jump of a margin forces the copula away from its axioms exactly at these
-    levels, so no verification grid may step over them.
-    """
-    axes = []
-    for m in copula.margins:
-        levels = [lv for lv in m.critical_levels() if 0 <= lv <= 1]
-        axes.append(grid.axis_points(Fraction(0), Fraction(1), levels))
-    return axes
-
-
-def _merged_axes(
-    df: MultivariateDf, grid: GridSpec, box: Optional[tuple[Point, Point]]
-) -> list[tuple[Fraction, ...]]:
-    lo, hi = box if box is not None else df.support_box()
-    if len(lo) != df.dim or len(hi) != df.dim:
-        raise DomainError("bounding box dimension does not match the df")
-    return [
-        grid.axis_points(as_scalar(lo[i]), as_scalar(hi[i]), df.axis_breakpoints(i))
-        for i in range(df.dim)
-    ]
-
-
 def verify_sklar_identity(
     df: MultivariateDf,
     grid: GridSpec = GridSpec(),
@@ -172,19 +175,16 @@ def verify_sklar_identity(
     """Compare F(x) against C(F_1(x_1), ..., F_d(x_d)) on a merged grid.
 
     The grid spans ``box`` (default: the support box of F) merged with every
-    structural breakpoint.  Two grid passes of F run side by side: one on the
-    grid itself and one on its per-axis quantile transform.
+    structural breakpoint.  F sweeps the grid and C sweeps its margin levels,
+    side by side.
     """
     copula = extract_copula(df)
-    axes = _merged_axes(df, grid, box)
-    transformed = [
-        [m.gen_inverse_right(m.eval(x)) for x in axis_pts]
-        for m, axis_pts in zip(copula.margins, axes)
-    ]
+    axes = grid.df_axes(df, box)
+    levels = [[m.eval(x) for x in axis_pts] for m, axis_pts in zip(copula.margins, axes)]
 
     violations = []
     points = 0
-    sweep = zip(iter_product(*axes), df.eval_grid(axes), df.eval_grid(transformed))
+    sweep = zip(iter_product(*axes), df.eval_grid(axes), copula.eval_grid(levels))
     for x, expected, got in sweep:
         points += 1
         if got != expected:
@@ -200,7 +200,7 @@ def verify_uniform_margins(copula: Copula, grid: GridSpec = GridSpec()) -> Repor
     """
     violations = []
     points = 0
-    for i, levels in enumerate(level_axes(copula, grid)):
+    for i, levels in enumerate(grid.levels(m) for m in copula.margins):
         section = [levels if j == i else (Fraction(1),) for j in range(copula.dim)]
         for point, got in zip(iter_product(*section), copula.eval_grid(section)):
             s = point[i]
@@ -238,7 +238,7 @@ def verify_copula_axioms(
             box = box.cuboid()
             violations.append(_witness((box.a, box.b), Fraction(0), vol, "d_increasing"))
 
-    axis_levels = level_axes(copula, grid)
+    axis_levels = [grid.levels(m) for m in copula.margins]
     for combo, value in zip(iter_product(*axis_levels), copula.eval_grid(axis_levels)):
         points += 1
         if any(s == 0 for s in combo) and value != 0:

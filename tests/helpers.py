@@ -5,8 +5,10 @@ check: the scan oracle walks a literal grid of evaluation points, the
 knot-walk oracle finds each inverse by walking the knots in order, the
 right-increase test reads the knot structure directly, and the box-count
 and counting-df oracles walk the rows one by one with ``Fraction``
-comparisons, the grid and box oracles evaluate one point at a time, and the
-seeded box oracle draws its corners as ``Fraction`` levels directly.
+comparisons, the grid and box oracles evaluate one point at a time, the seeded box
+oracle draws its corners as ``Fraction`` levels directly, and the grid-axis
+oracles build each axis with a set of ``lo + k/m * (hi - lo)`` points and
+apply the quantile transform to the sklar identity by hand.
 ``run_cli`` runs the command line in a child process that imports the
 package from this checkout's ``src``.
 """
@@ -21,17 +23,28 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from copulacheck import (
     NEG_INF,
     POS_INF,
+    ComonotoneDf,
+    CountermonotoneDf,
     Cuboid,
+    DomainError,
     EmpiricalDf,
     Knot,
     MonotoneFn,
+    ProductDf,
+    Report,
     SplitMix64,
+    ValidationError,
+    extract_copula,
     vertex_sum,
 )
 from copulacheck.mvdf import IndexBox, index_box_grid, random_index_boxes
+from copulacheck.scalars import as_scalar
+from copulacheck.sklar import _flat_report, _witness
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -172,7 +185,36 @@ def is_right_increase(fn: MonotoneFn, x: Fraction) -> bool:
     return ks[i].value < ks[i + 1].left
 
 
-# -- seeded random generators ----------------------------------------------------
+# -- random generators ------------------------------------------------------------
+
+
+@st.composite
+def monotone_fns(draw, cdf=False):
+    """Hypothesis strategy: 1-4 knots on small rationals, levels from a six-value pool."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    xs = draw(
+        st.lists(
+            st.fractions(min_value=-4, max_value=4, max_denominator=12),
+            min_size=n,
+            max_size=n,
+            unique=True,
+        )
+    )
+    pool = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+    levels = sorted(draw(st.lists(st.sampled_from(pool), min_size=2 * n, max_size=2 * n)))
+    if cdf:
+        levels[0], levels[-1] = Fraction(0), Fraction(1)
+    return MonotoneFn(
+        tuple(Knot(x, levels[2 * i], levels[2 * i + 1]) for i, x in enumerate(sorted(xs)))
+    )
+
+
+@st.composite
+def composed_dfs(draw):
+    """Product, comonotone or countermonotone dfs on 1-3 cdf margins (countermonotone on 2-3)."""
+    cls = draw(st.sampled_from([ProductDf, ComonotoneDf, CountermonotoneDf]))
+    dim = draw(st.integers(2 if cls is CountermonotoneDf else 1, 3))
+    return cls(tuple(draw(monotone_fns(cdf=True)) for _ in range(dim)))
 
 
 def random_fraction(rng: SplitMix64, max_den: int = 100, span: int = 200) -> Fraction:
@@ -348,3 +390,60 @@ def check_index_boxes(obj, seed: int, count: int = 20) -> None:
     for index_box, box in zip(index_boxes, boxes):
         vol = vertex_sum(grid_fn, index_box)
         assert type(vol) is Fraction and vol == naive_vertex_sum(obj.eval, box), box
+
+
+# -- grid-axis oracles ----------------------------------------------------------------
+
+
+def oracle_axis_points(m: int, lo, hi, extra=()) -> tuple[Fraction, ...]:
+    """k/m points on [lo, hi] as ``lo + k/m * (hi - lo)``, merged with ``extra`` through a set."""
+    if lo > hi:
+        raise ValidationError(f"grid range [{lo}, {hi}] is empty")
+    points = {lo + Fraction(k, m) * (hi - lo) for k in range(m + 1)}
+    points.update(extra)
+    return tuple(sorted(points))
+
+
+def oracle_level_axes(copula, m: int) -> list[tuple[Fraction, ...]]:
+    """Per-margin levels on [0, 1]: k/m points merged with the margin's critical levels in [0, 1]."""
+    axes = []
+    for margin in copula.margins:
+        levels = [lv for lv in margin.critical_levels() if 0 <= lv <= 1]
+        axes.append(oracle_axis_points(m, Fraction(0), Fraction(1), levels))
+    return axes
+
+
+def oracle_df_axes(df, m: int, box=None) -> list[tuple[Fraction, ...]]:
+    """Per-axis points on ``box`` (default: the support box) merged with the axis breakpoints."""
+    lo, hi = box if box is not None else df.support_box()
+    if len(lo) != df.dim or len(hi) != df.dim:
+        raise DomainError("bounding box dimension does not match the df")
+    return [
+        oracle_axis_points(m, as_scalar(lo[i]), as_scalar(hi[i]), df.axis_breakpoints(i))
+        for i in range(df.dim)
+    ]
+
+
+def oracle_lemma_grids(fn: MonotoneFn, m: int):
+    """Level and point grids of the lemma report, merged with the levels and knots of G."""
+    xs = fn.knot_xs()
+    us = oracle_axis_points(m, fn.inf_value, fn.sup_value, fn.critical_levels())
+    return us, oracle_axis_points(m, xs[0] - 1, xs[-1] + 1, xs)
+
+
+def oracle_sklar_identity(df, m: int, box=None) -> Report:
+    """F on the merged grid against F on its quantile transform, each margin inverted by hand."""
+    margins = extract_copula(df).margins
+    axes = oracle_df_axes(df, m, box)
+    transformed = [
+        [margin.gen_inverse_right(margin.eval(x)) for x in axis_pts]
+        for margin, axis_pts in zip(margins, axes)
+    ]
+    violations = []
+    points = 0
+    sweep = zip(product(*axes), df.eval_grid(axes), df.eval_grid(transformed))
+    for x, expected, got in sweep:
+        points += 1
+        if got != expected:
+            violations.append(_witness(x, expected, got, "identity"))
+    return _flat_report("sklar_identity", points, violations)

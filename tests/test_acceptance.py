@@ -20,17 +20,16 @@ from copulacheck import (
     df_eval,
     empirical_from_rows,
     extract_copula,
-    ff_check,
     lemma_report,
     make_monotone,
     product_df,
-    random_unit_cuboids,
     uniform_cdf,
     verify_copula_axioms,
     verify_sklar_identity,
     verify_uniform_margins,
     volume,
 )
+from copulacheck.mvdf import random_index_boxes
 from copulacheck.sklar import GridSpec
 from helpers import (
     assert_matches_scan,
@@ -83,12 +82,12 @@ def test_criterion_1_lemma_suite_on_random_corpus():
             assert not a.witnesses, f"G(G^-1(u)) >= u violated: {fn}"
             assert not b.witnesses, f"G^-1(G(x)) <= x violated: {fn}"
             assert not leftcont.witnesses, f"inverse left-continuity violated: {fn}"
-            results = ff_check(fn, xs)
-            for res in results:
-                assert res.lhs >= res.x
-                assert res.holds == is_right_increase(fn, res.x), (fn, res)
-            failures = tuple({"x": r.x, "lhs": r.lhs} for r in results if not r.holds)
-            assert ff.points == len(xs) and ff.witnesses == failures, fn
+            assert ff.points == len(xs)
+            failing = [w["x"] for w in ff.witnesses]
+            assert failing == [x for x in xs if not is_right_increase(fn, x)], fn
+            for w in ff.witnesses:
+                assert w["lhs"] > w["x"]
+                assert w["lhs"] == fn.gen_inverse_right(fn.eval(w["x"])), (fn, w)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"corpus run took {elapsed:.2f}s, budget is 10s"
 
@@ -97,14 +96,14 @@ def test_criterion_2_ff_counterexample_on_flat():
     """The flat piece breaks the round-trip identity exactly where expected."""
     with criterion(2, "round-trip counterexample at the flat piece, scan-verified"):
         g_flat = make_monotone(G_FLAT_KNOTS)
-        (inside,) = ff_check(g_flat, [F(7, 10)])
-        assert inside.lhs == F(3, 2) and inside.holds is False
-        (end,) = ff_check(g_flat, [F(3, 2)])
-        assert end.lhs == F(3, 2) and end.holds is True
+        ff = lemma_report(g_flat, us=[], xs=[F(7, 10), F(3, 2)]).sections[3]
+        # only the point inside the flat fails; the flat's right end holds
+        assert ff.points == 2
+        assert ff.witnesses == ({"x": F(7, 10), "lhs": F(3, 2)},)
         # independent brute-force oracle with step 1/1000
-        for x, res in [(F(7, 10), inside), (F(3, 2), end)]:
+        for x in (F(7, 10), F(3, 2)):
             assert_matches_scan(
-                g_flat, g_flat.eval(x), res.lhs, strict=True, step=F(1, 1000)
+                g_flat, g_flat.eval(x), F(3, 2), strict=True, step=F(1, 1000)
             )
 
 
@@ -128,7 +127,7 @@ def test_criterion_3_volume_operator():
         # (b) empirical volumes equal direct box counts on a 50-row d=3 dataset
         rows = random_rows(SplitMix64(321), n=50, dim=3)
         emp3 = empirical_from_rows(rows)
-        boxes = random_unit_cuboids(seed=99, dim=3, count=100)
+        boxes = [b.cuboid() for b in random_index_boxes(seed=99, dim=3, count=100)]
         for box in boxes:
             assert volume(emp3, box) == F(count_in_box(rows, box.a, box.b), 50)
 

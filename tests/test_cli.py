@@ -241,6 +241,15 @@ def test_ingest_ragged_exits_2(workdir):
     assert "row 2: expected 2 columns" in r.stderr
 
 
+def test_ingest_huge_exponent_exits_2(workdir):
+    """A cell whose value needs more digits than ints may print is refused, not a crash."""
+    (workdir / "huge.csv").write_text("1e5000,0\n1,1\n")
+    r = run_cli("ingest", "huge.csv", cwd=workdir)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "exponent too large" in r.stderr
+    assert r.stdout == ""
+
+
 def test_reports_byte_identical_for_fixed_seed(workdir):
     run_cli("ingest", "rows.csv", "-o", "emp.json", cwd=workdir)
     args = ("verify", "copula", "emp.json", "--seed", "11", "--cuboids", "100")

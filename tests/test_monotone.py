@@ -8,7 +8,6 @@ from copulacheck import (
     POS_INF,
     ValidationError,
     discrete_cdf,
-    ff_check,
     lemma_report,
     make_monotone,
     uniform_cdf,
@@ -135,31 +134,37 @@ def test_inverse_left_limit_examples(g_bern, g_flat):
 # -- round-trip identity ---------------------------------------------------------
 
 
+def ff_section(fn, xs):
+    """The round-trip section of the lemma report on points ``xs``."""
+    ff = lemma_report(fn, us=[], xs=xs).sections[3]
+    assert ff.name == "ff" and ff.points == len(xs)
+    return ff
+
+
 def test_ff_identity_case(g_id):
-    (res,) = ff_check(g_id, [F(1, 2)])
-    assert res.lhs == F(1, 2) and res.holds
+    assert ff_section(g_id, [F(1, 2)]).witnesses == ()
+    assert g_id.gen_inverse_right(g_id.eval(F(1, 2))) == F(1, 2)
 
 
 def test_ff_flat_counterexample(g_flat):
     """At 7/10 (inside the flat) the round trip lands on the flat's right end."""
-    (res,) = ff_check(g_flat, [F(7, 10)])
-    assert res.lhs == F(3, 2) and not res.holds
+    (w,) = ff_section(g_flat, [F(7, 10)]).witnesses
+    assert w == {"x": F(7, 10), "lhs": F(3, 2)}
     # independent confirmation with the 1/1000-step scan
-    assert_matches_scan(g_flat, g_flat.eval(F(7, 10)), res.lhs, strict=True, step=F(1, 1000))
+    assert_matches_scan(g_flat, g_flat.eval(F(7, 10)), w["lhs"], strict=True, step=F(1, 1000))
 
 
 def test_ff_flat_right_endpoint_holds(g_flat):
-    (res,) = ff_check(g_flat, [F(3, 2)])
-    assert res.lhs == F(3, 2) and res.holds
-    assert_matches_scan(g_flat, g_flat.eval(F(3, 2)), res.lhs, strict=True, step=F(1, 1000))
+    assert ff_section(g_flat, [F(3, 2)]).witnesses == ()
+    assert_matches_scan(g_flat, g_flat.eval(F(3, 2)), F(3, 2), strict=True, step=F(1, 1000))
 
 
 def test_ff_equality_iff_right_increase(g_id, g_bern, g_flat):
     for fn in (g_id, g_bern, g_flat):
         xs = merged(grid(-1, 3, 16), fn.knot_xs())
-        for res in ff_check(fn, xs):
-            assert res.lhs >= res.x
-            assert res.holds == is_right_increase(fn, res.x)
+        witnesses = ff_section(fn, xs).witnesses
+        assert [w["x"] for w in witnesses] == [x for x in xs if not is_right_increase(fn, x)]
+        assert all(w["lhs"] > w["x"] for w in witnesses)
 
 
 # -- lemma_report -----------------------------------------------------------------

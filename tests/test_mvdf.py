@@ -19,7 +19,6 @@ from copulacheck import (
     grid_df,
     margin,
     product_df,
-    random_unit_cuboids,
     uniform_cdf,
     verify_copula_axioms,
     volume,
@@ -127,7 +126,7 @@ def test_empirical_volume_equals_box_count():
     rng = SplitMix64(5)
     rows = random_rows(rng, n=25, dim=3)
     df = empirical_from_rows(rows)
-    for box in random_unit_cuboids(seed=13, dim=3, count=50):
+    for box in [b.cuboid() for b in random_index_boxes(seed=13, dim=3, count=50)]:
         assert volume(df, box) == F(count_in_box(rows, box.a, box.b), len(rows))
 
 
@@ -136,7 +135,7 @@ def test_bisection_additivity():
     rows = random_rows(rng, n=20, dim=2)
     dfs = [empirical_from_rows(rows), comonotone_df([uniform_cdf(), uniform_cdf()])]
     for df in dfs:
-        for box in random_unit_cuboids(seed=3, dim=2, count=25):
+        for box in [b.cuboid() for b in random_index_boxes(seed=3, dim=2, count=25)]:
             for axis in range(2):
                 mid = (box.a[axis] + box.b[axis]) / 2
                 lower = Cuboid(
@@ -220,8 +219,8 @@ def test_axioms_reject_bad_count(f_unif2):
 
 
 def test_random_cuboids_deterministic_and_sorted():
-    a = random_unit_cuboids(seed=42, dim=2, count=10)
-    b = random_unit_cuboids(seed=42, dim=2, count=10)
+    a = [box.cuboid() for box in random_index_boxes(seed=42, dim=2, count=10)]
+    b = [box.cuboid() for box in random_index_boxes(seed=42, dim=2, count=10)]
     assert a == b
     assert all(box.a[i] <= box.b[i] for box in a for i in range(2))
     assert all(1000 % c.denominator == 0 for box in a for c in box.a + box.b)
@@ -234,7 +233,6 @@ def test_seeded_boxes_match_the_fraction_draw(dim):
         index_boxes = random_index_boxes(seed, dim, 30)
         assert all(0 <= k <= 1000 for box in index_boxes for k in box.a + box.b)
         assert [box.cuboid() for box in index_boxes] == want
-        assert random_unit_cuboids(seed, dim, 30) == want
 
 
 def test_index_boxes_on_uniform_margins():

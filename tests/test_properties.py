@@ -1,7 +1,7 @@
 """Invariant checks on randomly generated monotone functions.
 
-Two generators feed these: a hypothesis strategy (shrinking-friendly, small)
-and the seeded splitmix corpus used by the acceptance suite.  Both build knot
+Two generators feed these: a hypothesis strategy (shrinking-friendly, small,
+in ``helpers``) and the seeded splitmix corpus used by the acceptance suite.  Both build knot
 lists that are valid by construction, mixing jumps, flats, and strictly
 rising pieces.
 """
@@ -14,11 +14,7 @@ from hypothesis import given, settings, strategies as st
 from copulacheck import (
     NEG_INF,
     POS_INF,
-    ComonotoneDf,
-    CountermonotoneDf,
-    Knot,
     MonotoneFn,
-    ProductDf,
     SplitMix64,
     extract_copula,
 )
@@ -26,10 +22,12 @@ from helpers import (
     assert_matches_scan,
     check_grid_against_points,
     check_index_boxes,
+    composed_dfs,
     grid,
     level_pool,
     is_right_increase,
     merged,
+    monotone_fns,
     random_monotone,
     walk_critical_levels,
     walk_eval_left,
@@ -39,41 +37,6 @@ from helpers import (
 )
 
 F = Fraction
-
-
-@st.composite
-def monotone_fns(draw, cdf=False):
-    n = draw(st.integers(min_value=1, max_value=4))
-    xs = draw(
-        st.lists(
-            st.fractions(min_value=-4, max_value=4, max_denominator=12),
-            min_size=n,
-            max_size=n,
-            unique=True,
-        )
-    )
-    levels = sorted(
-        draw(
-            st.lists(
-                st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)]),
-                min_size=2 * n,
-                max_size=2 * n,
-            )
-        )
-    )
-    if cdf:
-        levels[0], levels[-1] = F(0), F(1)
-    return MonotoneFn(
-        tuple(Knot(x, levels[2 * i], levels[2 * i + 1]) for i, x in enumerate(sorted(xs)))
-    )
-
-
-@st.composite
-def composed_dfs(draw):
-    """Product, comonotone or countermonotone dfs on 1-3 cdf margins (countermonotone on 2-3)."""
-    cls = draw(st.sampled_from([ProductDf, ComonotoneDf, CountermonotoneDf]))
-    dim = draw(st.integers(2 if cls is CountermonotoneDf else 1, 3))
-    return cls(tuple(draw(monotone_fns(cdf=True)) for _ in range(dim)))
 
 
 def level_grid(fn, m=8):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from copulacheck import NEG_INF, POS_INF, ValidationError, fmt, parse_ext, parse_scalar
+from copulacheck import NEG_INF, POS_INF, ValidationError, fmt, parse_ext, parse_scalar, scalars
 from copulacheck.scalars import as_ext, as_scalar, is_finite
 
 
@@ -20,6 +20,28 @@ def test_parse_rejects_garbage():
         parse_scalar("1/0")
     with pytest.raises(ValidationError):
         parse_ext("nan")
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1e5000", "-2.5E+4300", ".1e-4299", "1e-99999"])
+def test_parse_refuses_exponents_past_the_digit_limit(text):
+    with pytest.raises(ValidationError, match="exponent too large"):
+        parse_scalar(text)
+
+
+def test_exponent_check_runs_before_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Fraction was called")
+
+    monkeypatch.setattr(scalars, "Fraction", refuse)
+    with pytest.raises(ValidationError, match="exponent too large"):
+        parse_scalar("1e99999")
+
+
+@pytest.mark.parametrize("text", ["1e4299", "1e-4299", "9.9e4297", "12/5", "0.5e3"])
+def test_parse_accepts_exponents_within_the_limit_and_prints_them(text):
+    value = parse_scalar(text)
+    assert value == Fraction(text)
+    assert Fraction(fmt(value)) == value
 
 
 def test_parse_ext_infinities():
