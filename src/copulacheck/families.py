@@ -246,8 +246,7 @@ class _MarginComposedDf(MultivariateDf):
         return self.code_value([m.eval(c) for m, c in zip(self.margins, t)])
 
     def axis_codes(self, axis: int, values: Sequence[ExtScalar]) -> list[Fraction]:
-        margin = self.margins[axis]
-        return [margin.eval(c) for c in values]
+        return self.margins[axis].eval_many(values)
 
     def margin_fn(self, axis: int) -> MonotoneFn:
         return self.margins[axis]

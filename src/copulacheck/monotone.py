@@ -15,11 +15,21 @@ offers exact evaluation, one-sided limits, and the two generalized inverses
     gen_inverse(u)       = inf { x : G(x) >= u }
     gen_inverse_right(u) = inf { x : G(x) > u }
 
-Both inverses bisect one cached sequence, the knot levels interleaved as
+Both inverses search one cached sequence, the knot levels interleaved as
 ``(left_0, value_0, left_1, ...)``, which valid knots make non-decreasing.  The
 first position past u names the answer: a ``value_k`` is the jump at knot k,
 a ``left_k`` the affine crossing on the piece ending at knot k, and the end of
 the sequence +inf (Embrechts & Hofert, "A note on generalized inverses", 2013).
+
+Two paths compute G and its inverses.  The sweeps go through the batch
+kernels ``eval_many``, ``gen_inverse_many`` and ``gen_inverse_right_many``:
+one cursor walks the knot abscissae, or the level sequence, from where the
+previous point left it, comparing integer cross products of numerators and
+denominators, and an interior result is one ``Fraction`` built from integer
+coefficients of its piece.  Their tables are built on the first batch call.
+The point-wise ``eval``, ``gen_inverse`` and ``gen_inverse_right`` bisect
+with ``Fraction`` comparisons and keep the interpolation formula as written;
+they are the single-point API and the oracle the kernels are tested against.
 
 The module also has a report runner checking, point by point, the classical
 inverse inequalities G(G^-1(u)) >= u and G^-1(G(x)) <= x, left-continuity of
@@ -36,7 +46,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, ValidationError
 from .report import Report, Section
@@ -50,6 +60,45 @@ class Knot:
     x: Fraction
     left: Fraction
     value: Fraction
+
+
+# integer coefficients (alpha, beta, gamma) of an affine piece: it maps p/q to
+# (alpha p + beta q) / (gamma q); None marks a piece no kernel evaluates
+_Piece = Optional[tuple[int, int, int]]
+
+
+def _piece(x0: Fraction, y0: Fraction, x1: Fraction, y1: Fraction) -> _Piece:
+    """The affine map through (x0, y0) and (x1, y1), or None where it is flat or vertical."""
+    if y0 == y1 or x0 == x1:
+        return None
+    slope = (y1 - y0) / (x1 - x0)
+    intercept = y0 - slope * x0
+    return (
+        slope.numerator * intercept.denominator,
+        intercept.numerator * slope.denominator,
+        slope.denominator * intercept.denominator,
+    )
+
+
+class _SweepTables:
+    """The batch kernels' tables: knot abscissae and levels as integer pairs, and the pieces.
+
+    ``pieces[i]`` is G on [x_i, x_{i+1}); ``crossings[p]``, for even p, is
+    the inverse on the levels between value_{p/2-1} and left_{p/2}.
+    """
+
+    __slots__ = ("xn", "xd", "values", "pieces", "ln", "ld", "crossings")
+
+    def __init__(self, knots: Sequence[Knot], levels: Sequence[Fraction]) -> None:
+        self.xn = [k.x.numerator for k in knots]
+        self.xd = [k.x.denominator for k in knots]
+        self.values = [k.value for k in knots]
+        self.pieces = [_piece(k.x, k.value, nxt.x, nxt.left) for k, nxt in zip(knots, knots[1:])]
+        self.ln = [lv.numerator for lv in levels]
+        self.ld = [lv.denominator for lv in levels]
+        self.crossings: list[_Piece] = [None] * len(levels)
+        for k, (prev, nxt) in enumerate(zip(knots, knots[1:]), start=1):
+            self.crossings[2 * k] = _piece(prev.value, prev.x, nxt.left, nxt.x)
 
 
 def _coerce_knot(entry, index: int) -> Knot:
@@ -69,6 +118,9 @@ class MonotoneFn:
     knots: tuple[Knot, ...]
     _xs: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
     _levels: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    # built on the first batch call, so loading a payload does no work for it;
+    # threads that race to build it build equal tables
+    _sweep: Optional[_SweepTables] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         knots = tuple(_coerce_knot(k, i) for i, k in enumerate(self.knots))
@@ -141,6 +193,42 @@ class MonotoneFn:
         nxt = self.knots[i + 1]
         return k.value + (nxt.left - k.value) * (x - k.x) / (nxt.x - k.x)
 
+    def _tables(self) -> _SweepTables:
+        if self._sweep is None:
+            object.__setattr__(self, "_sweep", _SweepTables(self.knots, self._levels))
+        return self._sweep
+
+    def eval_many(self, xs: Iterable[ExtScalar]) -> list[Fraction]:
+        """``[self.eval(x) for x in xs]``, walking one cursor over the knot abscissae.
+
+        The cursor moves from the previous point's knot, so any order is
+        correct and a sorted sweep makes O(points + knots) integer comparisons.
+        """
+        t = self._tables()
+        xn, xd, values, pieces = t.xn, t.xd, t.values, t.pieces
+        last = len(xn) - 1
+        inf, sup = self.inf_value, self.sup_value
+        out = []
+        i = -1  # the last knot at or below x, -1 below the first
+        for x in xs:
+            x = as_ext(x)
+            if not is_finite(x):
+                out.append(inf if x == NEG_INF else sup)
+                continue
+            a, b = x.numerator, x.denominator
+            while i < last and xn[i + 1] * b <= a * xd[i + 1]:
+                i += 1
+            while i >= 0 and xn[i] * b > a * xd[i]:
+                i -= 1
+            if i < 0:
+                out.append(inf)
+            elif i == last or pieces[i] is None:
+                out.append(values[i])
+            else:
+                alpha, beta, gamma = pieces[i]
+                out.append(Fraction(alpha * a + beta * b, gamma * b))
+        return out
+
     def eval_left(self, x) -> Fraction:
         """Exact limit of G from below at finite x."""
         x = as_scalar(x)
@@ -182,6 +270,61 @@ class MonotoneFn:
         """inf { x : G(x) > u }; +inf at u = sup G, where the set is empty."""
         u = self._require_level(u)
         return self._inverse_at(u, bisect_right(self._levels, u))
+
+    def _level_walk(self, us: Iterable, strict: bool) -> Iterator[tuple[Fraction, int]]:
+        """Each level checked as ``_require_level`` checks it, with its position in ``_levels``.
+
+        The position counts the levels below u, or at or below u when
+        ``strict``: ``bisect_left`` and ``bisect_right``, found by one cursor
+        that moves from the previous level's position.
+        """
+        t = self._tables()
+        ln, ld = t.ln, t.ld
+        lo_n, lo_d, hi_n, hi_d = ln[0], ld[0], ln[-1], ld[-1]
+        end = len(ln)
+        p = 0
+        for u in us:
+            u = as_scalar(u)
+            a, b = u.numerator, u.denominator
+            if lo_n * b > a * lo_d or a * hi_d > hi_n * b:
+                self._require_level(u)  # raises the range error
+            if strict:
+                while p < end and ln[p] * b <= a * ld[p]:
+                    p += 1
+                while p > 0 and ln[p - 1] * b > a * ld[p - 1]:
+                    p -= 1
+            else:
+                while p < end and ln[p] * b < a * ld[p]:
+                    p += 1
+                while p > 0 and ln[p - 1] * b >= a * ld[p - 1]:
+                    p -= 1
+            yield u, p
+
+    def _inverses(self, walk: Iterable[tuple[Fraction, int]]) -> list[ExtScalar]:
+        """The inverse at each (u, p) of a level walk, as ``_inverse_at`` reads p."""
+        xs, crossings = self._xs, self._tables().crossings
+        end = len(crossings)
+        out: list[ExtScalar] = []
+        for u, p in walk:
+            if p == 0:  # only gen_inverse at u = inf G
+                out.append(NEG_INF)
+            elif p == end:
+                out.append(POS_INF)
+            elif p % 2:
+                out.append(xs[p // 2])
+            else:
+                alpha, beta, gamma = crossings[p]
+                a, b = u.numerator, u.denominator
+                out.append(Fraction(alpha * a + beta * b, gamma * b))
+        return out
+
+    def gen_inverse_many(self, us: Iterable) -> list[ExtScalar]:
+        """``[self.gen_inverse(u) for u in us]``, walking one cursor over the knot levels."""
+        return self._inverses(self._level_walk(us, strict=False))
+
+    def gen_inverse_right_many(self, us: Iterable) -> list[ExtScalar]:
+        """``[self.gen_inverse_right(u) for u in us]``, walking one cursor over the knot levels."""
+        return self._inverses(self._level_walk(us, strict=True))
 
     def gen_inverse_left_limit(self, u) -> Fraction:
         """Exact limit of gen_inverse from below at u, for u in (inf G, sup G].
@@ -262,46 +405,55 @@ def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence) -> Report:
     gen_inverse_right(G(x)) == x; its one-sided bound lhs >= x holds for every
     valid MonotoneFn and is asserted, while equality failures are witnesses.
     """
-    us = [fn._require_level(u) for u in us]
+    walk = list(fn._level_walk(us, strict=False))
     xs = [as_scalar(x) for x in xs]
 
-    inverses = [fn.gen_inverse(u) for u in us]
+    inverses = fn._inverses(walk)
     violations_a = []
-    for u, inv in zip(us, inverses):
-        value = fn.eval(inv)
+    for (u, _), inv, value in zip(walk, inverses, fn.eval_many(inverses)):
         if value < u:
             violations_a.append({"point": u, "lhs": value, "rhs": u})
 
+    levels = fn.eval_many(xs)
     violations_b = []
     ff_witnesses = []
-    for x in xs:
-        level = fn.eval(x)
-        inv = fn.gen_inverse(level)
+    sweep = zip(xs, fn.gen_inverse_many(levels), fn.gen_inverse_right_many(levels))
+    for x, inv, lhs in sweep:
         if inv > x:
             violations_b.append({"point": x, "lhs": inv, "rhs": x})
-        lhs = fn.gen_inverse_right(level)
         if not lhs >= x:
             raise AssertionError(f"one-sided bound violated at x={x}: lhs={lhs}")
         if lhs != x:
             ff_witnesses.append({"x": x, "lhs": lhs})
 
+    # as gen_inverse_left_limit, with the two probes of every level in one batch:
+    # delta is half the gap down to the highest level below u (position p - 1);
     # section a already holds the inverse at each level
-    levels = [(u, at) for u, at in zip(us, inverses) if u != fn.inf_value]
+    checked = []
+    probes = []
+    for (u, p), at in zip(walk, inverses):
+        if p == 0:  # u = inf G, where the left limit is undefined
+            continue
+        delta = (u - fn._levels[p - 1]) / 2
+        checked.append((u, at))
+        probes += (u - delta, u - delta / 2)
+    probed = fn.gen_inverse_many(probes)
     violations_lc = []
-    for u, at in levels:
-        limit = fn.gen_inverse_left_limit(u)
+    for (u, at), far, near in zip(checked, probed[::2], probed[1::2]):
+        assert is_finite(far) and is_finite(near)
+        limit = 2 * near - far
         if limit != at:
             violations_lc.append({"point": u, "lhs": limit, "rhs": at})
 
     return Report(
         "lemma",
         (
-            Section("a", "violations_a", len(us), tuple(violations_a), "pass_a"),
+            Section("a", "violations_a", len(walk), tuple(violations_a), "pass_a"),
             Section("b", "violations_b", len(xs), tuple(violations_b), "pass_b"),
             Section(
                 "left_continuity",
                 "violations_leftcont",
-                len(levels),
+                len(checked),
                 tuple(violations_lc),
                 "pass_leftcont",
             ),

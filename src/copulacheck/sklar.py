@@ -120,13 +120,11 @@ class Copula(AxisSeparable):
         return self.source.eval(transformed)
 
     def axis_codes(self, axis: int, levels: Sequence) -> list:
-        """The source's codes of the quantile-transformed levels along ``axis``."""
-        coords = [as_scalar(c) for c in levels]
-        for c in coords:
-            if not 0 <= c <= 1:
-                raise DomainError(f"copula argument {c} outside [0, 1]")
-        m = self.margins[axis]
-        return self.source.axis_codes(axis, [m.gen_inverse_right(c) for c in coords])
+        """The source's codes of the quantile-transformed levels along ``axis``.
+
+        The margins are cdfs, so the quantile's range check is the [0, 1] check.
+        """
+        return self.source.axis_codes(axis, self.margins[axis].gen_inverse_right_many(levels))
 
     @property
     def code_value(self) -> Callable[[Sequence], Fraction]:
@@ -180,7 +178,7 @@ def verify_sklar_identity(
     """
     copula = extract_copula(df)
     axes = grid.df_axes(df, box)
-    levels = [[m.eval(x) for x in axis_pts] for m, axis_pts in zip(copula.margins, axes)]
+    levels = [m.eval_many(axis_pts) for m, axis_pts in zip(copula.margins, axes)]
 
     violations = []
     points = 0

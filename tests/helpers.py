@@ -8,7 +8,8 @@ and counting-df oracles walk the rows one by one with ``Fraction``
 comparisons, the grid and box oracles evaluate one point at a time, the seeded box
 oracle draws its corners as ``Fraction`` levels directly, and the grid-axis
 oracles build each axis with a set of ``lo + k/m * (hi - lo)`` points and
-apply the quantile transform to the sklar identity by hand.
+apply the quantile transform to the sklar identity by hand, and the lemma
+report oracle makes only point-wise ``eval`` and inverse calls.
 ``run_cli`` runs the command line in a child process that imports the
 package from this checkout's ``src``.
 """
@@ -37,6 +38,7 @@ from copulacheck import (
     MonotoneFn,
     ProductDf,
     Report,
+    Section,
     SplitMix64,
     ValidationError,
     extract_copula,
@@ -447,3 +449,56 @@ def oracle_sklar_identity(df, m: int, box=None) -> Report:
         if got != expected:
             violations.append(_witness(x, expected, got, "identity"))
     return _flat_report("sklar_identity", points, violations)
+
+
+# -- point-wise lemma report oracle ---------------------------------------------------
+
+
+def oracle_lemma_report(fn: MonotoneFn, us, xs) -> Report:
+    """The lemma report computed one point at a time, with no batch kernel."""
+    us = [fn._require_level(u) for u in us]
+    xs = [as_scalar(x) for x in xs]
+
+    inverses = [fn.gen_inverse(u) for u in us]
+    violations_a = []
+    for u, inv in zip(us, inverses):
+        value = fn.eval(inv)
+        if value < u:
+            violations_a.append({"point": u, "lhs": value, "rhs": u})
+
+    violations_b = []
+    ff_witnesses = []
+    for x in xs:
+        level = fn.eval(x)
+        inv = fn.gen_inverse(level)
+        if inv > x:
+            violations_b.append({"point": x, "lhs": inv, "rhs": x})
+        lhs = fn.gen_inverse_right(level)
+        if not lhs >= x:
+            raise AssertionError(f"one-sided bound violated at x={x}: lhs={lhs}")
+        if lhs != x:
+            ff_witnesses.append({"x": x, "lhs": lhs})
+
+    # section a already holds the inverse at each level
+    levels = [(u, at) for u, at in zip(us, inverses) if u != fn.inf_value]
+    violations_lc = []
+    for u, at in levels:
+        limit = fn.gen_inverse_left_limit(u)
+        if limit != at:
+            violations_lc.append({"point": u, "lhs": limit, "rhs": at})
+
+    return Report(
+        "lemma",
+        (
+            Section("a", "violations_a", len(us), tuple(violations_a), "pass_a"),
+            Section("b", "violations_b", len(xs), tuple(violations_b), "pass_b"),
+            Section(
+                "left_continuity",
+                "violations_leftcont",
+                len(levels),
+                tuple(violations_lc),
+                "pass_leftcont",
+            ),
+            Section("ff", "ff_witnesses", len(xs), tuple(ff_witnesses)),
+        ),
+    )
