@@ -10,11 +10,16 @@ Dfs and copulas evaluate one point with ``eval`` and a product grid with
 ``eval_grid(axes)``, which yields values in ``itertools.product`` order.
 ``eval_grid`` is built on two public hooks that every df and copula has:
 ``axis_codes(axis, values)`` codes the coordinates of one axis, and
-``code_value(codes)`` turns one code per axis into the exact value.
-``vertex_sum(grid_fn, box)`` takes a grid evaluator (``df.eval_grid``,
-``copula.eval_grid``, or the lattice-index evaluator that
-``mvdf.index_box_grid`` builds for a batch of seeded boxes), not a point
-evaluator, and sums over the box's corners as one 2 x ... x 2 grid.
+``code_ratio(codes)`` turns one code per axis into the exact value as an
+integer pair ``(numerator, denominator)``, with a positive denominator and
+not necessarily reduced.  ``code_value(codes)`` is that pair as a
+``Fraction``; ``ratio_grid(axes)`` yields the pairs of a grid.
+``vertex_sum(ratio_grid, box)`` takes a pair grid evaluator
+(``df.ratio_grid``, ``copula.ratio_grid``, or the lattice-index evaluator
+that ``mvdf.index_box_grid`` builds for a batch of seeded boxes), not a point
+evaluator, sums over the box's corners as one 2 x ... x 2 grid, and returns
+the exact ``Fraction``.  The verifiers compare pairs by integer
+cross-multiplication and build ``Fraction``s only for witnesses.
 """
 
 from .errors import CopulaCheckError, DomainError, ValidationError

@@ -17,12 +17,15 @@ depends only on where each coordinate of t falls among that axis's sorted
 breakpoints, so a query finds those ranks and then scans integer rank rows,
 or, once the rows scanned reach the size of the d-dimensional cumulative
 table, builds that table and answers by one lookup.  The index is
-built on first use, and each value becomes one ``Fraction`` at the end.
+built on first use, and each value is the integer pair (weight, denominator).
 
 For the hooks of ``mvdf.AxisSeparable``, a counting family's ``axis_codes``
-are ranks and its ``code_value`` the weight below them over the denominator;
-a margin-composed family's codes are margin values and its ``code_value``
-combines them (product, minimum, lower bound).
+are ranks and its ``code_ratio`` the pair (weight below them, denominator); a
+margin-composed family's codes are its margin values as (numerator,
+denominator) pairs and its ``code_ratio`` combines them by integer arithmetic
+(product, cross-multiplied minimum, lower bound over a common denominator).
+The point-wise ``eval`` of every family goes through the same hook and makes
+the pair one ``Fraction``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
 from .monotone import MonotoneFn, step_cdf, two_probe_limit
-from .mvdf import MultivariateDf, Point
+from .mvdf import MultivariateDf, Point, Ratio, ratio_lower_bound, ratio_min
 from .scalars import ExtScalar, as_scalar, fmt, is_finite
 
 
@@ -98,10 +101,10 @@ class _RankIndex:
         self._table: list[int] | None = None
 
     def eval(self, t: Point) -> Fraction:
-        return self.value([bisect_right(self.axes[i], c) for i, c in enumerate(t)])
+        return Fraction(*self.ratio([bisect_right(self.axes[i], c) for i, c in enumerate(t)]))
 
-    def value(self, ranks: Sequence[int]) -> Fraction:
-        return Fraction(self._weight_below(ranks), self._denominator)
+    def ratio(self, ranks: Sequence[int]) -> Ratio:
+        return self._weight_below(ranks), self._denominator
 
     def _weight_below(self, ranks: Sequence[int]) -> int:
         if self._table is None:
@@ -158,8 +161,8 @@ class _CountingDf(MultivariateDf):
         bps = self._rank_index().axes[axis]
         return [bisect_right(bps, c) for c in values]
 
-    def code_value(self, codes: Sequence[int]) -> Fraction:
-        return self._rank_index().value(codes)
+    def code_ratio(self, codes: Sequence[int]) -> Ratio:
+        return self._rank_index().ratio(codes)
 
     def margin_fn(self, axis: int) -> MonotoneFn:
         return self._rank_index().margin(axis)
@@ -223,6 +226,10 @@ def empirical_from_rows(rows: Iterable) -> EmpiricalDf:
 # -- margin-composed families ------------------------------------------------
 
 
+def _pair(v: Fraction) -> Ratio:
+    return v.numerator, v.denominator
+
+
 @dataclass(frozen=True)
 class _MarginComposedDf(MultivariateDf):
     """Base for families whose value combines the margin values at t."""
@@ -239,14 +246,14 @@ class _MarginComposedDf(MultivariateDf):
         return len(self.margins)
 
     @abstractmethod
-    def code_value(self, codes: Sequence[Fraction]) -> Fraction:
-        """The family's combining operation on the margin values, one per axis."""
+    def code_ratio(self, codes: Sequence[Ratio]) -> Ratio:
+        """The family's combining operation on the margin values, one pair per axis."""
 
     def eval(self, t: Point) -> Fraction:
-        return self.code_value([m.eval(c) for m, c in zip(self.margins, t)])
+        return self.code_value([_pair(m.eval(c)) for m, c in zip(self.margins, t)])
 
-    def axis_codes(self, axis: int, values: Sequence[ExtScalar]) -> list[Fraction]:
-        return self.margins[axis].eval_many(values)
+    def axis_codes(self, axis: int, values: Sequence[ExtScalar]) -> list[Ratio]:
+        return [_pair(v) for v in self.margins[axis].eval_many(values)]
 
     def margin_fn(self, axis: int) -> MonotoneFn:
         return self.margins[axis]
@@ -268,7 +275,7 @@ class _MarginComposedDf(MultivariateDf):
             limit if j == axis else m.eval(c)
             for j, (m, c) in enumerate(zip(self.margins, t))
         ]
-        return self.code_value(values), delta
+        return self.code_value([_pair(v) for v in values]), delta
 
     def to_payload(self) -> dict:
         from .serialize import monotone_to_payload
@@ -286,11 +293,12 @@ class ProductDf(_MarginComposedDf):
 
     family = "product"
 
-    def code_value(self, codes: Sequence[Fraction]) -> Fraction:
-        out = Fraction(1)
-        for v in codes:
-            out *= v
-        return out
+    def code_ratio(self, codes: Sequence[Ratio]) -> Ratio:
+        num, den = 1, 1
+        for n, d in codes:
+            num *= n
+            den *= d
+        return num, den
 
 
 @dataclass(frozen=True)
@@ -299,8 +307,8 @@ class ComonotoneDf(_MarginComposedDf):
 
     family = "comonotone"
 
-    def code_value(self, codes: Sequence[Fraction]) -> Fraction:
-        return min(codes)
+    def code_ratio(self, codes: Sequence[Ratio]) -> Ratio:
+        return ratio_min(codes)
 
 
 @dataclass(frozen=True)
@@ -320,8 +328,8 @@ class CountermonotoneDf(_MarginComposedDf):
         if len(self.margins) < 2:
             raise ValidationError("countermonotone df needs at least two margins")
 
-    def code_value(self, codes: Sequence[Fraction]) -> Fraction:
-        return max(sum(codes) - (len(codes) - 1), Fraction(0))
+    def code_ratio(self, codes: Sequence[Ratio]) -> Ratio:
+        return ratio_lower_bound(codes)
 
 
 def product_df(margins: Sequence[MonotoneFn]) -> ProductDf:

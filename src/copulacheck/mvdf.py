@@ -8,12 +8,20 @@ non-negative; it is a cdf when additionally any coordinate at -inf forces the
 value 0 and all coordinates at +inf give 1.
 
 Every family is separable by axis (:class:`AxisSeparable`): ``axis_codes``
-codes one axis's coordinates (margin values, or ranks among the axis
-breakpoints) and ``code_value`` combines one code per axis into the value.
-``eval_grid`` codes each axis point of a product grid once, and a box's
-vertices are the 2 x .. x 2 grid of its corners.  The seeded boxes are drawn
-as integer indices k of corners k/1000 (:class:`IndexBox`), and
+codes one axis's coordinates (margin values as integer pairs, or ranks among
+the axis breakpoints) and ``code_ratio`` combines one code per axis into the
+value as an integer pair ``(numerator, denominator)``, with a positive
+denominator and not necessarily reduced (a :data:`Ratio`).  ``ratio_grid``
+codes each axis point of a product grid once and yields those pairs, and a
+box's vertices are the 2 x .. x 2 grid of its corners.  The seeded boxes are
+drawn as integer indices k of corners k/1000 (:class:`IndexBox`), and
 :func:`index_box_grid` codes each distinct corner index of a batch once.
+
+The sweeps compare pairs by integer cross-multiplication, so a ``Fraction``
+is built only where a value leaves the sweep: ``code_value`` and
+``eval_grid`` (one per point, for callers that want the values), one per box
+in :func:`vertex_sum`, and one per witness in the verifiers.  The point-wise
+``eval`` of every family keeps returning a ``Fraction``.
 
 :func:`check_df_axioms` probes all of this exactly on seeded random boxes and
 on the structural breakpoints of the family, and returns a report; failures
@@ -25,7 +33,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product as iter_product
+from math import gcd
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ValidationError
@@ -37,7 +47,9 @@ from .scalars import NEG_INF, POS_INF, ExtScalar, as_ext
 Point = tuple[ExtScalar, ...]
 # the per-axis coordinates of a product grid
 Axes = Sequence[Sequence[ExtScalar]]
-GridFn = Callable[[Axes], Iterable[Fraction]]
+# an exact value as (numerator, denominator): the denominator is positive, the pair not reduced
+Ratio = tuple[int, int]
+RatioGridFn = Callable[[Axes], Iterable[Ratio]]
 # random box corners lie on the lattice k/LATTICE, 0 <= k <= LATTICE
 LATTICE = 1000
 # right-continuity is probed at most at this many breakpoint-grid points
@@ -94,20 +106,54 @@ class IndexBox:
         )
 
 
-def vertex_sum(grid_fn: GridFn, box: Cuboid | IndexBox) -> Fraction:
+@cache
+def _even_vertices(dim: int) -> tuple[bool, ...]:
+    """Per vertex of a d-box in ``itertools.product`` order: True where its sign is +1."""
+    return tuple(sum(eps) % 2 == 0 for eps in iter_product((0, 1), repeat=dim))
+
+
+def vertex_sum(ratio_grid: RatioGridFn, box: Cuboid | IndexBox) -> Fraction:
     """Signed inclusion-exclusion sum over the vertices of ``box``, as one grid call.
 
-    ``grid_fn`` evaluates a product grid in ``itertools.product`` order, like
-    :meth:`AxisSeparable.eval_grid` (or :func:`index_box_grid` for an
-    :class:`IndexBox`).  The box is the grid ``((b_i, a_i))_i``, so the vertex
-    at index ``eps`` takes ``a_i`` where ``eps_i`` is 1 and has the sign
-    ``(-1)`` to the number of ``a`` coordinates.
+    ``ratio_grid`` evaluates a product grid as integer pairs in
+    ``itertools.product`` order, like :meth:`AxisSeparable.ratio_grid` (or
+    :func:`index_box_grid` for an :class:`IndexBox`).  The box is the grid
+    ``((b_i, a_i))_i``, so the vertex at index ``eps`` takes ``a_i`` where
+    ``eps_i`` is 1 and has the sign ``(-1)`` to the number of ``a``
+    coordinates.  The pairs are added over the lcm of their denominators (a
+    plain integer add while the denominators agree), and the sum becomes one
+    ``Fraction``.
     """
-    total = Fraction(0)
-    choices = iter_product((0, 1), repeat=box.dim)
-    for eps, term in zip(choices, grid_fn(tuple(zip(box.b, box.a)))):
-        total += -term if sum(eps) % 2 else term
-    return total
+    num, den = 0, 1
+    terms = ratio_grid(tuple(zip(box.b, box.a)))
+    for positive, (n, d) in zip(_even_vertices(box.dim), terms):
+        if d != den:
+            scale = d // gcd(den, d)
+            num *= scale
+            den *= scale
+            n *= den // d
+        num += n if positive else -n
+    return Fraction(num, den)
+
+
+def ratio_min(ratios: Iterable[Ratio]) -> Ratio:
+    """The least of the pairs, by cross-multiplication: M(s) = min s_i, the upper bound."""
+    it = iter(ratios)
+    best_n, best_d = next(it)
+    for n, d in it:
+        if n * best_d < best_n * d:
+            best_n, best_d = n, d
+    return best_n, best_d
+
+
+def ratio_lower_bound(ratios: Sequence[Ratio]) -> Ratio:
+    """W(s) = max(sum s_i - (d-1), 0), the sum taken over the product of the denominators."""
+    num, den = 0, 1
+    for n, d in ratios:
+        num = num * d + n * den
+        den *= d
+    num -= (len(ratios) - 1) * den
+    return (num, den) if num > 0 else (0, 1)
 
 
 class AxisSeparable(ABC):
@@ -122,8 +168,24 @@ class AxisSeparable(ABC):
         """Codes of ``values`` along a 0-based axis; raises as ``eval`` would."""
 
     @abstractmethod
+    def code_ratio(self, codes: Sequence) -> Ratio:
+        """Exact value at the point whose coordinates have ``codes``, one per axis, as a pair."""
+
     def code_value(self, codes: Sequence) -> Fraction:
         """Exact value at the point whose coordinates have ``codes``, one per axis."""
+        return Fraction(*self.code_ratio(codes))
+
+    def _code_product(self, axes: Axes) -> Iterator[tuple]:
+        if len(axes) != self.dim:
+            raise DomainError(f"grid has {len(axes)} axes, expected {self.dim}")
+        return iter_product(*[self.axis_codes(i, values) for i, values in enumerate(axes)])
+
+    def ratio_grid(self, axes: Axes) -> Iterator[Ratio]:
+        """Exact values on the product grid of ``axes`` as pairs, in ``itertools.product`` order.
+
+        Each axis is coded once, when this is called; the pairs are yielded lazily.
+        """
+        return map(self.code_ratio, self._code_product(axes))
 
     def eval_grid(self, axes: Axes) -> Iterator[Fraction]:
         """Exact values on the product grid of ``axes``, in ``itertools.product`` order.
@@ -131,10 +193,7 @@ class AxisSeparable(ABC):
         Equal to ``eval`` at each grid point.  Each axis is coded once, when
         this is called; the values are yielded lazily.
         """
-        if len(axes) != self.dim:
-            raise DomainError(f"grid has {len(axes)} axes, expected {self.dim}")
-        code_axes = [self.axis_codes(i, values) for i, values in enumerate(axes)]
-        return map(self.code_value, iter_product(*code_axes))
+        return map(self.code_value, self._code_product(axes))
 
 
 class MultivariateDf(AxisSeparable):
@@ -206,7 +265,7 @@ def volume(df: MultivariateDf, box: Cuboid) -> Fraction:
     """Exact volume assigned by ``df`` to the half-open box ]a, b]."""
     if box.dim != df.dim:
         raise DomainError(f"box dimension {box.dim} does not match df dimension {df.dim}")
-    return vertex_sum(df.eval_grid, box)
+    return vertex_sum(df.ratio_grid, box)
 
 
 def margin(df: MultivariateDf, i: int) -> MonotoneFn:
@@ -235,8 +294,8 @@ def random_index_boxes(seed: int, dim: int, count: int) -> list[IndexBox]:
     return boxes
 
 
-def index_box_grid(fn: AxisSeparable, boxes: Sequence[IndexBox]) -> GridFn:
-    """A grid evaluator on lattice indices, for ``vertex_sum`` over ``boxes``.
+def index_box_grid(fn: AxisSeparable, boxes: Sequence[IndexBox]) -> RatioGridFn:
+    """A pair grid evaluator on lattice indices, for ``vertex_sum`` over ``boxes``.
 
     Each axis codes the distinct corner indices of all the boxes with one
     ``axis_codes`` call; the evaluator looks codes up by integer index.
@@ -246,11 +305,11 @@ def index_box_grid(fn: AxisSeparable, boxes: Sequence[IndexBox]) -> GridFn:
         ks = sorted({k for box in boxes for k in (box.a[axis], box.b[axis])})
         codes = fn.axis_codes(axis, [Fraction(k, LATTICE) for k in ks])
         tables.append(dict(zip(ks, codes)))
-    code_value = fn.code_value
+    code_ratio = fn.code_ratio
 
-    def grid_fn(index_axes: Sequence[Sequence[int]]) -> Iterator[Fraction]:
+    def grid_fn(index_axes: Sequence[Sequence[int]]) -> Iterator[Ratio]:
         code_axes = [[table[k] for k in ks] for table, ks in zip(tables, index_axes)]
-        return map(code_value, iter_product(*code_axes))
+        return map(code_ratio, iter_product(*code_axes))
 
     return grid_fn
 
@@ -297,7 +356,7 @@ def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int) -> Report:
     grid_fn = index_box_grid(df, boxes)
     for box in boxes:
         vol = vertex_sum(grid_fn, box)
-        if vol < 0:
+        if vol.numerator < 0:
             box = box.cuboid()
             volume_violations.append({"a": box.a, "b": box.b, "volume": vol})
 

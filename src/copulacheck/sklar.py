@@ -22,9 +22,13 @@ exhibiting the exact break points is the purpose of this module.
 structural breakpoints of the inputs, so a violation at a jump cannot hide
 between grid points.  Only :class:`Copula` applies the quantile transform: its
 ``axis_codes`` checks and transforms each level, then codes it with the
-source's ``axis_codes``; its ``code_value`` is the source's.  So every sweep
+source's ``axis_codes``; its ``code_ratio`` is the source's.  So every sweep
 transforms each axis point once, and the random boxes (``mvdf.IndexBox``)
 transform each distinct corner level of the whole batch once.
+
+The verifiers sweep ``ratio_grid``, whose values are integer pairs
+(``mvdf.Ratio``), and decide every comparison by cross-multiplying them; a
+``Fraction`` is built only for a witness (and one per box, by ``vertex_sum``).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, product as iter_product
+from math import prod
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, ValidationError
@@ -40,8 +45,11 @@ from .mvdf import (
     AxisSeparable,
     MultivariateDf,
     Point,
+    Ratio,
     index_box_grid,
     random_index_boxes,
+    ratio_lower_bound,
+    ratio_min,
     vertex_sum,
 )
 from .report import Report, Section
@@ -127,9 +135,9 @@ class Copula(AxisSeparable):
         return self.source.axis_codes(axis, self.margins[axis].gen_inverse_right_many(levels))
 
     @property
-    def code_value(self) -> Callable[[Sequence], Fraction]:
-        """The source's ``code_value``: the codes already are the source's."""
-        return self.source.code_value
+    def code_ratio(self) -> Callable[[Sequence], Ratio]:
+        """The source's ``code_ratio``: the codes already are the source's."""
+        return self.source.code_ratio
 
 
 def extract_copula(df: MultivariateDf) -> Copula:
@@ -181,13 +189,11 @@ def verify_sklar_identity(
     levels = [m.eval_many(axis_pts) for m, axis_pts in zip(copula.margins, axes)]
 
     violations = []
-    points = 0
-    sweep = zip(iter_product(*axes), df.eval_grid(axes), copula.eval_grid(levels))
-    for x, expected, got in sweep:
-        points += 1
-        if got != expected:
-            violations.append(_witness(x, expected, got, "identity"))
-    return _flat_report("sklar_identity", points, violations)
+    sweep = zip(iter_product(*axes), df.ratio_grid(axes), copula.ratio_grid(levels))
+    for x, (en, ed), (gn, gd) in sweep:
+        if gn * ed != en * gd:
+            violations.append(_witness(x, Fraction(en, ed), Fraction(gn, gd), "identity"))
+    return _flat_report("sklar_identity", prod(map(len, axes)), violations)
 
 
 def verify_uniform_margins(copula: Copula, grid: GridSpec = GridSpec()) -> Report:
@@ -200,11 +206,11 @@ def verify_uniform_margins(copula: Copula, grid: GridSpec = GridSpec()) -> Repor
     points = 0
     for i, levels in enumerate(grid.levels(m) for m in copula.margins):
         section = [levels if j == i else (Fraction(1),) for j in range(copula.dim)]
-        for point, got in zip(iter_product(*section), copula.eval_grid(section)):
+        for point, (gn, gd) in zip(iter_product(*section), copula.ratio_grid(section)):
             s = point[i]
             points += 1
-            if got != s:
-                violations.append(_witness(point, s, got, f"margin_{i + 1}"))
+            if gn * s.denominator != s.numerator * gd:
+                violations.append(_witness(point, s, Fraction(gn, gd), f"margin_{i + 1}"))
     return _flat_report("uniform_margins", points, violations)
 
 
@@ -225,26 +231,28 @@ def verify_copula_axioms(
         raise ValidationError(f"n_cuboids must be >= 1, got {n_cuboids}")
     d = copula.dim
     violations = []
-    points = 0
 
     boxes = random_index_boxes(seed, d, n_cuboids)
     grid_fn = index_box_grid(copula, boxes)
     for box in boxes:
         vol = vertex_sum(grid_fn, box)
-        points += 1
-        if vol < 0:
+        if vol.numerator < 0:
             box = box.cuboid()
             violations.append(_witness((box.a, box.b), Fraction(0), vol, "d_increasing"))
 
     axis_levels = [grid.levels(m) for m in copula.margins]
-    for combo, value in zip(iter_product(*axis_levels), copula.eval_grid(axis_levels)):
-        points += 1
-        if any(s == 0 for s in combo) and value != 0:
-            violations.append(_witness(combo, Fraction(0), value, "grounded"))
-        lower = max(sum(combo) - (d - 1), Fraction(0))
-        upper = min(combo)
-        if value < lower:
-            violations.append(_witness(combo, lower, value, "fh_lower"))
-        if value > upper:
-            violations.append(_witness(combo, upper, value, "fh_upper"))
+    axis_ratios = [[(s.numerator, s.denominator) for s in levels] for levels in axis_levels]
+    sweep = zip(
+        iter_product(*axis_levels), iter_product(*axis_ratios), copula.ratio_grid(axis_levels)
+    )
+    for combo, ratios, (vn, vd) in sweep:
+        if vn and any(n == 0 for n, _ in ratios):
+            violations.append(_witness(combo, Fraction(0), Fraction(vn, vd), "grounded"))
+        ln, ld = ratio_lower_bound(ratios)
+        if vn * ld < ln * vd:
+            violations.append(_witness(combo, Fraction(ln, ld), Fraction(vn, vd), "fh_lower"))
+        un, ud = ratio_min(ratios)
+        if vn * ud > un * vd:
+            violations.append(_witness(combo, Fraction(un, ud), Fraction(vn, vd), "fh_upper"))
+    points = n_cuboids + prod(map(len, axis_levels))
     return _flat_report("copula_axioms", points, violations)

@@ -9,7 +9,9 @@ comparisons, the grid and box oracles evaluate one point at a time, the seeded b
 oracle draws its corners as ``Fraction`` levels directly, and the grid-axis
 oracles build each axis with a set of ``lo + k/m * (hi - lo)`` points and
 apply the quantile transform to the sklar identity by hand, and the lemma
-report oracle makes only point-wise ``eval`` and inverse calls.
+report oracle makes only point-wise ``eval`` and inverse calls.  The
+combining oracles are the families' formulas in ``Fraction`` arithmetic, and
+the copula verifier oracles evaluate ``Copula.eval`` one point at a time.
 ``run_cli`` runs the command line in a child process that imports the
 package from this checkout's ``src``.
 """
@@ -336,7 +338,7 @@ def random_boxes(rng, pools, count: int) -> list[Cuboid]:
 
 
 def check_grid_against_points(obj, rng, pools, rounds: int = 3) -> None:
-    """``eval_grid`` against ``eval`` on random grids, and on boxes through ``vertex_sum``.
+    """``eval_grid`` against ``eval`` on random grids, and ``ratio_grid`` boxes through ``vertex_sum``.
 
     Grid values must equal the point values in ``product`` order and have the
     same type, so a grid path that yields an int or a float fails here.
@@ -347,8 +349,10 @@ def check_grid_against_points(obj, rng, pools, rounds: int = 3) -> None:
         want = [obj.eval(p) for p in product(*axes)]
         assert got == want, axes
         assert [type(v) for v in got] == [type(v) for v in want], axes
+        ratios = list(obj.ratio_grid(axes))
+        assert all(d > 0 for _, d in ratios) and [Fraction(*r) for r in ratios] == want, axes
     for box in random_boxes(rng, pools, rounds):
-        vol = vertex_sum(obj.eval_grid, box)
+        vol = vertex_sum(obj.ratio_grid, box)
         assert type(vol) is Fraction and vol == naive_vertex_sum(obj.eval, box), box
         if any(lo == hi for lo, hi in zip(box.a, box.b)):
             assert vol == 0, box
@@ -502,3 +506,73 @@ def oracle_lemma_report(fn: MonotoneFn, us, xs) -> Report:
             Section("ff", "ff_witnesses", len(xs), tuple(ff_witnesses)),
         ),
     )
+
+
+# -- Fraction oracles for the combining hooks ---------------------------------------
+
+
+def oracle_product(values) -> Fraction:
+    out = Fraction(1)
+    for v in values:
+        out *= v
+    return out
+
+
+def oracle_lower_bound(values) -> Fraction:
+    return max(sum(values) - (len(values) - 1), Fraction(0))
+
+
+# the value each margin-composed family combines its margin values into
+ORACLE_COMBINE = {ProductDf: oracle_product, ComonotoneDf: min, CountermonotoneDf: oracle_lower_bound}
+
+
+def oracle_counting_value(df, ranks) -> Fraction:
+    """Fraction(weight of the rows whose coordinate ranks are all <= ``ranks``, denominator)."""
+    points, weights, denominator = df._weighted_points()
+    axes = [sorted({p[i] for p in points}) for i in range(df.dim)]
+    weight = sum(
+        w
+        for p, w in zip(points, weights)
+        if all(bisect_right(bps, c) <= r for bps, c, r in zip(axes, p, ranks))
+    )
+    return Fraction(weight, denominator)
+
+
+# -- point-wise oracles for the copula verifiers ---------------------------------------
+
+
+def oracle_copula_axioms(copula, n_cuboids: int, seed: int, m: int) -> Report:
+    """The copula axioms report from ``Copula.eval`` one point at a time and ``Fraction`` arithmetic."""
+    d = copula.dim
+    violations = []
+    for box in oracle_unit_cuboids(seed, d, n_cuboids):
+        vol = naive_vertex_sum(copula.eval, box)
+        if vol < 0:
+            violations.append(_witness((box.a, box.b), Fraction(0), vol, "d_increasing"))
+    points = n_cuboids
+    for combo in product(*oracle_level_axes(copula, m)):
+        points += 1
+        value = copula.eval(combo)
+        if any(s == 0 for s in combo) and value != 0:
+            violations.append(_witness(combo, Fraction(0), value, "grounded"))
+        lower = max(sum(combo) - (d - 1), Fraction(0))
+        upper = min(combo)
+        if value < lower:
+            violations.append(_witness(combo, lower, value, "fh_lower"))
+        if value > upper:
+            violations.append(_witness(combo, upper, value, "fh_upper"))
+    return _flat_report("copula_axioms", points, violations)
+
+
+def oracle_uniform_margins(copula, m: int) -> Report:
+    """Every section C(1, .., s, .., 1) against s, from ``Copula.eval`` one point at a time."""
+    violations = []
+    points = 0
+    for i, levels in enumerate(oracle_level_axes(copula, m)):
+        for s in levels:
+            point = tuple(s if j == i else Fraction(1) for j in range(copula.dim))
+            got = copula.eval(point)
+            points += 1
+            if got != s:
+                violations.append(_witness(point, s, got, f"margin_{i + 1}"))
+    return _flat_report("uniform_margins", points, violations)

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from copulacheck import cli
+from copulacheck.cli import build_parser
 from helpers import run_cli
 
 F = Fraction
@@ -258,6 +259,38 @@ def test_reports_byte_identical_for_fixed_seed(workdir):
     assert first.stdout and first.stdout == second.stdout
     assert json.loads(first.stdout)["pass"] is False
     assert first.returncode == second.returncode == 1
+
+
+def test_main_builds_one_parser_and_keeps_no_state(workdir, monkeypatch, capsys):
+    """One process runs a mixed sequence of ``main`` calls; each prints what a fresh child prints.
+
+    The parser is built on the first call only, so a default or flag of an
+    earlier call, or a usage error, must not carry over to a later one.
+    """
+    (workdir / "counter3.json").write_text(
+        json.dumps({"family": "countermonotone", "dim": 3, "margins": [json.loads(G_ID_JSON)] * 3})
+    )
+    calls = [
+        ("verify", "copula", "counter3.json", "--seed", "5", "--max-witnesses", "3"),
+        ("verify", "copula", "counter3.json"),
+        ("quantile", "g_bern.json", "0.5", "--right-limit"),
+        ("verify", "copula", "counter3.json", "--cuboids"),
+        ("quantile", "g_bern.json", "0.5"),
+        ("verify", "copula", "counter3.json"),
+    ]
+    built = []
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    monkeypatch.chdir(workdir)
+    for argv in calls:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        child = run_cli(*argv, cwd=workdir)
+        assert (code, capsys.readouterr().out) == (child.returncode, child.stdout), argv
+    assert built == [1]
+    assert build_parser() is not build_parser()
 
 
 def test_usage_error_exits_2():

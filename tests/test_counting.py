@@ -15,6 +15,7 @@ import threading
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -41,6 +42,7 @@ from helpers import (
     check_grid_against_points,
     check_index_boxes,
     level_pool,
+    oracle_counting_value,
     scan_axis_breakpoints,
     scan_axis_right_limit,
     scan_eval,
@@ -148,6 +150,21 @@ def test_empirical_rank_eval_matches_row_scan(df, seed):
 @example(_grid_payload_df([(F(0),), (F(1),)], [F(1, 2), F(-1, 2)]), 1)
 def test_lenient_grid_rank_eval_matches_mass_scan(df, seed):
     _check_against_scan(df, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(empirical_dfs(), lenient_grid_dfs()))
+@example(_grid_payload_df([(F(0),), (F(1),)], [F(1, 2), F(-1, 2)]))
+def test_code_ratio_is_the_weight_below_the_ranks(df):
+    """(weight, denominator) on every rank tuple, on the row scan and then on the table."""
+    df = replace(df)
+    ranks = list(product(*[range(len(df.axis_breakpoints(i)) + 1) for i in range(df.dim)]))
+    # each query scans at least one row, so the table is built within one pass over the cells
+    for _ in range(2):
+        for r in ranks:
+            num, den = df.code_ratio(r)
+            assert den > 0 and F(num, den) == oracle_counting_value(df, r), r
+    assert df._index._table is not None
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,0 +1,172 @@
+"""Integer-pair combining hooks and the copula verifiers that compare pairs.
+
+Every family's ``code_ratio`` returns its value as ``(numerator,
+denominator)`` with a positive denominator, and the verifiers decide each
+comparison by cross-multiplying such pairs.  These tests hold the hooks to
+the families' formulas in ``Fraction`` arithmetic (``helpers.ORACLE_COMBINE``),
+and the verifiers' reports, witness order included, to oracles that evaluate
+``Copula.eval`` one point at a time, on inputs that pass and inputs that fail.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from copulacheck import (
+    ComonotoneDf,
+    CountermonotoneDf,
+    GridSpec,
+    ProductDf,
+    empirical_from_rows,
+    extract_copula,
+    fmt,
+    make_monotone,
+    uniform_cdf,
+    verify_copula_axioms,
+    verify_sklar_identity,
+    verify_uniform_margins,
+    vertex_sum,
+)
+from copulacheck.mvdf import IndexBox, ratio_lower_bound, ratio_min
+from copulacheck.serialize import load_payload
+from helpers import (
+    ORACLE_COMBINE,
+    check_index_boxes,
+    composed_dfs,
+    oracle_copula_axioms,
+    oracle_lower_bound,
+    oracle_sklar_identity,
+    oracle_uniform_margins,
+)
+
+F = Fraction
+
+
+@st.composite
+def code_pairs(draw, dim):
+    """``dim`` pairs, all on one denominator or each on its own, with values in [-2, 3].
+
+    Numerators are drawn freely, so pairs come unreduced, zero, negative and
+    above 1, as margin values of leniently loaded payloads can be.
+    """
+    common = draw(st.integers(1, 12)) if draw(st.booleans()) else None
+    pairs = []
+    for _ in range(dim):
+        d = common or draw(st.integers(1, 12))
+        pairs.append((draw(st.integers(-2 * d, 3 * d)), d))
+    return pairs
+
+
+@st.composite
+def family_codes(draw):
+    cls = draw(st.sampled_from([ProductDf, ComonotoneDf, CountermonotoneDf]))
+    dim = draw(st.integers(2 if cls is CountermonotoneDf else 1, 4))
+    return cls((uniform_cdf(),) * dim), draw(code_pairs(dim))
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_codes())
+@example((ProductDf((uniform_cdf(),) * 3), [(1, 2), (2, 3), (-3, 4)]))
+@example((ComonotoneDf((uniform_cdf(),) * 3), [(2, 4), (1, 3), (1, 2)]))
+@example((CountermonotoneDf((uniform_cdf(),) * 2), [(2, 3), (3, 4)]))
+@example((CountermonotoneDf((uniform_cdf(),) * 3), [(5, 6), (5, 6), (7, 6)]))
+def test_combining_hooks_match_fraction_formulas(case):
+    df, pairs = case
+    pair = df.code_ratio(pairs)
+    want = ORACLE_COMBINE[type(df)]([F(n, d) for n, d in pairs])
+    assert pair[1] > 0 and F(*pair) == want
+    assert type(df.code_value(pairs)) is F and df.code_value(pairs) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(code_pairs))
+def test_ratio_bounds_match_fraction_formulas(pairs):
+    values = [F(n, d) for n, d in pairs]
+    for pair, want in (
+        (ratio_min(pairs), min(values)),
+        (ratio_lower_bound(pairs), oracle_lower_bound(values)),
+    ):
+        assert pair[1] > 0 and F(*pair) == want
+
+
+def test_vertex_sum_adds_pairs_over_their_lcm():
+    """Pairs on changing denominators, and one on a denominator the lcm already holds."""
+    box = IndexBox((0, 0), (1, 1))
+    terms = [(1, 2), (1, 3), (1, 4), (5, 6)]  # signs +, -, -, +
+    assert vertex_sum(lambda axes: iter(terms), box) == F(1, 2) - F(1, 3) - F(1, 4) + F(5, 6)
+    terms = [(3, 6), (0, 1), (2, 6), (1, 3)]
+    assert vertex_sum(lambda axes: iter(terms), box) == F(1, 2) - F(1, 3) + F(1, 3)
+
+
+# -- the copula verifiers against point-wise oracles ---------------------------------
+
+
+def _grid_payload(points, masses):
+    """A grid df loaded leniently, so masses may be negative."""
+    payload = {
+        "family": "grid",
+        "dim": len(points[0]),
+        "masses": [{"point": [fmt(F(c)) for c in p], "mass": fmt(m)} for p, m in zip(points, masses)],
+    }
+    return load_payload(json.dumps(payload))
+
+
+U = uniform_cdf()
+FLAT = make_monotone([(0, 0, 0), (F(1, 2), F(1, 2), F(1, 2)), (F(3, 2), F(1, 2), F(1, 2)), (2, 1, 1)])
+BERN = make_monotone([(0, 0, F(1, 2)), (1, F(1, 2), 1)])
+JUMPY = make_monotone([(0, 0, F(1, 3)), (1, F(2, 3), F(2, 3)), (2, 1, 1)])
+SQUARE = [(i, j) for i in range(3) for j in range(3)]
+
+# each input with the witness kinds its copula shows over seeds 0-2, so every
+# comparison below meets failures as well as passes
+CASES = {
+    # W is not a copula in three dimensions: some boxes have negative volume
+    "countermonotone-3-uniform": (CountermonotoneDf((U, U, U)), {"d_increasing"}),
+    # total 1 and monotone margins, yet one cell of the level grid has volume -1/1000
+    "grid-negative-cell": (
+        _grid_payload(SQUARE, [F(-1, 1000) if p == (1, 1) else F(1001, 8000) for p in SQUARE]),
+        {"d_increasing", "grounded", "fh_upper"},
+    ),
+    # F(0, 0) = -1/10, so C takes negative values, below the lower bound 0
+    "grid-negative-value": (
+        _grid_payload([(0, 0), (0, 1), (1, 0), (1, 1)], [F(-1, 10), F(3, 10), F(3, 10), F(1, 2)]),
+        {"grounded", "fh_lower", "fh_upper"},
+    ),
+    "product-flat-jump": (ProductDf((FLAT, BERN)), {"grounded", "fh_upper"}),
+    "comonotone-flat-jump-uniform": (ComonotoneDf((FLAT, JUMPY, U)), {"grounded", "fh_upper"}),
+    "countermonotone-jump-flat": (CountermonotoneDf((JUMPY, FLAT)), {"grounded", "fh_upper"}),
+    "empirical-tied": (
+        empirical_from_rows([(0, 0), (0, 1), (1, 1), (1, 1), (2, 0), (2, 2), (F(1, 2), 1)]),
+        {"grounded", "fh_upper"},
+    ),
+}
+
+
+def _assert_verifiers_match(df, seed, m, n_cuboids):
+    copula = extract_copula(df)
+    grid = GridSpec(m)
+    got = verify_copula_axioms(copula, n_cuboids=n_cuboids, seed=seed, grid=grid)
+    assert got == oracle_copula_axioms(copula, n_cuboids, seed, m)
+    assert verify_uniform_margins(copula, grid=grid) == oracle_uniform_margins(copula, m)
+    assert verify_sklar_identity(df, grid=grid) == oracle_sklar_identity(df, m)
+    check_index_boxes(df, seed)
+    check_index_boxes(copula, seed)
+    return got
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_verifiers_match_pointwise_oracles(name):
+    df, want = CASES[name]
+    kinds = set()
+    for seed in range(3):
+        report = _assert_verifiers_match(df, seed, m=6, n_cuboids=120)
+        kinds.update(w["kind"] for w in report.violations)
+    assert kinds == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(composed_dfs(), st.integers(0, 2**16))
+def test_verifiers_match_pointwise_oracles_on_random_dfs(df, seed):
+    _assert_verifiers_match(df, seed, m=4, n_cuboids=20)
