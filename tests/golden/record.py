@@ -87,6 +87,34 @@ CASES = {
     ],
     "margins-emp-all": ["verify", "margins", "emp.json", "--max-witnesses", "-1"],
     "extract-comonotone": ["extract", "comonotone.json", "--grid", "4"],
+    # the single-point commands: levels at a jump, on a flat, inside a rising
+    # piece, and at inf G and sup G, with and without the right limit
+    **{
+        f"quantile-{stem}-{label}{suffix}": ["quantile", f"{stem}.json", u, *flag]
+        for stem, points in (
+            ("bern", (("jump", "1/4"), ("flat", "1/2"), ("inf", "0"), ("sup", "1"))),
+            ("flat", (("rise", "3/4"), ("flat", "1/2"), ("inf", "0"), ("sup", "1"))),
+        )
+        for label, u in points
+        for suffix, flag in (("", ()), ("-right", ("--right-limit",)))
+    },
+    "quantile-bern-outside": ["quantile", "bern.json", "3/2"],
+    **{
+        f"eval-{stem}-{label}": ["eval", f"{stem}.json", "--", point]
+        for stem, points in (
+            ("bern", (("jump", "0"), ("flat", "1/2"), ("neg-inf", "-inf"), ("pos-inf", "+inf"))),
+            ("flat", (("rise", "7/4"), ("flat", "1"), ("neg-inf", "-inf"), ("pos-inf", "+inf"))),
+            *(
+                (stem, (("finite", "1/2,1"), ("neg-inf", "-inf,1"), ("pos-inf", "1/2,+inf")))
+                for stem in ("emp", "grid", "product", "comonotone", "counter2")
+            ),
+            ("counter3", (("finite", "3/4,1/2,9/10"), ("neg-inf", "1/2,-inf,1"),
+                          ("pos-inf", "+inf,3/4,+inf"))),
+        )
+        for label, point in points
+    },
+    "eval-emp-all-inf": ["eval", "emp.json", "--", "+inf,+inf"],
+    "eval-emp-wrong-dim": ["eval", "emp.json", "1/2"],
 }
 
 
