@@ -20,6 +20,11 @@ that ``mvdf.index_box_grid`` builds for a batch of seeded boxes), not a point
 evaluator, sums over the box's corners as one 2 x ... x 2 grid, and returns
 the exact ``Fraction``.  The verifiers compare pairs by integer
 cross-multiplication and build ``Fraction``s only for witnesses.
+
+Each function has one evaluation path: ``eval`` is the same sweep on a grid
+of one point per axis, and a monotone function's ``eval``, ``gen_inverse``
+and ``gen_inverse_right`` are one-point calls into its batch kernels.  The
+independent oracles they are tested against live in ``tests/helpers.py``.
 """
 
 from .errors import CopulaCheckError, DomainError, ValidationError

@@ -87,8 +87,6 @@ def cmd_eval(args) -> int:
             raise ValidationError("a monotone function takes exactly one coordinate")
         value = obj.eval(point[0])
     else:
-        if len(point) != obj.dim:
-            raise ValidationError(f"expected {obj.dim} coordinates, got {len(point)}")
         value = obj.eval(point)
     _emit(fmt(value) + "\n", args.output)
     return 0

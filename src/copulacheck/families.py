@@ -24,8 +24,8 @@ are ranks and its ``code_ratio`` the pair (weight below them, denominator); a
 margin-composed family's codes are its margin values as (numerator,
 denominator) pairs and its ``code_ratio`` combines them by integer arithmetic
 (product, cross-multiplied minimum, lower bound over a common denominator).
-The point-wise ``eval`` of every family goes through the same hook and makes
-the pair one ``Fraction``.
+Every family evaluates one point with the shared ``AxisSeparable.eval``, a
+one-point sweep through the same two hooks; there is no other evaluation path.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from operator import le, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
-from .monotone import MonotoneFn, step_cdf, two_probe_limit
-from .mvdf import MultivariateDf, Point, Ratio, ratio_lower_bound, ratio_min
-from .scalars import ExtScalar, as_scalar, fmt, is_finite
+from .monotone import MonotoneFn, step_cdf
+from .mvdf import AxisSeparable, MultivariateDf, Point, Ratio, ratio_lower_bound, ratio_min
+from .scalars import ExtScalar, as_ext, as_scalar, fmt, is_finite
 
 
 def _sorted_gap_delta(values: Sequence[Fraction]) -> Fraction:
@@ -100,9 +100,6 @@ class _RankIndex:
         self._scanned = 0
         self._table: list[int] | None = None
 
-    def eval(self, t: Point) -> Fraction:
-        return Fraction(*self.ratio([bisect_right(self.axes[i], c) for i, c in enumerate(t)]))
-
     def ratio(self, ranks: Sequence[int]) -> Ratio:
         return self._weight_below(ranks), self._denominator
 
@@ -154,12 +151,9 @@ class _CountingDf(MultivariateDf):
             object.__setattr__(self, "_index", _RankIndex(*self._weighted_points()))
         return self._index
 
-    def eval(self, t: Point) -> Fraction:
-        return self._rank_index().eval(t)
-
     def axis_codes(self, axis: int, values: Sequence[ExtScalar]) -> list[int]:
         bps = self._rank_index().axes[axis]
-        return [bisect_right(bps, c) for c in values]
+        return [bisect_right(bps, as_ext(c)) for c in values]
 
     def code_ratio(self, codes: Sequence[int]) -> Ratio:
         return self._rank_index().ratio(codes)
@@ -184,7 +178,7 @@ class EmpiricalDf(_CountingDf):
     family = "empirical"
 
     # bench/spans.py traces these by name in each counting class's own __dict__
-    eval = _CountingDf.eval
+    eval = AxisSeparable.eval
     margin_fn = _CountingDf.margin_fn
     axis_breakpoints = _CountingDf.axis_breakpoints
     axis_right_limit = _CountingDf.axis_right_limit
@@ -249,8 +243,8 @@ class _MarginComposedDf(MultivariateDf):
     def code_ratio(self, codes: Sequence[Ratio]) -> Ratio:
         """The family's combining operation on the margin values, one pair per axis."""
 
-    def eval(self, t: Point) -> Fraction:
-        return self.code_value([_pair(m.eval(c)) for m, c in zip(self.margins, t)])
+    # bench/spans.py traces this by name in the class's own __dict__
+    eval = AxisSeparable.eval
 
     def axis_codes(self, axis: int, values: Sequence[ExtScalar]) -> list[Ratio]:
         return [_pair(v) for v in self.margins[axis].eval_many(values)]
@@ -265,17 +259,18 @@ class _MarginComposedDf(MultivariateDf):
         if not is_finite(t[axis]):
             raise ValidationError("right limit probes need a finite coordinate")
         # both probes land strictly inside the knot-free window (x, next knot), on
-        # which the margin is a single affine piece, so the extrapolation is exact
+        # which the margin is a single affine piece, so 2 G(x + delta/2) - G(x + delta)
+        # is the limit exactly
         x = t[axis]
         xs = self.margins[axis].knot_xs()
         i = bisect_right(xs, x)
         delta = (xs[i] - x) / 2 if i < len(xs) else Fraction(1)
-        limit = two_probe_limit(self.margins[axis].eval, x, delta)
-        values = [
-            limit if j == axis else m.eval(c)
-            for j, (m, c) in enumerate(zip(self.margins, t))
+        far, near = self.margins[axis].eval_many((x + delta, x + delta / 2))
+        codes = [
+            _pair(2 * near - far) if j == axis else self.axis_codes(j, (c,))[0]
+            for j, c in enumerate(t)
         ]
-        return self.code_value([_pair(v) for v in values]), delta
+        return self.code_value(codes), delta
 
     def to_payload(self) -> dict:
         from .serialize import monotone_to_payload
@@ -370,7 +365,7 @@ class GridDf(_CountingDf):
     family = "grid"
 
     # bench/spans.py traces these by name in each counting class's own __dict__
-    eval = _CountingDf.eval
+    eval = AxisSeparable.eval
     margin_fn = _CountingDf.margin_fn
     axis_breakpoints = _CountingDf.axis_breakpoints
     axis_right_limit = _CountingDf.axis_right_limit

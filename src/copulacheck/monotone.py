@@ -21,15 +21,14 @@ first position past u names the answer: a ``value_k`` is the jump at knot k,
 a ``left_k`` the affine crossing on the piece ending at knot k, and the end of
 the sequence +inf (Embrechts & Hofert, "A note on generalized inverses", 2013).
 
-Two paths compute G and its inverses.  The sweeps go through the batch
-kernels ``eval_many``, ``gen_inverse_many`` and ``gen_inverse_right_many``:
-one cursor walks the knot abscissae, or the level sequence, from where the
-previous point left it, comparing integer cross products of numerators and
-denominators, and an interior result is one ``Fraction`` built from integer
-coefficients of its piece.  Their tables are built on the first batch call.
-The point-wise ``eval``, ``gen_inverse`` and ``gen_inverse_right`` bisect
-with ``Fraction`` comparisons and keep the interpolation formula as written;
-they are the single-point API and the oracle the kernels are tested against.
+One path computes G and its inverses: the batch kernels ``eval_many``,
+``gen_inverse_many`` and ``gen_inverse_right_many``.  One cursor walks the
+knot abscissae, or the level sequence, from where the previous point left it,
+comparing integer cross products of numerators and denominators, and an
+interior result is one ``Fraction`` built from integer coefficients of its
+piece.  Their tables are built on the first call.  The single-point ``eval``,
+``gen_inverse`` and ``gen_inverse_right`` are one-point calls into the same
+kernels; the independent oracles they are tested against live in the tests.
 
 The module also has a report runner checking, point by point, the classical
 inverse inequalities G(G^-1(u)) >= u and G^-1(G(x)) <= x, left-continuity of
@@ -43,10 +42,10 @@ All arithmetic is rational, so every verdict is exact with tolerance zero.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, ValidationError
 from .report import Report, Section
@@ -181,17 +180,7 @@ class MonotoneFn:
 
     def eval(self, x: ExtScalar) -> Fraction:
         """Exact G(x); the infinities map to the infimum and supremum."""
-        x = as_ext(x)
-        if not is_finite(x):
-            return self.inf_value if x == NEG_INF else self.sup_value
-        i = bisect_right(self._xs, x) - 1
-        if i < 0:
-            return self.inf_value
-        k = self.knots[i]
-        if i == len(self.knots) - 1 or x == k.x:
-            return k.value
-        nxt = self.knots[i + 1]
-        return k.value + (nxt.left - k.value) * (x - k.x) / (nxt.x - k.x)
+        return self.eval_many((x,))[0]
 
     def _tables(self) -> _SweepTables:
         if self._sweep is None:
@@ -199,10 +188,11 @@ class MonotoneFn:
         return self._sweep
 
     def eval_many(self, xs: Iterable[ExtScalar]) -> list[Fraction]:
-        """``[self.eval(x) for x in xs]``, walking one cursor over the knot abscissae.
+        """Exact G at each of ``xs``, walking one cursor over the knot abscissae.
 
-        The cursor moves from the previous point's knot, so any order is
-        correct and a sorted sweep makes O(points + knots) integer comparisons.
+        The infinities map to the infimum and supremum.  The cursor moves
+        from the previous point's knot, so any order is correct and a sorted
+        sweep makes O(points + knots) integer comparisons.
         """
         t = self._tables()
         xn, xd, values, pieces = t.xn, t.xd, t.values, t.pieces
@@ -240,39 +230,16 @@ class MonotoneFn:
 
     # -- generalized inverses ------------------------------------------------
 
-    def _require_level(self, u) -> Fraction:
-        u = as_scalar(u)
-        if not (self.inf_value <= u <= self.sup_value):
-            raise DomainError(
-                f"level {u} outside the range [{self.inf_value}, {self.sup_value}]"
-            )
-        return u
-
-    def _inverse_at(self, u: Fraction, p: int) -> ExtScalar:
-        """The inverse at u, from p, the first position in ``_levels`` whose level clears u."""
-        if p == len(self._levels):
-            return POS_INF
-        k = self.knots[p // 2]
-        if p % 2:
-            return k.x
-        prev = self.knots[p // 2 - 1]
-        # the piece before k rises through u: solve the affine crossing
-        return prev.x + (u - prev.value) * (k.x - prev.x) / (k.left - prev.value)
-
     def gen_inverse(self, u) -> ExtScalar:
         """inf { x : G(x) >= u }; -inf at u = inf G, where the set is all of R."""
-        u = self._require_level(u)
-        if u == self.inf_value:
-            return NEG_INF
-        return self._inverse_at(u, bisect_left(self._levels, u))
+        return self.gen_inverse_many((u,))[0]
 
     def gen_inverse_right(self, u) -> ExtScalar:
         """inf { x : G(x) > u }; +inf at u = sup G, where the set is empty."""
-        u = self._require_level(u)
-        return self._inverse_at(u, bisect_right(self._levels, u))
+        return self.gen_inverse_right_many((u,))[0]
 
     def _level_walk(self, us: Iterable, strict: bool) -> Iterator[tuple[Fraction, int]]:
-        """Each level checked as ``_require_level`` checks it, with its position in ``_levels``.
+        """Each level, checked to lie in [inf G, sup G], with its position in ``_levels``.
 
         The position counts the levels below u, or at or below u when
         ``strict``: ``bisect_left`` and ``bisect_right``, found by one cursor
@@ -287,7 +254,9 @@ class MonotoneFn:
             u = as_scalar(u)
             a, b = u.numerator, u.denominator
             if lo_n * b > a * lo_d or a * hi_d > hi_n * b:
-                self._require_level(u)  # raises the range error
+                raise DomainError(
+                    f"level {u} outside the range [{self.inf_value}, {self.sup_value}]"
+                )
             if strict:
                 while p < end and ln[p] * b <= a * ld[p]:
                     p += 1
@@ -301,7 +270,12 @@ class MonotoneFn:
             yield u, p
 
     def _inverses(self, walk: Iterable[tuple[Fraction, int]]) -> list[ExtScalar]:
-        """The inverse at each (u, p) of a level walk, as ``_inverse_at`` reads p."""
+        """The inverse at each (u, p) of a level walk.
+
+        p is the first position in ``_levels`` whose level clears u: a
+        ``value_k`` names the jump at knot k, a ``left_k`` the affine crossing
+        on the piece ending at knot k, and the end of the sequence +inf.
+        """
         xs, crossings = self._xs, self._tables().crossings
         end = len(crossings)
         out: list[ExtScalar] = []
@@ -319,39 +293,37 @@ class MonotoneFn:
         return out
 
     def gen_inverse_many(self, us: Iterable) -> list[ExtScalar]:
-        """``[self.gen_inverse(u) for u in us]``, walking one cursor over the knot levels."""
+        """inf { x : G(x) >= u } for each of ``us``, walking one cursor over the knot levels."""
         return self._inverses(self._level_walk(us, strict=False))
 
     def gen_inverse_right_many(self, us: Iterable) -> list[ExtScalar]:
-        """``[self.gen_inverse_right(u) for u in us]``, walking one cursor over the knot levels."""
+        """inf { x : G(x) > u } for each of ``us``, walking one cursor over the knot levels."""
         return self._inverses(self._level_walk(us, strict=True))
 
     def gen_inverse_left_limit(self, u) -> Fraction:
-        """Exact limit of gen_inverse from below at u, for u in (inf G, sup G].
+        """Exact limit of gen_inverse from below at u, for u in (inf G, sup G]."""
+        ((u, p),) = self._level_walk((u,), strict=False)
+        if p == 0:
+            raise DomainError(f"left limit of the inverse undefined at the infimum {u}")
+        return self._left_limits([(u, p)])[0]
+
+    def _left_limits(self, walk: Sequence[tuple[Fraction, int]]) -> list[Fraction]:
+        """The limit of gen_inverse from below at each (u, p > 0) of a non-strict level walk.
 
         On a level window free of knot levels the inverse is affine (inside a
-        strictly rising piece) or constant (across a jump), so two evaluations
-        just below u extrapolate the limit exactly.  The window spans half the
-        gap down to the highest level below u, which exists because u > inf G.
+        strictly rising piece) or constant (across a jump), so two probes just
+        below u extrapolate the limit exactly, as 2 G^-1(u - delta/2) -
+        G^-1(u - delta).  The window spans half the gap down to the highest
+        level below u, at position p - 1, which exists because u > inf G.  The
+        probes of every level go through one ``gen_inverse_many`` call.
         """
-        u = self._require_level(u)
-        if u == self.inf_value:
-            raise DomainError(f"left limit of the inverse undefined at the infimum {u}")
-        delta = (u - self._levels[bisect_left(self._levels, u) - 1]) / 2
-        return two_probe_limit(self.gen_inverse, u, -delta)
-
-
-def two_probe_limit(f: Callable[[Fraction], ExtScalar], x: Fraction, h: Fraction) -> Fraction:
-    """Exact one-sided limit of ``f`` at ``x``, approached from the side of ``h``.
-
-    Valid when ``f`` is affine on the open window between ``x`` and ``x + h``:
-    the probes at ``x + h`` and ``x + h/2`` then extrapolate back to ``x`` as
-    2 f(x + h/2) - f(x + h), whatever ``f`` does at ``x`` itself.
-    """
-    far = f(x + h)
-    near = f(x + h / 2)
-    assert is_finite(far) and is_finite(near)
-    return 2 * near - far
+        probes = []
+        for u, p in walk:
+            delta = (u - self._levels[p - 1]) / 2
+            probes += (u - delta, u - delta / 2)
+        probed = self.gen_inverse_many(probes)
+        assert all(map(is_finite, probed))
+        return [2 * near - far for far, near in zip(probed[::2], probed[1::2])]
 
 
 def make_monotone(knots: Iterable) -> MonotoneFn:
@@ -426,24 +398,14 @@ def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence) -> Report:
         if lhs != x:
             ff_witnesses.append({"x": x, "lhs": lhs})
 
-    # as gen_inverse_left_limit, with the two probes of every level in one batch:
-    # delta is half the gap down to the highest level below u (position p - 1);
-    # section a already holds the inverse at each level
-    checked = []
-    probes = []
-    for (u, p), at in zip(walk, inverses):
-        if p == 0:  # u = inf G, where the left limit is undefined
-            continue
-        delta = (u - fn._levels[p - 1]) / 2
-        checked.append((u, at))
-        probes += (u - delta, u - delta / 2)
-    probed = fn.gen_inverse_many(probes)
-    violations_lc = []
-    for (u, at), far, near in zip(checked, probed[::2], probed[1::2]):
-        assert is_finite(far) and is_finite(near)
-        limit = 2 * near - far
-        if limit != at:
-            violations_lc.append({"point": u, "lhs": limit, "rhs": at})
+    # section a already holds the inverse at each level; u = inf G (p = 0) has no left limit
+    checked = [(w, at) for w, at in zip(walk, inverses) if w[1]]
+    limits = fn._left_limits([w for w, _ in checked])
+    violations_lc = [
+        {"point": u, "lhs": limit, "rhs": at}
+        for ((u, _), at), limit in zip(checked, limits)
+        if limit != at
+    ]
 
     return Report(
         "lemma",

@@ -20,8 +20,9 @@ drawn as integer indices k of corners k/1000 (:class:`IndexBox`), and
 The sweeps compare pairs by integer cross-multiplication, so a ``Fraction``
 is built only where a value leaves the sweep: ``code_value`` and
 ``eval_grid`` (one per point, for callers that want the values), one per box
-in :func:`vertex_sum`, and one per witness in the verifiers.  The point-wise
-``eval`` of every family keeps returning a ``Fraction``.
+in :func:`vertex_sum`, and one per witness in the verifiers.  There is no
+second evaluation path: ``eval`` at one point is the sweep of a grid with one
+point per axis, and the independent oracles live in the tests.
 
 :func:`check_df_axioms` probes all of this exactly on seeded random boxes and
 on the structural breakpoints of the family, and returns a report; failures
@@ -165,7 +166,7 @@ class AxisSeparable(ABC):
 
     @abstractmethod
     def axis_codes(self, axis: int, values: Sequence[ExtScalar]) -> list:
-        """Codes of ``values`` along a 0-based axis; raises as ``eval`` would."""
+        """Codes of ``values`` along a 0-based axis; raises on a value outside its domain."""
 
     @abstractmethod
     def code_ratio(self, codes: Sequence) -> Ratio:
@@ -174,6 +175,13 @@ class AxisSeparable(ABC):
     def code_value(self, codes: Sequence) -> Fraction:
         """Exact value at the point whose coordinates have ``codes``, one per axis."""
         return Fraction(*self.code_ratio(codes))
+
+    def eval(self, t: Sequence) -> Fraction:
+        """Exact value at the point ``t``: the sweep of a grid with one point per axis."""
+        point = tuple(t)
+        if len(point) != self.dim:
+            raise DomainError(f"point has {len(point)} coordinates, expected {self.dim}")
+        return self.code_value([self.axis_codes(i, (c,))[0] for i, c in enumerate(point)])
 
     def _code_product(self, axes: Axes) -> Iterator[tuple]:
         if len(axes) != self.dim:
@@ -199,17 +207,13 @@ class AxisSeparable(ABC):
 class MultivariateDf(AxisSeparable):
     """Shared contract of the concrete distribution-function families.
 
-    ``eval`` must implement the extended-real semantics (any -inf coordinate
-    gives 0 for cdf families, +inf coordinates drop the constraint), and the
-    margins are produced analytically from the family's own structure, never
-    by numeric extraction from the evaluator.
+    ``axis_codes`` and ``code_ratio`` must implement the extended-real
+    semantics (any -inf coordinate gives 0 for cdf families, +inf coordinates
+    drop the constraint), and the margins are produced analytically from the
+    family's own structure, never by numeric extraction from the evaluator.
     """
 
     family: ClassVar[str]
-
-    @abstractmethod
-    def eval(self, t: Point) -> Fraction:
-        """Exact value at a point with extended coordinates."""
 
     @abstractmethod
     def margin_fn(self, axis: int) -> MonotoneFn:
@@ -249,16 +253,10 @@ class MultivariateDf(AxisSeparable):
             his.append(hi)
         return tuple(los), tuple(his)
 
-    def _require_point(self, t) -> Point:
-        point = as_point(t)
-        if len(point) != self.dim:
-            raise DomainError(f"point has {len(point)} coordinates, expected {self.dim}")
-        return point
-
 
 def df_eval(df: MultivariateDf, t) -> Fraction:
     """Evaluate ``df`` at a point, validating the dimension."""
-    return df.eval(df._require_point(t))
+    return df.eval(t)
 
 
 def volume(df: MultivariateDf, box: Cuboid) -> Fraction:

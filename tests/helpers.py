@@ -1,17 +1,21 @@
 """Shared test plumbing: independent oracles and seeded random generators.
 
-Everything here deliberately avoids the closed-form code paths it is used to
-check: the scan oracle walks a literal grid of evaluation points, the
-knot-walk oracle finds each inverse by walking the knots in order, the
-right-increase test reads the knot structure directly, and the box-count
-and counting-df oracles walk the rows one by one with ``Fraction``
-comparisons, the grid and box oracles evaluate one point at a time, the seeded box
-oracle draws its corners as ``Fraction`` levels directly, and the grid-axis
-oracles build each axis with a set of ``lo + k/m * (hi - lo)`` points and
-apply the quantile transform to the sklar identity by hand, and the lemma
-report oracle makes only point-wise ``eval`` and inverse calls.  The
-combining oracles are the families' formulas in ``Fraction`` arithmetic, and
-the copula verifier oracles evaluate ``Copula.eval`` one point at a time.
+The library has one evaluation path: a single-point ``eval`` or inverse is
+a one-point call into the sweep kernels.  So every oracle here avoids the
+library's evaluation code altogether.  ``walk_eval`` interpolates G on the
+piece that holds x, found by a bisect over the knots, in ``Fraction``
+arithmetic, and the knot-walk oracle finds each inverse by walking the knots
+in order.  The scan oracle walks a literal grid of evaluation points, the
+right-increase test reads the knot structure directly, and the box-count and
+counting-df oracles walk the rows one by one with ``Fraction`` comparisons.
+``oracle_eval`` evaluates any df or copula at one point from these alone: the
+row scan for a counting df, the family's formula in ``Fraction`` arithmetic
+over ``walk_eval`` for a margin-composed df, and the knot-walk quantile
+transform for a copula.  The grid, box and verifier oracles call it one point
+at a time, the seeded box oracle draws its corners as ``Fraction`` levels
+directly, the grid-axis oracles build each axis with a set of
+``lo + k/m * (hi - lo)`` points, and the lemma report oracle uses only the
+walks.
 ``run_cli`` runs the command line in a child process that imports the
 package from this checkout's ``src``.
 """
@@ -23,6 +27,7 @@ import subprocess
 import sys
 from bisect import bisect_right
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -32,10 +37,12 @@ from copulacheck import (
     NEG_INF,
     POS_INF,
     ComonotoneDf,
+    Copula,
     CountermonotoneDf,
     Cuboid,
     DomainError,
     EmpiricalDf,
+    GridDf,
     Knot,
     MonotoneFn,
     ProductDf,
@@ -47,7 +54,7 @@ from copulacheck import (
     vertex_sum,
 )
 from copulacheck.mvdf import IndexBox, index_box_grid, random_index_boxes
-from copulacheck.scalars import as_scalar
+from copulacheck.scalars import as_ext, as_scalar, is_finite
 from copulacheck.sklar import _flat_report, _witness
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -95,7 +102,7 @@ def scan_inf(fn: MonotoneFn, u: Fraction, strict: bool, lo, hi, step):
     """First scan point whose value clears u, and its predecessor on the scan set."""
     prev = None
     for x in scan_points(fn, Fraction(lo), Fraction(hi), Fraction(step)):
-        v = fn.eval(x)
+        v = walk_eval(fn, x)
         if (v > u) if strict else (v >= u):
             return x, prev
         prev = x
@@ -158,18 +165,33 @@ def walk_left_limit(fn: MonotoneFn, u: Fraction) -> Fraction:
     return 2 * walk_inverse(fn, near, False) - walk_inverse(fn, far, False)
 
 
-def walk_eval_left(fn: MonotoneFn, x: Fraction) -> Fraction:
-    """Limit of G from below at x, interpolating on the piece that holds x."""
+def walk_eval(fn: MonotoneFn, x) -> Fraction:
+    """G(x), interpolating on the piece that holds x; the infinities map to inf G and sup G."""
+    x = as_ext(x)
+    if not is_finite(x):
+        return fn.inf_value if x == NEG_INF else fn.sup_value
     i = bisect_right(fn.knot_xs(), x) - 1
     if i < 0:
         return fn.inf_value
     k = fn.knots[i]
-    if x == k.x:
-        return k.left
-    if i == len(fn.knots) - 1:
+    if i == len(fn.knots) - 1 or x == k.x:
         return k.value
     nxt = fn.knots[i + 1]
     return k.value + (nxt.left - k.value) * (x - k.x) / (nxt.x - k.x)
+
+
+def walk_eval_left(fn: MonotoneFn, x: Fraction) -> Fraction:
+    """Limit of G from below at x: the left limit at a knot, and G(x) elsewhere, where G is continuous."""
+    at_knot = [k.left for k in fn.knots if k.x == x]
+    return at_knot[0] if at_knot else walk_eval(fn, x)
+
+
+def walk_level(fn: MonotoneFn, u) -> Fraction:
+    """u as an exact level of G; DomainError outside [inf G, sup G]."""
+    u = as_scalar(u)
+    if not fn.inf_value <= u <= fn.sup_value:
+        raise DomainError(f"level {u} outside the range [{fn.inf_value}, {fn.sup_value}]")
+    return u
 
 
 # -- structural right-increase oracle ------------------------------------------
@@ -338,22 +360,23 @@ def random_boxes(rng, pools, count: int) -> list[Cuboid]:
 
 
 def check_grid_against_points(obj, rng, pools, rounds: int = 3) -> None:
-    """``eval_grid`` against ``eval`` on random grids, and ``ratio_grid`` boxes through ``vertex_sum``.
+    """``eval_grid`` and ``eval`` against ``oracle_eval`` on random grids, and boxes through ``vertex_sum``.
 
-    Grid values must equal the point values in ``product`` order and have the
-    same type, so a grid path that yields an int or a float fails here.
+    Grid values and single-point values must equal the oracle in ``product``
+    order and be ``Fraction``s, so a path that yields an int or a float fails
+    here.
     """
     for _ in range(rounds):
         axes = random_axes(rng, pools)
-        got = list(obj.eval_grid(axes))
-        want = [obj.eval(p) for p in product(*axes)]
-        assert got == want, axes
-        assert [type(v) for v in got] == [type(v) for v in want], axes
+        want = [oracle_eval(obj, p) for p in product(*axes)]
+        for got in (list(obj.eval_grid(axes)), [obj.eval(p) for p in product(*axes)]):
+            assert got == want, axes
+            assert all(type(v) is Fraction for v in got), axes
         ratios = list(obj.ratio_grid(axes))
         assert all(d > 0 for _, d in ratios) and [Fraction(*r) for r in ratios] == want, axes
     for box in random_boxes(rng, pools, rounds):
         vol = vertex_sum(obj.ratio_grid, box)
-        assert type(vol) is Fraction and vol == naive_vertex_sum(obj.eval, box), box
+        assert type(vol) is Fraction and vol == naive_vertex_sum(partial(oracle_eval, obj), box), box
         if any(lo == hi for lo, hi in zip(box.a, box.b)):
             assert vol == 0, box
 
@@ -381,7 +404,7 @@ def oracle_unit_cuboids(seed: int, dim: int, count: int) -> list[Cuboid]:
 
 
 def check_index_boxes(obj, seed: int, count: int = 20) -> None:
-    """Volumes of a batch of index boxes against ``naive_vertex_sum(obj.eval)`` on the oracle's boxes.
+    """Volumes of a batch of index boxes against ``naive_vertex_sum`` of ``oracle_eval`` on the oracle's boxes.
 
     The batch also holds boxes with every corner at one of the indices 0,
     499, 500, 999 and 1000, where an index off by one or a lattice with the
@@ -395,7 +418,7 @@ def check_index_boxes(obj, seed: int, count: int = 20) -> None:
     grid_fn = index_box_grid(obj, index_boxes)
     for index_box, box in zip(index_boxes, boxes):
         vol = vertex_sum(grid_fn, index_box)
-        assert type(vol) is Fraction and vol == naive_vertex_sum(obj.eval, box), box
+        assert type(vol) is Fraction and vol == naive_vertex_sum(partial(oracle_eval, obj), box), box
 
 
 # -- grid-axis oracles ----------------------------------------------------------------
@@ -438,17 +461,17 @@ def oracle_lemma_grids(fn: MonotoneFn, m: int):
 
 
 def oracle_sklar_identity(df, m: int, box=None) -> Report:
-    """F on the merged grid against F on its quantile transform, each margin inverted by hand."""
+    """F on the merged grid against F on its quantile transform, each margin walked by hand."""
     margins = extract_copula(df).margins
     axes = oracle_df_axes(df, m, box)
     transformed = [
-        [margin.gen_inverse_right(margin.eval(x)) for x in axis_pts]
+        [walk_inverse(margin, walk_eval(margin, x), True) for x in axis_pts]
         for margin, axis_pts in zip(margins, axes)
     ]
     violations = []
     points = 0
-    sweep = zip(product(*axes), df.eval_grid(axes), df.eval_grid(transformed))
-    for x, expected, got in sweep:
+    for x, y in zip(product(*axes), product(*transformed)):
+        expected, got = oracle_eval(df, x), oracle_eval(df, y)
         points += 1
         if got != expected:
             violations.append(_witness(x, expected, got, "identity"))
@@ -459,25 +482,25 @@ def oracle_sklar_identity(df, m: int, box=None) -> Report:
 
 
 def oracle_lemma_report(fn: MonotoneFn, us, xs) -> Report:
-    """The lemma report computed one point at a time, with no batch kernel."""
-    us = [fn._require_level(u) for u in us]
+    """The lemma report computed one point at a time from the knot walks, with no library kernel."""
+    us = [walk_level(fn, u) for u in us]
     xs = [as_scalar(x) for x in xs]
 
-    inverses = [fn.gen_inverse(u) for u in us]
+    inverses = [walk_inverse(fn, u, False) for u in us]
     violations_a = []
     for u, inv in zip(us, inverses):
-        value = fn.eval(inv)
+        value = walk_eval(fn, inv)
         if value < u:
             violations_a.append({"point": u, "lhs": value, "rhs": u})
 
     violations_b = []
     ff_witnesses = []
     for x in xs:
-        level = fn.eval(x)
-        inv = fn.gen_inverse(level)
+        level = walk_eval(fn, x)
+        inv = walk_inverse(fn, level, False)
         if inv > x:
             violations_b.append({"point": x, "lhs": inv, "rhs": x})
-        lhs = fn.gen_inverse_right(level)
+        lhs = walk_inverse(fn, level, True)
         if not lhs >= x:
             raise AssertionError(f"one-sided bound violated at x={x}: lhs={lhs}")
         if lhs != x:
@@ -487,7 +510,7 @@ def oracle_lemma_report(fn: MonotoneFn, us, xs) -> Report:
     levels = [(u, at) for u, at in zip(us, inverses) if u != fn.inf_value]
     violations_lc = []
     for u, at in levels:
-        limit = fn.gen_inverse_left_limit(u)
+        limit = walk_left_limit(fn, u)
         if limit != at:
             violations_lc.append({"point": u, "lhs": limit, "rhs": at})
 
@@ -538,21 +561,36 @@ def oracle_counting_value(df, ranks) -> Fraction:
     return Fraction(weight, denominator)
 
 
+def oracle_eval(obj, t) -> Fraction:
+    """F(t) of a df, or C(t) of a copula, from the oracles alone, one point at a time.
+
+    A counting df is the row scan, a margin-composed df its family's formula
+    over ``walk_eval``, and a copula its source's oracle at the knot-walk
+    right-limit quantiles of ``t``.
+    """
+    if isinstance(obj, Copula):
+        quantiles = [walk_inverse(m, walk_level(m, s), True) for m, s in zip(obj.margins, t)]
+        return oracle_eval(obj.source, quantiles)
+    if isinstance(obj, (EmpiricalDf, GridDf)):
+        return scan_eval(obj, t)
+    return ORACLE_COMBINE[type(obj)]([walk_eval(m, c) for m, c in zip(obj.margins, t)])
+
+
 # -- point-wise oracles for the copula verifiers ---------------------------------------
 
 
 def oracle_copula_axioms(copula, n_cuboids: int, seed: int, m: int) -> Report:
-    """The copula axioms report from ``Copula.eval`` one point at a time and ``Fraction`` arithmetic."""
+    """The copula axioms report from ``oracle_eval`` one point at a time and ``Fraction`` arithmetic."""
     d = copula.dim
     violations = []
     for box in oracle_unit_cuboids(seed, d, n_cuboids):
-        vol = naive_vertex_sum(copula.eval, box)
+        vol = naive_vertex_sum(partial(oracle_eval, copula), box)
         if vol < 0:
             violations.append(_witness((box.a, box.b), Fraction(0), vol, "d_increasing"))
     points = n_cuboids
     for combo in product(*oracle_level_axes(copula, m)):
         points += 1
-        value = copula.eval(combo)
+        value = oracle_eval(copula, combo)
         if any(s == 0 for s in combo) and value != 0:
             violations.append(_witness(combo, Fraction(0), value, "grounded"))
         lower = max(sum(combo) - (d - 1), Fraction(0))
@@ -565,13 +603,13 @@ def oracle_copula_axioms(copula, n_cuboids: int, seed: int, m: int) -> Report:
 
 
 def oracle_uniform_margins(copula, m: int) -> Report:
-    """Every section C(1, .., s, .., 1) against s, from ``Copula.eval`` one point at a time."""
+    """Every section C(1, .., s, .., 1) against s, from ``oracle_eval`` one point at a time."""
     violations = []
     points = 0
     for i, levels in enumerate(oracle_level_axes(copula, m)):
         for s in levels:
             point = tuple(s if j == i else Fraction(1) for j in range(copula.dim))
-            got = copula.eval(point)
+            got = oracle_eval(copula, point)
             points += 1
             if got != s:
                 violations.append(_witness(point, s, got, f"margin_{i + 1}"))

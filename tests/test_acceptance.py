@@ -40,6 +40,8 @@ from helpers import (
     random_monotone,
     random_rows,
     run_cli,
+    walk_eval,
+    walk_inverse,
 )
 
 F = Fraction
@@ -87,7 +89,7 @@ def test_criterion_1_lemma_suite_on_random_corpus():
             assert failing == [x for x in xs if not is_right_increase(fn, x)], fn
             for w in ff.witnesses:
                 assert w["lhs"] > w["x"]
-                assert w["lhs"] == fn.gen_inverse_right(fn.eval(w["x"])), (fn, w)
+                assert w["lhs"] == walk_inverse(fn, walk_eval(fn, w["x"]), True), (fn, w)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"corpus run took {elapsed:.2f}s, budget is 10s"
 
@@ -103,7 +105,7 @@ def test_criterion_2_ff_counterexample_on_flat():
         # independent brute-force oracle with step 1/1000
         for x in (F(7, 10), F(3, 2)):
             assert_matches_scan(
-                g_flat, g_flat.eval(x), F(3, 2), strict=True, step=F(1, 1000)
+                g_flat, walk_eval(g_flat, x), F(3, 2), strict=True, step=F(1, 1000)
             )
 
 

@@ -1,10 +1,12 @@
-"""The batch kernels of ``MonotoneFn`` against its point-wise methods.
+"""The batch kernels of ``MonotoneFn`` against the knot-walk oracles in ``helpers``.
 
-``eval_many``, ``gen_inverse_many`` and ``gen_inverse_right_many`` must equal
-``eval``, ``gen_inverse`` and ``gen_inverse_right`` element by element, in
-value and in type, in any input order and with the same exceptions; the
-rewired ``lemma_report`` must equal its point-wise oracle; and the kernel
-tables must stay out of loading, equality, hashing, ``repr`` and payloads.
+``eval_many``, ``gen_inverse_many`` and ``gen_inverse_right_many``, and the
+single-point ``eval``, ``gen_inverse`` and ``gen_inverse_right`` that call
+them, must equal ``walk_eval`` and ``walk_inverse`` element by element, in
+value and in type, in any input order; a bad element anywhere must raise what
+the first bad element calls for; ``lemma_report`` must equal its oracle; and
+the kernel tables must stay out of loading, equality, hashing, ``repr`` and
+payloads.
 """
 
 import json
@@ -25,7 +27,14 @@ from copulacheck import (
     uniform_cdf,
 )
 from copulacheck.serialize import df_to_payload, dumps_payload, load_payload, monotone_to_payload
-from helpers import composed_dfs, monotone_fns, oracle_lemma_report, random_monotone
+from helpers import (
+    composed_dfs,
+    monotone_fns,
+    oracle_lemma_report,
+    random_monotone,
+    walk_eval,
+    walk_inverse,
+)
 
 F = Fraction
 NEG_INF, POS_INF = float("-inf"), float("inf")
@@ -67,35 +76,44 @@ def _check_kernels(fn: MonotoneFn, rng: random.Random) -> None:
     levels = [u for u in _between(fn.critical_levels()) if c <= u <= d]
     # ints take the same type check as Fractions
     for order in _orders([NEG_INF, POS_INF, int(xs[0]), *xs], rng):
-        _same_elementwise(fn.eval_many(order), [fn.eval(x) for x in order])
+        want = [walk_eval(fn, x) for x in order]
+        _same_elementwise(fn.eval_many(order), want)
+        _same_elementwise([fn.eval(x) for x in order], want)
     for order in _orders([*levels, *{int(u) for u in levels if u == int(u)}], rng):
-        _same_elementwise(fn.gen_inverse_many(order), [fn.gen_inverse(u) for u in order])
-        _same_elementwise(
-            fn.gen_inverse_right_many(order), [fn.gen_inverse_right(u) for u in order]
-        )
+        for strict, batch, point in (
+            (False, fn.gen_inverse_many, fn.gen_inverse),
+            (True, fn.gen_inverse_right_many, fn.gen_inverse_right),
+        ):
+            want = [walk_inverse(fn, u, strict) for u in order]
+            _same_elementwise(batch(order), want)
+            _same_elementwise([point(u) for u in order], want)
 
 
 def _check_errors(fn: MonotoneFn, rng: random.Random) -> None:
-    """A bad element anywhere raises what the point-wise loop raises first."""
+    """A bad element anywhere raises what its first bad element calls for.
+
+    A level that is not an exact rational is a ValidationError, one outside
+    [inf G, sup G] a DomainError; a point that is neither an exact rational
+    nor an infinity is a ValidationError.
+    """
     xs = list(fn.knot_xs())
     levels = list(fn.critical_levels())
     below, above = fn.inf_value - 1, fn.sup_value + F(1, 3)
     for bad in ([0.5], [NEG_INF], [below], [above], [0.5, above], [above, 0.5]):
+        want = ValidationError if isinstance(bad[0], float) else DomainError
         at = rng.randint(0, len(levels))
         us = levels[:at] + bad + levels[at:]
         for batch, point in (
             (fn.gen_inverse_many, fn.gen_inverse),
             (fn.gen_inverse_right_many, fn.gen_inverse_right),
         ):
-            want = _outcome(lambda: [point(u) for u in us])
-            assert want in (ValidationError, DomainError)
             assert _outcome(lambda: batch(us)) is want
+            assert _outcome(lambda: point(bad[0])) is want
     for bad in (0.5, float("nan"), "1"):
         at = rng.randint(0, len(xs))
         points = xs[:at] + [bad] + xs[at:]
-        want = _outcome(lambda: [fn.eval(x) for x in points])
-        assert want is ValidationError
-        assert _outcome(lambda: fn.eval_many(points)) is want
+        assert _outcome(lambda: fn.eval_many(points)) is ValidationError
+        assert _outcome(lambda: fn.eval(bad)) is ValidationError
 
 
 @given(monotone_fns(), st.integers(0, 2**32))
@@ -189,8 +207,10 @@ def test_kernel_tables_take_no_part_in_identity(fn):
     assert hash(twin) == hash(fn) and repr(twin) == repr(fn)
 
 
-def test_point_wise_methods_build_no_kernel_tables():
+@pytest.mark.parametrize(
+    "method", ["eval", "gen_inverse", "gen_inverse_right", "gen_inverse_left_limit"]
+)
+def test_single_point_methods_go_through_the_kernels(method):
     fn = uniform_cdf()
-    fn.eval(F(1, 2)), fn.gen_inverse(F(1, 2)), fn.gen_inverse_right(F(1, 2))
-    fn.gen_inverse_left_limit(F(1, 2))
-    assert fn._sweep is None
+    assert getattr(fn, method)(F(1, 2)) == F(1, 2)
+    assert fn._sweep is not None

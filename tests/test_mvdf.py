@@ -25,7 +25,7 @@ from copulacheck import (
 )
 from copulacheck import mvdf, sklar
 from copulacheck.mvdf import random_index_boxes
-from helpers import check_index_boxes, count_in_box, oracle_unit_cuboids, random_rows
+from helpers import check_index_boxes, count_in_box, oracle_eval, oracle_unit_cuboids, random_rows
 
 F = Fraction
 
@@ -78,6 +78,28 @@ def test_df_eval_extended_semantics(f_unif2, emp2):
 def test_df_eval_dimension_mismatch(f_unif2):
     with pytest.raises(DomainError):
         df_eval(f_unif2, (F(1, 2),))
+
+
+def _two_dim_subjects():
+    u = uniform_cdf()
+    cases = {
+        "empirical": empirical_from_rows([(0, 0), (1, 1)]),
+        "grid": grid_df([((0, 0), F(1, 2)), ((1, 1), F(1, 2))]),
+        "product": product_df([u, u]),
+        "comonotone": comonotone_df([u, u]),
+        "countermonotone": countermonotone_df(u, u),
+    }
+    cases["copula"] = extract_copula(cases["product"])
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_two_dim_subjects()))
+def test_eval_refuses_a_point_with_the_wrong_number_of_coordinates(name):
+    obj = _two_dim_subjects()[name]
+    for point in [(), (F(1, 2),), (F(1, 2),) * 3, (F(1, 2),) * 4]:
+        with pytest.raises(DomainError, match=f"point has {len(point)} coordinates, expected 2"):
+            obj.eval(point)
+    assert obj.eval((F(1, 2), F(1, 2))) == oracle_eval(obj, (F(1, 2), F(1, 2)))
 
 
 # -- volume ---------------------------------------------------------------------------
@@ -172,7 +194,7 @@ def test_margin_agrees_with_unconstrained_eval(emp2, f_unif2):
             m = df.margin_fn(i)
             for s in [F(-1), F(0), F(1, 4), F(1, 2), F(3, 4), F(1), F(2)]:
                 point = tuple(s if j == i else POS_INF for j in range(df.dim))
-                assert m.eval(s) == df.eval(point)
+                assert m.eval(s) == df.eval(point) == oracle_eval(df, point)
 
 
 # -- axiom checker --------------------------------------------------------------------

@@ -113,7 +113,9 @@ def _between(values):
 def _left_limit_probes(fn, u):
     """The levels at which gen_inverse_left_limit(u) evaluates the inverse."""
     spy, probes = MonotoneFn(fn.knots), []
-    object.__setattr__(spy, "gen_inverse", lambda v: probes.append(v) or fn.gen_inverse(v))
+    object.__setattr__(
+        spy, "gen_inverse_many", lambda vs: probes.extend(vs) or fn.gen_inverse_many(vs)
+    )
     spy.gen_inverse_left_limit(u)
     return tuple(probes)
 
