@@ -399,7 +399,7 @@ def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence) -> Report:
             ff_witnesses.append({"x": x, "lhs": lhs})
 
     # section a already holds the inverse at each level; u = inf G (p = 0) has no left limit
-    checked = [(w, at) for w, at in zip(walk, inverses) if w[1]]
+    checked = [((u, p), at) for (u, p), at in zip(walk, inverses) if p]
     limits = fn._left_limits([w for w, _ in checked])
     violations_lc = [
         {"point": u, "lhs": limit, "rhs": at}
