@@ -43,11 +43,27 @@ G_FLAT = make_monotone(
 )
 G_BERN = make_monotone([(0, 0, F(1, 2)), (1, F(1, 2), 1)])
 G_MIXED = make_monotone([(0, 0, 0), (F(1, 2), F(1, 4), F(1, 2)), (1, 1, 1)])
+G_CONST = make_monotone([(-1, F(1, 3), F(1, 3)), (2, F(1, 3), F(1, 3))])
+G_JUMP = make_monotone([(F(1, 2), 0, 1)])
+# negative abscissae and levels over primes near 10**6: the cross products
+# run far past machine words, and no two denominators share a factor
+G_PRIMES = make_monotone(
+    [
+        (F(-7, 999983), 0, F(1, 1000003)),
+        (F(-2, 999979), F(5, 1000033), F(500000, 1000037)),
+        (F(3, 1000039), F(500000, 1000037), F(999961, 1000081)),
+        (F(11, 999953), 1, 1),
+    ]
+)
 U = uniform_cdf()
 
 INPUTS = {
     "flat.json": monotone_to_payload(G_FLAT),
     "bern.json": monotone_to_payload(G_BERN),
+    "mixed.json": monotone_to_payload(G_MIXED),
+    "const.json": monotone_to_payload(G_CONST),
+    "jump.json": monotone_to_payload(G_JUMP),
+    "primes.json": monotone_to_payload(G_PRIMES),
     "emp.json": df_to_payload(
         empirical_from_rows([(0, 0), (1, 1), (1, 0), (F(1, 2), 1), (1, 1), (0, F(1, 2))])
     ),
@@ -67,6 +83,16 @@ CASES = {
     "lemma-flat": ["verify", "lemma", "flat.json"],
     "lemma-bern": ["verify", "lemma", "bern.json"],
     "lemma-flat-k1": ["verify", "lemma", "flat.json", "--grid", "8", "--max-witnesses", "1"],
+    # a jump inside a rising piece, a constant, a single jump, and large coprime
+    # denominators with negative abscissae
+    **{
+        f"lemma-{stem}-g8": ["verify", "lemma", f"{stem}.json", "--grid", "8"]
+        for stem in ("mixed", "const", "jump", "primes")
+    },
+    # more witnesses than the default keeps
+    "lemma-primes-all": [
+        "verify", "lemma", "primes.json", "--grid", "32", "--max-witnesses", "-1"
+    ],
     **{
         f"df-{stem}": ["verify", "df", f"{stem}.json", "--cuboids", "60"]
         for stem in ("emp", "grid", "product", "comonotone", "counter2")

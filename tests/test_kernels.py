@@ -163,7 +163,9 @@ def test_lemma_report_matches_oracle_on_seeded_corpus():
         assert lemma_report(fn, us, xs) == oracle_lemma_report(fn, us, xs)
 
 
-@pytest.mark.parametrize("name", ["flat.json", "bern.json"])
+@pytest.mark.parametrize(
+    "name", ["flat.json", "bern.json", "mixed.json", "const.json", "jump.json", "primes.json"]
+)
 @pytest.mark.parametrize("m", [8, 20])
 def test_lemma_report_matches_oracle_on_golden_inputs(name, m):
     fn = load_payload((GOLDEN_INPUTS / name).read_text(encoding="utf-8"))
