@@ -21,8 +21,9 @@ built on first use, and each value is the integer pair (weight, denominator).
 
 For the hooks of ``mvdf.AxisSeparable``, a counting family's ``axis_codes``
 are ranks and its ``code_ratio`` the pair (weight below them, denominator); a
-margin-composed family's codes are its margin values as (numerator,
-denominator) pairs and its ``code_ratio`` combines them by integer arithmetic
+margin-composed family's codes are its margin values as the (numerator,
+denominator) pairs the margins' knot walk returns, unreduced, with no
+``Fraction`` in between, and its ``code_ratio`` combines them by integer arithmetic
 (product, cross-multiplied minimum, lower bound over a common denominator).
 Every family evaluates one point with the shared ``AxisSeparable.eval``, a
 one-point sweep through the same two hooks; there is no other evaluation path.
@@ -220,10 +221,6 @@ def empirical_from_rows(rows: Iterable) -> EmpiricalDf:
 # -- margin-composed families ------------------------------------------------
 
 
-def _pair(v: Fraction) -> Ratio:
-    return v.numerator, v.denominator
-
-
 @dataclass(frozen=True)
 class _MarginComposedDf(MultivariateDf):
     """Base for families whose value combines the margin values at t."""
@@ -247,7 +244,7 @@ class _MarginComposedDf(MultivariateDf):
     eval = AxisSeparable.eval
 
     def axis_codes(self, axis: int, values: Sequence[ExtScalar]) -> list[Ratio]:
-        return [_pair(v) for v in self.margins[axis].eval_many(values)]
+        return self.margins[axis].eval_pairs(values)
 
     def margin_fn(self, axis: int) -> MonotoneFn:
         return self.margins[axis]
@@ -265,11 +262,9 @@ class _MarginComposedDf(MultivariateDf):
         xs = self.margins[axis].knot_xs()
         i = bisect_right(xs, x)
         delta = (xs[i] - x) / 2 if i < len(xs) else Fraction(1)
-        far, near = self.margins[axis].eval_many((x + delta, x + delta / 2))
-        codes = [
-            _pair(2 * near - far) if j == axis else self.axis_codes(j, (c,))[0]
-            for j, c in enumerate(t)
-        ]
+        far, near = self.margins[axis].eval_pairs((x + delta, x + delta / 2))
+        limit = 2 * near[0] * far[1] - far[0] * near[1], near[1] * far[1]
+        codes = [limit if j == axis else self.axis_codes(j, (c,))[0] for j, c in enumerate(t)]
         return self.code_value(codes), delta
 
     def to_payload(self) -> dict:

@@ -21,21 +21,20 @@ first position past u names the answer: a ``value_k`` is the jump at knot k,
 a ``left_k`` the affine crossing on the piece ending at knot k, and the end of
 the sequence +inf (Embrechts & Hofert, "A note on generalized inverses", 2013).
 
-One path computes G and its inverses: the batch kernels ``eval_many``,
-``gen_inverse_many`` and ``gen_inverse_right_many``.  One cursor walks the
-knot abscissae, or the level sequence, from where the previous point left it,
-comparing integer cross products of numerators and denominators, and an
-interior result is one ``Fraction`` built from integer coefficients of its
-piece.  Their tables are built on the first call.  The single-point ``eval``,
-``gen_inverse`` and ``gen_inverse_right`` are one-point calls into the same
-kernels; the independent oracles they are tested against live in the tests.
+One path computes G and its inverses: two kernels on integer pairs (a, b),
+b > 0, for a/b, with tables built on the first call.  The knot walk maps
+points to values of G; the level walk maps levels to their positions in the
+level sequence, which name the inverse.  ``eval_many``, ``gen_inverse_many``
+and ``gen_inverse_right_many`` wrap them and return ``Fraction``s,
+``eval_pairs`` the pairs, and the single-point methods are one-point calls;
+the independent oracles they are tested against live in the tests.
 
 The module also has a report runner checking, point by point, the classical
 inverse inequalities G(G^-1(u)) >= u and G^-1(G(x)) <= x, left-continuity of
-the inverse, and the round-trip identity gen_inverse_right(G(x)) == x.  The
-round-trip identity genuinely fails wherever G is not strictly increasing to
-the right of x (flat pieces, constant tails); those points are reported as
-witnesses, never raised as errors.
+the inverse, and the round-trip identity gen_inverse_right(G(x)) == x, each
+decided on the kernels' pairs.  The round-trip identity genuinely fails
+wherever G is not strictly increasing to the right of x (flat pieces, constant
+tails); those points are reported as witnesses, never raised as errors.
 
 All arithmetic is rational, so every verdict is exact with tolerance zero.
 """
@@ -45,11 +44,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import tee
+from math import gcd
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ValidationError
 from .report import Report, Section
-from .scalars import NEG_INF, POS_INF, ExtScalar, as_ext, as_scalar, is_finite
+from .scalars import NEG_INF, POS_INF, ExtScalar, Ratio, as_ext, as_scalar, is_finite
 
 
 @dataclass(frozen=True)
@@ -66,38 +67,49 @@ class Knot:
 _Piece = Optional[tuple[int, int, int]]
 
 
-def _piece(x0: Fraction, y0: Fraction, x1: Fraction, y1: Fraction) -> _Piece:
+def _piece(x0: Ratio, y0: Ratio, x1: Ratio, y1: Ratio) -> _Piece:
     """The affine map through (x0, y0) and (x1, y1), or None where it is flat or vertical."""
-    if y0 == y1 or x0 == x1:
+    (p0, q0), (r0, s0), (p1, q1), (r1, s1) = x0, y0, x1, y1
+    rise, run = (r1 * s0 - r0 * s1) * q0 * q1, (p1 * q0 - p0 * q1) * s0 * s1
+    if not rise or not run:
         return None
-    slope = (y1 - y0) / (x1 - x0)
-    intercept = y0 - slope * x0
-    return (
-        slope.numerator * intercept.denominator,
-        intercept.numerator * slope.denominator,
-        slope.denominator * intercept.denominator,
-    )
+    # y0 + rise / run * (p/q - x0), over the common denominator s0 q0 run q
+    alpha, beta, gamma = s0 * q0 * rise, r0 * q0 * run - s0 * p0 * rise, s0 * q0 * run
+    g = gcd(alpha, beta, gamma)
+    return alpha // g, beta // g, gamma // g
+
+
+def _sign(r: Ratio | float, a: int, b: int) -> int:
+    """The sign of r - a/b, for a pair or an infinity r."""
+    diff = r if r.__class__ is float else r[0] * b - a * r[1]
+    return (diff > 0) - (diff < 0)
+
+
+def _ext(r: Ratio | float) -> ExtScalar:
+    """A pair as its ``Fraction``; an infinity as itself."""
+    return r if r.__class__ is float else Fraction(*r)
 
 
 class _SweepTables:
-    """The batch kernels' tables: knot abscissae and levels as integer pairs, and the pieces.
+    """The kernels' tables: knot abscissae and levels as integer pairs, and the pieces.
 
     ``pieces[i]`` is G on [x_i, x_{i+1}); ``crossings[p]``, for even p, is
     the inverse on the levels between value_{p/2-1} and left_{p/2}.
+    ``cached`` maps each knot abscissa and level pair to its ``Fraction``.
     """
 
-    __slots__ = ("xn", "xd", "values", "pieces", "ln", "ld", "crossings")
+    __slots__ = ("xn", "xd", "values", "pieces", "ln", "ld", "crossings", "cached")
 
     def __init__(self, knots: Sequence[Knot], levels: Sequence[Fraction]) -> None:
-        self.xn = [k.x.numerator for k in knots]
-        self.xd = [k.x.denominator for k in knots]
-        self.values = [k.value for k in knots]
-        self.pieces = [_piece(k.x, k.value, nxt.x, nxt.left) for k, nxt in zip(knots, knots[1:])]
-        self.ln = [lv.numerator for lv in levels]
-        self.ld = [lv.denominator for lv in levels]
-        self.crossings: list[_Piece] = [None] * len(levels)
-        for k, (prev, nxt) in enumerate(zip(knots, knots[1:]), start=1):
-            self.crossings[2 * k] = _piece(prev.value, prev.x, nxt.left, nxt.x)
+        xs = [k.x.as_integer_ratio() for k in knots]
+        pairs = [lv.as_integer_ratio() for lv in levels]
+        (self.xn, self.xd), (self.ln, self.ld) = zip(*xs), zip(*pairs)
+        self.values = pairs[1::2]
+        self.pieces = list(map(_piece, xs, pairs[1::2], xs[1:], pairs[2::2]))
+        self.crossings: list[_Piece] = [None] * len(pairs)
+        self.crossings[2::2] = map(_piece, pairs[1::2], xs, pairs[2::2], xs[1:])
+        self.cached = dict(zip([*xs, *pairs], [*(k.x for k in knots), *levels]))
+        self.cached.update({NEG_INF: NEG_INF, POS_INF: POS_INF})
 
 
 def _coerce_knot(entry, index: int) -> Knot:
@@ -187,36 +199,47 @@ class MonotoneFn:
             object.__setattr__(self, "_sweep", _SweepTables(self.knots, self._levels))
         return self._sweep
 
-    def eval_many(self, xs: Iterable[ExtScalar]) -> list[Fraction]:
-        """Exact G at each of ``xs``, walking one cursor over the knot abscissae.
+    def _fractions(self, results: Iterable[Ratio | float]) -> list[ExtScalar]:
+        """Kernel results as extended scalars; knot abscissae and levels are the cached objects."""
+        cached = self._tables().cached
+        return [cached[r] if r in cached else Fraction(*r) for r in results]
 
-        The infinities map to the infimum and supremum.  The cursor moves
-        from the previous point's knot, so any order is correct and a sorted
-        sweep makes O(points + knots) integer comparisons.
+    def eval_many(self, xs: Iterable[ExtScalar]) -> list[Fraction]:
+        """Exact G at each of ``xs``; the infinities map to the infimum and supremum."""
+        return self._fractions(self.eval_pairs(xs))
+
+    def eval_pairs(self, xs: Iterable[ExtScalar]) -> list[Ratio]:
+        """Exact G at each of ``xs`` as a pair; the infinities map to the infimum and supremum."""
+        xs = list(map(as_ext, xs))
+        walked = iter(self._knot_walk([x.as_integer_ratio() for x in xs if is_finite(x)]))
+        lo, hi = self.inf_value.as_integer_ratio(), self.sup_value.as_integer_ratio()
+        return [next(walked) if is_finite(x) else lo if x == NEG_INF else hi for x in xs]
+
+    def _knot_walk(self, pairs: Iterable[Ratio]) -> list[Ratio]:
+        """G at each finite point (a, b), walking one cursor over the knot abscissae.
+
+        One bisect places the cursor for the first point, then it moves from the
+        previous point's knot: a sorted sweep costs O(points + knots), one point O(log knots).
         """
         t = self._tables()
         xn, xd, values, pieces = t.xn, t.xd, t.values, t.pieces
-        last = len(xn) - 1
-        inf, sup = self.inf_value, self.sup_value
-        out = []
-        i = -1  # the last knot at or below x, -1 below the first
-        for x in xs:
-            x = as_ext(x)
-            if not is_finite(x):
-                out.append(inf if x == NEG_INF else sup)
-                continue
-            a, b = x.numerator, x.denominator
+        last, below = len(xn) - 1, (t.ln[0], t.ld[0])
+        out: list[Ratio] = []
+        i = None  # the last knot at or below the point, -1 below the first
+        for a, b in pairs:
+            if i is None:
+                i = bisect_left(range(last + 1), True, key=lambda k: xn[k] * b > a * xd[k]) - 1
             while i < last and xn[i + 1] * b <= a * xd[i + 1]:
                 i += 1
             while i >= 0 and xn[i] * b > a * xd[i]:
                 i -= 1
             if i < 0:
-                out.append(inf)
+                out.append(below)
             elif i == last or pieces[i] is None:
                 out.append(values[i])
             else:
                 alpha, beta, gamma = pieces[i]
-                out.append(Fraction(alpha * a + beta * b, gamma * b))
+                out.append((alpha * a + beta * b, gamma * b))
         return out
 
     def eval_left(self, x) -> Fraction:
@@ -238,92 +261,99 @@ class MonotoneFn:
         """inf { x : G(x) > u }; +inf at u = sup G, where the set is empty."""
         return self.gen_inverse_right_many((u,))[0]
 
-    def _level_walk(self, us: Iterable, strict: bool) -> Iterator[tuple[Fraction, int]]:
-        """Each level, checked to lie in [inf G, sup G], with its position in ``_levels``.
+    def _level_walk(self, pairs: Iterable[Ratio], strict: bool) -> list[int]:
+        """The position in ``_levels`` of each level (a, b), checked to lie in [inf G, sup G].
 
-        The position counts the levels below u, or at or below u when
-        ``strict``: ``bisect_left`` and ``bisect_right``, found by one cursor
-        that moves from the previous level's position.
+        It counts the levels below a/b, or at or below it when ``strict``, with
+        a cursor placed like the knot walk's.  ``pairs`` is read one at a time,
+        so a range error comes before any later element is coerced.
         """
         t = self._tables()
         ln, ld = t.ln, t.ld
-        lo_n, lo_d, hi_n, hi_d = ln[0], ld[0], ln[-1], ld[-1]
-        end = len(ln)
-        p = 0
-        for u in us:
-            u = as_scalar(u)
-            a, b = u.numerator, u.denominator
+        lo_n, lo_d, hi_n, hi_d, end = ln[0], ld[0], ln[-1], ld[-1], len(ln)
+        # on integers, level <= u is level - u < 1 and level < u is level - u < 0
+        s = 1 if strict else 0
+        out: list[int] = []
+        p = None
+        for a, b in pairs:
             if lo_n * b > a * lo_d or a * hi_d > hi_n * b:
                 raise DomainError(
-                    f"level {u} outside the range [{self.inf_value}, {self.sup_value}]"
+                    f"level {Fraction(a, b)} outside the range [{self.inf_value}, {self.sup_value}]"
                 )
-            if strict:
-                while p < end and ln[p] * b <= a * ld[p]:
-                    p += 1
-                while p > 0 and ln[p - 1] * b > a * ld[p - 1]:
-                    p -= 1
-            else:
-                while p < end and ln[p] * b < a * ld[p]:
-                    p += 1
-                while p > 0 and ln[p - 1] * b >= a * ld[p - 1]:
-                    p -= 1
-            yield u, p
+            if p is None:
+                p = bisect_left(range(end), True, key=lambda k: ln[k] * b - a * ld[k] >= s)
+            while p < end and ln[p] * b - a * ld[p] < s:
+                p += 1
+            while p > 0 and ln[p - 1] * b - a * ld[p - 1] >= s:
+                p -= 1
+            out.append(p)
+        return out
 
-    def _inverses(self, walk: Iterable[tuple[Fraction, int]]) -> list[ExtScalar]:
-        """The inverse at each (u, p) of a level walk.
+    def _inverse_pairs(self, pairs: Iterable[Ratio], positions: Iterable[int]) -> list:
+        """The inverse at each level (a, b) and its level-walk position, as a pair or an infinity.
 
-        p is the first position in ``_levels`` whose level clears u: a
-        ``value_k`` names the jump at knot k, a ``left_k`` the affine crossing
-        on the piece ending at knot k, and the end of the sequence +inf.
+        A ``value_k`` names the jump at knot k, a ``left_k`` the affine crossing
+        on the piece ending at knot k, position 0 -inf and the end +inf.
         """
-        xs, crossings = self._xs, self._tables().crossings
+        t = self._tables()
+        xn, xd, crossings = t.xn, t.xd, t.crossings
         end = len(crossings)
-        out: list[ExtScalar] = []
-        for u, p in walk:
-            if p == 0:  # only gen_inverse at u = inf G
+        out: list[Ratio | float] = []
+        for (a, b), p in zip(pairs, positions):
+            if p == 0:
                 out.append(NEG_INF)
             elif p == end:
                 out.append(POS_INF)
             elif p % 2:
-                out.append(xs[p // 2])
+                out.append((xn[p // 2], xd[p // 2]))
             else:
                 alpha, beta, gamma = crossings[p]
-                a, b = u.numerator, u.denominator
-                out.append(Fraction(alpha * a + beta * b, gamma * b))
+                out.append((alpha * a + beta * b, gamma * b))
         return out
+
+    def _checked_levels(self, us: Iterable, strict: bool) -> tuple[list[Ratio], list[int]]:
+        """Each of ``us`` as a pair, with its level-walk position; the first bad one raises."""
+        pairs, checked = tee(as_scalar(u).as_integer_ratio() for u in us)
+        positions = self._level_walk(checked, strict)
+        return list(pairs), positions
 
     def gen_inverse_many(self, us: Iterable) -> list[ExtScalar]:
         """inf { x : G(x) >= u } for each of ``us``, walking one cursor over the knot levels."""
-        return self._inverses(self._level_walk(us, strict=False))
+        return self._fractions(self._inverse_pairs(*self._checked_levels(us, strict=False)))
 
     def gen_inverse_right_many(self, us: Iterable) -> list[ExtScalar]:
         """inf { x : G(x) > u } for each of ``us``, walking one cursor over the knot levels."""
-        return self._inverses(self._level_walk(us, strict=True))
+        return self._fractions(self._inverse_pairs(*self._checked_levels(us, strict=True)))
 
     def gen_inverse_left_limit(self, u) -> Fraction:
         """Exact limit of gen_inverse from below at u, for u in (inf G, sup G]."""
-        ((u, p),) = self._level_walk((u,), strict=False)
-        if p == 0:
+        pairs, positions = self._checked_levels((u,), strict=False)
+        if positions[0] == 0:
             raise DomainError(f"left limit of the inverse undefined at the infimum {u}")
-        return self._left_limits([(u, p)])[0]
+        return self._fractions(self._left_limits(pairs, positions))[0]
 
-    def _left_limits(self, walk: Sequence[tuple[Fraction, int]]) -> list[Fraction]:
-        """The limit of gen_inverse from below at each (u, p > 0) of a non-strict level walk.
+    def _left_limits(self, pairs: Sequence[Ratio], positions: Sequence[int]) -> list[Ratio]:
+        """The limit of gen_inverse from below at each level u = a/b of non-strict position p > 0.
 
         On a level window free of knot levels the inverse is affine (inside a
-        strictly rising piece) or constant (across a jump), so two probes just
-        below u extrapolate the limit exactly, as 2 G^-1(u - delta/2) -
-        G^-1(u - delta).  The window spans half the gap down to the highest
-        level below u, at position p - 1, which exists because u > inf G.  The
-        probes of every level go through one ``gen_inverse_many`` call.
+        strictly rising piece) or constant (across a jump), so with c/e the
+        level at p - 1, 2 G^-1(near) - G^-1(far) is the limit exactly for
+        far = (u + c/e) / 2 and near = (3u + c/e) / 4, probed in one level walk.
         """
-        probes = []
-        for u, p in walk:
-            delta = (u - self._levels[p - 1]) / 2
-            probes += (u - delta, u - delta / 2)
-        probed = self.gen_inverse_many(probes)
-        assert all(map(is_finite, probed))
-        return [2 * near - far for far, near in zip(probed[::2], probed[1::2])]
+        t = self._tables()
+        ln, ld = t.ln, t.ld
+        probes: list[Ratio] = []
+        for (a, b), p in zip(pairs, positions):
+            c, e = ln[p - 1], ld[p - 1]
+            ae, cb, be = a * e, c * b, b * e
+            probes += ((ae + cb, 2 * be), (3 * ae + cb, 4 * be))
+        probed = self._inverse_pairs(probes, self._level_walk(probes, strict=False))
+        if any(r.__class__ is float for r in probed):
+            raise AssertionError(f"left-limit probe with an infinite inverse: {probed}")
+        return [
+            (2 * near_n * far_d - far_n * near_d, near_d * far_d)
+            for (far_n, far_d), (near_n, near_d) in zip(probed[::2], probed[1::2])
+        ]
 
 
 def make_monotone(knots: Iterable) -> MonotoneFn:
@@ -376,41 +406,47 @@ def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence) -> Report:
     sides of the failed comparison.  The ``ff`` section checks the round trip
     gen_inverse_right(G(x)) == x; its one-sided bound lhs >= x holds for every
     valid MonotoneFn and is asserted, while equality failures are witnesses.
+    Comparisons are integer cross-multiplications on the kernels' pairs.
     """
-    walk = list(fn._level_walk(us, strict=False))
+    pairs, positions = fn._checked_levels(us, strict=False)
     xs = [as_scalar(x) for x in xs]
 
-    inverses = fn._inverses(walk)
+    inverses = fn._inverse_pairs(pairs, positions)
+    # p = 0 is u = inf G, where G(G^-1(u)) = G(-inf) = u
+    checked = [(pair, p, at) for pair, p, at in zip(pairs, positions, inverses) if p]
     violations_a = []
-    for (u, _), inv, value in zip(walk, inverses, fn.eval_many(inverses)):
-        if value < u:
-            violations_a.append({"point": u, "lhs": value, "rhs": u})
+    for ((a, b), _, _), value in zip(checked, fn._knot_walk(at for _, _, at in checked)):
+        if _sign(value, a, b) < 0:
+            u = Fraction(a, b)
+            violations_a.append({"point": u, "lhs": Fraction(*value), "rhs": u})
 
-    levels = fn.eval_many(xs)
+    points = [x.as_integer_ratio() for x in xs]
+    levels = fn._knot_walk(points)
     violations_b = []
     ff_witnesses = []
-    sweep = zip(xs, fn.gen_inverse_many(levels), fn.gen_inverse_right_many(levels))
-    for x, inv, lhs in sweep:
-        if inv > x:
-            violations_b.append({"point": x, "lhs": inv, "rhs": x})
-        if not lhs >= x:
-            raise AssertionError(f"one-sided bound violated at x={x}: lhs={lhs}")
-        if lhs != x:
-            ff_witnesses.append({"x": x, "lhs": lhs})
+    low = fn._inverse_pairs(levels, fn._level_walk(levels, strict=False))
+    high = fn._inverse_pairs(levels, fn._level_walk(levels, strict=True))
+    for x, (a, b), inv, lhs in zip(xs, points, low, high):
+        if _sign(inv, a, b) > 0:
+            violations_b.append({"point": x, "lhs": _ext(inv), "rhs": x})
+        side = _sign(lhs, a, b)
+        if side < 0:
+            raise AssertionError(f"one-sided bound violated at x={x}: lhs={_ext(lhs)}")
+        if side:
+            ff_witnesses.append({"x": x, "lhs": _ext(lhs)})
 
-    # section a already holds the inverse at each level; u = inf G (p = 0) has no left limit
-    checked = [((u, p), at) for (u, p), at in zip(walk, inverses) if p]
-    limits = fn._left_limits([w for w, _ in checked])
+    # section a already holds the inverse at each level; u = inf G has no left limit
+    limits = fn._left_limits([c[0] for c in checked], [c[1] for c in checked])
     violations_lc = [
-        {"point": u, "lhs": limit, "rhs": at}
-        for ((u, _), at), limit in zip(checked, limits)
-        if limit != at
+        {"point": Fraction(*pair), "lhs": Fraction(*limit), "rhs": Fraction(*at)}
+        for (pair, _, at), limit in zip(checked, limits)
+        if _sign(limit, *at)
     ]
 
     return Report(
         "lemma",
         (
-            Section("a", "violations_a", len(walk), tuple(violations_a), "pass_a"),
+            Section("a", "violations_a", len(pairs), tuple(violations_a), "pass_a"),
             Section("b", "violations_b", len(xs), tuple(violations_b), "pass_b"),
             Section(
                 "left_continuity",

@@ -43,13 +43,11 @@ from .errors import DomainError, ValidationError
 from .monotone import MonotoneFn
 from .report import Report, Section
 from .rng import SplitMix64
-from .scalars import NEG_INF, POS_INF, ExtScalar, as_ext
+from .scalars import NEG_INF, POS_INF, ExtScalar, Ratio, as_ext
 
 Point = tuple[ExtScalar, ...]
 # the per-axis coordinates of a product grid
 Axes = Sequence[Sequence[ExtScalar]]
-# an exact value as (numerator, denominator): the denominator is positive, the pair not reduced
-Ratio = tuple[int, int]
 RatioGridFn = Callable[[Axes], Iterable[Ratio]]
 # random box corners lie on the lattice k/LATTICE, 0 <= k <= LATTICE
 LATTICE = 1000

@@ -16,6 +16,8 @@ from .errors import ValidationError
 
 Scalar = Fraction
 ExtScalar = Union[Fraction, float]
+# an exact value as (numerator, denominator): the denominator is positive, the pair not reduced
+Ratio = tuple[int, int]
 
 NEG_INF: float = float("-inf")
 POS_INF: float = float("inf")

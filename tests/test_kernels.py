@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from copulacheck import (
     DomainError,
@@ -39,6 +39,15 @@ from helpers import (
 F = Fraction
 NEG_INF, POS_INF = float("-inf"), float("inf")
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+LEMMA_INPUTS = ["flat.json", "bern.json", "mixed.json", "const.json", "jump.json", "primes.json"]
+
+
+def _golden_fn(name: str) -> MonotoneFn:
+    return load_payload((GOLDEN_INPUTS / name).read_text(encoding="utf-8"))
+
+
+# negative abscissae and levels over primes near 10**6
+G_PRIMES = _golden_fn("primes.json")
 
 
 def _between(values):
@@ -133,6 +142,19 @@ def test_kernels_on_seeded_corpus():
         _check_errors(fn, shuffle)
 
 
+@pytest.mark.parametrize("name", LEMMA_INPUTS)
+def test_kernels_start_at_the_far_end_and_walk_back(name):
+    """The first element lies at or beyond the last knot or level; the rest walk back down."""
+    fn = _golden_fn(name)
+    xs = _between(fn.knot_xs())
+    for order in ([xs[-1], *reversed(xs)], [fn.knot_xs()[-1], *xs]):
+        _same_elementwise(fn.eval_many(order), [walk_eval(fn, x) for x in order])
+    levels = [u for u in _between(fn.critical_levels()) if fn.inf_value <= u <= fn.sup_value]
+    for order in ([fn.sup_value, *reversed(levels)], [fn.sup_value, *levels]):
+        for strict, batch in ((False, fn.gen_inverse_many), (True, fn.gen_inverse_right_many)):
+            _same_elementwise(batch(order), [walk_inverse(fn, u, strict) for u in order])
+
+
 def test_kernels_on_empty_input(g_flat):
     assert g_flat.eval_many([]) == g_flat.gen_inverse_many([]) == []
     assert g_flat.gen_inverse_right_many(iter(())) == []
@@ -143,6 +165,9 @@ def test_kernels_on_empty_input(g_flat):
 
 @given(monotone_fns(), st.integers(1, 12), st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
+@example(G_PRIMES, 8, 0)
+@example(G_PRIMES, 3, 1)
+@example(G_PRIMES, 12, 2)
 def test_lemma_report_matches_oracle(fn, m, seed):
     us, xs = GridSpec(m).lemma_grids(fn)
     assert lemma_report(fn, us, xs) == oracle_lemma_report(fn, us, xs)
@@ -163,12 +188,10 @@ def test_lemma_report_matches_oracle_on_seeded_corpus():
         assert lemma_report(fn, us, xs) == oracle_lemma_report(fn, us, xs)
 
 
-@pytest.mark.parametrize(
-    "name", ["flat.json", "bern.json", "mixed.json", "const.json", "jump.json", "primes.json"]
-)
+@pytest.mark.parametrize("name", LEMMA_INPUTS)
 @pytest.mark.parametrize("m", [8, 20])
 def test_lemma_report_matches_oracle_on_golden_inputs(name, m):
-    fn = load_payload((GOLDEN_INPUTS / name).read_text(encoding="utf-8"))
+    fn = _golden_fn(name)
     us, xs = GridSpec(m).lemma_grids(fn)
     assert lemma_report(fn, us, xs) == oracle_lemma_report(fn, us, xs)
 
@@ -183,6 +206,31 @@ def test_lemma_report_raises_as_oracle(g_bern):
         want = _outcome(lambda: oracle_lemma_report(g_bern, us, xs))
         assert want in (ValidationError, DomainError)
         assert _outcome(lambda: lemma_report(g_bern, us, xs)) is want
+
+
+def _corrupted_uniform(table: str, index: int, piece: tuple[int, int, int]) -> MonotoneFn:
+    """The uniform cdf on [0, 1] with one entry of its kernel tables replaced."""
+    fn = uniform_cdf()
+    getattr(fn._tables(), table)[index] = piece
+    return fn
+
+
+def test_lemma_sections_a_and_b_fire_on_corrupted_tables():
+    us, xs = GridSpec(8).lemma_grids(uniform_cdf())
+    # G computed as x/2 on [0, 1): G(G^-1(u)) = u/2 < u at each level inside (0, 1); the
+    # points stay off the open piece, where G^-1(G(x)) = x/2 < x would break the ff bound
+    fn = _corrupted_uniform("pieces", 0, (1, 0, 2))
+    a, b, _, _ = lemma_report(fn, us, [F(-1), F(0), F(1), F(2)]).sections
+    assert a.witnesses == tuple(
+        {"point": F(k, 8), "lhs": F(k, 16), "rhs": F(k, 8)} for k in range(1, 8)
+    )
+    assert b.witnesses == ()
+    # G^-1 computed as u + 1/16 on (0, 1]: G^-1(G(x)) = x + 1/16 > x for x in (0, 1]
+    a, b, _, _ = lemma_report(_corrupted_uniform("crossings", 2, (16, 1, 16)), us, xs).sections
+    assert a.witnesses == ()
+    assert b.witnesses == tuple(
+        {"point": x, "lhs": x + F(1, 16), "rhs": x} for x in (F(1, 8), F(1, 2), F(7, 8), F(1))
+    )
 
 
 # -- laziness ------------------------------------------------------------------------

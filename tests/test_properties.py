@@ -111,13 +111,15 @@ def _between(values):
 
 
 def _left_limit_probes(fn, u):
-    """The levels at which gen_inverse_left_limit(u) evaluates the inverse."""
-    spy, probes = MonotoneFn(fn.knots), []
+    """The levels at which gen_inverse_left_limit(u) evaluates the inverse: its last level walk."""
+    spy, walks = MonotoneFn(fn.knots), []
     object.__setattr__(
-        spy, "gen_inverse_many", lambda vs: probes.extend(vs) or fn.gen_inverse_many(vs)
+        spy,
+        "_level_walk",
+        lambda pairs, strict: walks.append(list(pairs)) or fn._level_walk(walks[-1], strict),
     )
     spy.gen_inverse_left_limit(u)
-    return tuple(probes)
+    return tuple(F(*pair) for pair in walks[-1])
 
 
 @given(monotone_fns())
