@@ -3,10 +3,11 @@
 ``eval_many``, ``gen_inverse_many`` and ``gen_inverse_right_many``, and the
 single-point ``eval``, ``gen_inverse`` and ``gen_inverse_right`` that call
 them, must equal ``walk_eval`` and ``walk_inverse`` element by element, in
-value and in type, in any input order; a bad element anywhere must raise what
-the first bad element calls for; ``lemma_report`` must equal its oracle; and
-the kernel tables must stay out of loading, equality, hashing, ``repr`` and
-payloads.
+value and in type, in any input order and from either end first; a bad
+element anywhere must raise what the first bad element calls for;
+``lemma_report`` must equal its oracle, and its sections a and b must fire on
+deliberately corrupted tables; and the kernel tables must stay out of loading,
+equality, hashing, ``repr`` and payloads.
 """
 
 import json
