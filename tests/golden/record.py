@@ -2,11 +2,11 @@
 
     python3 tests/golden/record.py
 
-Writes every input payload to ``inputs/``, runs each case in CASES through
-``copulacheck.cli.main`` from ``inputs/``, and stores the case's stdout in
-``out/<name>.txt`` and its argv and exit code in ``cases.json``.  Re-record
-only for an intended output change, and say in CHANGES.md why the bytes moved;
-the replay test never writes here.
+Writes every input payload, and the CSV that ``ingest`` reads, to ``inputs/``,
+runs each case in CASES through ``copulacheck.cli.main`` from ``inputs/``, and
+stores the case's stdout in ``out/<name>.txt`` and its argv and exit code in
+``cases.json``.  Re-record only for an intended output change, and say in
+CHANGES.md why the bytes moved; the replay test never writes here.
 """
 
 from __future__ import annotations
@@ -77,7 +77,11 @@ INPUTS = {
     "counter2.json": df_to_payload(countermonotone_df(U, G_MIXED)),
     # the lower bound extended to three margins is not a df: negative volumes
     "counter3.json": df_to_payload(CountermonotoneDf((U, U, U))),
+    # ingest input: a header line, a decimal, rationals, an exponent, a negative
+    # value and a duplicate row
+    "data.csv": "x,y\n0.3,1/2\n-5/4,2\n2.5e-1,0\n0.3,1/2\n1,-1/3\n",
 }
+DF_AXES = {"emp": 2, "grid": 2, "product": 2, "comonotone": 2, "counter2": 2, "counter3": 3}
 
 CASES = {
     "lemma-flat": ["verify", "lemma", "flat.json"],
@@ -141,6 +145,21 @@ CASES = {
     },
     "eval-emp-all-inf": ["eval", "emp.json", "--", "+inf,+inf"],
     "eval-emp-wrong-dim": ["eval", "emp.json", "1/2"],
+    # the payload emitters: ingest writes an empirical df, margin a monotone function
+    "ingest-csv": ["ingest", "data.csv", "--has-header"],
+    "ingest-csv-no-header": ["ingest", "data.csv"],
+    **{
+        f"margin-{stem}-{axis}": ["margin", f"{stem}.json", str(axis)]
+        for stem, dim in DF_AXES.items()
+        for axis in range(1, dim + 1)
+    },
+    "margin-emp-out-of-range": ["margin", "emp.json", "3"],
+    **{
+        f"volume-{stem}-{label}": ["volume", f"{stem}.json", "--", a, b]
+        for stem in ("emp", "grid", "product")
+        for label, a, b in (("finite", "0,0", "1,1"), ("inf", "-inf,1/4", "1/2,+inf"))
+    },
+    **{f"extract-{stem}": ["extract", f"{stem}.json", "--grid", "4"] for stem in ("emp", "grid")},
 }
 
 
@@ -148,7 +167,8 @@ def main() -> None:
     (GOLDEN / "inputs").mkdir(exist_ok=True)
     (GOLDEN / "out").mkdir(exist_ok=True)
     for name, payload in INPUTS.items():
-        (GOLDEN / "inputs" / name).write_text(dumps_payload(payload), encoding="utf-8")
+        text = payload if isinstance(payload, str) else dumps_payload(payload)
+        (GOLDEN / "inputs" / name).write_text(text, encoding="utf-8")
     os.chdir(GOLDEN / "inputs")
     manifest = []
     for name, argv in CASES.items():
