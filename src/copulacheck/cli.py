@@ -15,7 +15,6 @@ comes from ``sklar.GridSpec``; ``--grid M`` only sets its resolution.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import product as iter_product
 from pathlib import Path
@@ -116,7 +115,7 @@ def cmd_extract(args) -> int:
         for combo, value in zip(iter_product(*axes), copula.eval_grid(axes))
     ]
     payload = {"dim": copula.dim, "grid_m": args.grid, "values": values}
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
+    _emit(serialize.dumps_payload(payload), args.output)
     return 0
 
 
@@ -144,7 +143,7 @@ def cmd_verify(args) -> int:
 
 def cmd_ingest(args) -> int:
     rows = serialize.rows_from_csv(_read_text(args.csv_path), has_header=args.has_header)
-    payload = EmpiricalDf(rows).to_payload()
+    payload = serialize.df_to_payload(EmpiricalDf(rows))
     _emit(serialize.dumps_payload(payload), args.output)
     return 0
 

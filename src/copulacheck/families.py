@@ -27,6 +27,8 @@ denominator) pairs the margins' knot walk returns, unreduced, with no
 (product, cross-multiplied minimum, lower bound over a common denominator).
 Every family evaluates one point with the shared ``AxisSeparable.eval``, a
 one-point sweep through the same two hooks; there is no other evaluation path.
+The classes know nothing of the JSON payload format: ``serialize`` writes and
+reads the payloads of all five families.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import ValidationError
 from .monotone import MonotoneFn, step_cdf
 from .mvdf import AxisSeparable, MultivariateDf, Point, Ratio, ratio_lower_bound, ratio_min
-from .scalars import ExtScalar, as_ext, as_scalar, fmt, is_finite
+from .scalars import ExtScalar, as_ext, as_scalar, is_finite
 
 
 def _sorted_gap_delta(values: Sequence[Fraction]) -> Fraction:
@@ -205,13 +207,6 @@ class EmpiricalDf(_CountingDf):
     def _weighted_points(self) -> tuple[Sequence[tuple[Fraction, ...]], Sequence[int], int]:
         return self.rows, [1] * len(self.rows), len(self.rows)
 
-    def to_payload(self) -> dict:
-        return {
-            "family": self.family,
-            "dim": self.dim,
-            "rows": [[fmt(v) for v in row] for row in self.rows],
-        }
-
 
 def empirical_from_rows(rows: Iterable) -> EmpiricalDf:
     """Empirical cdf of a finite dataset; rows must be rectangular and non-empty."""
@@ -266,15 +261,6 @@ class _MarginComposedDf(MultivariateDf):
         limit = 2 * near[0] * far[1] - far[0] * near[1], near[1] * far[1]
         codes = [limit if j == axis else self.axis_codes(j, (c,))[0] for j, c in enumerate(t)]
         return self.code_value(codes), delta
-
-    def to_payload(self) -> dict:
-        from .serialize import monotone_to_payload
-
-        return {
-            "family": self.family,
-            "dim": self.dim,
-            "margins": [monotone_to_payload(m) for m in self.margins],
-        }
 
 
 @dataclass(frozen=True)
@@ -392,16 +378,6 @@ class GridDf(_CountingDf):
         denominator = lcm(*(gm.mass.denominator for gm in self.masses))
         weights = [gm.mass.numerator * (denominator // gm.mass.denominator) for gm in self.masses]
         return [gm.point for gm in self.masses], weights, denominator
-
-    def to_payload(self) -> dict:
-        return {
-            "family": self.family,
-            "dim": self.dim,
-            "masses": [
-                {"point": [fmt(c) for c in gm.point], "mass": fmt(gm.mass)}
-                for gm in self.masses
-            ],
-        }
 
 
 def grid_df(masses: Iterable) -> GridDf:

@@ -205,6 +205,8 @@ class AxisSeparable(ABC):
 class MultivariateDf(AxisSeparable):
     """Shared contract of the concrete distribution-function families.
 
+    The contract is the two axis hooks, the margins, the breakpoints and the
+    right limits; the payload format is not part of it (``serialize`` owns it).
     ``axis_codes`` and ``code_ratio`` must implement the extended-real
     semantics (any -inf coordinate gives 0 for cdf families, +inf coordinates
     drop the constraint), and the margins are produced analytically from the
@@ -230,10 +232,6 @@ class MultivariateDf(AxisSeparable):
         margin-composed families extrapolate the margin inside a knot-free
         window before re-applying the family's combining operation.
         """
-
-    @abstractmethod
-    def to_payload(self) -> dict:
-        """JSON-ready payload; exact scalars are emitted as rational strings."""
 
     def support_box(self) -> tuple[Point, Point]:
         """Smallest axis-aligned box containing all structural breakpoints.

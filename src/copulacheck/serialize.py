@@ -1,15 +1,19 @@
 """JSON payloads, report emission, and CSV ingestion.
 
+This module owns the payload format: it writes and reads every payload, and
+:func:`dumps_payload` fixes the layout of every JSON document the CLI prints.
+
 All scalars travel as strings: exact decimals ("0.3") and rational strings
 ("3/10") are accepted on input; emission always canonicalizes to rational
 strings so that loading and re-emitting a payload is byte-stable.  The two
 infinities are "-inf" and "+inf".
 
-Payload loading is deliberately lenient about semantics: it validates shape
-and parses values exactly, but does not re-run the semantic checks of the
-public constructors (mass totals, dimension restrictions).  That keeps broken
-instances loadable as verification subjects; ``check_df_axioms`` is the judge
-of whether a payload actually is a distribution function.
+Payload loading is deliberately lenient about semantics: it validates shape,
+parses values exactly and checks the declared ``dim``, but does not re-run the
+semantic checks of the public constructors (mass totals, dimension
+restrictions).  That keeps broken instances loadable as verification
+subjects; ``check_df_axioms`` is the judge of whether a payload actually is a
+distribution function.
 """
 
 from __future__ import annotations
@@ -69,15 +73,29 @@ def monotone_from_payload(obj) -> MonotoneFn:
 # -- distribution functions ------------------------------------------------------
 
 
+# the margin-composed families share one payload shape, told apart by the tag
+_COMPOSED = {cls.family: cls for cls in (ProductDf, ComonotoneDf, CountermonotoneDf)}
+
+
 def df_to_payload(df: MultivariateDf) -> dict:
-    return df.to_payload()
+    """JSON-ready payload of a df of one of the five families."""
+    if isinstance(df, EmpiricalDf):
+        body = {"rows": [[fmt(v) for v in row] for row in df.rows]}
+    elif isinstance(df, GridDf):
+        masses = [{"point": [fmt(c) for c in gm.point], "mass": fmt(gm.mass)} for gm in df.masses]
+        body = {"masses": masses}
+    elif isinstance(df, tuple(_COMPOSED.values())):
+        body = {"margins": [monotone_to_payload(m) for m in df.margins]}
+    else:
+        raise ValidationError(f"no payload format for {type(df).__name__}: not a df family")
+    return {"family": df.family, "dim": df.dim, **body}
 
 
-def _parse_margins(obj, family: str) -> tuple[MonotoneFn, ...]:
-    margins = obj.get("margins")
-    if not isinstance(margins, list) or not margins:
-        raise ValidationError(f'{family} payload needs a non-empty "margins" list')
-    return tuple(monotone_from_payload(m) for m in margins)
+def _entries(obj: dict, key: str, family: str) -> list:
+    entries = obj.get(key)
+    if not isinstance(entries, list) or not entries:
+        raise ValidationError(f'{family} payload needs a non-empty "{key}" list')
+    return entries
 
 
 def df_from_payload(obj) -> MultivariateDf:
@@ -85,27 +103,15 @@ def df_from_payload(obj) -> MultivariateDf:
         raise ValidationError("df payload must be an object")
     family = obj.get("family")
     if family == "empirical":
-        rows = obj.get("rows")
-        if not isinstance(rows, list) or not rows:
-            raise ValidationError('empirical payload needs a non-empty "rows" list')
         parsed = []
-        for i, row in enumerate(rows):
+        for i, row in enumerate(_entries(obj, "rows", family)):
             if not isinstance(row, list):
                 raise ValidationError(f"row {i + 1}: expected a list")
             parsed.append(tuple(parse_scalar(str(v)) for v in row))
-        return EmpiricalDf(tuple(parsed))
-    if family == "product":
-        return ProductDf(_parse_margins(obj, family))
-    if family == "comonotone":
-        return ComonotoneDf(_parse_margins(obj, family))
-    if family == "countermonotone":
-        return CountermonotoneDf(_parse_margins(obj, family))
-    if family == "grid":
-        masses = obj.get("masses")
-        if not isinstance(masses, list) or not masses:
-            raise ValidationError('grid payload needs a non-empty "masses" list')
+        df = EmpiricalDf(tuple(parsed))
+    elif family == "grid":
         built = []
-        for i, entry in enumerate(masses):
+        for i, entry in enumerate(_entries(obj, "masses", family)):
             if not isinstance(entry, dict) or "point" not in entry or "mass" not in entry:
                 raise ValidationError(f'mass {i + 1}: expected {{"point", "mass"}}')
             built.append(
@@ -114,8 +120,19 @@ def df_from_payload(obj) -> MultivariateDf:
                     mass=parse_scalar(str(entry["mass"])),
                 )
             )
-        return GridDf(tuple(built))
-    raise ValidationError(f"unknown df family {family!r}")
+        df = GridDf(tuple(built))
+    elif isinstance(family, str) and family in _COMPOSED:
+        margins = _entries(obj, "margins", family)
+        df = _COMPOSED[family](tuple(monotone_from_payload(m) for m in margins))
+    else:
+        raise ValidationError(f"unknown df family {family!r}")
+    # checked on the built df, so the dimension is the one its data give
+    dim = obj.get("dim")
+    if type(dim) is not int or dim != df.dim:
+        raise ValidationError(
+            f'{family} payload needs "dim": {df.dim}, the dimension of its data; got {dim!r}'
+        )
+    return df
 
 
 def load_payload(text: str):
@@ -137,6 +154,7 @@ def load_payload(text: str):
 
 
 def dumps_payload(payload: dict) -> str:
+    """The one text layout of emitted JSON: two-space indent and a final newline."""
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -174,4 +192,4 @@ def rows_from_csv(text: str, has_header: bool = False) -> tuple[tuple, ...]:
 
 def report_to_json(report, max_witnesses: int = 20) -> str:
     """Deterministic pretty JSON of a report, ending in a newline."""
-    return json.dumps(report.to_json_dict(max_witnesses), indent=2) + "\n"
+    return dumps_payload(report.to_json_dict(max_witnesses))

@@ -216,6 +216,15 @@ def test_verify_df_flags_corrupted_payload(workdir):
     assert report["pass"] is False and report["volume_violations"]
 
 
+def test_payload_with_a_wrong_dim_exits_2(workdir):
+    (workdir / "dim5.json").write_text(
+        json.dumps({"family": "empirical", "dim": 5, "rows": [["0", "1"], ["1", "0"]]})
+    )
+    r = run_cli("verify", "df", "dim5.json", cwd=workdir)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == 'error: empirical payload needs "dim": 2, the dimension of its data; got 5\n'
+
+
 def test_ingest_round_trip_identity(workdir):
     r1 = run_cli("ingest", "rows.csv", cwd=workdir)
     assert r1.returncode == 0

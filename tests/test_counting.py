@@ -37,7 +37,7 @@ from copulacheck import (
     verify_uniform_margins,
 )
 from copulacheck import cli
-from copulacheck.serialize import dumps_payload, load_payload
+from copulacheck.serialize import df_to_payload, dumps_payload, load_payload
 from helpers import (
     check_grid_against_points,
     check_index_boxes,
@@ -207,16 +207,16 @@ def test_rank_index_is_invisible(tmp_path):
     assert cli.main(["ingest", str(tmp_path / "data.csv"), "-o", str(emp_path)]) == 0
     grid_path = tmp_path / "grid.json"
     grid = _grid_payload_df([(F(0), F(1)), (F(1), F(0)), (F(2), F(2))], [F(1, 4), F(1, 4), F(1, 2)])
-    grid_path.write_text(dumps_payload(grid.to_payload()), encoding="utf-8")
+    grid_path.write_text(dumps_payload(df_to_payload(grid)), encoding="utf-8")
     for path in (emp_path, grid_path):
         text = path.read_text(encoding="utf-8")
         df, fresh = load_payload(text), load_payload(text)
-        before = (repr(df), hash(df), df.to_payload())
+        before = (repr(df), hash(df), df_to_payload(df))
         verify_sklar_identity(df, GridSpec(4))
         assert df._index._table is not None and fresh._index is None
-        assert (repr(df), hash(df), df.to_payload()) == before
+        assert (repr(df), hash(df), df_to_payload(df)) == before
         assert df == fresh and fresh == df and hash(df) == hash(fresh)
-        assert dumps_payload(df.to_payload()) == text
+        assert dumps_payload(df_to_payload(df)) == text
 
         outs = []
         for k in range(2):

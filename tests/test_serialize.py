@@ -5,6 +5,9 @@ import pytest
 
 from copulacheck import (
     CountermonotoneDf,
+    EmpiricalDf,
+    GridDf,
+    MultivariateDf,
     ValidationError,
     check_df_axioms,
     comonotone_df,
@@ -60,13 +63,75 @@ def test_df_payload_round_trip_all_families(g_bern, g_flat):
         comonotone_df([g_flat, u]),
         countermonotone_df(u, u),
         grid_df([((0, 0), F(1, 2)), ((1, 1), F(1, 2))]),
+        # instances that only a payload builds, not the public constructors
+        CountermonotoneDf((u, u, u)),
+        GridDf((((0, 0), F(1, 2)), ((1, 0), F(-1, 4)), ((1, 1), F(3, 4)))),  # negative mass
+        GridDf((((0,), F(1, 3)), ((2,), F(1, 5)))),  # total not 1
+        EmpiricalDf(((F(1, 2), F(0)), (F(1, 2), F(0)), (F(1), F(-3, 7)))),  # duplicate rows
     ]
     for df in dfs:
         payload = df_to_payload(df)
         loaded = df_from_payload(payload)
-        assert loaded == df
+        assert loaded == df and type(loaded) is type(df)
         # emission is canonical: one more trip is byte-stable
         assert dumps_payload(df_to_payload(loaded)) == dumps_payload(payload)
+
+
+def test_df_to_payload_refuses_a_df_outside_the_families():
+    class BareDf(MultivariateDf):
+        dim = 1
+
+        def axis_codes(self, axis, values):
+            return list(values)
+
+        def code_ratio(self, codes):
+            return 0, 1
+
+        def margin_fn(self, axis):
+            return uniform_cdf()
+
+        def axis_breakpoints(self, axis):
+            return (F(0),)
+
+        def axis_right_limit(self, t, axis):
+            return F(0), F(1)
+
+    with pytest.raises(ValidationError, match="no payload format for BareDf"):
+        df_to_payload(BareDf())
+
+
+EMP_ROWS = [["0", "1"], ["1", "0"]]
+GRID_1D = [{"point": ["0"], "mass": "1"}]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"family": "empirical", "dim": 5, "rows": EMP_ROWS},
+        {"family": "empirical", "rows": EMP_ROWS},
+        {"family": "empirical", "dim": None, "rows": EMP_ROWS},
+        {"family": "empirical", "dim": "2", "rows": EMP_ROWS},
+        {"family": "empirical", "dim": 2.0, "rows": EMP_ROWS},
+        {"family": "grid", "dim": "x", "masses": GRID_1D},
+        {"family": "grid", "dim": True, "masses": GRID_1D},
+        {"family": "grid", "dim": 2, "masses": GRID_1D},
+        {"family": "product", "dim": 3, "margins": [{"knots": [{"x": 0, "left": 0, "value": 1}]}]},
+    ],
+    ids=["too-large", "missing", "null", "string", "float", "not-a-number", "true", "too-small",
+         "composed"],
+)
+def test_df_payload_dim_must_match_its_data(payload):
+    with pytest.raises(ValidationError, match='needs "dim": [123], the dimension of its data'):
+        load_payload(json.dumps(payload))
+
+
+def test_df_payload_dim_is_checked_after_family_and_shape():
+    with pytest.raises(ValidationError, match="unknown df family 'cauchy'"):
+        load_payload('{"family": "cauchy", "dim": "x"}')
+    with pytest.raises(ValidationError, match='grid payload needs a non-empty "masses" list'):
+        load_payload('{"family": "grid", "dim": "x", "masses": []}')
+    with pytest.raises(ValidationError, match="row 2: expected 2 columns, got 1"):
+        load_payload('{"family": "empirical", "dim": 5, "rows": [["0", "1"], ["1"]]}')
 
 
 def test_lenient_load_of_broken_countermonotone():
