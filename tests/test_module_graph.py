@@ -19,17 +19,13 @@ def _imported_modules(node: ast.AST) -> set[str]:
     if isinstance(node, ast.ImportFrom) and node.level:
         # "from .families import X" names one module, "from . import serialize" each name
         names = [node.module] if node.module else [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.module == "copulacheck":
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        full = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+        names = [n.removeprefix("copulacheck.") for n in full if n.startswith("copulacheck.")]
     else:
-        if isinstance(node, ast.Import):
-            absolute = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module == "copulacheck":
-            absolute = [f"copulacheck.{alias.name}" for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            absolute = [node.module]
-        else:
-            return set()
-        prefix = "copulacheck."
-        names = [name.removeprefix(prefix) for name in absolute if name.startswith(prefix)]
+        return set()
     return {name.split(".")[0] for name in names} & MODULES.keys()
 
 
