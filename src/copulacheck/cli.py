@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="convert a CSV dataset to an empirical df JSON")
     p.add_argument("csv_path")
-    p.add_argument("--has-header", action="store_true", help="skip the first CSV line")
+    p.add_argument("--has-header", action="store_true", help="skip the first non-blank CSV record")
     add_output(p)
     p.set_defaults(func=cmd_ingest)
 

@@ -27,6 +27,9 @@ denominator) pairs the margins' knot walk returns, unreduced, with no
 (product, cross-multiplied minimum, lower bound over a common denominator).
 Every family evaluates one point with the shared ``AxisSeparable.eval``, a
 one-point sweep through the same two hooks; there is no other evaluation path.
+Right limits share the offset rule ``mvdf.right_deltas``: ``axis_right_codes``
+codes a counting axis at x + delta, and reads a margin-composed axis as
+2 G(x + delta/2) - G(x + delta) off one ``eval_pairs`` call.
 The classes know nothing of the JSON payload format: ``serialize`` writes and
 reads the payloads of all five families.
 """
@@ -43,14 +46,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
 from .monotone import MonotoneFn, step_cdf
-from .mvdf import AxisSeparable, MultivariateDf, Point, Ratio, ratio_lower_bound, ratio_min
-from .scalars import ExtScalar, as_ext, as_scalar, is_finite
-
-
-def _sorted_gap_delta(values: Sequence[Fraction]) -> Fraction:
-    """Half the smallest positive gap between sorted values (1 if fewer than two)."""
-    gaps = [b - a for a, b in zip(values, values[1:]) if b > a]
-    return min(gaps) / 2 if gaps else Fraction(1)
+from .mvdf import AxisSeparable, MultivariateDf, Ratio, ratio_lower_bound, ratio_min
+from .scalars import ExtScalar, as_ext, as_scalar
 
 
 def _require_cdf_margins(margins: Sequence[MonotoneFn], what: str) -> tuple[MonotoneFn, ...]:
@@ -87,7 +84,6 @@ class _RankIndex:
     ):
         dim = len(points[0])
         self.axes = tuple(tuple(sorted({p[i] for p in points})) for i in range(dim))
-        self.deltas = tuple(_sorted_gap_delta(bps) for bps in self.axes)
         merged: dict[tuple[int, ...], int] = {}
         for p, w in zip(points, weights):
             ranks = tuple(map(bisect_right, self.axes, p))
@@ -167,10 +163,8 @@ class _CountingDf(MultivariateDf):
     def axis_breakpoints(self, axis: int) -> tuple[Fraction, ...]:
         return self._rank_index().axes[axis]
 
-    def axis_right_limit(self, t: Point, axis: int) -> tuple[Fraction, Fraction]:
-        delta = self._rank_index().deltas[axis]
-        shifted = tuple(c + delta if j == axis else c for j, c in enumerate(t))
-        return self.eval(shifted), delta
+    def axis_right_codes(self, axis: int, xs: Sequence[ExtScalar], deltas: Sequence[Fraction]) -> list[int]:
+        return self.axis_codes(axis, [x + d for x, d in zip(xs, deltas)])
 
 
 @dataclass(frozen=True)
@@ -184,7 +178,7 @@ class EmpiricalDf(_CountingDf):
     eval = AxisSeparable.eval
     margin_fn = _CountingDf.margin_fn
     axis_breakpoints = _CountingDf.axis_breakpoints
-    axis_right_limit = _CountingDf.axis_right_limit
+    axis_right_limit = MultivariateDf.axis_right_limit
 
     def __post_init__(self) -> None:
         if not self.rows:
@@ -235,8 +229,9 @@ class _MarginComposedDf(MultivariateDf):
     def code_ratio(self, codes: Sequence[Ratio]) -> Ratio:
         """The family's combining operation on the margin values, one pair per axis."""
 
-    # bench/spans.py traces this by name in the class's own __dict__
+    # bench/spans.py traces these by name in the class's own __dict__
     eval = AxisSeparable.eval
+    axis_right_limit = MultivariateDf.axis_right_limit
 
     def axis_codes(self, axis: int, values: Sequence[ExtScalar]) -> list[Ratio]:
         return self.margins[axis].eval_pairs(values)
@@ -247,20 +242,12 @@ class _MarginComposedDf(MultivariateDf):
     def axis_breakpoints(self, axis: int) -> tuple[Fraction, ...]:
         return self.margins[axis].knot_xs()
 
-    def axis_right_limit(self, t: Point, axis: int) -> tuple[Fraction, Fraction]:
-        if not is_finite(t[axis]):
-            raise ValidationError("right limit probes need a finite coordinate")
-        # both probes land strictly inside the knot-free window (x, next knot), on
-        # which the margin is a single affine piece, so 2 G(x + delta/2) - G(x + delta)
-        # is the limit exactly
-        x = t[axis]
-        xs = self.margins[axis].knot_xs()
-        i = bisect_right(xs, x)
-        delta = (xs[i] - x) / 2 if i < len(xs) else Fraction(1)
-        far, near = self.margins[axis].eval_pairs((x + delta, x + delta / 2))
-        limit = 2 * near[0] * far[1] - far[0] * near[1], near[1] * far[1]
-        codes = [limit if j == axis else self.axis_codes(j, (c,))[0] for j, c in enumerate(t)]
-        return self.code_value(codes), delta
+    def axis_right_codes(self, axis: int, xs: Sequence[ExtScalar], deltas: Sequence[Fraction]) -> list[Ratio]:
+        # both probes lie in the knot-free window ]x, x + 2 delta[, on which the margin is
+        # one affine piece, so 2 G(x + delta/2) - G(x + delta) is the limit exactly
+        probes = [p for x, d in zip(xs, deltas) for p in (x + d, x + d / 2)]
+        pairs = self.margins[axis].eval_pairs(probes)
+        return [(2 * nn * fd - fn * nd, nd * fd) for (fn, fd), (nn, nd) in zip(pairs[::2], pairs[1::2])]
 
 
 @dataclass(frozen=True)
@@ -349,7 +336,7 @@ class GridDf(_CountingDf):
     eval = AxisSeparable.eval
     margin_fn = _CountingDf.margin_fn
     axis_breakpoints = _CountingDf.axis_breakpoints
-    axis_right_limit = _CountingDf.axis_right_limit
+    axis_right_limit = MultivariateDf.axis_right_limit
 
     def __post_init__(self) -> None:
         masses = tuple(

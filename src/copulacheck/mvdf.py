@@ -24,26 +24,31 @@ in :func:`vertex_sum`, and one per witness in the verifiers.  There is no
 second evaluation path: ``eval`` at one point is the sweep of a grid with one
 point per axis, and the independent oracles live in the tests.
 
+Right limits take one offset rule, :func:`right_deltas`, and one hook,
+``axis_right_codes``, which codes a whole axis's right limits at once.
+
 :func:`check_df_axioms` probes all of this exactly on seeded random boxes and
-on the structural breakpoints of the family, and returns a report; failures
-are report entries carrying exact witnesses, never exceptions.
+on the structural breakpoints of the family (each axis coded once at x and
+once at the right limit), and returns a report; failures are report entries
+carrying exact witnesses, never exceptions.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product as iter_product
-from math import gcd
+from math import gcd, prod
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ValidationError
 from .monotone import MonotoneFn
 from .report import Report, Section
 from .rng import SplitMix64
-from .scalars import NEG_INF, POS_INF, ExtScalar, Ratio, as_ext
+from .scalars import NEG_INF, POS_INF, ExtScalar, Ratio, as_ext, is_finite
 
 Point = tuple[ExtScalar, ...]
 # the per-axis coordinates of a product grid
@@ -145,6 +150,12 @@ def ratio_min(ratios: Iterable[Ratio]) -> Ratio:
     return best_n, best_d
 
 
+def right_deltas(breakpoints: Sequence[Fraction], xs: Sequence[ExtScalar]) -> list[Fraction]:
+    """The right-limit offset of each x: half the gap to the next breakpoint, else 1 (also at +-inf)."""
+    nexts, last = [bisect_right(breakpoints, x) for x in xs], len(breakpoints)
+    return [(breakpoints[i] - x) / 2 if i < last and is_finite(x) else Fraction(1) for x, i in zip(xs, nexts)]
+
+
 def ratio_lower_bound(ratios: Sequence[Ratio]) -> Ratio:
     """W(s) = max(sum s_i - (d-1), 0), the sum taken over the product of the denominators."""
     num, den = 0, 1
@@ -174,12 +185,14 @@ class AxisSeparable(ABC):
         """Exact value at the point whose coordinates have ``codes``, one per axis."""
         return Fraction(*self.code_ratio(codes))
 
+    def _point_codes(self, t: Sequence) -> list:
+        if len(t) != self.dim:
+            raise DomainError(f"point has {len(t)} coordinates, expected {self.dim}")
+        return [self.axis_codes(i, (c,))[0] for i, c in enumerate(t)]
+
     def eval(self, t: Sequence) -> Fraction:
         """Exact value at the point ``t``: the sweep of a grid with one point per axis."""
-        point = tuple(t)
-        if len(point) != self.dim:
-            raise DomainError(f"point has {len(point)} coordinates, expected {self.dim}")
-        return self.code_value([self.axis_codes(i, (c,))[0] for i, c in enumerate(point)])
+        return self.code_value(self._point_codes(tuple(t)))
 
     def _code_product(self, axes: Axes) -> Iterator[tuple]:
         if len(axes) != self.dim:
@@ -205,12 +218,12 @@ class AxisSeparable(ABC):
 class MultivariateDf(AxisSeparable):
     """Shared contract of the concrete distribution-function families.
 
-    The contract is the two axis hooks, the margins, the breakpoints and the
-    right limits; the payload format is not part of it (``serialize`` owns it).
-    ``axis_codes`` and ``code_ratio`` must implement the extended-real
-    semantics (any -inf coordinate gives 0 for cdf families, +inf coordinates
-    drop the constraint), and the margins are produced analytically from the
-    family's own structure, never by numeric extraction from the evaluator.
+    The contract is the three axis hooks, the margins and the breakpoints; the
+    payload format is not part of it (``serialize`` owns it).  ``axis_codes``
+    and ``code_ratio`` must implement the extended-real semantics (any -inf
+    coordinate gives 0 for cdf families, +inf coordinates drop the
+    constraint), and the margins are produced analytically from the family's
+    own structure, never by numeric extraction from the evaluator.
     """
 
     family: ClassVar[str]
@@ -224,14 +237,19 @@ class MultivariateDf(AxisSeparable):
         """Sorted distinct coordinates where structure changes along a 0-based axis."""
 
     @abstractmethod
-    def axis_right_limit(self, t: Point, axis: int) -> tuple[Fraction, Fraction]:
-        """Exact one-sided limit of eval along ``axis`` at ``t``: (limit, probe delta).
+    def axis_right_codes(self, axis: int, xs: Sequence[ExtScalar], deltas: Sequence[Fraction]) -> list:
+        """Codes of the right limits at ``xs`` along a 0-based axis, from :func:`right_deltas`.
 
-        Computed independently of the plain evaluation path: counting families
-        shift the coordinate by less than the smallest positive data gap, and
-        margin-composed families extrapolate the margin inside a knot-free
-        window before re-applying the family's combining operation.
+        No breakpoint lies in ]x, x + 2 delta[, so the limit is read there.
         """
+
+    def axis_right_limit(self, t: Sequence, axis: int) -> tuple[Fraction, Fraction]:
+        """Exact limit of eval from the right along ``axis`` at ``t``: (limit, probe delta)."""
+        point = tuple(t)
+        codes, x = self._point_codes(point), (as_ext(point[axis]),)
+        deltas = right_deltas(self.axis_breakpoints(axis), x)
+        codes[axis] = self.axis_right_codes(axis, x, deltas)[0]
+        return self.code_value(codes), deltas[0]
 
     def support_box(self) -> tuple[Point, Point]:
         """Smallest axis-aligned box containing all structural breakpoints.
@@ -311,25 +329,16 @@ def index_box_grid(fn: AxisSeparable, boxes: Sequence[IndexBox]) -> RatioGridFn:
 # -- axiom checking ------------------------------------------------------------
 
 
-def _probe_points(df: MultivariateDf, seed: int, cap: int) -> list[Point]:
-    """Breakpoint-grid points where right-continuity is probed.
+def _probe_indices(sizes: Sequence[int], seed: int, cap: int) -> list[tuple[int, ...]]:
+    """Per-axis breakpoint indices of the right-continuity probes: all, or ``cap`` drawn.
 
-    The full cartesian product of per-axis breakpoints is used when it has at
-    most ``cap`` points; otherwise ``cap`` points are sampled deterministically
-    (one per-axis index draw each) from a stream seeded with ``seed + 1`` so
-    the sample is independent of the cuboid stream.
+    Each drawn point takes one index draw per axis from a stream seeded with
+    ``seed + 1``, so the sample is independent of the cuboid stream.
     """
-    axes = [df.axis_breakpoints(i) for i in range(df.dim)]
-    total = 1
-    for bps in axes:
-        total *= len(bps)
-    if total <= cap:
-        return [tuple(p) for p in iter_product(*axes)]
+    if prod(sizes) <= cap:
+        return list(iter_product(*map(range, sizes)))
     rng = SplitMix64(seed + 1)
-    points = []
-    for _ in range(cap):
-        points.append(tuple(bps[rng.below(len(bps))] for bps in axes))
-    return points
+    return [tuple(rng.below(size) for size in sizes) for _ in range(cap)]
 
 
 def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int) -> Report:
@@ -339,8 +348,9 @@ def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int) -> Report:
     limit conditions expect 0 whenever one coordinate is -inf and 1 at the
     all-+inf point.  Right-continuity is probed along every axis at breakpoint
     grid points (at most ``PROBE_POINTS``), comparing the value with the
-    independently computed one-sided limit.  The probes are breakpoints only,
-    so they take no k/m grid from ``sklar.GridSpec``, the one grid builder.
+    one-sided limit by cross-multiplying their pairs.  The probes are
+    breakpoints only, so they take no k/m grid from ``sklar.GridSpec``, the
+    one grid builder.
     """
     if n_cuboids < 1:
         raise ValidationError(f"n_cuboids must be >= 1, got {n_cuboids}")
@@ -358,28 +368,31 @@ def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int) -> Report:
     mid = tuple((l + h) / 2 for l, h in zip(lo, hi))
     limit_points = []
     for i in range(df.dim):
-        for others in (POS_INF, None):
-            point = tuple(
-                NEG_INF if j == i else (others if others is not None else mid[j])
-                for j in range(df.dim)
-            )
-            limit_points.append((point, Fraction(0)))
-    limit_points.append((tuple(POS_INF for _ in range(df.dim)), Fraction(1)))
+        for others in ((POS_INF,) * df.dim, mid):
+            limit_points.append(((*others[:i], NEG_INF, *others[i + 1 :]), Fraction(0)))
+    limit_points.append(((POS_INF,) * df.dim, Fraction(1)))
     limit_violations = []
     for point, expected in limit_points:
         value = df.eval(point)
         if value != expected:
             limit_violations.append({"point": point, "value": value, "expected": expected})
 
-    probes = _probe_points(df, seed, PROBE_POINTS)
+    axes = [df.axis_breakpoints(i) for i in range(df.dim)]
+    deltas = [right_deltas(bps, bps) for bps in axes]
+    at_codes = [df.axis_codes(i, bps) for i, bps in enumerate(axes)]
+    right_codes = [df.axis_right_codes(i, bps, ds) for i, (bps, ds) in enumerate(zip(axes, deltas))]
+    probes = _probe_indices([len(bps) for bps in axes], seed, PROBE_POINTS)
     continuity_violations = []
-    for point in probes:
-        value_at = df.eval(point)
-        for i in range(df.dim):
-            limit, delta = df.axis_right_limit(point, i)
-            if value_at != limit:
+    for index in probes:
+        codes = [c[k] for c, k in zip(at_codes, index)]
+        num, den = df.code_ratio(codes)
+        for i, k in enumerate(index):
+            right_num, right_den = df.code_ratio([*codes[:i], right_codes[i][k], *codes[i + 1 :]])
+            if num * right_den != right_num * den:
+                at, right = Fraction(num, den), Fraction(right_num, right_den)
+                point = tuple(bps[j] for bps, j in zip(axes, index))
                 continuity_violations.append(
-                    dict(point=point, axis=i + 1, delta=delta, value_at=value_at, value_right=limit)
+                    dict(point=point, axis=i + 1, delta=deltas[i][k], value_at=at, value_right=right)
                 )
 
     return Report(

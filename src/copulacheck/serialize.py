@@ -162,14 +162,15 @@ def dumps_payload(payload: dict) -> str:
 
 
 def rows_from_csv(text: str, has_header: bool = False) -> tuple[tuple, ...]:
-    """Parse CSV text into exact rows; errors report 1-based row and column."""
+    """Exact rows of CSV text, past blank records and any header; errors give 1-based row and column."""
     reader = csv.reader(io.StringIO(text))
     rows = []
     width = None
     for lineno, record in enumerate(reader, start=1):
         if not record or (len(record) == 1 and record[0].strip() == ""):
             continue
-        if has_header and lineno == 1:
+        if has_header:
+            has_header = False
             continue
         if width is None:
             width = len(record)

@@ -302,17 +302,79 @@ def scan_eval(df, t) -> Fraction:
     return total
 
 
+def scan_eval_below(df, t) -> Fraction:
+    """The left-continuous twin of ``scan_eval``: the weight of every row < t, one by one."""
+    total = Fraction(0)
+    for row, weight in _weighted_rows(df):
+        if all(r < c for r, c in zip(row, t)):
+            total += weight
+    return total
+
+
 def scan_axis_breakpoints(df, axis: int) -> tuple[Fraction, ...]:
     return tuple(sorted({row[axis] for row, _ in _weighted_rows(df)}))
 
 
-def scan_axis_right_limit(df, t, axis: int) -> tuple[Fraction, Fraction]:
-    """F with coordinate ``axis`` moved right by half the smallest breakpoint gap."""
-    bps = scan_axis_breakpoints(df, axis)
-    gaps = [b - a for a, b in zip(bps, bps[1:])]
-    delta = min(gaps) / 2 if gaps else Fraction(1)
+def oracle_right_delta(breakpoints, x) -> Fraction:
+    """Half the distance from x to the nearest breakpoint above it; 1 if none is, or x is infinite."""
+    above = [b for b in breakpoints if b > x]
+    return (min(above) - x) / 2 if above and is_finite(x) else Fraction(1)
+
+
+def scan_axis_right_limit(df, t, axis: int, scan=None) -> tuple[Fraction, Fraction]:
+    """F with coordinate ``axis`` moved right by ``oracle_right_delta``, and that delta.
+
+    ``scan`` evaluates the moved point; it defaults to the row scan ``scan_eval``.
+    """
+    delta = oracle_right_delta(scan_axis_breakpoints(df, axis), t[axis])
     shifted = tuple(c + delta if j == axis else c for j, c in enumerate(t))
-    return scan_eval(df, shifted), delta
+    return (scan or scan_eval)(df, shifted), delta
+
+
+# -- point-wise oracle for the right-continuity probes ---------------------------------
+
+# right-continuity is probed at most at this many breakpoint-grid points
+PROBE_POINTS = 200
+
+
+def oracle_probe_points(df, seed: int, cap: int = PROBE_POINTS) -> list[tuple]:
+    """Breakpoint-grid points where right-continuity is probed, built point by point.
+
+    The full cartesian product of per-axis breakpoints is used when it has at
+    most ``cap`` points; otherwise ``cap`` points are sampled deterministically
+    (one per-axis index draw each) from a stream seeded with ``seed + 1``.
+    """
+    axes = [df.axis_breakpoints(i) for i in range(df.dim)]
+    total = 1
+    for bps in axes:
+        total *= len(bps)
+    if total <= cap:
+        return [tuple(p) for p in product(*axes)]
+    rng = SplitMix64(seed + 1)
+    points = []
+    for _ in range(cap):
+        points.append(tuple(bps[rng.below(len(bps))] for bps in axes))
+    return points
+
+
+def pointwise_right_continuity(df, seed: int, value=None, right_limit=None) -> list[dict]:
+    """The right-continuity witnesses of ``check_df_axioms``, one probe point at a time.
+
+    ``value(point)`` and ``right_limit(point, axis) -> (limit, delta)`` default
+    to the df's own ``eval`` and ``axis_right_limit``.
+    """
+    value = value or df.eval
+    right_limit = right_limit or df.axis_right_limit
+    witnesses = []
+    for point in oracle_probe_points(df, seed):
+        value_at = value(point)
+        for i in range(df.dim):
+            limit, delta = right_limit(point, i)
+            if value_at != limit:
+                witnesses.append(
+                    dict(point=point, axis=i + 1, delta=delta, value_at=value_at, value_right=limit)
+                )
+    return witnesses
 
 
 # -- point-wise oracles for grid evaluation --------------------------------------

@@ -12,9 +12,10 @@ import json
 import random
 import sys
 import threading
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -37,15 +38,19 @@ from copulacheck import (
     verify_uniform_margins,
 )
 from copulacheck import cli
+from copulacheck.scalars import as_ext
 from copulacheck.serialize import df_to_payload, dumps_payload, load_payload
 from helpers import (
     check_grid_against_points,
     check_index_boxes,
     level_pool,
     oracle_counting_value,
+    PROBE_POINTS,
+    pointwise_right_continuity,
     scan_axis_breakpoints,
     scan_axis_right_limit,
     scan_eval,
+    scan_eval_below,
 )
 
 F = Fraction
@@ -271,19 +276,96 @@ def test_threads_racing_through_the_switch_agree_with_the_scan():
 
 
 def test_right_continuity_evaluates_each_probe_point_once():
-    calls = Counter()
+    # the probes are a sweep: each axis's breakpoints are coded once at x and once at
+    # the right limit, and no probe point goes through eval or axis_right_limit
+    calls = []
 
     class CountedEmpirical(EmpiricalDf):
         def eval(self, t):
-            calls[t] += 1
+            calls.append(("eval", tuple(t)))
             return super().eval(t)
+
+        def axis_right_limit(self, t, axis):
+            calls.append(("axis_right_limit", tuple(t)))
+            return super().axis_right_limit(t, axis)
+
+        def axis_codes(self, axis, values):
+            calls.append(("axis_codes", axis, tuple(values)))
+            return super().axis_codes(axis, values)
+
+        def axis_right_codes(self, axis, xs, deltas):
+            calls.append(("axis_right_codes", axis, tuple(xs)))
+            return super().axis_right_codes(axis, xs, deltas)
 
     # breakpoints outside [0, 1], so no random box vertex is a probe point
     df = CountedEmpirical(((F(2), F(3)), (F(3), F(5)), (F(5), F(2))))
     report = check_df_axioms(df, n_cuboids=5, seed=0)
     assert report.passed
-    probes = [(x, y) for x in (F(2), F(3), F(5)) for y in (F(2), F(3), F(5))]
-    assert [calls[p] for p in probes] == [1] * len(probes)
+    bps = (F(2), F(3), F(5))
+    probes = set(product(bps, bps))
+    assert report.sections[2].points == 2 * len(probes)
+    at_breakpoints = [c for c in calls if c[0] == "axis_codes" and set(c[2]) & set(bps)]
+    assert at_breakpoints == [("axis_codes", 0, bps), ("axis_codes", 1, bps)]
+    assert [c for c in calls if c[0] == "axis_right_codes"] == [
+        ("axis_right_codes", 0, bps),
+        ("axis_right_codes", 1, bps),
+    ]
+    assert not [c for c in calls if c[0] == "axis_right_limit"]
+    assert not [c for c in calls if c[0] == "eval" and c[1] in probes]
+
+
+def test_right_limit_off_the_breakpoints_probes_before_the_next_one():
+    # F(9/10+) = F(9/10) = 1/3; a shift by half the smallest data gap (1/2) crossed 1
+    df = empirical_from_rows([(0,), (1,), (3,)])
+    assert df.axis_right_limit((F(9, 10),), 0) == (F(1, 3), F(1, 20))
+    assert scan_axis_right_limit(df, (F(9, 10),), 0) == (F(1, 3), F(1, 20))
+    assert df.axis_right_limit((F(1),), 0) == (F(2, 3), F(1))
+    assert df.axis_right_limit((F(3),), 0) == (F(1), F(1))
+
+
+class _LeftContinuous:
+    """A counting df coded with bisect_left: F(t) weighs the rows < t, so it is left-continuous."""
+
+    def axis_codes(self, axis, values):
+        return [bisect_left(self.axis_breakpoints(axis), as_ext(c)) for c in values]
+
+
+class LeftContinuousEmpirical(_LeftContinuous, EmpiricalDf):
+    pass
+
+
+class LeftContinuousGrid(_LeftContinuous, GridDf):
+    pass
+
+
+@pytest.mark.parametrize(
+    "rows, sampled",
+    [
+        pytest.param(4, False, id="full-grid"),
+        pytest.param(16, True, id="sampled"),
+    ],
+)
+@pytest.mark.parametrize("cls", [LeftContinuousEmpirical, LeftContinuousGrid])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_right_continuity_sweep_matches_the_pointwise_oracle(rows, sampled, cls, seed):
+    # distinct coordinates, so each axis has one breakpoint per row and the axes differ
+    ys = [F(3 * k + 1, 7) for k in range(rows)]
+    random.Random(seed).shuffle(ys)
+    pts = [(F(k, rows), y) for k, y in enumerate(ys)]
+    if cls is LeftContinuousGrid:
+        df = cls(tuple((p, F(1, rows)) for p in pts))
+    else:
+        df = cls(tuple(pts))
+    sizes = [len(df.axis_breakpoints(i)) for i in range(2)]
+    assert (sizes[0] * sizes[1] > PROBE_POINTS) is sampled
+
+    def right_limit(t, axis):
+        return scan_axis_right_limit(df, t, axis, scan=scan_eval_below)
+
+    expected = pointwise_right_continuity(df, seed, partial(scan_eval_below, df), right_limit)
+    section = check_df_axioms(df, n_cuboids=3, seed=seed).sections[2]
+    assert expected and list(section.witnesses) == expected
+    assert section.points == 2 * min(sizes[0] * sizes[1], PROBE_POINTS)
 
 
 COUNTING_TRACED = ("eval", "margin_fn", "axis_breakpoints", "axis_right_limit")

@@ -1,10 +1,13 @@
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copulacheck import (
     CountermonotoneDf,
     Cuboid,
+    GridDf,
     DomainError,
     NEG_INF,
     POS_INF,
@@ -25,7 +28,15 @@ from copulacheck import (
 )
 from copulacheck import mvdf, sklar
 from copulacheck.mvdf import random_index_boxes
-from helpers import check_index_boxes, count_in_box, oracle_eval, oracle_unit_cuboids, random_rows
+from copulacheck.scalars import as_ext
+from helpers import (
+    check_index_boxes,
+    composed_dfs,
+    count_in_box,
+    oracle_eval,
+    oracle_unit_cuboids,
+    random_rows,
+)
 
 F = Fraction
 
@@ -225,14 +236,50 @@ def test_axioms_catch_broken_right_continuity():
     """A left-continuous step function is not a valid margin convention."""
 
     class LeftContinuousEmpirical(type(empirical_from_rows([(0,)]))):
-        def eval(self, t):
-            hits = sum(1 for row in self.rows if all(r < c for r, c in zip(row, t)))
-            return F(hits, len(self.rows))
+        # rank = number of breakpoints < c, so F(t) counts the rows < t
+        def axis_codes(self, axis, values):
+            return [bisect_left(self.axis_breakpoints(axis), as_ext(c)) for c in values]
 
     broken = LeftContinuousEmpirical(((F(0),), (F(1),)))
     report = check_df_axioms(broken, n_cuboids=10, seed=1)
     assert not report.passed
-    assert report.sections[2].witnesses
+    assert report.sections[2].witnesses == (
+        dict(point=(F(0),), axis=1, delta=F(1, 2), value_at=F(0), value_right=F(1, 2)),
+        dict(point=(F(1),), axis=1, delta=F(1), value_at=F(1, 2), value_right=F(1)),
+    )
+
+
+COORD = st.integers(-3, 3).map(lambda k: F(k, 2))
+
+
+@st.composite
+def five_family_dfs(draw):
+    """An empirical, grid, product, comonotone or countermonotone df on 1-3 axes."""
+    kind = draw(st.sampled_from(["empirical", "grid", "composed"]))
+    if kind == "composed":
+        return draw(composed_dfs())
+    dim = draw(st.integers(1, 3))
+    points = draw(st.lists(st.tuples(*[COORD] * dim), min_size=1, max_size=6, unique=True))
+    if kind == "empirical":
+        return empirical_from_rows(points)
+    return GridDf(tuple((p, F(1, len(points))) for p in points))
+
+
+@settings(max_examples=100, deadline=None)
+@given(five_family_dfs(), st.data())
+def test_right_limit_is_the_value_everywhere_on_every_family(df, data):
+    """Every family is right-continuous: at breakpoints, between, beyond, and at +-inf."""
+    pools = []
+    for i in range(df.dim):
+        bps = df.axis_breakpoints(i)
+        between = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+        pools.append([NEG_INF, POS_INF, bps[0] - 1, bps[-1] + F(1, 3), *bps, *between])
+    for _ in range(10):
+        t = tuple(data.draw(st.sampled_from(pool)) for pool in pools)
+        for i in range(df.dim):
+            limit, delta = df.axis_right_limit(t, i)
+            assert limit == df.eval(t) == oracle_eval(df, t), (t, i)
+            assert delta > 0
 
 
 def test_axioms_reject_bad_count(f_unif2):

@@ -93,8 +93,8 @@ def test_df_to_payload_refuses_a_df_outside_the_families():
         def axis_breakpoints(self, axis):
             return (F(0),)
 
-        def axis_right_limit(self, t, axis):
-            return F(0), F(1)
+        def axis_right_codes(self, axis, xs, deltas):
+            return list(xs)
 
     with pytest.raises(ValidationError, match="no payload format for BareDf"):
         df_to_payload(BareDf())
@@ -158,6 +158,15 @@ def test_csv_ingest():
     assert rows == ((F(0), F(0)), (F(1), F(1)))
     rows = rows_from_csv("x,y\n0.25,0.5\n", has_header=True)
     assert rows == ((F(1, 4), F(1, 2)),)
+
+
+def test_csv_header_is_the_first_non_blank_record():
+    # blank records are skipped before the header as well as after it
+    assert rows_from_csv("\nx,y\n0,0\n", has_header=True) == ((F(0), F(0)),)
+    assert rows_from_csv("\n \nx,y\n\n1/2,1\n", has_header=True) == ((F(1, 2), F(1)),)
+    assert rows_from_csv("\n0,0\n1,1\n") == ((F(0), F(0)), (F(1), F(1)))
+    with pytest.raises(ValidationError, match="row 2, column 1"):
+        rows_from_csv("\nx,y\n0,0\n")
 
 
 def test_csv_ingest_errors():
