@@ -16,6 +16,8 @@ at a time, the seeded box oracle draws its corners as ``Fraction`` levels
 directly, the grid-axis oracles build each axis with a set of
 ``lo + k/m * (hi - lo)`` points, and the lemma report oracle uses only the
 walks.
+``pointwise_right_continuity`` is the right-continuity probe loop one point
+at a time, with the right-limit offset found by scanning the breakpoints.
 ``run_cli`` runs the command line in a child process that imports the
 package from this checkout's ``src``.
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -309,6 +311,21 @@ def scan_eval_below(df, t) -> Fraction:
         if all(r < c for r, c in zip(row, t)):
             total += weight
     return total
+
+
+class LeftContinuous:
+    """Mixin: a counting df ranked with bisect_left, so F(t) weighs the rows < t (left-continuous)."""
+
+    def axis_codes(self, axis, values):
+        return [bisect_left(self.axis_breakpoints(axis), as_ext(c)) for c in values]
+
+
+class LeftContinuousEmpirical(LeftContinuous, EmpiricalDf):
+    pass
+
+
+class LeftContinuousGrid(LeftContinuous, GridDf):
+    pass
 
 
 def scan_axis_breakpoints(df, axis: int) -> tuple[Fraction, ...]:

@@ -12,7 +12,6 @@ import json
 import random
 import sys
 import threading
-from bisect import bisect_left
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -38,14 +37,15 @@ from copulacheck import (
     verify_uniform_margins,
 )
 from copulacheck import cli
-from copulacheck.scalars import as_ext
 from copulacheck.serialize import df_to_payload, dumps_payload, load_payload
 from helpers import (
+    PROBE_POINTS,
+    LeftContinuousEmpirical,
+    LeftContinuousGrid,
     check_grid_against_points,
     check_index_boxes,
     level_pool,
     oracle_counting_value,
-    PROBE_POINTS,
     pointwise_right_continuity,
     scan_axis_breakpoints,
     scan_axis_right_limit,
@@ -323,21 +323,6 @@ def test_right_limit_off_the_breakpoints_probes_before_the_next_one():
     assert df.axis_right_limit((F(3),), 0) == (F(1), F(1))
 
 
-class _LeftContinuous:
-    """A counting df coded with bisect_left: F(t) weighs the rows < t, so it is left-continuous."""
-
-    def axis_codes(self, axis, values):
-        return [bisect_left(self.axis_breakpoints(axis), as_ext(c)) for c in values]
-
-
-class LeftContinuousEmpirical(_LeftContinuous, EmpiricalDf):
-    pass
-
-
-class LeftContinuousGrid(_LeftContinuous, GridDf):
-    pass
-
-
 @pytest.mark.parametrize(
     "rows, sampled",
     [
@@ -348,8 +333,8 @@ class LeftContinuousGrid(_LeftContinuous, GridDf):
 @pytest.mark.parametrize("cls", [LeftContinuousEmpirical, LeftContinuousGrid])
 @pytest.mark.parametrize("seed", [0, 5])
 def test_right_continuity_sweep_matches_the_pointwise_oracle(rows, sampled, cls, seed):
-    # distinct coordinates, so each axis has one breakpoint per row and the axes differ
-    ys = [F(3 * k + 1, 7) for k in range(rows)]
+    # one breakpoint per row on axis 1 and fewer on axis 2, so the axes differ in size
+    ys = [F(3 * (k % (rows - 1 - rows // 8)) + 1, 7) for k in range(rows)]
     random.Random(seed).shuffle(ys)
     pts = [(F(k, rows), y) for k, y in enumerate(ys)]
     if cls is LeftContinuousGrid:

@@ -1,4 +1,3 @@
-from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -7,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from copulacheck import (
     CountermonotoneDf,
     Cuboid,
-    GridDf,
     DomainError,
+    GridDf,
     NEG_INF,
     POS_INF,
     SplitMix64,
@@ -20,6 +19,7 @@ from copulacheck import (
     empirical_from_rows,
     extract_copula,
     grid_df,
+    make_monotone,
     margin,
     product_df,
     uniform_cdf,
@@ -28,13 +28,14 @@ from copulacheck import (
 )
 from copulacheck import mvdf, sklar
 from copulacheck.mvdf import random_index_boxes
-from copulacheck.scalars import as_ext
 from helpers import (
+    LeftContinuousEmpirical,
     check_index_boxes,
     composed_dfs,
     count_in_box,
     oracle_eval,
     oracle_unit_cuboids,
+    pointwise_right_continuity,
     random_rows,
 )
 
@@ -235,11 +236,6 @@ def test_axioms_catch_corrupted_lower_bound_extension():
 def test_axioms_catch_broken_right_continuity():
     """A left-continuous step function is not a valid margin convention."""
 
-    class LeftContinuousEmpirical(type(empirical_from_rows([(0,)]))):
-        # rank = number of breakpoints < c, so F(t) counts the rows < t
-        def axis_codes(self, axis, values):
-            return [bisect_left(self.axis_breakpoints(axis), as_ext(c)) for c in values]
-
     broken = LeftContinuousEmpirical(((F(0),), (F(1),)))
     report = check_df_axioms(broken, n_cuboids=10, seed=1)
     assert not report.passed
@@ -280,6 +276,16 @@ def test_right_limit_is_the_value_everywhere_on_every_family(df, data):
             limit, delta = df.axis_right_limit(t, i)
             assert limit == df.eval(t) == oracle_eval(df, t), (t, i)
             assert delta > 0
+
+
+@pytest.mark.parametrize("build", [product_df, comonotone_df])
+def test_right_continuity_sweep_matches_the_pointwise_probes_on_composed_dfs(build):
+    # the axes have different knots, so a probe that read another axis's right codes would show
+    steps = make_monotone([(0, 0, F(1, 4)), (F(1, 2), F(1, 2), F(1, 2)), (2, F(3, 4), 1)])
+    df = build([uniform_cdf(), steps])
+    section = check_df_axioms(df, n_cuboids=3, seed=0).sections[2]
+    assert list(section.witnesses) == pointwise_right_continuity(df, 0) == []
+    assert section.points == 2 * 2 * 3
 
 
 def test_axioms_reject_bad_count(f_unif2):
