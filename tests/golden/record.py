@@ -24,6 +24,7 @@ sys.path.insert(0, str(GOLDEN.parent.parent / "src"))
 
 from copulacheck import (  # noqa: E402
     CountermonotoneDf,
+    GridDf,
     cli,
     comonotone_df,
     countermonotone_df,
@@ -77,6 +78,16 @@ INPUTS = {
     "counter2.json": df_to_payload(countermonotone_df(U, G_MIXED)),
     # the lower bound extended to three margins is not a df: negative volumes
     "counter3.json": df_to_payload(CountermonotoneDf((U, U, U))),
+    # signed masses with cdf margins, a df only leniently: its copula report
+    # interleaves d_increasing, grounded, fh_lower and fh_upper witnesses
+    "signed.json": df_to_payload(
+        GridDf(
+            (
+                ((0, 0), F(-1, 2)), ((0, 1), F(3, 4)), ((0, 2), F(1, 4)), ((1, 0), F(1, 2)),
+                ((1, 1), F(-1, 2)), ((1, 2), F(1, 2)), ((2, 0), F(1, 2)), ((2, 2), F(-1, 2)),
+            )
+        )
+    ),
     # ingest input: a header line, a decimal, rationals, an exponent, a negative
     # value and a duplicate row
     "data.csv": "x,y\n0.3,1/2\n-5/4,2\n2.5e-1,0\n0.3,1/2\n1,-1/3\n",
@@ -116,6 +127,24 @@ CASES = {
         "verify", "df", "counter3.json", "--cuboids", "30", "--max-witnesses", "-1"
     ],
     "margins-emp-all": ["verify", "margins", "emp.json", "--max-witnesses", "-1"],
+    # no witness kept: the verdicts and max_deviation come from the violation count
+    "margins-emp-k0": ["verify", "margins", "emp.json", "--max-witnesses", "0"],
+    "copula-signed-k0": [
+        "verify", "copula", "signed.json", "--grid", "3", "--cuboids", "20", "--max-witnesses", "0"
+    ],
+    "df-counter3-k0": [
+        "verify", "df", "counter3.json", "--cuboids", "100", "--seed", "7", "--max-witnesses", "0"
+    ],
+    "lemma-flat-k0": ["verify", "lemma", "flat.json", "--max-witnesses", "0"],
+    # K equal to the exact violation count (not truncated) and one below it
+    "sklar-emp-k48": ["verify", "sklar", "emp.json", "--grid", "6", "--max-witnesses", "48"],
+    "sklar-emp-k47": ["verify", "sklar", "emp.json", "--grid", "6", "--max-witnesses", "47"],
+    "copula-signed-k30": [
+        "verify", "copula", "signed.json", "--grid", "3", "--cuboids", "20", "--max-witnesses", "30"
+    ],
+    "copula-signed-k29": [
+        "verify", "copula", "signed.json", "--grid", "3", "--cuboids", "20", "--max-witnesses", "29"
+    ],
     "extract-comonotone": ["extract", "comonotone.json", "--grid", "4"],
     # the single-point commands: levels at a jump, on a flat, inside a rising
     # piece, and at inf G and sup G, with and without the right limit
