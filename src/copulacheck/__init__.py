@@ -19,7 +19,9 @@ not necessarily reduced.  ``code_value(codes)`` is that pair as a
 that ``mvdf.index_box_grid`` builds for a batch of seeded boxes), not a point
 evaluator, sums over the box's corners as one 2 x ... x 2 grid, and returns
 the exact ``Fraction``.  The verifiers compare pairs by integer
-cross-multiplication and build ``Fraction``s only for witnesses.
+cross-multiplication, count every violation, and build ``Fraction``s only
+for the witnesses they keep: the first ``max_witnesses`` per section, all
+by default.
 
 Each function has one evaluation path: ``eval`` is the same sweep on a grid
 of one point per axis, and a monotone function's ``eval``, ``gen_inverse``
@@ -58,7 +60,7 @@ from .mvdf import (
     vertex_sum,
     volume,
 )
-from .report import Report, Section
+from .report import Report, Section, Witnesses
 from .rng import SplitMix64
 from .scalars import NEG_INF, POS_INF, ExtScalar, Scalar, fmt, parse_ext, parse_scalar
 from .sklar import (
@@ -94,6 +96,7 @@ __all__ = [
     "Report",
     "Scalar",
     "Section",
+    "Witnesses",
     "SplitMix64",
     "ValidationError",
     "check_df_axioms",

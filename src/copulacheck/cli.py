@@ -120,24 +120,27 @@ def cmd_extract(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the cap goes to the check, which builds no witness past it
+    cap = args.max_witnesses
     if args.kind == "lemma":
         fn = _load_fn(args.path)
-        report = lemma_report(fn, *GridSpec(args.grid).lemma_grids(fn))
+        report = lemma_report(fn, *GridSpec(args.grid).lemma_grids(fn), max_witnesses=cap)
     elif args.kind == "df":
-        report = check_df_axioms(_load_df(args.path), n_cuboids=args.cuboids, seed=args.seed)
+        df = _load_df(args.path)
+        report = check_df_axioms(df, n_cuboids=args.cuboids, seed=args.seed, max_witnesses=cap)
     elif args.kind == "sklar":
-        report = verify_sklar_identity(_load_df(args.path), grid=GridSpec(args.grid))
+        report = verify_sklar_identity(_load_df(args.path), grid=GridSpec(args.grid), max_witnesses=cap)
     elif args.kind == "margins":
         copula = extract_copula(_load_df(args.path))
-        report = verify_uniform_margins(copula, grid=GridSpec(args.grid))
+        report = verify_uniform_margins(copula, grid=GridSpec(args.grid), max_witnesses=cap)
     elif args.kind == "copula":
         copula = extract_copula(_load_df(args.path))
         report = verify_copula_axioms(
-            copula, n_cuboids=args.cuboids, seed=args.seed, grid=GridSpec(args.grid)
+            copula, n_cuboids=args.cuboids, seed=args.seed, grid=GridSpec(args.grid), max_witnesses=cap
         )
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown verify kind {args.kind!r}")
-    _emit(serialize.report_to_json(report, args.max_witnesses), args.output)
+    _emit(serialize.report_to_json(report, cap), args.output)
     return 0 if report.passed else 1
 
 

@@ -49,7 +49,7 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ValidationError
-from .report import Report, Section
+from .report import Report, Witnesses
 from .scalars import NEG_INF, POS_INF, ExtScalar, Ratio, as_ext, as_scalar, is_finite
 
 
@@ -397,7 +397,23 @@ def step_cdf(atoms: Iterable[tuple[Fraction, Fraction | int]], total: Fraction |
 # -- verification reports ----------------------------------------------------
 
 
-def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence) -> Report:
+# a lemma section reports no deviation
+_NONE = (0, 1)
+
+
+def _level_witness(u: Ratio, lhs: Ratio, rhs: Ratio) -> dict:
+    return {"point": Fraction(*u), "lhs": Fraction(*lhs), "rhs": Fraction(*rhs)}
+
+
+def _point_witness(x: Fraction, inv: Ratio | float) -> dict:
+    return {"point": x, "lhs": _ext(inv), "rhs": x}
+
+
+def _ff_witness(x: Fraction, lhs: Ratio | float) -> dict:
+    return {"x": x, "lhs": _ext(lhs)}
+
+
+def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence, max_witnesses: int = -1) -> Report:
     """Run the full inverse-property suite on level grid ``us`` and point grid ``xs``.
 
     Raises DomainError if some u lies outside [inf G, sup G].  Left-continuity
@@ -406,7 +422,9 @@ def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence) -> Report:
     sides of the failed comparison.  The ``ff`` section checks the round trip
     gen_inverse_right(G(x)) == x; its one-sided bound lhs >= x holds for every
     valid MonotoneFn and is asserted, while equality failures are witnesses.
-    Comparisons are integer cross-multiplications on the kernels' pairs.
+    Comparisons are integer cross-multiplications on the kernels' pairs.  Each
+    section keeps the witnesses of its first ``max_witnesses`` violations (all
+    when below 0) and counts the rest.
     """
     pairs, positions = fn._checked_levels(us, strict=False)
     xs = [as_scalar(x) for x in xs]
@@ -414,47 +432,40 @@ def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence) -> Report:
     inverses = fn._inverse_pairs(pairs, positions)
     # p = 0 is u = inf G, where G(G^-1(u)) = G(-inf) = u
     checked = [(pair, p, at) for pair, p, at in zip(pairs, positions, inverses) if p]
-    violations_a = []
+    violations_a = Witnesses(max_witnesses)
     for ((a, b), _, _), value in zip(checked, fn._knot_walk(at for _, _, at in checked)):
         if _sign(value, a, b) < 0:
-            u = Fraction(a, b)
-            violations_a.append({"point": u, "lhs": Fraction(*value), "rhs": u})
+            violations_a.add(_NONE, _level_witness, (a, b), value, (a, b))
 
     points = [x.as_integer_ratio() for x in xs]
     levels = fn._knot_walk(points)
-    violations_b = []
-    ff_witnesses = []
+    violations_b = Witnesses(max_witnesses)
+    ff_witnesses = Witnesses(max_witnesses)
     low = fn._inverse_pairs(levels, fn._level_walk(levels, strict=False))
     high = fn._inverse_pairs(levels, fn._level_walk(levels, strict=True))
     for x, (a, b), inv, lhs in zip(xs, points, low, high):
         if _sign(inv, a, b) > 0:
-            violations_b.append({"point": x, "lhs": _ext(inv), "rhs": x})
+            violations_b.add(_NONE, _point_witness, x, inv)
         side = _sign(lhs, a, b)
         if side < 0:
             raise AssertionError(f"one-sided bound violated at x={x}: lhs={_ext(lhs)}")
         if side:
-            ff_witnesses.append({"x": x, "lhs": _ext(lhs)})
+            ff_witnesses.add(_NONE, _ff_witness, x, lhs)
 
     # section a already holds the inverse at each level; u = inf G has no left limit
     limits = fn._left_limits([c[0] for c in checked], [c[1] for c in checked])
-    violations_lc = [
-        {"point": Fraction(*pair), "lhs": Fraction(*limit), "rhs": Fraction(*at)}
-        for (pair, _, at), limit in zip(checked, limits)
-        if _sign(limit, *at)
-    ]
+    violations_lc = Witnesses(max_witnesses)
+    for (pair, _, at), limit in zip(checked, limits):
+        if _sign(limit, *at):
+            violations_lc.add(_NONE, _level_witness, pair, limit, at)
 
     return Report(
         "lemma",
         (
-            Section("a", "violations_a", len(pairs), tuple(violations_a), "pass_a"),
-            Section("b", "violations_b", len(xs), tuple(violations_b), "pass_b"),
-            Section(
-                "left_continuity",
-                "violations_leftcont",
-                len(checked),
-                tuple(violations_lc),
-                "pass_leftcont",
-            ),
-            Section("ff", "ff_witnesses", len(xs), tuple(ff_witnesses)),
+            violations_a.section("a", "violations_a", len(pairs), "pass_a"),
+            violations_b.section("b", "violations_b", len(xs), "pass_b"),
+            violations_lc.section("left_continuity", "violations_leftcont", len(checked), "pass_leftcont"),
+            ff_witnesses.section("ff", "ff_witnesses", len(xs)),
         ),
     )
+

@@ -28,9 +28,10 @@ Right limits take one offset rule, :func:`right_deltas`, and one hook,
 ``axis_right_codes``, which codes a whole axis's right limits at once.
 
 :func:`check_df_axioms` probes all of this exactly on seeded random boxes and
-on the structural breakpoints of the family (each axis coded once at x and
-once at the right limit), and returns a report; failures are report entries
-carrying exact witnesses, never exceptions.
+on distinct structural breakpoints of the family (each axis coded once at x
+and once at the right limit), and returns a report; failures are counted in
+``report.Witnesses`` sinks, which keep exact witnesses for the first K,
+never exceptions.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ValidationError
 from .monotone import MonotoneFn
-from .report import Report, Section
+from .report import Report, Witnesses
 from .rng import SplitMix64
 from .scalars import NEG_INF, POS_INF, ExtScalar, Ratio, as_ext, is_finite
 
@@ -330,39 +331,70 @@ def index_box_grid(fn: AxisSeparable, boxes: Sequence[IndexBox]) -> RatioGridFn:
 
 
 def _probe_indices(sizes: Sequence[int], seed: int, cap: int) -> list[tuple[int, ...]]:
-    """Per-axis breakpoint indices of the right-continuity probes: all, or ``cap`` drawn.
+    """Per-axis breakpoint indices of the right-continuity probes: all, or ``cap`` distinct ones.
 
-    Each drawn point takes one index draw per axis from a stream seeded with
-    ``seed + 1``, so the sample is independent of the cuboid stream.
+    The sample is Floyd's: flat indices in ``itertools.product`` order are
+    drawn without replacement from a stream seeded with ``seed + 1`` (so it is
+    independent of the cuboid stream), sorted, and decoded per axis.
     """
-    if prod(sizes) <= cap:
+    total = prod(sizes)
+    if total <= cap:
         return list(iter_product(*map(range, sizes)))
     rng = SplitMix64(seed + 1)
-    return [tuple(rng.below(size) for size in sizes) for _ in range(cap)]
+    chosen: set[int] = set()
+    for top in range(total - cap, total):
+        k = rng.below(top + 1)
+        chosen.add(top if k in chosen else k)
+    probes = []
+    for flat in sorted(chosen):
+        index = []
+        for size in reversed(sizes):
+            flat, k = divmod(flat, size)
+            index.append(k)
+        probes.append(tuple(reversed(index)))
+    return probes
 
 
-def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int) -> Report:
+def _box_violation(box: IndexBox, vol: Fraction) -> dict:
+    box = box.cuboid()
+    return {"a": box.a, "b": box.b, "volume": vol}
+
+
+def _limit_violation(point: Point, value: Fraction, expected: Fraction) -> dict:
+    return {"point": point, "value": value, "expected": expected}
+
+
+def _continuity_violation(axes: Axes, index: tuple, axis: int, delta: Fraction, at: Ratio, right: Ratio) -> dict:
+    point = tuple(bps[k] for bps, k in zip(axes, index))
+    return dict(point=point, axis=axis, delta=delta, value_at=Fraction(*at), value_right=Fraction(*right))
+
+
+# a df section reports no deviation
+_NONE: Ratio = (0, 1)
+
+
+def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int, max_witnesses: int = -1) -> Report:
     """Probe non-negative volumes, the two limit conditions, and right-continuity.
 
     Volumes are checked on ``n_cuboids`` seeded random boxes in [0,1]^d.  The
     limit conditions expect 0 whenever one coordinate is -inf and 1 at the
     all-+inf point.  Right-continuity is probed along every axis at breakpoint
-    grid points (at most ``PROBE_POINTS``), comparing the value with the
-    one-sided limit by cross-multiplying their pairs.  The probes are
+    grid points (at most ``PROBE_POINTS``, distinct), comparing the value with
+    the one-sided limit by cross-multiplying their pairs.  The probes are
     breakpoints only, so they take no k/m grid from ``sklar.GridSpec``, the
-    one grid builder.
+    one grid builder.  Each section keeps the witnesses of its first
+    ``max_witnesses`` violations (all when below 0) and counts the rest.
     """
     if n_cuboids < 1:
         raise ValidationError(f"n_cuboids must be >= 1, got {n_cuboids}")
 
-    volume_violations = []
+    volumes = Witnesses(max_witnesses)
     boxes = random_index_boxes(seed, df.dim, n_cuboids)
     grid_fn = index_box_grid(df, boxes)
     for box in boxes:
         vol = vertex_sum(grid_fn, box)
         if vol.numerator < 0:
-            box = box.cuboid()
-            volume_violations.append({"a": box.a, "b": box.b, "volume": vol})
+            volumes.add(_NONE, _box_violation, box, vol)
 
     lo, hi = df.support_box()
     mid = tuple((l + h) / 2 for l, h in zip(lo, hi))
@@ -371,40 +403,31 @@ def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int) -> Report:
         for others in ((POS_INF,) * df.dim, mid):
             limit_points.append(((*others[:i], NEG_INF, *others[i + 1 :]), Fraction(0)))
     limit_points.append(((POS_INF,) * df.dim, Fraction(1)))
-    limit_violations = []
+    limits = Witnesses(max_witnesses)
     for point, expected in limit_points:
         value = df.eval(point)
         if value != expected:
-            limit_violations.append({"point": point, "value": value, "expected": expected})
+            limits.add(_NONE, _limit_violation, point, value, expected)
 
     axes = [df.axis_breakpoints(i) for i in range(df.dim)]
     deltas = [right_deltas(bps, bps) for bps in axes]
     at_codes = [df.axis_codes(i, bps) for i, bps in enumerate(axes)]
     right_codes = [df.axis_right_codes(i, bps, ds) for i, (bps, ds) in enumerate(zip(axes, deltas))]
     probes = _probe_indices([len(bps) for bps in axes], seed, PROBE_POINTS)
-    continuity_violations = []
+    continuity = Witnesses(max_witnesses)
     for index in probes:
         codes = [c[k] for c, k in zip(at_codes, index)]
-        num, den = df.code_ratio(codes)
+        at = num, den = df.code_ratio(codes)
         for i, k in enumerate(index):
-            right_num, right_den = df.code_ratio([*codes[:i], right_codes[i][k], *codes[i + 1 :]])
+            right = right_num, right_den = df.code_ratio([*codes[:i], right_codes[i][k], *codes[i + 1 :]])
             if num * right_den != right_num * den:
-                at, right = Fraction(num, den), Fraction(right_num, right_den)
-                point = tuple(bps[j] for bps, j in zip(axes, index))
-                continuity_violations.append(
-                    dict(point=point, axis=i + 1, delta=deltas[i][k], value_at=at, value_right=right)
-                )
+                continuity.add(_NONE, _continuity_violation, axes, index, i + 1, deltas[i][k], at, right)
 
     return Report(
         "df_axioms",
         (
-            Section("volumes", "volume_violations", n_cuboids, tuple(volume_violations)),
-            Section("limits", "limit_violations", len(limit_points), tuple(limit_violations)),
-            Section(
-                "right_continuity",
-                "right_continuity_violations",
-                len(probes) * df.dim,
-                tuple(continuity_violations),
-            ),
+            volumes.section("volumes", "volume_violations", n_cuboids),
+            limits.section("limits", "limit_violations", len(limit_points)),
+            continuity.section("right_continuity", "right_continuity_violations", len(probes) * df.dim),
         ),
     )

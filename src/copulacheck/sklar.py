@@ -27,8 +27,11 @@ transforms each axis point once, and the random boxes (``mvdf.IndexBox``)
 transform each distinct corner level of the whole batch once.
 
 The verifiers sweep ``ratio_grid``, whose values are integer pairs
-(``mvdf.Ratio``), and decide every comparison by cross-multiplying them; a
-``Fraction`` is built only for a witness (and one per box, by ``vertex_sum``).
+(``mvdf.Ratio``), and decide every comparison by cross-multiplying them.
+Each violation goes to a ``report.Witnesses`` sink with its deviation as a
+pair, and a ``Fraction`` is built only for a witness the sink keeps (and one
+per box, by ``vertex_sum``).  ``max_witnesses`` caps the kept witnesses; the
+default, below 0, keeps all.
 ``Copula.eval`` at one point is the same sweep on a grid of one point per
 axis, so the copula, like every df, has a single evaluation path.
 """
@@ -54,7 +57,7 @@ from .mvdf import (
     ratio_min,
     vertex_sum,
 )
-from .report import Report, Section
+from .report import Report, Witnesses
 from .scalars import as_scalar
 
 
@@ -163,15 +166,25 @@ def _witness(point: tuple, expected: Fraction, got: Fraction, kind: str) -> dict
     return {"point": point, "expected": expected, "got": got, "deviation": deviation, "kind": kind}
 
 
-def _flat_report(check: str, points: int, witnesses: list) -> Report:
+def _pair_witness(point: tuple, expected: Ratio, got: Ratio, kind: str) -> dict:
+    return _witness(point, Fraction(*expected), Fraction(*got), kind)
+
+
+def _box_witness(box, volume: Fraction) -> dict:
+    box = box.cuboid()
+    return _witness((box.a, box.b), Fraction(0), volume, "d_increasing")
+
+
+def _flat_report(check: str, points: int, sink: Witnesses) -> Report:
     """One-section report, which emits the flat layout with ``max_deviation``."""
-    return Report(check, (Section(check, "violations", points, tuple(witnesses)),))
+    return Report(check, (sink.section(check, "violations", points),))
 
 
 def verify_sklar_identity(
     df: MultivariateDf,
     grid: GridSpec = GridSpec(),
     box: Optional[tuple[Point, Point]] = None,
+    max_witnesses: int = -1,
 ) -> Report:
     """Compare F(x) against C(F_1(x_1), ..., F_d(x_d)) on a merged grid.
 
@@ -183,30 +196,34 @@ def verify_sklar_identity(
     axes = grid.df_axes(df, box)
     levels = [m.eval_many(axis_pts) for m, axis_pts in zip(copula.margins, axes)]
 
-    violations = []
+    sink = Witnesses(max_witnesses)
     sweep = zip(iter_product(*axes), df.ratio_grid(axes), copula.ratio_grid(levels))
     for x, (en, ed), (gn, gd) in sweep:
-        if gn * ed != en * gd:
-            violations.append(_witness(x, Fraction(en, ed), Fraction(gn, gd), "identity"))
-    return _flat_report("sklar_identity", prod(map(len, axes)), violations)
+        diff = gn * ed - en * gd
+        if diff:
+            sink.add((abs(diff), gd * ed), _pair_witness, x, (en, ed), (gn, gd), "identity")
+    return _flat_report("sklar_identity", prod(map(len, axes)), sink)
 
 
-def verify_uniform_margins(copula: Copula, grid: GridSpec = GridSpec()) -> Report:
+def verify_uniform_margins(copula: Copula, grid: GridSpec = GridSpec(), max_witnesses: int = -1) -> Report:
     """Check every one-dimensional section C(1, .., s, .., 1) == s exactly.
 
     The s-grid merges the critical levels of each margin, which is where a
     jump in the margin forces the section away from the diagonal.
     """
-    violations = []
+    sink = Witnesses(max_witnesses)
     points = 0
     for i, levels in enumerate(grid.levels(m) for m in copula.margins):
         section = [levels if j == i else (Fraction(1),) for j in range(copula.dim)]
+        kind = f"margin_{i + 1}"
         for point, (gn, gd) in zip(iter_product(*section), copula.ratio_grid(section)):
             s = point[i]
             points += 1
-            if gn * s.denominator != s.numerator * gd:
-                violations.append(_witness(point, s, Fraction(gn, gd), f"margin_{i + 1}"))
-    return _flat_report("uniform_margins", points, violations)
+            sn, sd = s.numerator, s.denominator
+            diff = gn * sd - sn * gd
+            if diff:
+                sink.add((abs(diff), gd * sd), _pair_witness, point, (sn, sd), (gn, gd), kind)
+    return _flat_report("uniform_margins", points, sink)
 
 
 def verify_copula_axioms(
@@ -214,6 +231,7 @@ def verify_copula_axioms(
     n_cuboids: int = 200,
     seed: int = 0,
     grid: GridSpec = GridSpec(),
+    max_witnesses: int = -1,
 ) -> Report:
     """Check d-increase on random boxes, groundedness, and the dependence envelope.
 
@@ -224,30 +242,31 @@ def verify_copula_axioms(
     """
     if n_cuboids < 1:
         raise ValidationError(f"n_cuboids must be >= 1, got {n_cuboids}")
-    d = copula.dim
-    violations = []
+    sink = Witnesses(max_witnesses)
 
-    boxes = random_index_boxes(seed, d, n_cuboids)
+    boxes = random_index_boxes(seed, copula.dim, n_cuboids)
     grid_fn = index_box_grid(copula, boxes)
     for box in boxes:
         vol = vertex_sum(grid_fn, box)
         if vol.numerator < 0:
-            box = box.cuboid()
-            violations.append(_witness((box.a, box.b), Fraction(0), vol, "d_increasing"))
+            sink.add((-vol.numerator, vol.denominator), _box_witness, box, vol)
 
     axis_levels = [grid.levels(m) for m in copula.margins]
     axis_ratios = [[(s.numerator, s.denominator) for s in levels] for levels in axis_levels]
     sweep = zip(
         iter_product(*axis_levels), iter_product(*axis_ratios), copula.ratio_grid(axis_levels)
     )
-    for combo, ratios, (vn, vd) in sweep:
+    for combo, ratios, value in sweep:
+        vn, vd = value
         if vn and any(n == 0 for n, _ in ratios):
-            violations.append(_witness(combo, Fraction(0), Fraction(vn, vd), "grounded"))
-        ln, ld = ratio_lower_bound(ratios)
-        if vn * ld < ln * vd:
-            violations.append(_witness(combo, Fraction(ln, ld), Fraction(vn, vd), "fh_lower"))
-        un, ud = ratio_min(ratios)
-        if vn * ud > un * vd:
-            violations.append(_witness(combo, Fraction(un, ud), Fraction(vn, vd), "fh_upper"))
+            sink.add((abs(vn), vd), _pair_witness, combo, (0, 1), value, "grounded")
+        ln, ld = lower = ratio_lower_bound(ratios)
+        below = ln * vd - vn * ld
+        if below > 0:
+            sink.add((below, ld * vd), _pair_witness, combo, lower, value, "fh_lower")
+        un, ud = upper = ratio_min(ratios)
+        above = vn * ud - un * vd
+        if above > 0:
+            sink.add((above, ud * vd), _pair_witness, combo, upper, value, "fh_upper")
     points = n_cuboids + prod(map(len, axis_levels))
-    return _flat_report("copula_axioms", points, violations)
+    return _flat_report("copula_axioms", points, sink)

@@ -57,7 +57,7 @@ from copulacheck import (
 )
 from copulacheck.mvdf import IndexBox, index_box_grid, random_index_boxes
 from copulacheck.scalars import as_ext, as_scalar, is_finite
-from copulacheck.sklar import _flat_report, _witness
+from copulacheck.sklar import _witness
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -358,20 +358,20 @@ def oracle_probe_points(df, seed: int, cap: int = PROBE_POINTS) -> list[tuple]:
     """Breakpoint-grid points where right-continuity is probed, built point by point.
 
     The full cartesian product of per-axis breakpoints is used when it has at
-    most ``cap`` points; otherwise ``cap`` points are sampled deterministically
-    (one per-axis index draw each) from a stream seeded with ``seed + 1``.
+    most ``cap`` points; otherwise ``cap`` distinct points of it are sampled by
+    Floyd's algorithm from a stream seeded with ``seed + 1``: for each t of
+    the last ``cap`` positions, one draw j in [0, t], and t is taken instead
+    when j already is.  The sample is listed in grid order.
     """
-    axes = [df.axis_breakpoints(i) for i in range(df.dim)]
-    total = 1
-    for bps in axes:
-        total *= len(bps)
-    if total <= cap:
-        return [tuple(p) for p in product(*axes)]
+    grid = list(product(*[df.axis_breakpoints(i) for i in range(df.dim)]))
+    if len(grid) <= cap:
+        return grid
     rng = SplitMix64(seed + 1)
-    points = []
-    for _ in range(cap):
-        points.append(tuple(bps[rng.below(len(bps))] for bps in axes))
-    return points
+    taken = []
+    for t in range(len(grid) - cap, len(grid)):
+        j = rng.below(t + 1)
+        taken.append(t if j in taken else j)
+    return [grid[j] for j in sorted(taken)]
 
 
 def pointwise_right_continuity(df, seed: int, value=None, right_limit=None) -> list[dict]:
@@ -555,6 +555,11 @@ def oracle_sklar_identity(df, m: int, box=None) -> Report:
         if got != expected:
             violations.append(_witness(x, expected, got, "identity"))
     return _flat_report("sklar_identity", points, violations)
+
+
+def _flat_report(check: str, points: int, violations: list) -> Report:
+    """One-section report of every witness: its count and max deviation come from the list."""
+    return Report(check, (Section(check, "violations", points, tuple(violations)),))
 
 
 # -- point-wise lemma report oracle ---------------------------------------------------

@@ -185,7 +185,7 @@ def test_grid_masses_summing_to_zero_exit_2(workdir, masses):
 
 
 def test_internal_error_exits_3(workdir, monkeypatch, capsys):
-    def broken(*args):
+    def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "lemma_report", broken)

@@ -37,6 +37,7 @@ from copulacheck import (
     verify_uniform_margins,
 )
 from copulacheck import cli
+from copulacheck.mvdf import _probe_indices
 from copulacheck.serialize import df_to_payload, dumps_payload, load_payload
 from helpers import (
     PROBE_POINTS,
@@ -351,6 +352,25 @@ def test_right_continuity_sweep_matches_the_pointwise_oracle(rows, sampled, cls,
     section = check_df_axioms(df, n_cuboids=3, seed=seed).sections[2]
     assert expected and list(section.witnesses) == expected
     assert section.points == 2 * min(sizes[0] * sizes[1], PROBE_POINTS)
+
+
+@pytest.mark.parametrize("sizes", [(201,), (16, 13), (15, 14), (800, 800), (7, 6, 5)])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_sampled_probes_are_distinct_and_in_grid_order(sizes, seed):
+    probes = _probe_indices(sizes, seed, PROBE_POINTS)
+    assert len(probes) == len(set(probes)) == PROBE_POINTS
+    assert probes == sorted(probes)
+    assert all(0 <= k < size for index in probes for k, size in zip(index, sizes))
+
+
+def test_a_failing_sampled_probe_yields_one_witness_per_axis():
+    # 16 rows give a 16 x 13 breakpoint grid, so the probes are sampled
+    ys = [F(3 * (k % 13) + 1, 7) for k in range(16)]
+    df = LeftContinuousEmpirical(tuple((F(k, 16), y) for k, y in enumerate(ys)))
+    section = check_df_axioms(df, n_cuboids=3, seed=0).sections[2]
+    keys = [(w["point"], w["axis"]) for w in section.witnesses]
+    assert keys and len(keys) == len(set(keys)) == section.count
+    assert section.points == 2 * PROBE_POINTS
 
 
 COUNTING_TRACED = ("eval", "margin_fn", "axis_breakpoints", "axis_right_limit")
