@@ -49,7 +49,7 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ValidationError
-from .report import Report, Witnesses
+from .report import NO_DEVIATION, Report, Witnesses
 from .scalars import NEG_INF, POS_INF, ExtScalar, Ratio, as_ext, as_scalar, is_finite
 
 
@@ -397,10 +397,6 @@ def step_cdf(atoms: Iterable[tuple[Fraction, Fraction | int]], total: Fraction |
 # -- verification reports ----------------------------------------------------
 
 
-# a lemma section reports no deviation
-_NONE = (0, 1)
-
-
 def _level_witness(u: Ratio, lhs: Ratio, rhs: Ratio) -> dict:
     return {"point": Fraction(*u), "lhs": Fraction(*lhs), "rhs": Fraction(*rhs)}
 
@@ -435,7 +431,7 @@ def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence, max_witnesses: int 
     violations_a = Witnesses(max_witnesses)
     for ((a, b), _, _), value in zip(checked, fn._knot_walk(at for _, _, at in checked)):
         if _sign(value, a, b) < 0:
-            violations_a.add(_NONE, _level_witness, (a, b), value, (a, b))
+            violations_a.add(NO_DEVIATION, _level_witness, (a, b), value, (a, b))
 
     points = [x.as_integer_ratio() for x in xs]
     levels = fn._knot_walk(points)
@@ -445,27 +441,28 @@ def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence, max_witnesses: int 
     high = fn._inverse_pairs(levels, fn._level_walk(levels, strict=True))
     for x, (a, b), inv, lhs in zip(xs, points, low, high):
         if _sign(inv, a, b) > 0:
-            violations_b.add(_NONE, _point_witness, x, inv)
+            violations_b.add(NO_DEVIATION, _point_witness, x, inv)
         side = _sign(lhs, a, b)
         if side < 0:
             raise AssertionError(f"one-sided bound violated at x={x}: lhs={_ext(lhs)}")
         if side:
-            ff_witnesses.add(_NONE, _ff_witness, x, lhs)
+            ff_witnesses.add(NO_DEVIATION, _ff_witness, x, lhs)
 
     # section a already holds the inverse at each level; u = inf G has no left limit
     limits = fn._left_limits([c[0] for c in checked], [c[1] for c in checked])
     violations_lc = Witnesses(max_witnesses)
     for (pair, _, at), limit in zip(checked, limits):
         if _sign(limit, *at):
-            violations_lc.add(_NONE, _level_witness, pair, limit, at)
+            violations_lc.add(NO_DEVIATION, _level_witness, pair, limit, at)
 
     return Report(
         "lemma",
         (
             violations_a.section("a", "violations_a", len(pairs), "pass_a"),
             violations_b.section("b", "violations_b", len(xs), "pass_b"),
-            violations_lc.section("left_continuity", "violations_leftcont", len(checked), "pass_leftcont"),
+            violations_lc.section(
+                "left_continuity", "violations_leftcont", len(checked), "pass_leftcont"
+            ),
             ff_witnesses.section("ff", "ff_witnesses", len(xs)),
         ),
     )
-

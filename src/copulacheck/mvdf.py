@@ -47,7 +47,7 @@ from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ValidationError
 from .monotone import MonotoneFn
-from .report import Report, Witnesses
+from .report import NO_DEVIATION, Report, Witnesses
 from .rng import SplitMix64
 from .scalars import NEG_INF, POS_INF, ExtScalar, Ratio, as_ext, is_finite
 
@@ -364,13 +364,9 @@ def _limit_violation(point: Point, value: Fraction, expected: Fraction) -> dict:
     return {"point": point, "value": value, "expected": expected}
 
 
-def _continuity_violation(axes: Axes, index: tuple, axis: int, delta: Fraction, at: Ratio, right: Ratio) -> dict:
+def _continuity_violation(axes: Axes, index: tuple, axis: int, delta: Fraction, at: Ratio, right: Ratio):
     point = tuple(bps[k] for bps, k in zip(axes, index))
     return dict(point=point, axis=axis, delta=delta, value_at=Fraction(*at), value_right=Fraction(*right))
-
-
-# a df section reports no deviation
-_NONE: Ratio = (0, 1)
 
 
 def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int, max_witnesses: int = -1) -> Report:
@@ -394,7 +390,7 @@ def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int, max_witnesses
     for box in boxes:
         vol = vertex_sum(grid_fn, box)
         if vol.numerator < 0:
-            volumes.add(_NONE, _box_violation, box, vol)
+            volumes.add(NO_DEVIATION, _box_violation, box, vol)
 
     lo, hi = df.support_box()
     mid = tuple((l + h) / 2 for l, h in zip(lo, hi))
@@ -407,7 +403,7 @@ def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int, max_witnesses
     for point, expected in limit_points:
         value = df.eval(point)
         if value != expected:
-            limits.add(_NONE, _limit_violation, point, value, expected)
+            limits.add(NO_DEVIATION, _limit_violation, point, value, expected)
 
     axes = [df.axis_breakpoints(i) for i in range(df.dim)]
     deltas = [right_deltas(bps, bps) for bps in axes]
@@ -419,9 +415,11 @@ def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int, max_witnesses
         codes = [c[k] for c, k in zip(at_codes, index)]
         at = num, den = df.code_ratio(codes)
         for i, k in enumerate(index):
-            right = right_num, right_den = df.code_ratio([*codes[:i], right_codes[i][k], *codes[i + 1 :]])
-            if num * right_den != right_num * den:
-                continuity.add(_NONE, _continuity_violation, axes, index, i + 1, deltas[i][k], at, right)
+            right = df.code_ratio([*codes[:i], right_codes[i][k], *codes[i + 1 :]])
+            if num * right[1] != right[0] * den:
+                continuity.add(
+                    NO_DEVIATION, _continuity_violation, axes, index, i + 1, deltas[i][k], at, right
+                )
 
     return Report(
         "df_axioms",

@@ -33,33 +33,24 @@ from .scalars import Ratio, fmt
 
 @dataclass(frozen=True)
 class Section:
-    """One property of a check: points checked, violations found, and the kept witnesses.
-
-    ``witnesses`` holds the first ``cap`` violations' witnesses in check
-    order, or all of them when ``cap`` is below 0.  ``count`` and
-    ``max_deviation`` default to what a list of every witness says: one
-    violation per witness, and the largest witness ``deviation`` (0 without).
-    """
+    """One property of a check: points checked, violations found, and the kept witnesses."""
 
     name: str  # key under "points"
     witness_key: str  # name of the emitted witness list
     points: int
-    witnesses: tuple[dict, ...]
+    count: int  # violations found
+    max_deviation: Fraction  # the largest among them; 0 where violations carry none
+    witnesses: tuple[dict, ...]  # of the first ``cap`` violations in check order
+    cap: int  # below 0: every witness is kept
     pass_key: Optional[str] = None  # emitted as a per-section verdict when set
-    count: Optional[int] = None
-    max_deviation: Optional[Fraction] = None
-    cap: int = -1
 
-    def __post_init__(self) -> None:
-        if self.count is None:
-            object.__setattr__(self, "count", len(self.witnesses))
-        if self.max_deviation is None:
-            deviations = (w["deviation"] for w in self.witnesses if "deviation" in w)
-            object.__setattr__(self, "max_deviation", max(deviations, default=Fraction(0)))
+
+# the deviation a violation without one (a df or lemma section) reports
+NO_DEVIATION: Ratio = (0, 1)
 
 
 class Witnesses:
-    """The sink one section's violations go through: count, largest deviation, first ``cap`` witnesses."""
+    """The sink of one section's violations: count, largest deviation, first ``cap`` witnesses."""
 
     __slots__ = ("cap", "count", "kept", "_num", "_den")
 
@@ -70,7 +61,7 @@ class Witnesses:
         self._num, self._den = 0, 1  # the largest deviation so far
 
     def add(self, deviation: Ratio, build: Callable[..., dict], *args) -> None:
-        """Count one violation of ``deviation`` (a pair, denominator > 0); keep ``build(*args)`` while below the cap."""
+        """Count a violation of ``deviation`` (a pair); keep ``build(*args)`` while below the cap."""
         self.count += 1
         num, den = deviation
         if num * self._den > self._num * den:
@@ -79,16 +70,9 @@ class Witnesses:
             self.kept.append(build(*args))
 
     def section(self, name: str, witness_key: str, points: int, pass_key: Optional[str] = None) -> Section:
-        return Section(
-            name,
-            witness_key,
-            points,
-            tuple(self.kept),
-            pass_key,
-            self.count,
-            Fraction(self._num, self._den),
-            self.cap,
-        )
+        """The section of these violations, with ``points`` checked."""
+        deviation = Fraction(self._num, self._den)
+        return Section(name, witness_key, points, self.count, deviation, tuple(self.kept), self.cap, pass_key)
 
 
 @dataclass(frozen=True)

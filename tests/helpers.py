@@ -557,9 +557,14 @@ def oracle_sklar_identity(df, m: int, box=None) -> Report:
     return _flat_report("sklar_identity", points, violations)
 
 
+def oracle_section(name: str, witness_key: str, points: int, witnesses: list, pass_key=None) -> Section:
+    """A section that keeps every witness: one violation per witness, the largest ``deviation``."""
+    deviation = max((w["deviation"] for w in witnesses if "deviation" in w), default=Fraction(0))
+    return Section(name, witness_key, points, len(witnesses), deviation, tuple(witnesses), -1, pass_key)
+
+
 def _flat_report(check: str, points: int, violations: list) -> Report:
-    """One-section report of every witness: its count and max deviation come from the list."""
-    return Report(check, (Section(check, "violations", points, tuple(violations)),))
+    return Report(check, (oracle_section(check, "violations", points, violations),))
 
 
 # -- point-wise lemma report oracle ---------------------------------------------------
@@ -601,16 +606,12 @@ def oracle_lemma_report(fn: MonotoneFn, us, xs) -> Report:
     return Report(
         "lemma",
         (
-            Section("a", "violations_a", len(us), tuple(violations_a), "pass_a"),
-            Section("b", "violations_b", len(xs), tuple(violations_b), "pass_b"),
-            Section(
-                "left_continuity",
-                "violations_leftcont",
-                len(levels),
-                tuple(violations_lc),
-                "pass_leftcont",
+            oracle_section("a", "violations_a", len(us), violations_a, "pass_a"),
+            oracle_section("b", "violations_b", len(xs), violations_b, "pass_b"),
+            oracle_section(
+                "left_continuity", "violations_leftcont", len(levels), violations_lc, "pass_leftcont"
             ),
-            Section("ff", "ff_witnesses", len(xs), tuple(ff_witnesses)),
+            oracle_section("ff", "ff_witnesses", len(xs), ff_witnesses),
         ),
     )
 

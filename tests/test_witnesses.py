@@ -7,7 +7,9 @@ hold the report built under each cap K to the keep-all report emitted with
 cap K, byte for byte; the spy tests count the witnesses actually built.
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,13 +28,16 @@ from copulacheck import (
     verify_sklar_identity,
     verify_uniform_margins,
 )
-from copulacheck import report as report_module, sklar
+from copulacheck import Report, cli, sklar
 from copulacheck.serialize import report_to_json
 from helpers import composed_dfs
 
 F = Fraction
 CAPS = (0, 1, 3, 20, -1)
 M = 4
+EMP = empirical_from_rows([(0, 0), (1, 1), (1, 0), (F(1, 2), 1), (1, 1), (0, F(1, 2))])
+EMP_COPULA = extract_copula(EMP)
+FLAT = make_monotone([(0, 0, 0), (F(1, 2), F(1, 2), F(1, 2)), (F(3, 2), F(1, 2), F(1, 2)), (2, 1, 1)])
 
 
 @st.composite
@@ -72,7 +77,7 @@ def _assert_caps_agree(df, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(empirical_dfs() | composed_dfs(), st.integers(0, 2**16))
-@example(empirical_from_rows([(0, 0), (1, 1), (1, 0), (F(1, 2), 1), (1, 1), (0, F(1, 2))]), 0)
+@example(EMP, 0)
 @example(CountermonotoneDf((uniform_cdf(),) * 3), 7)
 def test_capped_reports_equal_the_keep_all_report_emitted_with_the_cap(df, seed):
     _assert_caps_agree(df, seed)
@@ -80,7 +85,7 @@ def test_capped_reports_equal_the_keep_all_report_emitted_with_the_cap(df, seed)
 
 @pytest.fixture
 def built(monkeypatch):
-    """Spy on every witness the sinks build: a list of build counts, one per sink."""
+    """Spy on the witnesses the sinks build: the number built, per sink."""
     counts = {}
     add = Witnesses.add
 
@@ -95,9 +100,6 @@ def built(monkeypatch):
     return counts
 
 
-EMP = empirical_from_rows([(0, 0), (1, 1), (1, 0), (F(1, 2), 1), (1, 1), (0, F(1, 2))])
-EMP_COPULA = extract_copula(EMP)
-FLAT = make_monotone([(0, 0, 0), (F(1, 2), F(1, 2), F(1, 2)), (F(3, 2), F(1, 2), F(1, 2)), (2, 1, 1)])
 # each check on an input where it finds more violations than the largest cap below
 SPIED = {
     "sklar": lambda k: verify_sklar_identity(EMP, grid=GridSpec(6), max_witnesses=k),
@@ -122,6 +124,24 @@ def test_a_capped_check_builds_at_most_k_witnesses_per_section(name, k, built, m
     assert len(made) == (0 if name in ("df", "lemma") else min(report.sections[0].count, k))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sklar", "emp.json", "--grid", "6"],
+        ["margins", "emp.json"],
+        ["copula", "signed.json", "--grid", "3", "--cuboids", "20"],
+        ["df", "counter3.json"],
+        ["lemma", "flat.json", "--grid", "32"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_the_command_line_passes_the_cap_to_the_check(argv, built, monkeypatch, capsys):
+    monkeypatch.chdir(Path(__file__).resolve().parent / "golden" / "inputs")
+    assert cli.main(["verify", *argv, "--max-witnesses", "2"]) == 1
+    assert json.loads(capsys.readouterr().out)["truncated"]
+    assert built and all(n <= 2 for n in built.values())
+
+
 def test_emitting_past_the_cap_a_report_was_built_with_raises():
     report = verify_sklar_identity(EMP, grid=GridSpec(6), max_witnesses=3)
     assert report.sections[0].count == 48 and len(report.violations) == 3
@@ -139,4 +159,13 @@ def test_the_sink_counts_every_violation_and_keeps_the_largest_deviation_exactly
     section = sink.section("s", "violations", 9)
     assert (section.count, section.max_deviation, section.cap) == (5, F(3, 5), 2)
     assert section.witnesses == ({"point": (1, 3)}, {"point": (2, 4)})
-    assert report_module.Section("s", "violations", 9, ()).max_deviation == 0
+    assert Witnesses().section("s", "violations", 9).max_deviation == 0
+
+
+def test_verdicts_read_the_count_when_no_witness_is_kept():
+    sink = Witnesses(0)
+    sink.add((1, 2), dict)
+    sections = (sink.section("a", "violations_a", 4, "pass_a"), Witnesses(0).section("b", "violations_b", 4))
+    out = Report("lemma", sections).to_json_dict(0)
+    assert out["pass"] is False and out["pass_a"] is False
+    assert out["violations_a"] == [] and out["truncated"]
