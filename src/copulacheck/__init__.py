@@ -55,7 +55,6 @@ from .mvdf import (
     Cuboid,
     MultivariateDf,
     check_df_axioms,
-    df_eval,
     margin,
     vertex_sum,
     volume,
@@ -66,7 +65,6 @@ from .scalars import NEG_INF, POS_INF, ExtScalar, Scalar, fmt, parse_ext, parse_
 from .sklar import (
     Copula,
     GridSpec,
-    copula_eval,
     extract_copula,
     verify_copula_axioms,
     verify_sklar_identity,
@@ -101,9 +99,7 @@ __all__ = [
     "ValidationError",
     "check_df_axioms",
     "comonotone_df",
-    "copula_eval",
     "countermonotone_df",
-    "df_eval",
     "discrete_cdf",
     "empirical_from_rows",
     "extract_copula",

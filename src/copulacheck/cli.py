@@ -7,9 +7,12 @@ still emitted), 2 on malformed input, unusable arguments, or domain errors,
 
 Scalar arguments accept exact decimals ("0.3") and rational strings ("3/10");
 points are comma-separated coordinates and may use "-inf" / "+inf" where a
-limit is meant.  Reports are emitted as deterministic JSON: same inputs and
-same seed give byte-identical output.  Every grid a command checks or dumps
-comes from ``sklar.GridSpec``; ``--grid M`` only sets its resolution.
+limit is meant; a value that starts with "-" other than a plain number ("-1/2",
+"-inf,0") needs "--" before it.  Reports are emitted as deterministic JSON:
+same inputs and same seed give byte-identical output.  ``--max-witnesses`` is
+the one witness cap: the check keeps that many witnesses per list, and
+``serialize.report_to_json`` writes what it kept.  Every grid a command checks
+or dumps comes from ``sklar.GridSpec``; ``--grid M`` only sets its resolution.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the cap goes to the check, which builds no witness past it
+    # the only cap: the check builds no witness past it, and the report emits what it kept
     cap = args.max_witnesses
     if args.kind == "lemma":
         fn = _load_fn(args.path)
@@ -140,7 +143,7 @@ def cmd_verify(args) -> int:
         )
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown verify kind {args.kind!r}")
-    _emit(serialize.report_to_json(report, cap), args.output)
+    _emit(serialize.report_to_json(report), args.output)
     return 0 if report.passed else 1
 
 
@@ -164,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantile", help="generalized inverse of a monotone function")
     p.add_argument("fn_path")
-    p.add_argument("u", help="level, e.g. 0.3 or 3/10")
+    p.add_argument("u", help="level, e.g. 0.3 or 3/10 (put -- before a negative level: -- -1/2)")
     p.add_argument(
         "--right-limit",
         action="store_true",
@@ -175,13 +178,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a monotone function or df at a point")
     p.add_argument("path")
-    p.add_argument("point", help="comma-separated coordinates; -inf/+inf allowed")
+    p.add_argument(
+        "point", help="comma-separated coordinates; -inf/+inf allowed (put -- before a point starting with -)"
+    )
     add_output(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("volume", help="volume of the half-open box ]a, b]")
     p.add_argument("df_path")
-    p.add_argument("a", help="lower corner, comma-separated")
+    p.add_argument("a", help="lower corner, comma-separated (put -- before a corner starting with -)")
     p.add_argument("b", help="upper corner, comma-separated")
     add_output(p)
     p.set_defaults(func=cmd_volume)
@@ -209,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=20,
         metavar="K",
-        help="cap on emitted violations per list (default 20; below 0: no cap)",
+        help="witnesses the check keeps and emits per list (default 20; below 0: all)",
     )
     add_output(p)
     p.set_defaults(func=cmd_verify)

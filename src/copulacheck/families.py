@@ -346,6 +346,8 @@ class GridDf(_CountingDf):
         if not masses:
             raise ValidationError("grid df needs at least one mass")
         width = len(masses[0].point)
+        if width == 0:
+            raise ValidationError("mass 1: empty point")
         seen = set()
         for i, gm in enumerate(masses):
             if len(gm.point) != width:

@@ -269,11 +269,6 @@ class MultivariateDf(AxisSeparable):
         return tuple(los), tuple(his)
 
 
-def df_eval(df: MultivariateDf, t) -> Fraction:
-    """Evaluate ``df`` at a point, validating the dimension."""
-    return df.eval(t)
-
-
 def volume(df: MultivariateDf, box: Cuboid) -> Fraction:
     """Exact volume assigned by ``df`` to the half-open box ]a, b]."""
     if box.dim != df.dim:

@@ -2,6 +2,9 @@
 
 This module owns the payload format: it writes and reads every payload, and
 :func:`dumps_payload` fixes the layout of every JSON document the CLI prints.
+:func:`report_to_json` writes every report, in the two layouts the output
+contract fixes, from exactly the witnesses each section kept; the only
+witness cap is the sink's (``report.Witnesses``), set before the check runs.
 
 All scalars travel as strings: exact decimals ("0.3") and rational strings
 ("3/10") are accepted on input; emission always canonicalizes to rational
@@ -33,6 +36,7 @@ from .families import (
 )
 from .monotone import Knot, MonotoneFn
 from .mvdf import MultivariateDf
+from .report import Report, Section
 from .scalars import fmt, parse_scalar
 
 
@@ -191,6 +195,40 @@ def rows_from_csv(text: str, has_header: bool = False) -> tuple[tuple, ...]:
 # -- report JSON -------------------------------------------------------------------
 
 
-def report_to_json(report, max_witnesses: int = 20) -> str:
-    """Deterministic pretty JSON of a report, ending in a newline."""
-    return dumps_payload(report.to_json_dict(max_witnesses))
+def report_to_json(report: Report) -> str:
+    """Deterministic pretty JSON of a report, ending in a newline.
+
+    A one-section report is flat and carries the largest deviation; a report
+    with several sections has a ``points`` object, the optional per-section
+    pass keys, and one witness list per section.  ``truncated`` is true when
+    a section counted more violations than it kept.
+    """
+    if len(report.sections) == 1:
+        (section,) = report.sections
+        out = {
+            "check": report.check,
+            "points": section.points,
+            "pass": report.passed,
+            "max_deviation": fmt(section.max_deviation),
+            section.witness_key: _witness_list(section),
+        }
+    else:
+        out = {"check": report.check, "pass": report.passed}
+        out.update((s.pass_key, not s.count) for s in report.sections if s.pass_key)
+        out["points"] = {s.name: s.points for s in report.sections}
+        out.update((s.witness_key, _witness_list(s)) for s in report.sections)
+    out["truncated"] = any(s.count > len(s.witnesses) for s in report.sections)
+    return dumps_payload(out)
+
+
+def _witness_list(section: Section) -> list:
+    return [{key: _json_value(v) for key, v in w.items()} for w in section.witnesses]
+
+
+def _json_value(value):
+    """Exact scalars as rational strings, tuples as lists; ints and strs unchanged."""
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, (int, str)):
+        return value
+    return fmt(value)

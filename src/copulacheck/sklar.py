@@ -152,11 +152,6 @@ def extract_copula(df: MultivariateDf) -> Copula:
     return Copula(source=df, margins=tuple(margins))
 
 
-def copula_eval(copula: Copula, s: Sequence) -> Fraction:
-    """Exact value of the extracted copula at a point of [0,1]^d."""
-    return copula.eval(s)
-
-
 # -- verifiers ------------------------------------------------------------------
 
 

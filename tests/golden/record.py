@@ -88,6 +88,8 @@ INPUTS = {
             )
         )
     ),
+    # a grid point with no coordinate: refused on load, before any check runs
+    "grid-dim0.json": {"family": "grid", "dim": 0, "masses": [{"point": [], "mass": "1"}]},
     # ingest input: a header line, a decimal, rationals, an exponent, a negative
     # value and a duplicate row
     "data.csv": "x,y\n0.3,1/2\n-5/4,2\n2.5e-1,0\n0.3,1/2\n1,-1/3\n",
@@ -189,6 +191,12 @@ CASES = {
         for label, a, b in (("finite", "0,0", "1,1"), ("inf", "-inf,1/4", "1/2,+inf"))
     },
     **{f"extract-{stem}": ["extract", f"{stem}.json", "--grid", "4"] for stem in ("emp", "grid")},
+    # refusals: exit 2 and nothing on stdout
+    **{
+        f"{kind}-grid-dim0": ["verify", kind, "grid-dim0.json"]
+        for kind in ("lemma", "df", "sklar", "margins", "copula")
+    },
+    "extract-grid-dim0": ["extract", "grid-dim0.json"],
 }
 
 

@@ -28,6 +28,7 @@ import os
 import subprocess
 import sys
 from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -560,11 +561,18 @@ def oracle_sklar_identity(df, m: int, box=None) -> Report:
 def oracle_section(name: str, witness_key: str, points: int, witnesses: list, pass_key=None) -> Section:
     """A section that keeps every witness: one violation per witness, the largest ``deviation``."""
     deviation = max((w["deviation"] for w in witnesses if "deviation" in w), default=Fraction(0))
-    return Section(name, witness_key, points, len(witnesses), deviation, tuple(witnesses), -1, pass_key)
+    return Section(name, witness_key, points, len(witnesses), deviation, tuple(witnesses), pass_key)
 
 
 def _flat_report(check: str, points: int, violations: list) -> Report:
     return Report(check, (oracle_section(check, "violations", points, violations),))
+
+
+def oracle_capped(report: Report, k: int) -> Report:
+    """The keep-all ``report`` with each section's witnesses cut to the first ``k`` (all below 0)."""
+    if k < 0:
+        return report
+    return Report(report.check, tuple(replace(s, witnesses=s.witnesses[:k]) for s in report.sections))
 
 
 # -- point-wise lemma report oracle ---------------------------------------------------

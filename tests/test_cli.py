@@ -184,6 +184,36 @@ def test_grid_masses_summing_to_zero_exit_2(workdir, masses):
         assert r.stderr.startswith("error: masses sum to 0"), (args, r.stderr)
 
 
+def test_a_zero_dimensional_grid_payload_exits_2(workdir):
+    payload = {"family": "grid", "dim": 0, "masses": [{"point": [], "mass": "1"}]}
+    (workdir / "dim0.json").write_text(json.dumps(payload))
+    kinds = ("lemma", "df", "sklar", "margins", "copula")
+    for args in (*(("verify", kind, "dim0.json") for kind in kinds), ("extract", "dim0.json")):
+        r = run_cli(*args, cwd=workdir)
+        assert (r.returncode, r.stdout) == (2, ""), args
+        assert r.stderr == "error: mass 1: empty point\n", (args, r.stderr)
+
+
+def test_values_starting_with_a_dash_follow_a_double_dash(workdir):
+    # G rises linearly from -1 at x = -2 to 1 at x = 2
+    knots = [{"x": "-2", "left": "-1", "value": "-1"}, {"x": "2", "left": "1", "value": "1"}]
+    (workdir / "signed.json").write_text(json.dumps({"knots": knots}))
+    (workdir / "neg.csv").write_text("-1,0\n1,1\n")
+    assert run_cli("ingest", "neg.csv", "-o", "neg.json", cwd=workdir).returncode == 0
+    for args, out in (
+        (("eval", "signed.json", "--", "-1/2"), "-1/4\n"),
+        (("eval", "neg.json", "--", "-inf,0"), "0\n"),
+        (("eval", "neg.json", "--", "-1/2,0"), "1/2\n"),
+        (("quantile", "signed.json", "--", "-1/2"), "-1\n"),
+        (("quantile", "signed.json", "--right-limit", "--", "-1/2"), "-1\n"),
+    ):
+        r = run_cli(*args, cwd=workdir)
+        assert (r.returncode, r.stdout) == (0, out), args
+    # without the "--" the value reads as an unknown option
+    r = run_cli("eval", "signed.json", "-1/2", cwd=workdir)
+    assert (r.returncode, r.stdout) == (2, "") and "usage:" in r.stderr
+
+
 def test_internal_error_exits_3(workdir, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")

@@ -29,7 +29,6 @@ from copulacheck import (
     MonotoneFn,
     ValidationError,
     check_df_axioms,
-    copula_eval,
     empirical_from_rows,
     extract_copula,
     fmt,
@@ -232,7 +231,7 @@ def test_rank_index_is_invisible(tmp_path):
         assert outs[0] == outs[1]
         copula = extract_copula(df)
         for entry in json.loads(outs[0])["values"]:
-            assert fmt(copula_eval(copula, [F(c) for c in entry["s"]])) == entry["value"]
+            assert fmt(copula.eval([F(c) for c in entry["s"]])) == entry["value"]
 
 
 def test_margins_job_on_a_large_3d_dataset_builds_no_table():

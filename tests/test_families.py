@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 from copulacheck import (
+    GridDf,
     GridMass,
     ValidationError,
     check_df_axioms,
     comonotone_df,
     countermonotone_df,
-    df_eval,
     empirical_from_rows,
     grid_df,
     make_monotone,
@@ -22,11 +22,11 @@ F = Fraction
 
 def test_empirical_examples(g_bern):
     df = empirical_from_rows([(0, 0), (1, 1)])
-    assert df_eval(df, (F(1, 2), F(1, 2))) == F(1, 2)
+    assert df.eval((F(1, 2), F(1, 2))) == F(1, 2)
     single = empirical_from_rows([(0,)])
     assert single.margin_fn(0) == make_monotone([(0, 0, 1)])
     dup = empirical_from_rows([(0, 0), (0, 0)])
-    assert df_eval(dup, (0, 0)) == 1
+    assert dup.eval((0, 0)) == 1
 
 
 def test_empirical_rejects_bad_rows():
@@ -37,11 +37,11 @@ def test_empirical_rejects_bad_rows():
 
 
 def test_product_examples(g_id, g_bern):
-    assert df_eval(product_df([g_id, g_id]), (F(1, 2), F(1, 2))) == F(1, 4)
-    assert df_eval(product_df([g_bern, g_bern]), (F(1, 2), F(1, 2))) == F(1, 4)
+    assert product_df([g_id, g_id]).eval((F(1, 2), F(1, 2))) == F(1, 4)
+    assert product_df([g_bern, g_bern]).eval((F(1, 2), F(1, 2))) == F(1, 4)
     unary = product_df([g_id])
     for x in grid(0, 1, 8):
-        assert df_eval(unary, (x,)) == x  # g_id is the identity on [0, 1]
+        assert unary.eval((x,)) == x  # g_id is the identity on [0, 1]
 
 
 def test_product_rejects_non_cdf_margin():
@@ -52,14 +52,14 @@ def test_product_rejects_non_cdf_margin():
 
 def test_comonotone_examples(g_id, g_bern):
     como = comonotone_df([g_id, g_id])
-    assert df_eval(como, (F(3, 10), F(7, 10))) == F(3, 10)
-    assert df_eval(comonotone_df([g_bern, g_bern]), (F(1, 2), F(1, 2))) == F(1, 2)
+    assert como.eval((F(3, 10), F(7, 10))) == F(3, 10)
+    assert comonotone_df([g_bern, g_bern]).eval((F(1, 2), F(1, 2))) == F(1, 2)
 
 
 def test_countermonotone_examples(g_id):
     ctr = countermonotone_df(g_id, g_id)
-    assert df_eval(ctr, (F(7, 10), F(7, 10))) == F(2, 5)
-    assert df_eval(ctr, (F(3, 10), F(3, 10))) == 0
+    assert ctr.eval((F(7, 10), F(7, 10))) == F(2, 5)
+    assert ctr.eval((F(3, 10), F(3, 10))) == 0
 
 
 def test_countermonotone_only_two_margins(g_id):
@@ -76,11 +76,11 @@ def test_grid_examples(g_bern):
     emp = empirical_from_rows([(0, 0), (1, 1)])
     for x in grid(-1, 2, 12):
         for y in grid(-1, 2, 12):
-            assert df_eval(gd, (x, y)) == df_eval(emp, (x, y))
+            assert gd.eval((x, y)) == emp.eval((x, y))
     anti = grid_df([((0, 1), F(1, 2)), ((1, 0), F(1, 2))])
-    assert df_eval(anti, (F(1, 2), F(1, 2))) == 0
+    assert anti.eval((F(1, 2), F(1, 2))) == 0
     point = grid_df([((0, 0), F(1))])
-    assert df_eval(point, (0, 0)) == 1
+    assert point.eval((0, 0)) == 1
 
 
 def test_grid_rejects_bad_masses():
@@ -90,6 +90,11 @@ def test_grid_rejects_bad_masses():
         grid_df([((0,), F(1, 4)), ((1,), F(1, 4))])
     with pytest.raises(ValidationError, match="duplicate"):
         grid_df([((0, 0), F(1, 2)), ((0, 0), F(1, 2))])
+    # a point with no coordinate would make a df of dimension 0
+    with pytest.raises(ValidationError, match="mass 1: empty point"):
+        grid_df([((), 1)])
+    with pytest.raises(ValidationError, match="mass 1: empty point"):
+        GridDf((((), F(1)),))
 
 
 def test_gridmass_invariants():

@@ -15,7 +15,6 @@ from copulacheck import (
     check_df_axioms,
     comonotone_df,
     countermonotone_df,
-    df_eval,
     empirical_from_rows,
     extract_copula,
     grid_df,
@@ -75,21 +74,21 @@ def test_cuboid_allows_infinite_corners(emp2):
 
 
 def test_df_eval_examples(f_unif2, emp2):
-    assert df_eval(f_unif2, (F(1, 2), F(1, 2))) == F(1, 4)
-    assert df_eval(f_unif2, (POS_INF, F(1, 3))) == F(1, 3)
-    assert df_eval(emp2, (F(1, 2), F(1, 2))) == F(1, 2)
+    assert f_unif2.eval((F(1, 2), F(1, 2))) == F(1, 4)
+    assert f_unif2.eval((POS_INF, F(1, 3))) == F(1, 3)
+    assert emp2.eval((F(1, 2), F(1, 2))) == F(1, 2)
 
 
 def test_df_eval_extended_semantics(f_unif2, emp2):
     for df in (f_unif2, emp2):
-        assert df_eval(df, (NEG_INF, F(1, 2))) == 0
-        assert df_eval(df, (F(1, 2), NEG_INF)) == 0
-        assert df_eval(df, (POS_INF, POS_INF)) == 1
+        assert df.eval((NEG_INF, F(1, 2))) == 0
+        assert df.eval((F(1, 2), NEG_INF)) == 0
+        assert df.eval((POS_INF, POS_INF)) == 1
 
 
 def test_df_eval_dimension_mismatch(f_unif2):
     with pytest.raises(DomainError):
-        df_eval(f_unif2, (F(1, 2),))
+        f_unif2.eval((F(1, 2),))
 
 
 def _two_dim_subjects():
@@ -148,7 +147,7 @@ def test_volume_d1_is_difference():
     u = uniform_cdf()
     for df in (product_df([u]), empirical_from_rows([(F(1, 4),), (F(3, 4),)])):
         for a, b in [(F(1, 10), F(9, 10)), (F(1, 2), F(1, 2)), (F(0), F(1))]:
-            assert volume(df, Cuboid((a,), (b,))) == df_eval(df, (b,)) - df_eval(df, (a,))
+            assert volume(df, Cuboid((a,), (b,))) == df.eval((b,)) - df.eval((a,))
 
 
 def test_volume_dimension_mismatch(f_unif2):
@@ -349,5 +348,5 @@ def test_monotone_coordinatewise(f_unif2, emp2):
     for df in (f_unif2, emp2):
         for x in pts:
             for y1, y2 in zip(pts, pts[1:]):
-                assert df_eval(df, (x, y1)) <= df_eval(df, (x, y2))
-                assert df_eval(df, (y1, x)) <= df_eval(df, (y2, x))
+                assert df.eval((x, y1)) <= df.eval((x, y2))
+                assert df.eval((y1, x)) <= df.eval((y2, x))

@@ -180,8 +180,7 @@ def test_csv_ingest_errors():
 
 def test_check_report_json_shape_and_truncation():
     emp = empirical_from_rows([(0, 0), (1, 1)])
-    report = verify_sklar_identity(emp)
-    obj = report.to_json_dict(max_witnesses=5)
+    obj = json.loads(report_to_json(verify_sklar_identity(emp, max_witnesses=5)))
     assert obj["check"] == "sklar_identity"
     assert obj["pass"] is False
     assert obj["max_deviation"] == "1/2"
@@ -189,13 +188,17 @@ def test_check_report_json_shape_and_truncation():
     assert obj["truncated"] is True
     first = obj["violations"][0]
     assert set(first) == {"point", "expected", "got", "deviation", "kind"}
-    full = report.to_json_dict(max_witnesses=10**6)
-    assert full["truncated"] is False
+    # the cap is the check's: K equal to the violation count cuts nothing, K below it does
+    count = verify_sklar_identity(emp).sections[0].count
+    at_count = json.loads(report_to_json(verify_sklar_identity(emp, max_witnesses=count)))
+    below = json.loads(report_to_json(verify_sklar_identity(emp, max_witnesses=count - 1)))
+    assert len(at_count["violations"]) == count and at_count["truncated"] is False
+    assert len(below["violations"]) == count - 1 and below["truncated"] is True
 
 
 def test_lemma_report_json_shape(g_flat):
     rep = lemma_report(g_flat, us=grid(0, 1, 8), xs=grid(0, 2, 8))
-    obj = rep.to_json_dict()
+    obj = json.loads(report_to_json(rep))
     assert obj["pass_a"] and obj["pass_b"] and obj["pass_leftcont"]
     assert obj["pass"] is False
     assert {"x", "lhs"} == set(obj["ff_witnesses"][0])
@@ -205,7 +208,7 @@ def test_lemma_report_json_shape(g_flat):
 def test_df_report_json_shape():
     u = uniform_cdf()
     rep = check_df_axioms(CountermonotoneDf((u, u, u)), n_cuboids=50, seed=7)
-    obj = rep.to_json_dict()
+    obj = json.loads(report_to_json(rep))
     assert obj["check"] == "df_axioms"
     assert obj["pass"] is False
     assert obj["volume_violations"]

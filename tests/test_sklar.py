@@ -7,9 +7,7 @@ from copulacheck import (
     GridSpec,
     ValidationError,
     comonotone_df,
-    copula_eval,
     countermonotone_df,
-    df_eval,
     empirical_from_rows,
     extract_copula,
     make_monotone,
@@ -69,18 +67,18 @@ def test_extract_empirical_discrete_break(emp2):
 def test_copula_eval_examples(f_unif2):
     u = uniform_cdf()
     c = extract_copula(f_unif2)
-    assert copula_eval(c, (1, 1)) == 1
-    assert copula_eval(c, (F(3, 10), F(1, 2))) == F(3, 20)
+    assert c.eval((1, 1)) == 1
+    assert c.eval((F(3, 10), F(1, 2))) == F(3, 20)
     cm = extract_copula(comonotone_df([u, u]))
-    assert copula_eval(cm, (F(3, 10), F(1, 2))) == F(3, 10)
+    assert cm.eval((F(3, 10), F(1, 2))) == F(3, 10)
 
 
 def test_copula_eval_domain(f_unif2):
     c = extract_copula(f_unif2)
     with pytest.raises(DomainError):
-        copula_eval(c, (F(3, 2), F(1, 2)))
+        c.eval((F(3, 2), F(1, 2)))
     with pytest.raises(DomainError):
-        copula_eval(c, (F(1, 2),))
+        c.eval((F(1, 2),))
 
 
 def test_copula_eval_grid_domain(f_unif2):
@@ -147,8 +145,8 @@ def test_sklar_one_sided_bound_for_discrete(emp2):
         c = extract_copula(df)
         for x in grid(-1, 2, 12):
             for y in grid(-1, 2, 12):
-                lhs = df_eval(df, (x, y))
-                rhs = copula_eval(c, (c.margins[0].eval(x), c.margins[1].eval(y)))
+                lhs = df.eval((x, y))
+                rhs = c.eval((c.margins[0].eval(x), c.margins[1].eval(y)))
                 assert rhs >= lhs
 
 

@@ -1,10 +1,12 @@
-"""The witness sink: a capped check reports what the keep-all check reports under that cap.
+"""The witness sink: a capped check reports what the keep-all check reports cut to that cap.
 
 Every verifier takes ``max_witnesses`` and sends its violations through one
 ``report.Witnesses`` sink per section, which counts them, tracks the largest
-deviation and builds only the first K witnesses.  The differential tests
-hold the report built under each cap K to the keep-all report emitted with
-cap K, byte for byte; the spy tests count the witnesses actually built.
+deviation and builds only the first K witnesses.  That is the only cap:
+``report_to_json`` writes exactly the witnesses a section kept.  The
+differential tests hold the report built under each cap K to the keep-all
+report with each list cut to its first K (``oracle_capped``), byte for byte;
+the spy tests count the witnesses actually built.
 """
 
 import json
@@ -30,7 +32,7 @@ from copulacheck import (
 )
 from copulacheck import Report, cli, sklar
 from copulacheck.serialize import report_to_json
-from helpers import composed_dfs
+from helpers import composed_dfs, oracle_capped
 
 F = Fraction
 CAPS = (0, 1, 3, 20, -1)
@@ -68,11 +70,12 @@ def _assert_caps_agree(df, seed):
         assert [s.count for s in full.sections] == [len(s.witnesses) for s in full.sections]
         for k in CAPS:
             capped = verify(k)
-            assert report_to_json(capped, k) == report_to_json(full, k), (name, k)
+            assert report_to_json(capped) == report_to_json(oracle_capped(full, k)), (name, k)
             assert capped.passed == full.passed
             assert [s.count for s in capped.sections] == [s.count for s in full.sections]
             assert [s.max_deviation for s in capped.sections] == [s.max_deviation for s in full.sections]
-            assert capped.to_json_dict(k)["truncated"] == full.to_json_dict(k)["truncated"]
+            truncated = any(0 <= k < s.count for s in full.sections)
+            assert json.loads(report_to_json(capped))["truncated"] is truncated
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,13 +145,14 @@ def test_the_command_line_passes_the_cap_to_the_check(argv, built, monkeypatch, 
     assert built and all(n <= 2 for n in built.values())
 
 
-def test_emitting_past_the_cap_a_report_was_built_with_raises():
+def test_a_report_emits_exactly_the_witnesses_its_check_kept():
     report = verify_sklar_identity(EMP, grid=GridSpec(6), max_witnesses=3)
     assert report.sections[0].count == 48 and len(report.violations) == 3
-    assert report.to_json_dict(3)["truncated"] and report.to_json_dict(0)["violations"] == []
-    for k in (4, 20, -1):
-        with pytest.raises(ValueError, match="kept at most 3 witnesses"):
-            report_to_json(report, k)
+    out = json.loads(report_to_json(report))
+    assert out["truncated"] and len(out["violations"]) == 3
+    every = json.loads(report_to_json(verify_sklar_identity(EMP, grid=GridSpec(6))))
+    assert len(every["violations"]) == 48 and not every["truncated"]
+    assert out["violations"] == every["violations"][:3]
 
 
 def test_the_sink_counts_every_violation_and_keeps_the_largest_deviation_exactly():
@@ -157,7 +161,7 @@ def test_the_sink_counts_every_violation_and_keeps_the_largest_deviation_exactly
     for pair in [(1, 3), (2, 4), (1, 2), (3, 5), (1, 7)]:
         sink.add(pair, lambda p: {"point": p}, pair)
     section = sink.section("s", "violations", 9)
-    assert (section.count, section.max_deviation, section.cap) == (5, F(3, 5), 2)
+    assert (section.count, section.max_deviation) == (5, F(3, 5))
     assert section.witnesses == ({"point": (1, 3)}, {"point": (2, 4)})
     assert Witnesses().section("s", "violations", 9).max_deviation == 0
 
@@ -166,6 +170,6 @@ def test_verdicts_read_the_count_when_no_witness_is_kept():
     sink = Witnesses(0)
     sink.add((1, 2), dict)
     sections = (sink.section("a", "violations_a", 4, "pass_a"), Witnesses(0).section("b", "violations_b", 4))
-    out = Report("lemma", sections).to_json_dict(0)
+    out = json.loads(report_to_json(Report("lemma", sections)))
     assert out["pass"] is False and out["pass_a"] is False
     assert out["violations_a"] == [] and out["truncated"]
