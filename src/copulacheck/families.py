@@ -14,10 +14,11 @@ non-negative-volume axiom and must be caught by ``check_df_axioms``.
 
 The two counting families (empirical and grid) evaluate in rank space: F(t)
 depends only on where each coordinate of t falls among that axis's sorted
-breakpoints, so a query finds those ranks and then scans integer rank rows,
-or, once the rows scanned reach the size of the d-dimensional cumulative
-table, builds that table and answers by one lookup.  The index is
-built on first use, and each value is the integer pair (weight, denominator).
+breakpoints.  A query ranks t by the cursor that ranks G's abscissae in
+``monotone``, over the breakpoints as integer pairs, then scans integer rank
+rows or, once the rows scanned reach the size of the d-dimensional cumulative
+table, builds that table and answers by one lookup.  The index is built on
+first use, and each value is the integer pair (weight, denominator).
 
 For the hooks of ``mvdf.AxisSeparable``, a counting family's ``axis_codes``
 are ranks and its ``code_ratio`` the pair (weight below them, denominator); a
@@ -45,9 +46,9 @@ from operator import le, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
-from .monotone import MonotoneFn, step_cdf
+from .monotone import MonotoneFn, _pairs, _ranks, step_cdf
 from .mvdf import AxisSeparable, MultivariateDf, Ratio, ratio_lower_bound, ratio_min
-from .scalars import ExtScalar, as_ext, as_scalar
+from .scalars import ExtScalar, as_scalar
 
 
 def _require_cdf_margins(margins: Sequence[MonotoneFn], what: str) -> tuple[MonotoneFn, ...]:
@@ -70,10 +71,11 @@ class _RankIndex:
     """A counting df in rank space: F(t) = (weight of the rows <= t) / denominator.
 
     The df is constant between breakpoints, so F(t) depends only on the ranks
-    r_i = bisect_right(axis_i, t_i), with -inf at rank 0 and +inf at rank k_i;
-    a row is <= t exactly when each of its coordinate ranks is <= r_i
-    (dominance counting).  Queries scan the integer rank rows until the rows
-    scanned reach the cells of the cumulative table; only then is that
+    r_i, the number of axis-i breakpoints (integer pairs in ``keys``) at or
+    below t_i, counted by monotone's cursor; the unsorted rows are ranked once
+    by bisection.  A row is <= t exactly when each of its coordinate ranks is
+    <= r_i (dominance counting).  Queries scan the integer rank rows until the
+    rows scanned reach the cells of the cumulative table; only then is that
     d-dimensional prefix-sum table built, and each later query is one lookup.
     So a job with few evaluations never pays for the table, and a sweep pays
     for it at most once over.
@@ -84,6 +86,7 @@ class _RankIndex:
     ):
         dim = len(points[0])
         self.axes = tuple(tuple(sorted({p[i] for p in points})) for i in range(dim))
+        self.keys = [tuple(zip(*(b.as_integer_ratio() for b in bps))) for bps in self.axes]
         merged: dict[tuple[int, ...], int] = {}
         for p, w in zip(points, weights):
             ranks = tuple(map(bisect_right, self.axes, p))
@@ -151,8 +154,7 @@ class _CountingDf(MultivariateDf):
         return self._index
 
     def axis_codes(self, axis: int, values: Sequence[ExtScalar]) -> list[int]:
-        bps = self._rank_index().axes[axis]
-        return [bisect_right(bps, as_ext(c)) for c in values]
+        return _ranks(*self._rank_index().keys[axis], _pairs(values), 1)
 
     def code_ratio(self, codes: Sequence[int]) -> Ratio:
         return self._rank_index().ratio(codes)

@@ -15,19 +15,19 @@ offers exact evaluation, one-sided limits, and the two generalized inverses
     gen_inverse(u)       = inf { x : G(x) >= u }
     gen_inverse_right(u) = inf { x : G(x) > u }
 
-Both inverses search one cached sequence, the knot levels interleaved as
-``(left_0, value_0, left_1, ...)``, which valid knots make non-decreasing.  The
-first position past u names the answer: a ``value_k`` is the jump at knot k,
-a ``left_k`` the affine crossing on the piece ending at knot k, and the end of
-the sequence +inf (Embrechts & Hofert, "A note on generalized inverses", 2013).
-
-One path computes G and its inverses: two kernels on integer pairs (a, b),
-b > 0, for a/b, with tables built on the first call.  The knot walk maps
-points to values of G; the level walk maps levels to their positions in the
-level sequence, which name the inverse.  ``eval_many``, ``gen_inverse_many``
-and ``gen_inverse_right_many`` wrap them and return ``Fraction``s,
-``eval_pairs`` the pairs, and the single-point methods are one-point calls;
-the independent oracles they are tested against live in the tests.
+G, its left limit and both inverses are one operation on integer pairs
+(a, b), b > 0, for a/b: a cursor counts the sorted keys below a/b (s = 0) or
+at or below it (s = 1), and a reader answers at that rank from a table built
+on the first call, by a constant or an affine piece at a/b.  G(x) and G(x-)
+are s = 1 and s = 0 on the abscissa table; ``gen_inverse_right`` and
+``gen_inverse`` are s = 1 and s = 0 on the level table, whose keys are the
+knot levels ``(left_0, value_0, left_1, ...)``, non-decreasing for valid
+knots.  The first level past u names the inverse: a ``value_k`` the jump at
+knot k, a ``left_k`` the affine crossing on the piece ending at knot k, the
+end +inf (Embrechts & Hofert, "A note on generalized inverses", 2013).
+``eval_many``, ``gen_inverse_many`` and ``gen_inverse_right_many`` return
+``Fraction``s, ``eval_pairs`` the pairs, and the single-point methods are
+one-point calls; the independent oracles they are tested against live in the tests.
 
 The module also has a report runner checking, point by point, the classical
 inverse inequalities G(G^-1(u)) >= u and G^-1(G(x)) <= x, left-continuity of
@@ -50,7 +50,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ValidationError
 from .report import NO_DEVIATION, Report, Witnesses
-from .scalars import NEG_INF, POS_INF, ExtScalar, Ratio, as_ext, as_scalar, is_finite
+from .scalars import NEG_INF, POS_INF, ExtScalar, Ratio, as_ext, as_scalar
 
 
 @dataclass(frozen=True)
@@ -90,24 +90,69 @@ def _ext(r: Ratio | float) -> ExtScalar:
     return r if r.__class__ is float else Fraction(*r)
 
 
-class _SweepTables:
-    """The kernels' tables: knot abscissae and levels as integer pairs, and the pieces.
+# in the cursor's compares n b - a d of a key n/d with a point (a, b), (-1, 0) lies below
+# every key and (1, 0) above all, so -inf ranks 0 and +inf past every key
+_INF_PAIRS = {NEG_INF: (-1, 0), POS_INF: (1, 0)}
 
-    ``pieces[i]`` is G on [x_i, x_{i+1}); ``crossings[p]``, for even p, is
-    the inverse on the levels between value_{p/2-1} and left_{p/2}.
-    ``cached`` maps each knot abscissa and level pair to its ``Fraction``.
+
+def _pairs(xs: Iterable) -> list[Ratio]:
+    """Each extended scalar as an integer pair for the cursor; an infinity as its pair above."""
+    return [_INF_PAIRS[x] if x.__class__ is float else x.as_integer_ratio() for x in map(as_ext, xs)]
+
+
+def _ranks(ns: Sequence[int], ds: Sequence[int], pairs: Iterable[Ratio], s: int) -> list[int]:
+    """How many sorted keys n/d lie below each a/b at s = 0, at or below it at s = 1.
+
+    A bisect places the cursor for the first point, then it moves from the
+    previous rank, so a sorted sweep costs O(points + keys).  It reads
+    ``pairs`` one at a time.  On integers, key <= a/b is n b - a d < 1 and
+    key < a/b is n b - a d < 0.
+    """
+    end, out, r = len(ns), [], None
+    for a, b in pairs:
+        if r is None:
+            r = bisect_left(range(end), True, key=lambda k: ns[k] * b - a * ds[k] >= s)
+        while r < end and ns[r] * b - a * ds[r] < s:
+            r += 1
+        while r and ns[r - 1] * b - a * ds[r - 1] >= s:
+            r -= 1
+        out.append(r)
+    return out
+
+
+def _read(consts: Sequence, pieces: Sequence[_Piece], pairs: Iterable, ranks: Iterable[int]) -> list:
+    """At each point a/b and its rank r: the affine ``pieces[r]`` at a/b, or ``consts[r]``."""
+    out = []
+    for pair, r in zip(pairs, ranks):
+        if (piece := pieces[r]) is None:
+            out.append(consts[r])
+        else:
+            (alpha, beta, gamma), (a, b) = piece, pair
+            out.append((alpha * a + beta * b, gamma * b))
+    return out
+
+
+class _SweepTables:
+    """The kernels' tables: knot abscissae and levels as integer pairs, and two answer tables.
+
+    An answer table (consts, pieces) is read by :func:`_read` at a rank.  ``g``
+    is G by abscissa rank: the infimum at 0, value_i or the piece on
+    [x_i, x_{i+1}) at i + 1.  ``inverse`` is the inverse by level position:
+    -inf at 0, x_k at 2k + 1, the crossing between value_{k-1} and left_k at
+    2k, +inf at the end.  ``cached`` maps each key pair to its ``Fraction``.
     """
 
-    __slots__ = ("xn", "xd", "values", "pieces", "ln", "ld", "crossings", "cached")
+    __slots__ = ("xn", "xd", "ln", "ld", "g", "inverse", "cached")
 
     def __init__(self, knots: Sequence[Knot], levels: Sequence[Fraction]) -> None:
         xs = [k.x.as_integer_ratio() for k in knots]
         pairs = [lv.as_integer_ratio() for lv in levels]
         (self.xn, self.xd), (self.ln, self.ld) = zip(*xs), zip(*pairs)
-        self.values = pairs[1::2]
-        self.pieces = list(map(_piece, xs, pairs[1::2], xs[1:], pairs[2::2]))
-        self.crossings: list[_Piece] = [None] * len(pairs)
-        self.crossings[2::2] = map(_piece, pairs[1::2], xs, pairs[2::2], xs[1:])
+        pieces = [None, *map(_piece, xs, pairs[1::2], xs[1:], pairs[2::2]), None]
+        self.g = (pairs[:1] + pairs[1::2], pieces)
+        crossings: list[_Piece] = [None] * (len(pairs) + 1)
+        crossings[2:-1:2] = map(_piece, pairs[1::2], xs, pairs[2::2], xs[1:])
+        self.inverse = ([NEG_INF, *[x for x in xs for _ in (0, 1)][1:], POS_INF], crossings)
         self.cached = dict(zip([*xs, *pairs], [*(k.x for k in knots), *levels]))
         self.cached.update({NEG_INF: NEG_INF, POS_INF: POS_INF})
 
@@ -210,46 +255,16 @@ class MonotoneFn:
 
     def eval_pairs(self, xs: Iterable[ExtScalar]) -> list[Ratio]:
         """Exact G at each of ``xs`` as a pair; the infinities map to the infimum and supremum."""
-        xs = list(map(as_ext, xs))
-        walked = iter(self._knot_walk([x.as_integer_ratio() for x in xs if is_finite(x)]))
-        lo, hi = self.inf_value.as_integer_ratio(), self.sup_value.as_integer_ratio()
-        return [next(walked) if is_finite(x) else lo if x == NEG_INF else hi for x in xs]
+        return self._knot_walk(_pairs(xs))
 
-    def _knot_walk(self, pairs: Iterable[Ratio]) -> list[Ratio]:
-        """G at each finite point (a, b), walking one cursor over the knot abscissae.
-
-        One bisect places the cursor for the first point, then it moves from the
-        previous point's knot: a sorted sweep costs O(points + knots), one point O(log knots).
-        """
-        t = self._tables()
-        xn, xd, values, pieces = t.xn, t.xd, t.values, t.pieces
-        last, below = len(xn) - 1, (t.ln[0], t.ld[0])
-        out: list[Ratio] = []
-        i = None  # the last knot at or below the point, -1 below the first
-        for a, b in pairs:
-            if i is None:
-                i = bisect_left(range(last + 1), True, key=lambda k: xn[k] * b > a * xd[k]) - 1
-            while i < last and xn[i + 1] * b <= a * xd[i + 1]:
-                i += 1
-            while i >= 0 and xn[i] * b > a * xd[i]:
-                i -= 1
-            if i < 0:
-                out.append(below)
-            elif i == last or pieces[i] is None:
-                out.append(values[i])
-            else:
-                alpha, beta, gamma = pieces[i]
-                out.append((alpha * a + beta * b, gamma * b))
-        return out
+    def _knot_walk(self, pairs: Iterable[Ratio], s: int = 1) -> list[Ratio]:
+        """G at each point (a, b), or its limit from below at s = 0."""
+        t, pairs = self._tables(), list(pairs)
+        return _read(*t.g, pairs, _ranks(t.xn, t.xd, pairs, s))
 
     def eval_left(self, x) -> Fraction:
         """Exact limit of G from below at finite x."""
-        x = as_scalar(x)
-        i = bisect_left(self._xs, x)
-        if i < len(self._xs) and self._xs[i] == x:
-            return self.knots[i].left
-        # G is continuous away from the knots
-        return self.eval(x)
+        return self._fractions(self._knot_walk([as_scalar(x).as_integer_ratio()], 0))[0]
 
     # -- generalized inverses ------------------------------------------------
 
@@ -262,59 +277,32 @@ class MonotoneFn:
         return self.gen_inverse_right_many((u,))[0]
 
     def _level_walk(self, pairs: Iterable[Ratio], strict: bool) -> list[int]:
-        """The position in ``_levels`` of each level (a, b), checked to lie in [inf G, sup G].
-
-        It counts the levels below a/b, or at or below it when ``strict``, with
-        a cursor placed like the knot walk's.  ``pairs`` is read one at a time,
-        so a range error comes before any later element is coerced.
-        """
+        """How many of ``_levels`` lie below each level, or at or below it when ``strict``."""
         t = self._tables()
-        ln, ld = t.ln, t.ld
-        lo_n, lo_d, hi_n, hi_d, end = ln[0], ld[0], ln[-1], ld[-1], len(ln)
-        # on integers, level <= u is level - u < 1 and level < u is level - u < 0
-        s = 1 if strict else 0
-        out: list[int] = []
-        p = None
-        for a, b in pairs:
-            if lo_n * b > a * lo_d or a * hi_d > hi_n * b:
-                raise DomainError(
-                    f"level {Fraction(a, b)} outside the range [{self.inf_value}, {self.sup_value}]"
-                )
-            if p is None:
-                p = bisect_left(range(end), True, key=lambda k: ln[k] * b - a * ld[k] >= s)
-            while p < end and ln[p] * b - a * ld[p] < s:
-                p += 1
-            while p > 0 and ln[p - 1] * b - a * ld[p - 1] >= s:
-                p -= 1
-            out.append(p)
-        return out
+        return _ranks(t.ln, t.ld, pairs, strict)
 
     def _inverse_pairs(self, pairs: Iterable[Ratio], positions: Iterable[int]) -> list:
-        """The inverse at each level (a, b) and its level-walk position, as a pair or an infinity.
-
-        A ``value_k`` names the jump at knot k, a ``left_k`` the affine crossing
-        on the piece ending at knot k, position 0 -inf and the end +inf.
-        """
-        t = self._tables()
-        xn, xd, crossings = t.xn, t.xd, t.crossings
-        end = len(crossings)
-        out: list[Ratio | float] = []
-        for (a, b), p in zip(pairs, positions):
-            if p == 0:
-                out.append(NEG_INF)
-            elif p == end:
-                out.append(POS_INF)
-            elif p % 2:
-                out.append((xn[p // 2], xd[p // 2]))
-            else:
-                alpha, beta, gamma = crossings[p]
-                out.append((alpha * a + beta * b, gamma * b))
-        return out
+        """The inverse at each level (a, b) and its level-walk position, as a pair or an infinity."""
+        return _read(*self._tables().inverse, pairs, positions)
 
     def _checked_levels(self, us: Iterable, strict: bool) -> tuple[list[Ratio], list[int]]:
-        """Each of ``us`` as a pair, with its level-walk position; the first bad one raises."""
-        pairs, checked = tee(as_scalar(u).as_integer_ratio() for u in us)
-        positions = self._level_walk(checked, strict)
+        """Each of ``us`` as a pair, with its level-walk position; the first bad one raises.
+
+        The walk reads the levels one at a time, each coerced and checked to lie
+        in [inf G, sup G], so a range error comes before any later element is coerced.
+        """
+        t = self._tables()
+        lo_n, lo_d, hi_n, hi_d = t.ln[0], t.ld[0], t.ln[-1], t.ld[-1]
+
+        def checked():
+            for u in map(as_scalar, us):
+                a, b = u.as_integer_ratio()
+                if lo_n * b > a * lo_d or a * hi_d > hi_n * b:
+                    raise DomainError(f"level {u} outside the range [{self.inf_value}, {self.sup_value}]")
+                yield a, b
+
+        pairs, walked = tee(checked())
+        positions = self._level_walk(walked, strict)
         return list(pairs), positions
 
     def gen_inverse_many(self, us: Iterable) -> list[ExtScalar]:

@@ -8,6 +8,7 @@ equality on extended scalars are decidable with tolerance zero.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from typing import Union
@@ -45,23 +46,27 @@ def as_ext(value) -> ExtScalar:
     return as_scalar(value)
 
 
+# the one scalar grammar, ASCII whatever this Python's Fraction takes: [+-]p/q, or [+-]decimal[e[+-]n]
+_SCALAR = re.compile(r"[+-]?\d+/\d+|([+-]?(?:\d+\.?\d*|\.\d+))(?:e([+-]?\d+))?", re.ASCII | re.I)
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse ``"p/q"`` or an exact decimal string (``"0.3"`` -> 3/10)."""
+    match = _SCALAR.fullmatch(text.strip())
+    if match is None:
+        raise ValidationError(f"cannot parse exact rational from {text!r}")
     # Fraction computes 10 ** exponent, so bound the digits on the text first: the
     # value has at most the mantissa's length plus the exponent's magnitude in digits
-    mantissa, sep, exponent = text.strip().lower().partition("e")
-    if sep:
+    mantissa, exponent = match.groups()
+    if exponent:
         limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-        try:
-            magnitude = abs(int(exponent))
-        except ValueError:
-            magnitude = 0  # not an exponent: Fraction rejects the text below
-        if len(mantissa) + magnitude > limit:
+        digits = exponent.lstrip("+-0")
+        if len(digits) > len(str(limit)) or len(mantissa) + int(digits or 0) > limit:
             raise ValidationError(
                 f"exponent too large in {text.strip()!r}: the value would need more than {limit} digits"
             )
     try:
-        return Fraction(text.strip())
+        return Fraction(match[0])
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse exact rational from {text!r}") from exc
 

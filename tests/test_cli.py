@@ -290,6 +290,34 @@ def test_ingest_huge_exponent_exits_2(workdir):
     assert r.stdout == ""
 
 
+# underscores, spaces around "/" and non-ASCII digits: what some Python's Fraction takes
+OFF_GRAMMAR = ["1_000", "1 / 2", "\u0663", "\uff11"]
+
+
+@pytest.mark.parametrize("text", OFF_GRAMMAR)
+def test_scalars_off_the_grammar_exit_2_in_payloads_and_points(workdir, text):
+    (workdir / "odd.json").write_text(G_ID_JSON.replace('"x": "1"', json.dumps({"x": text})[1:-1]))
+    r = run_cli("eval", "odd.json", "0", cwd=workdir)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert "cannot parse exact rational" in r.stderr
+    for args in (("eval", "g_id.json", text), ("eval", "unif2.json", f"0,{text}"), ("quantile", "g_id.json", text)):
+        r = run_cli(*args, cwd=workdir)
+        assert (r.returncode, r.stdout) == (2, ""), args
+        assert "cannot parse exact rational" in r.stderr, args
+
+
+def test_ingest_reads_a_csv_with_a_byte_order_mark(workdir):
+    (workdir / "bom.csv").write_bytes(b"\xef\xbb\xbf0,0\n1,1\n")
+    r = run_cli("ingest", "bom.csv", cwd=workdir)
+    assert (r.returncode, r.stdout) == (0, run_cli("ingest", "rows.csv", cwd=workdir).stdout)
+
+
+def test_payload_with_a_byte_order_mark_loads(workdir):
+    (workdir / "bom.json").write_bytes(b"\xef\xbb\xbf" + G_BERN_JSON.encode())
+    r = run_cli("eval", "bom.json", "0.5", cwd=workdir)
+    assert (r.returncode, r.stdout) == (0, "1/2\n")
+
+
 def test_reports_byte_identical_for_fixed_seed(workdir):
     run_cli("ingest", "rows.csv", "-o", "emp.json", cwd=workdir)
     args = ("verify", "copula", "emp.json", "--seed", "11", "--cuboids", "100")

@@ -210,9 +210,9 @@ def test_lemma_report_raises_as_oracle(g_bern):
 
 
 def _corrupted_uniform(table: str, index: int, piece: tuple[int, int, int]) -> MonotoneFn:
-    """The uniform cdf on [0, 1] with one entry of its kernel tables replaced."""
+    """The uniform cdf on [0, 1] with one affine piece of an answer table replaced."""
     fn = uniform_cdf()
-    getattr(fn._tables(), table)[index] = piece
+    getattr(fn._tables(), table)[1][index] = piece
     return fn
 
 
@@ -220,14 +220,14 @@ def test_lemma_sections_a_and_b_fire_on_corrupted_tables():
     us, xs = GridSpec(8).lemma_grids(uniform_cdf())
     # G computed as x/2 on [0, 1): G(G^-1(u)) = u/2 < u at each level inside (0, 1); the
     # points stay off the open piece, where G^-1(G(x)) = x/2 < x would break the ff bound
-    fn = _corrupted_uniform("pieces", 0, (1, 0, 2))
+    fn = _corrupted_uniform("g", 1, (1, 0, 2))
     a, b, _, _ = lemma_report(fn, us, [F(-1), F(0), F(1), F(2)]).sections
     assert a.witnesses == tuple(
         {"point": F(k, 8), "lhs": F(k, 16), "rhs": F(k, 8)} for k in range(1, 8)
     )
     assert b.witnesses == ()
     # G^-1 computed as u + 1/16 on (0, 1]: G^-1(G(x)) = x + 1/16 > x for x in (0, 1]
-    a, b, _, _ = lemma_report(_corrupted_uniform("crossings", 2, (16, 1, 16)), us, xs).sections
+    a, b, _, _ = lemma_report(_corrupted_uniform("inverse", 2, (16, 1, 16)), us, xs).sections
     assert a.witnesses == ()
     assert b.witnesses == tuple(
         {"point": x, "lhs": x + F(1, 16), "rhs": x} for x in (F(1, 8), F(1, 2), F(7, 8), F(1))

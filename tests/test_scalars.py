@@ -22,6 +22,19 @@ def test_parse_rejects_garbage():
         parse_ext("nan")
 
 
+@pytest.mark.parametrize(
+    "text", ["1_000", "1 / 2", "1/ 2", "\u0663", "\uff11", "1e5_0", "0x10", ".", "1/2e3", "+-1", "1.5/2"]
+)
+def test_parse_holds_to_the_ascii_grammar(text):
+    with pytest.raises(ValidationError, match="cannot parse exact rational"):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("text", ["+3/4", "-1/2", "1.", ".5", "-.5E-3", "+2e+1", "007"])
+def test_parse_accepts_every_form_of_the_grammar(text):
+    assert parse_scalar(text) == Fraction(text)
+
+
 @pytest.mark.parametrize("text", ["1e4301", "1e5000", "-2.5E+4300", ".1e-4299", "1e-99999"])
 def test_parse_refuses_exponents_past_the_digit_limit(text):
     with pytest.raises(ValidationError, match="exponent too large"):
