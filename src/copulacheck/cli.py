@@ -44,21 +44,12 @@ def _read_text(path: str) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def _load(path: str):
-    return serialize.load_payload(_read_text(path))
-
-
-def _load_fn(path: str) -> MonotoneFn:
-    obj = _load(path)
-    if not isinstance(obj, MonotoneFn):
-        raise ValidationError(f"{path}: expected a monotone function payload")
-    return obj
-
-
-def _load_df(path: str) -> MultivariateDf:
-    obj = _load(path)
-    if not isinstance(obj, MultivariateDf):
-        raise ValidationError(f"{path}: expected a df payload")
+def _load(path: str, cls: type = object):
+    """The payload at ``path``, which must be a ``cls``."""
+    obj = serialize.load_payload(_read_text(path))
+    if not isinstance(obj, cls):
+        kind = "monotone function" if cls is MonotoneFn else "df"
+        raise ValidationError(f"{path}: expected a {kind} payload")
     return obj
 
 
@@ -74,7 +65,7 @@ def _emit(text: str, out_path) -> None:
 
 
 def cmd_quantile(args) -> int:
-    fn = _load_fn(args.fn_path)
+    fn = _load(args.fn_path, MonotoneFn)
     u = parse_scalar(args.u)
     value = fn.gen_inverse_right(u) if args.right_limit else fn.gen_inverse(u)
     _emit(fmt(value) + "\n", args.output)
@@ -95,21 +86,21 @@ def cmd_eval(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    df = _load_df(args.df_path)
+    df = _load(args.df_path, MultivariateDf)
     box = Cuboid(_parse_point(args.a), _parse_point(args.b))
     _emit(fmt(volume(df, box)) + "\n", args.output)
     return 0
 
 
 def cmd_margin(args) -> int:
-    df = _load_df(args.df_path)
+    df = _load(args.df_path, MultivariateDf)
     payload = serialize.monotone_to_payload(margin(df, args.index))
     _emit(serialize.dumps_payload(payload), args.output)
     return 0
 
 
 def cmd_extract(args) -> int:
-    df = _load_df(args.df_path)
+    df = _load(args.df_path, MultivariateDf)
     copula = extract_copula(df)
     grid = GridSpec(args.grid)
     axes = [grid.levels(m) for m in copula.margins]
@@ -126,18 +117,19 @@ def cmd_verify(args) -> int:
     # the only cap: the check builds no witness past it, and the report emits what it kept
     cap = args.max_witnesses
     if args.kind == "lemma":
-        fn = _load_fn(args.path)
+        fn = _load(args.path, MonotoneFn)
         report = lemma_report(fn, *GridSpec(args.grid).lemma_grids(fn), max_witnesses=cap)
     elif args.kind == "df":
-        df = _load_df(args.path)
+        df = _load(args.path, MultivariateDf)
         report = check_df_axioms(df, n_cuboids=args.cuboids, seed=args.seed, max_witnesses=cap)
     elif args.kind == "sklar":
-        report = verify_sklar_identity(_load_df(args.path), grid=GridSpec(args.grid), max_witnesses=cap)
+        df = _load(args.path, MultivariateDf)
+        report = verify_sklar_identity(df, grid=GridSpec(args.grid), max_witnesses=cap)
     elif args.kind == "margins":
-        copula = extract_copula(_load_df(args.path))
+        copula = extract_copula(_load(args.path, MultivariateDf))
         report = verify_uniform_margins(copula, grid=GridSpec(args.grid), max_witnesses=cap)
     elif args.kind == "copula":
-        copula = extract_copula(_load_df(args.path))
+        copula = extract_copula(_load(args.path, MultivariateDf))
         report = verify_copula_axioms(
             copula, n_cuboids=args.cuboids, seed=args.seed, grid=GridSpec(args.grid), max_witnesses=cap
         )

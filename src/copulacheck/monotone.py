@@ -15,19 +15,20 @@ offers exact evaluation, one-sided limits, and the two generalized inverses
     gen_inverse(u)       = inf { x : G(x) >= u }
     gen_inverse_right(u) = inf { x : G(x) > u }
 
-G, its left limit and both inverses are one operation on integer pairs
-(a, b), b > 0, for a/b: a cursor counts the sorted keys below a/b (s = 0) or
-at or below it (s = 1), and a reader answers at that rank from a table built
-on the first call, by a constant or an affine piece at a/b.  G(x) and G(x-)
-are s = 1 and s = 0 on the abscissa table; ``gen_inverse_right`` and
-``gen_inverse`` are s = 1 and s = 0 on the level table, whose keys are the
-knot levels ``(left_0, value_0, left_1, ...)``, non-decreasing for valid
-knots.  The first level past u names the inverse: a ``value_k`` the jump at
-knot k, a ``left_k`` the affine crossing on the piece ending at knot k, the
-end +inf (Embrechts & Hofert, "A note on generalized inverses", 2013).
-``eval_many``, ``gen_inverse_many`` and ``gen_inverse_right_many`` return
-``Fraction``s, ``eval_pairs`` the pairs, and the single-point methods are
-one-point calls; the independent oracles they are tested against live in the tests.
+G, its left limit and both inverses are one walk on integer pairs (a, b),
+b > 0, for a/b, over one of two answer tables built on the first call.  Each
+table carries its own sorted keys: the walk counts the keys below a/b (s = 0)
+or at or below it (s = 1) and answers at that rank by a constant or an affine
+piece at a/b.  G(x) and G(x-) are s = 1 and s = 0 on the abscissa table;
+``gen_inverse_right`` and ``gen_inverse`` are s = 1 and s = 0 on the level
+table, whose keys are the knot levels ``(left_0, value_0, left_1, ...)``,
+non-decreasing for valid knots.  The first level past u names the inverse: a
+``value_k`` the jump at knot k, a ``left_k`` the affine crossing on the piece
+ending at knot k, the end +inf (Embrechts & Hofert, "A note on generalized
+inverses", 2013).  ``eval_many``, ``gen_inverse_many`` and
+``gen_inverse_right_many`` return ``Fraction``s, ``eval_pairs`` the pairs, and
+the single-point methods are one-point walks; the independent oracles they are
+tested against live in the tests.
 
 The module also has a report runner checking, point by point, the classical
 inverse inequalities G(G^-1(u)) >= u and G^-1(G(x)) <= x, left-continuity of
@@ -44,7 +45,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import tee
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -120,39 +120,45 @@ def _ranks(ns: Sequence[int], ds: Sequence[int], pairs: Iterable[Ratio], s: int)
     return out
 
 
-def _read(consts: Sequence, pieces: Sequence[_Piece], pairs: Iterable, ranks: Iterable[int]) -> list:
-    """At each point a/b and its rank r: the affine ``pieces[r]`` at a/b, or ``consts[r]``."""
+def _walk(table: tuple, pairs: Iterable[Ratio], s: int) -> list:
+    """Rank each a/b among the keys of ``table`` at s, and read the table at that rank.
+
+    A table is (key numerators, key denominators, consts, pieces); at rank r it
+    answers with the affine ``pieces[r]`` at a/b, or ``consts[r]`` where that is None.
+    """
+    ns, ds, consts, pieces = table
+    pairs = list(pairs)
     out = []
-    for pair, r in zip(pairs, ranks):
+    for (a, b), r in zip(pairs, _ranks(ns, ds, pairs, s)):
         if (piece := pieces[r]) is None:
             out.append(consts[r])
         else:
-            (alpha, beta, gamma), (a, b) = piece, pair
+            alpha, beta, gamma = piece
             out.append((alpha * a + beta * b, gamma * b))
     return out
 
 
 class _SweepTables:
-    """The kernels' tables: knot abscissae and levels as integer pairs, and two answer tables.
+    """The kernels' two answer tables, each with its keys, and the ``Fraction`` cache.
 
-    An answer table (consts, pieces) is read by :func:`_read` at a rank.  ``g``
-    is G by abscissa rank: the infimum at 0, value_i or the piece on
-    [x_i, x_{i+1}) at i + 1.  ``inverse`` is the inverse by level position:
-    -inf at 0, x_k at 2k + 1, the crossing between value_{k-1} and left_k at
-    2k, +inf at the end.  ``cached`` maps each key pair to its ``Fraction``.
+    An answer table (key numerators, key denominators, consts, pieces) is read
+    by :func:`_walk`.  ``g`` is G by rank among the knot abscissae: the
+    infimum at 0, value_i or the piece on [x_i, x_{i+1}) at i + 1.
+    ``inverse`` is the inverse by rank among the knot levels: -inf at 0, x_k at
+    2k + 1, the crossing between value_{k-1} and left_k at 2k, +inf at the
+    end.  ``cached`` maps each key pair to its ``Fraction``.
     """
 
-    __slots__ = ("xn", "xd", "ln", "ld", "g", "inverse", "cached")
+    __slots__ = ("g", "inverse", "cached")
 
     def __init__(self, knots: Sequence[Knot], levels: Sequence[Fraction]) -> None:
         xs = [k.x.as_integer_ratio() for k in knots]
         pairs = [lv.as_integer_ratio() for lv in levels]
-        (self.xn, self.xd), (self.ln, self.ld) = zip(*xs), zip(*pairs)
         pieces = [None, *map(_piece, xs, pairs[1::2], xs[1:], pairs[2::2]), None]
-        self.g = (pairs[:1] + pairs[1::2], pieces)
+        self.g = (*zip(*xs), pairs[:1] + pairs[1::2], pieces)
         crossings: list[_Piece] = [None] * (len(pairs) + 1)
         crossings[2:-1:2] = map(_piece, pairs[1::2], xs, pairs[2::2], xs[1:])
-        self.inverse = ([NEG_INF, *[x for x in xs for _ in (0, 1)][1:], POS_INF], crossings)
+        self.inverse = (*zip(*pairs), [NEG_INF, *[x for x in xs for _ in (0, 1)][1:], POS_INF], crossings)
         self.cached = dict(zip([*xs, *pairs], [*(k.x for k in knots), *levels]))
         self.cached.update({NEG_INF: NEG_INF, POS_INF: POS_INF})
 
@@ -255,16 +261,11 @@ class MonotoneFn:
 
     def eval_pairs(self, xs: Iterable[ExtScalar]) -> list[Ratio]:
         """Exact G at each of ``xs`` as a pair; the infinities map to the infimum and supremum."""
-        return self._knot_walk(_pairs(xs))
-
-    def _knot_walk(self, pairs: Iterable[Ratio], s: int = 1) -> list[Ratio]:
-        """G at each point (a, b), or its limit from below at s = 0."""
-        t, pairs = self._tables(), list(pairs)
-        return _read(*t.g, pairs, _ranks(t.xn, t.xd, pairs, s))
+        return _walk(self._tables().g, _pairs(xs), 1)
 
     def eval_left(self, x) -> Fraction:
         """Exact limit of G from below at finite x."""
-        return self._fractions(self._knot_walk([as_scalar(x).as_integer_ratio()], 0))[0]
+        return self._fractions(_walk(self._tables().g, [as_scalar(x).as_integer_ratio()], 0))[0]
 
     # -- generalized inverses ------------------------------------------------
 
@@ -276,66 +277,48 @@ class MonotoneFn:
         """inf { x : G(x) > u }; +inf at u = sup G, where the set is empty."""
         return self.gen_inverse_right_many((u,))[0]
 
-    def _level_walk(self, pairs: Iterable[Ratio], strict: bool) -> list[int]:
-        """How many of ``_levels`` lie below each level, or at or below it when ``strict``."""
-        t = self._tables()
-        return _ranks(t.ln, t.ld, pairs, strict)
-
-    def _inverse_pairs(self, pairs: Iterable[Ratio], positions: Iterable[int]) -> list:
-        """The inverse at each level (a, b) and its level-walk position, as a pair or an infinity."""
-        return _read(*self._tables().inverse, pairs, positions)
-
-    def _checked_levels(self, us: Iterable, strict: bool) -> tuple[list[Ratio], list[int]]:
-        """Each of ``us`` as a pair, with its level-walk position; the first bad one raises.
-
-        The walk reads the levels one at a time, each coerced and checked to lie
-        in [inf G, sup G], so a range error comes before any later element is coerced.
-        """
-        t = self._tables()
-        lo_n, lo_d, hi_n, hi_d = t.ln[0], t.ld[0], t.ln[-1], t.ld[-1]
-
-        def checked():
-            for u in map(as_scalar, us):
-                a, b = u.as_integer_ratio()
-                if lo_n * b > a * lo_d or a * hi_d > hi_n * b:
-                    raise DomainError(f"level {u} outside the range [{self.inf_value}, {self.sup_value}]")
-                yield a, b
-
-        pairs, walked = tee(checked())
-        positions = self._level_walk(walked, strict)
-        return list(pairs), positions
+    def _level_pairs(self, us: Iterable) -> list[Ratio]:
+        """Each of ``us`` as a pair; the first outside [inf G, sup G] raises before the next is coerced."""
+        (lo_n, lo_d), (hi_n, hi_d) = self.inf_value.as_integer_ratio(), self.sup_value.as_integer_ratio()
+        out = []
+        for u in map(as_scalar, us):
+            a, b = u.as_integer_ratio()
+            if lo_n * b > a * lo_d or a * hi_d > hi_n * b:
+                raise DomainError(f"level {u} outside the range [{self.inf_value}, {self.sup_value}]")
+            out.append((a, b))
+        return out
 
     def gen_inverse_many(self, us: Iterable) -> list[ExtScalar]:
         """inf { x : G(x) >= u } for each of ``us``, walking one cursor over the knot levels."""
-        return self._fractions(self._inverse_pairs(*self._checked_levels(us, strict=False)))
+        return self._fractions(_walk(self._tables().inverse, self._level_pairs(us), 0))
 
     def gen_inverse_right_many(self, us: Iterable) -> list[ExtScalar]:
         """inf { x : G(x) > u } for each of ``us``, walking one cursor over the knot levels."""
-        return self._fractions(self._inverse_pairs(*self._checked_levels(us, strict=True)))
+        return self._fractions(_walk(self._tables().inverse, self._level_pairs(us), 1))
 
     def gen_inverse_left_limit(self, u) -> Fraction:
         """Exact limit of gen_inverse from below at u, for u in (inf G, sup G]."""
-        pairs, positions = self._checked_levels((u,), strict=False)
-        if positions[0] == 0:
-            raise DomainError(f"left limit of the inverse undefined at the infimum {u}")
-        return self._fractions(self._left_limits(pairs, positions))[0]
+        return self._fractions(self._left_limits(self._level_pairs((u,))))[0]
 
-    def _left_limits(self, pairs: Sequence[Ratio], positions: Sequence[int]) -> list[Ratio]:
-        """The limit of gen_inverse from below at each level u = a/b of non-strict position p > 0.
+    def _left_limits(self, pairs: Sequence[Ratio]) -> list[Ratio]:
+        """The limit of gen_inverse from below at each level u = a/b in (inf G, sup G].
 
         On a level window free of knot levels the inverse is affine (inside a
         strictly rising piece) or constant (across a jump), so with c/e the
-        level at p - 1, 2 G^-1(near) - G^-1(far) is the limit exactly for
-        far = (u + c/e) / 2 and near = (3u + c/e) / 4, probed in one level walk.
+        highest knot level below u, 2 G^-1(near) - G^-1(far) is the limit
+        exactly for far = (u + c/e) / 2 and near = (3u + c/e) / 4, probed in
+        one walk.  A level with no knot level below it is the infimum, and raises.
         """
-        t = self._tables()
-        ln, ld = t.ln, t.ld
+        inverse = self._tables().inverse
+        ln, ld = inverse[:2]
         probes: list[Ratio] = []
-        for (a, b), p in zip(pairs, positions):
+        for (a, b), p in zip(pairs, _ranks(ln, ld, pairs, 0)):
+            if not p:
+                raise DomainError(f"left limit of the inverse undefined at the infimum {Fraction(a, b)}")
             c, e = ln[p - 1], ld[p - 1]
             ae, cb, be = a * e, c * b, b * e
             probes += ((ae + cb, 2 * be), (3 * ae + cb, 4 * be))
-        probed = self._inverse_pairs(probes, self._level_walk(probes, strict=False))
+        probed = _walk(inverse, probes, 0)
         if any(r.__class__ is float for r in probed):
             raise AssertionError(f"left-limit probe with an infinite inverse: {probed}")
         return [
@@ -410,23 +393,22 @@ def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence, max_witnesses: int 
     section keeps the witnesses of its first ``max_witnesses`` violations (all
     when below 0) and counts the rest.
     """
-    pairs, positions = fn._checked_levels(us, strict=False)
+    t = fn._tables()
+    pairs = fn._level_pairs(us)
     xs = [as_scalar(x) for x in xs]
 
-    inverses = fn._inverse_pairs(pairs, positions)
-    # p = 0 is u = inf G, where G(G^-1(u)) = G(-inf) = u
-    checked = [(pair, p, at) for pair, p, at in zip(pairs, positions, inverses) if p]
+    # u = inf G, where G^-1(u) = -inf, has G(G^-1(u)) = u and no left limit
+    checked = [(pair, at) for pair, at in zip(pairs, _walk(t.inverse, pairs, 0)) if at != NEG_INF]
     violations_a = Witnesses(max_witnesses)
-    for ((a, b), _, _), value in zip(checked, fn._knot_walk(at for _, _, at in checked)):
+    for ((a, b), _), value in zip(checked, _walk(t.g, [at for _, at in checked], 1)):
         if _sign(value, a, b) < 0:
             violations_a.add(NO_DEVIATION, _level_witness, (a, b), value, (a, b))
 
     points = [x.as_integer_ratio() for x in xs]
-    levels = fn._knot_walk(points)
+    levels = _walk(t.g, points, 1)
     violations_b = Witnesses(max_witnesses)
     ff_witnesses = Witnesses(max_witnesses)
-    low = fn._inverse_pairs(levels, fn._level_walk(levels, strict=False))
-    high = fn._inverse_pairs(levels, fn._level_walk(levels, strict=True))
+    low, high = _walk(t.inverse, levels, 0), _walk(t.inverse, levels, 1)
     for x, (a, b), inv, lhs in zip(xs, points, low, high):
         if _sign(inv, a, b) > 0:
             violations_b.add(NO_DEVIATION, _point_witness, x, inv)
@@ -436,10 +418,10 @@ def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence, max_witnesses: int 
         if side:
             ff_witnesses.add(NO_DEVIATION, _ff_witness, x, lhs)
 
-    # section a already holds the inverse at each level; u = inf G has no left limit
-    limits = fn._left_limits([c[0] for c in checked], [c[1] for c in checked])
+    # section a already holds the inverse at each level
+    limits = fn._left_limits([pair for pair, _ in checked])
     violations_lc = Witnesses(max_witnesses)
-    for (pair, _, at), limit in zip(checked, limits):
+    for (pair, at), limit in zip(checked, limits):
         if _sign(limit, *at):
             violations_lc.add(NO_DEVIATION, _level_witness, pair, limit, at)
 

@@ -47,7 +47,7 @@ def as_ext(value) -> ExtScalar:
 
 
 # the one scalar grammar, ASCII whatever this Python's Fraction takes: [+-]p/q, or [+-]decimal[e[+-]n]
-_SCALAR = re.compile(r"[+-]?\d+/\d+|([+-]?(?:\d+\.?\d*|\.\d+))(?:e([+-]?\d+))?", re.ASCII | re.I)
+_SCALAR = re.compile(r"([+-]?\d+)/(\d+)|([+-]?(?:\d+\.?\d*|\.\d+))(?:e([+-]?\d+))?", re.ASCII | re.I)
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -55,9 +55,9 @@ def parse_scalar(text: str) -> Fraction:
     match = _SCALAR.fullmatch(text.strip())
     if match is None:
         raise ValidationError(f"cannot parse exact rational from {text!r}")
-    # Fraction computes 10 ** exponent, so bound the digits on the text first: the
+    # the value is built with 10 ** exponent, so bound the digits on the text first: the
     # value has at most the mantissa's length plus the exponent's magnitude in digits
-    mantissa, exponent = match.groups()
+    p, q, mantissa, exponent = match.groups()
     if exponent:
         limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
         digits = exponent.lstrip("+-0")
@@ -66,7 +66,15 @@ def parse_scalar(text: str) -> Fraction:
                 f"exponent too large in {text.strip()!r}: the value would need more than {limit} digits"
             )
     try:
-        return Fraction(match[0])
+        if mantissa is None:
+            return Fraction(int(p), int(q))
+        # whole and decimal digits are read apart, as Fraction(str) reads them, so
+        # int's digit limit holds for each part alone
+        whole, _, decimals = mantissa.lstrip("+-").partition(".")
+        n = int(whole or 0) * 10 ** len(decimals) + int(decimals or 0)
+        shift = int(exponent or 0) - len(decimals)
+        n = -n if mantissa[0] == "-" else n
+        return Fraction(n * 10**shift) if shift >= 0 else Fraction(n, 10**-shift)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse exact rational from {text!r}") from exc
 

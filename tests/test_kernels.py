@@ -212,7 +212,7 @@ def test_lemma_report_raises_as_oracle(g_bern):
 def _corrupted_uniform(table: str, index: int, piece: tuple[int, int, int]) -> MonotoneFn:
     """The uniform cdf on [0, 1] with one affine piece of an answer table replaced."""
     fn = uniform_cdf()
-    getattr(fn._tables(), table)[1][index] = piece
+    getattr(fn._tables(), table)[3][index] = piece
     return fn
 
 

@@ -8,15 +8,16 @@ rising pieces.
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from copulacheck import (
     NEG_INF,
     POS_INF,
-    MonotoneFn,
     SplitMix64,
     extract_copula,
+    monotone,
 )
 from helpers import (
     assert_matches_scan,
@@ -111,14 +112,15 @@ def _between(values):
 
 
 def _left_limit_probes(fn, u):
-    """The levels at which gen_inverse_left_limit(u) evaluates the inverse: its last level walk."""
-    spy, walks = MonotoneFn(fn.knots), []
-    object.__setattr__(
-        spy,
-        "_level_walk",
-        lambda pairs, strict: walks.append(list(pairs)) or fn._level_walk(walks[-1], strict),
-    )
-    spy.gen_inverse_left_limit(u)
+    """The levels at which gen_inverse_left_limit(u) evaluates the inverse: its last walk."""
+    walks, walk = [], monotone._walk
+
+    def spy(table, pairs, s):
+        walks.append(list(pairs))
+        return walk(table, walks[-1], s)
+
+    with mock.patch.object(monotone, "_walk", spy):
+        fn.gen_inverse_left_limit(u)
     return tuple(F(*pair) for pair in walks[-1])
 
 

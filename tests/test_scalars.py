@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copulacheck import NEG_INF, POS_INF, ValidationError, fmt, parse_ext, parse_scalar, scalars
 from copulacheck.scalars import as_ext, as_scalar, is_finite
@@ -55,6 +56,38 @@ def test_parse_accepts_exponents_within_the_limit_and_prints_them(text):
     value = parse_scalar(text)
     assert value == Fraction(text)
     assert Fraction(fmt(value)) == value
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=30)
+_SIGNS = st.sampled_from(["", "+", "-"])
+
+
+@st.composite
+def grammar_texts(draw):
+    """A string of the scalar grammar whose exponent, if any, lies far within the digit bound."""
+    if draw(st.booleans()):
+        body = f"{draw(_SIGNS)}{draw(_DIGITS)}/{draw(_DIGITS)}"
+    else:
+        whole, decimals = draw(_DIGITS), draw(_DIGITS)
+        mantissa = draw(st.sampled_from([whole, f"{whole}.", f".{decimals}", f"{whole}.{decimals}"]))
+        exponent = draw(st.sampled_from(["", "e", "E"]))
+        if exponent:
+            exponent += f"{draw(_SIGNS)}{draw(st.integers(0, 400)):0{draw(st.integers(1, 5))}d}"
+        body = f"{draw(_SIGNS)}{mantissa}{exponent}"
+    return draw(st.sampled_from(["", " "])) + body + draw(st.sampled_from(["", "\n"]))
+
+
+@given(grammar_texts())
+@settings(max_examples=300, deadline=None)
+def test_parse_agrees_with_fraction_on_the_grammar(text):
+    try:
+        want = Fraction(text)
+    except ZeroDivisionError:
+        with pytest.raises(ValidationError, match="cannot parse exact rational"):
+            parse_scalar(text)
+    else:
+        got = parse_scalar(text)
+        assert type(got) is Fraction and got == want
 
 
 def test_parse_ext_infinities():
