@@ -10,11 +10,13 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from copulacheck import (
     NEG_INF,
     POS_INF,
+    DomainError,
     SplitMix64,
     extract_copula,
     monotone,
@@ -138,6 +140,9 @@ def test_inverses_equal_the_knot_walk(fn):
             _same(fn.gen_inverse_left_limit(u), walk_left_limit(fn, u))
             # the inverse is left-continuous, so only the probes show a window that is off
             assert _left_limit_probes(fn, u) == walk_left_probes(fn, u)
+        else:
+            with pytest.raises(DomainError, match="undefined at the infimum"):
+                fn.gen_inverse_left_limit(u)
     for x in _between(fn.knot_xs()):
         _same(fn.eval_left(x), walk_eval_left(fn, x))
 
