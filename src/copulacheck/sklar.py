@@ -20,11 +20,14 @@ exhibiting the exact break points is the purpose of this module.
 
 :class:`GridSpec` builds every verification grid and always merges the
 structural breakpoints of the inputs, so a violation at a jump cannot hide
-between grid points.  Only :class:`Copula` applies the quantile transform: its
-``axis_codes`` checks and transforms each level, then codes it with the
-source's ``axis_codes``; its ``code_ratio`` is the source's.  So every sweep
-transforms each axis point once, and the random boxes (``mvdf.IndexBox``)
-transform each distinct corner level of the whole batch once.
+between grid points.  It makes the k/m points of a range from integers, in
+order, and places each breakpoint among them by integer division, so grid
+points are never compared.  Only :class:`Copula` applies the quantile
+transform: its ``axis_codes`` checks and transforms each level, then codes it
+with the source's ``axis_codes``; its ``code_ratio`` is the source's.  So
+every sweep transforms each axis point once, and the random boxes
+(``mvdf.IndexBox``) transform each distinct corner level of the whole batch
+once.
 
 The verifiers sweep ``ratio_grid``, whose values are integer pairs
 (``mvdf.Ratio``), and decide every comparison by cross-multiplying them.
@@ -72,14 +75,39 @@ class GridSpec:
             raise ValidationError(f"grid resolution must be an integer >= 1, got {self.m!r}")
 
     def axis_points(self, lo: Fraction, hi: Fraction, extra: Sequence[Fraction] = ()) -> tuple[Fraction, ...]:
-        """k/m points on [lo, hi] merged with the given structural breakpoints, sorted and distinct."""
-        if lo > hi:
-            raise ValidationError(f"grid range [{lo}, {hi}] is empty")
+        """k/m points on [lo, hi] merged with the given structural breakpoints, sorted and distinct.
+
+        The k/m points are in order by construction and never compared.  Each
+        breakpoint p/q is placed among them by one integer division: it is
+        dropped when it equals a grid point (the grid's ``Fraction`` is kept),
+        and otherwise goes just before the next grid point, before lo or past
+        hi.  Only breakpoints in the same gap are sorted and deduplicated,
+        among themselves, and each keeps its own object.  ``lo == hi`` is one
+        grid point.
+        """
         # with lo = a/b and hi = c/d, point k is (a d m + k (c b - a d)) / (b d m), exactly hi at k = m
         a, b, c, d, m = lo.numerator, lo.denominator, hi.numerator, hi.denominator, self.m
         start, span, den = a * d * m, c * b - a * d, b * d * m
-        points = sorted([*(Fraction(start + k * span, den) for k in range(m + 1)), *extra])
-        return tuple(p for p, _ in groupby(points))
+        if span < 0:
+            raise ValidationError(f"grid range [{lo}, {hi}] is empty")
+        if not span:  # lo == hi: one grid point, and the placement below only reads signs
+            m, span = 0, 1
+        # gaps[k]: the breakpoints just before grid point k; gap m + 1 lies past hi
+        gaps: dict[int, list] = {m + 1: []}
+        for p in extra:
+            q = p.denominator
+            k, r = divmod(p.numerator * den - start * q, span * q)
+            if not r and 0 <= k <= m:
+                continue  # p is grid point k
+            gap = k + 1 if r else k
+            gaps.setdefault(min(max(gap, 0), m + 1), []).append(p)
+        points: list = []
+        done = 0
+        for gap in sorted(gaps):
+            points += [Fraction(start + k * span, den) for k in range(done, gap)]
+            points += [p for p, _ in groupby(sorted(gaps[gap]))]
+            done = gap
+        return tuple(points)
 
     def levels(self, fn: MonotoneFn) -> tuple[Fraction, ...]:
         """Levels on [inf G, sup G] merged with the critical levels of G.

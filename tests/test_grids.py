@@ -2,13 +2,16 @@
 
 The oracles build each axis as a set of ``lo + k/m * (hi - lo)`` points and
 sort it, and transform the sklar identity's grid by hand, one margin inverse
-per axis point.  ``GridSpec`` builds each point from integers with one sorted
-pass, and the identity reads the copula on the margin levels of the grid; both
-must give the same tuples and the same reports.
+per axis point.  ``GridSpec`` builds each point from integers and places each
+breakpoint among them by integer division, and the identity reads the copula
+on the margin levels of the grid; both must give the same tuples and the same
+reports.
 """
 
 from fractions import Fraction
-from math import prod
+from math import ceil, floor, prod
+from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +72,99 @@ def test_axis_points_keep_both_ends_exactly():
 def test_axis_points_reject_an_empty_range():
     with pytest.raises(ValidationError, match="empty"):
         GridSpec(4).axis_points(F(1), F(1, 2))
+
+
+# -- integer placement of the breakpoints ---------------------------------------
+
+
+def assert_placed(m, lo, hi, extra):
+    """``axis_points`` equals the set oracle, and every breakpoint tied with a grid point
+    yields to the grid's own ``Fraction`` while every other one keeps its object."""
+    got = GridSpec(m).axis_points(lo, hi, extra)
+    want = oracle_axis_points(m, lo, hi, extra)
+    assert got == want
+    assert [type(p) for p in got] == [type(p) for p in want]
+    grid = {lo + F(k, m) * (hi - lo) for k in range(m + 1)}
+    for p in extra:
+        if p in grid:
+            assert all(x is not p for x in got), p
+        else:  # of equal breakpoints, the first one given is kept
+            first = next(e for e in extra if e == p)
+            assert any(x is first for x in got), p
+    return got
+
+
+def test_breakpoints_on_a_grid_point_in_another_form_yield_to_the_grid():
+    extra = [F(2, 4), 0, 1, F(0), F(4, 4), F(1, 3)]
+    got = assert_placed(2, F(0), F(1), extra)
+    assert got == (0, F(1, 3), F(1, 2), 1)
+    assert [type(p) for p in got] == [F] * 4
+    assert got[1] is extra[-1]
+    # an int range puts int breakpoints on every grid point
+    got = assert_placed(4, 0, 2, [0, 1, 2, F(1, 2), F(3, 2), 3, -1])
+    assert got == (-1, 0, F(1, 2), 1, F(3, 2), 2, 3)
+    assert [type(p) for p in got] == [int, F, F, F, F, F, int]
+
+
+@pytest.mark.parametrize("m", [1, 3, 7])
+@pytest.mark.parametrize("q", [1, 2, 7, 11, 21, 10**6 + 3])
+def test_breakpoints_one_unit_of_their_denominator_around_the_ends(m, q):
+    lo, hi = F(-1, 3), F(5, 7)
+    extra = [
+        F(floor(end * q) + j, q) for end in (lo, hi) for j in (-1, 0, 1, 2)
+    ] + [ceil(hi), floor(lo)]
+    assert_placed(m, lo, hi, extra)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_a_one_point_range_places_breakpoints_on_both_sides(m):
+    lo = F(2, 3)
+    extra = [lo + F(1, 10**9), 5, F(4, 6), 0, lo - F(1, 10**9), -5, 1, lo]
+    got = assert_placed(m, lo, lo, extra)
+    assert got == (-5, 0, lo - F(1, 10**9), lo, lo + F(1, 10**9), 1, 5)
+    assert got[3] is not extra[2] and got[3] is not extra[-1]
+
+
+@given(
+    st.integers(1, 12),
+    st.fractions(min_value=-9, max_value=-1, max_denominator=9),
+    st.fractions(min_value=0, max_value=8, max_denominator=9),
+    st.lists(st.fractions(min_value=-12, max_value=1, max_denominator=18), max_size=10),
+)
+@settings(max_examples=200, deadline=None)
+def test_breakpoints_on_negative_ranges(m, lo, width, extra):
+    assert_placed(m, lo, min(lo + width, F(-1, 5)), extra + extra[:2])
+
+
+def test_a_fine_grid_places_breakpoints_with_huge_denominators():
+    m, rng = 1000, Random(19)
+    lo, hi = F(-3, 7), F(11, 5)
+    extra = []
+    for _ in range(60):
+        k, q = rng.randrange(-2, m + 3), 10**30 + rng.randrange(1000)
+        point = lo + F(k, m) * (hi - lo)
+        near = floor(point * q)
+        extra += [F(near + j, q) for j in (-1, 0, 1)] + [point]
+    got = assert_placed(m, lo, hi, extra)
+    assert len(got) > m + 1
+
+
+def test_the_grid_points_are_never_compared():
+    calls = []
+
+    def spy(name):
+        method = getattr(F, name)
+        return patch.object(F, name, lambda *args: calls.append(name) or method(*args))
+
+    lo, hi = F(-1, 3), F(7, 5)
+    # at most one breakpoint per gap, so no breakpoint meets another either
+    one_per_gap = [F(-1), F(0), F(3, 2), F(1, 5) + F(1, 10**12)]
+    with spy("__lt__"), spy("__eq__"):
+        bare = GridSpec(50).axis_points(lo, hi)
+        placed = GridSpec(50).axis_points(lo, hi, one_per_gap)
+    assert calls == []
+    assert bare == oracle_axis_points(50, lo, hi)
+    assert placed == oracle_axis_points(50, lo, hi, one_per_gap)
 
 
 @given(composed_dfs(), st.integers(1, 30))
