@@ -17,17 +17,21 @@ depends only on where each coordinate of t falls among that axis's sorted
 breakpoints.  A query ranks t by the cursor that ranks G's abscissae in
 ``monotone``, over the breakpoints as integer pairs, then scans integer rank
 rows or, once the rows scanned reach the size of the d-dimensional cumulative
-table, builds that table and answers by one lookup.  The index is built on
-first use, and each value is the integer pair (weight, denominator).
+table, builds that table and answers by one lookup.  A whole grid is one
+query: ``code_grid`` charges its points x rows at once, and past the cells
+reads the table lazily by strides.  The index is built on first use, and
+each value is the integer pair (weight, denominator).
 
 For the hooks of ``mvdf.AxisSeparable``, a counting family's ``axis_codes``
-are ranks and its ``code_ratio`` the pair (weight below them, denominator); a
-margin-composed family's codes are its margin values as the (numerator,
+are ranks, its ``code_ratio`` the pair (weight below them, denominator) and
+its ``code_grid`` the rank index's whole-grid read; a margin-composed
+family's codes are its margin values as the (numerator,
 denominator) pairs the margins' knot walk returns, unreduced, with no
 ``Fraction`` in between, and its ``code_ratio`` combines them by integer arithmetic
 (product, cross-multiplied minimum, lower bound over a common denominator).
-Every family evaluates one point with the shared ``AxisSeparable.eval``, a
-one-point sweep through the same two hooks; there is no other evaluation path.
+Every family evaluates one point with the shared ``AxisSeparable.eval``,
+through the same ``axis_codes`` and ``code_ratio`` as a grid's codes and
+values; there is no other evaluation path.
 Right limits share the offset rule ``mvdf.right_deltas``: ``axis_right_codes``
 codes a counting axis at x + delta, and reads a margin-composed axis as
 2 G(x + delta/2) - G(x + delta) off one ``eval_pairs`` call.
@@ -41,9 +45,10 @@ from abc import abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import product as iter_product, repeat
+from math import lcm, prod
 from operator import le, mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ValidationError
 from .monotone import MonotoneFn, _pairs, _ranks, step_cdf
@@ -78,7 +83,9 @@ class _RankIndex:
     rows scanned reach the cells of the cumulative table; only then is that
     d-dimensional prefix-sum table built, and each later query is one lookup.
     So a job with few evaluations never pays for the table, and a sweep pays
-    for it at most once over.
+    for it at most once over.  A point (``ratio``) charges its rows; a grid
+    (``grid``) charges points x rows once, so it either scans throughout or
+    reads the table throughout.
     """
 
     def __init__(
@@ -109,9 +116,29 @@ class _RankIndex:
         if self._table is None:
             self._scanned += len(self._rows)
             if self._scanned < self._cells:
-                return sum(w for row, w in self._rows if all(map(le, row, ranks)))
+                return self._scan(ranks)
             self._table = self._cumulative_table()
         return self._table[sum(map(mul, ranks, self._strides))]
+
+    def _scan(self, ranks: Sequence[int]) -> int:
+        return sum(w for row, w in self._rows if all(map(le, row, ranks)))
+
+    def grid(self, rank_axes: Sequence[Sequence[int]]) -> Iterator[Ratio]:
+        """The pairs on the product of per-axis rank lists, in ``itertools.product`` order.
+
+        The call charges its whole scan, points x rows, to the budget at once:
+        under the cell count it scans the rows per point; otherwise it reads
+        the table, whose flat index is the sum of each axis's rank times that
+        axis's stride, so each axis's ranks are scaled once and the pairs are
+        read lazily.
+        """
+        if self._table is None:
+            self._scanned += prod(map(len, rank_axes)) * len(self._rows)
+            if self._scanned < self._cells:
+                return zip(map(self._scan, iter_product(*rank_axes)), repeat(self._denominator))
+            self._table = self._cumulative_table()
+        scaled = [[r * stride for r in ranks] for ranks, stride in zip(rank_axes, self._strides)]
+        return zip(map(self._table.__getitem__, map(sum, iter_product(*scaled))), repeat(self._denominator))
 
     def _cumulative_table(self) -> list[int]:
         table = [0] * self._cells
@@ -158,6 +185,9 @@ class _CountingDf(MultivariateDf):
 
     def code_ratio(self, codes: Sequence[int]) -> Ratio:
         return self._rank_index().ratio(codes)
+
+    def code_grid(self, code_axes: Sequence[Sequence[int]]) -> Iterator[Ratio]:
+        return self._rank_index().grid(code_axes)
 
     def margin_fn(self, axis: int) -> MonotoneFn:
         return self._rank_index().margin(axis)

@@ -11,18 +11,23 @@ Every family is separable by axis (:class:`AxisSeparable`): ``axis_codes``
 codes one axis's coordinates (margin values as integer pairs, or ranks among
 the axis breakpoints) and ``code_ratio`` combines one code per axis into the
 value as an integer pair ``(numerator, denominator)``, with a positive
-denominator and not necessarily reduced (a :data:`Ratio`).  ``ratio_grid``
-codes each axis point of a product grid once and yields those pairs, and a
-box's vertices are the 2 x .. x 2 grid of its corners.  The seeded boxes are
-drawn as integer indices k of corners k/1000 (:class:`IndexBox`), and
-:func:`index_box_grid` codes each distinct corner index of a batch once.
+denominator and not necessarily reduced (a :data:`Ratio`).  ``code_grid``
+reads the pairs of the product of per-axis code lists, by default with
+``code_ratio`` at each point; a family may read the whole grid at once.
+``ratio_grid`` codes each axis point of a product grid once and reads the
+grid through ``code_grid``, ``eval_grid`` is its ``Fraction``s, and a box's
+vertices are the 2 x .. x 2 grid of its corners.  The seeded boxes are drawn
+as integer indices k of corners k/1000 (:class:`IndexBox`), and
+:func:`index_box_grid` codes each distinct corner index of a batch once and
+reads each box through ``code_grid`` too.
 
 The sweeps compare pairs by integer cross-multiplication, so a ``Fraction``
 is built only where a value leaves the sweep: ``code_value`` and
 ``eval_grid`` (one per point, for callers that want the values), one per box
 in :func:`vertex_sum`, and one per witness in the verifiers.  There is no
-second evaluation path: ``eval`` at one point is the sweep of a grid with one
-point per axis, and the independent oracles live in the tests.
+second evaluation path: grids go through ``code_grid`` and single points
+(``eval`` and the right limits) through ``code_ratio``, over the codes of
+the same ``axis_codes``, and the independent oracles live in the tests.
 
 Right limits take one offset rule, :func:`right_deltas`, and one hook,
 ``axis_right_codes``, which codes a whole axis's right limits at once.
@@ -41,7 +46,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product as iter_product
+from itertools import product as iter_product, starmap
 from math import gcd, prod
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
@@ -192,28 +197,34 @@ class AxisSeparable(ABC):
         return [self.axis_codes(i, (c,))[0] for i, c in enumerate(t)]
 
     def eval(self, t: Sequence) -> Fraction:
-        """Exact value at the point ``t``: the sweep of a grid with one point per axis."""
+        """Exact value at the point ``t``: its codes, as a sweep codes them, through ``code_ratio``."""
         return self.code_value(self._point_codes(tuple(t)))
 
-    def _code_product(self, axes: Axes) -> Iterator[tuple]:
-        if len(axes) != self.dim:
-            raise DomainError(f"grid has {len(axes)} axes, expected {self.dim}")
-        return iter_product(*[self.axis_codes(i, values) for i, values in enumerate(axes)])
+    def code_grid(self, code_axes: Sequence[Sequence]) -> Iterator[Ratio]:
+        """Exact values as pairs on the product of per-axis code lists, in ``itertools.product`` order.
+
+        ``code_ratio`` at each combination by default; a family may read the
+        whole grid at once, as long as the pairs are yielded lazily.
+        """
+        return map(self.code_ratio, iter_product(*code_axes))
 
     def ratio_grid(self, axes: Axes) -> Iterator[Ratio]:
         """Exact values on the product grid of ``axes`` as pairs, in ``itertools.product`` order.
 
         Each axis is coded once, when this is called; the pairs are yielded lazily.
         """
-        return map(self.code_ratio, self._code_product(axes))
+        if len(axes) != self.dim:
+            raise DomainError(f"grid has {len(axes)} axes, expected {self.dim}")
+        return self.code_grid([self.axis_codes(i, values) for i, values in enumerate(axes)])
 
     def eval_grid(self, axes: Axes) -> Iterator[Fraction]:
         """Exact values on the product grid of ``axes``, in ``itertools.product`` order.
 
-        Equal to ``eval`` at each grid point.  Each axis is coded once, when
-        this is called; the values are yielded lazily.
+        The ``Fraction``s of ``ratio_grid``, so equal to ``eval`` at each grid
+        point.  Each axis is coded once, when this is called; the values are
+        yielded lazily.
         """
-        return map(self.code_value, self._code_product(axes))
+        return starmap(Fraction, self.ratio_grid(axes))
 
 
 class MultivariateDf(AxisSeparable):
@@ -306,18 +317,18 @@ def index_box_grid(fn: AxisSeparable, boxes: Sequence[IndexBox]) -> RatioGridFn:
     """A pair grid evaluator on lattice indices, for ``vertex_sum`` over ``boxes``.
 
     Each axis codes the distinct corner indices of all the boxes with one
-    ``axis_codes`` call; the evaluator looks codes up by integer index.
+    ``axis_codes`` call; the evaluator looks codes up by integer index and
+    reads the box's grid with one ``code_grid`` call.
     """
     tables = []
     for axis in range(fn.dim):
         ks = sorted({k for box in boxes for k in (box.a[axis], box.b[axis])})
         codes = fn.axis_codes(axis, [Fraction(k, LATTICE) for k in ks])
         tables.append(dict(zip(ks, codes)))
-    code_ratio = fn.code_ratio
+    code_grid = fn.code_grid
 
     def grid_fn(index_axes: Sequence[Sequence[int]]) -> Iterator[Ratio]:
-        code_axes = [[table[k] for k in ks] for table, ks in zip(tables, index_axes)]
-        return map(code_ratio, iter_product(*code_axes))
+        return code_grid([[table[k] for k in ks] for table, ks in zip(tables, index_axes)])
 
     return grid_fn
 

@@ -24,7 +24,8 @@ between grid points.  It makes the k/m points of a range from integers, in
 order, and places each breakpoint among them by integer division, so grid
 points are never compared.  Only :class:`Copula` applies the quantile
 transform: its ``axis_codes`` checks and transforms each level, then codes it
-with the source's ``axis_codes``; its ``code_ratio`` is the source's.  So
+with the source's ``axis_codes``; its ``code_ratio`` and ``code_grid`` are
+the source's, so a counting source reads a copula grid as one of its own.  So
 every sweep transforms each axis point once, and the random boxes
 (``mvdf.IndexBox``) transform each distinct corner level of the whole batch
 once.
@@ -35,8 +36,9 @@ Each violation goes to a ``report.Witnesses`` sink with its deviation as a
 pair, and a ``Fraction`` is built only for a witness the sink keeps (and one
 per box, by ``vertex_sum``).  ``max_witnesses`` caps the kept witnesses; the
 default, below 0, keeps all.
-``Copula.eval`` at one point is the same sweep on a grid of one point per
-axis, so the copula, like every df, has a single evaluation path.
+``Copula.eval`` at one point codes its levels as a sweep does and reads them
+with the source's ``code_ratio``, so the copula, like every df, has a single
+evaluation path.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, product as iter_product
 from math import prod
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import DomainError, ValidationError
 from .monotone import MonotoneFn
@@ -164,6 +166,11 @@ class Copula(AxisSeparable):
     def code_ratio(self) -> Callable[[Sequence], Ratio]:
         """The source's ``code_ratio``: the codes already are the source's."""
         return self.source.code_ratio
+
+    @property
+    def code_grid(self) -> Callable[[Sequence[Sequence]], Iterator[Ratio]]:
+        """The source's ``code_grid``: a whole grid of the source's codes, read as the source reads it."""
+        return self.source.code_grid
 
 
 def extract_copula(df: MultivariateDf) -> Copula:

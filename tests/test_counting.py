@@ -2,7 +2,9 @@
 
 Empirical and grid dfs answer queries from a lazily built rank index: an
 integer scan of the rank rows first, then a cumulative table once the rows
-scanned reach the table's cell count.  These tests check both paths against
+scanned reach the table's cell count.  A whole grid (``code_grid``) charges
+its points x rows to that budget at once and, past it, reads the table by
+strides.  These tests check every path, point-wise and whole-grid, against
 the ``Fraction`` row scan in ``helpers``, that the index never shows in the
 value semantics or the payload of a df, and that a job with few evaluations
 never builds the table.
@@ -16,6 +18,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -36,6 +39,7 @@ from copulacheck import (
     verify_uniform_margins,
 )
 from copulacheck import cli
+from copulacheck.families import _RankIndex
 from copulacheck.mvdf import _probe_indices
 from copulacheck.serialize import df_to_payload, dumps_payload, load_payload
 from helpers import (
@@ -46,6 +50,8 @@ from helpers import (
     check_index_boxes,
     level_pool,
     oracle_counting_value,
+    oracle_eval,
+    oracle_sklar_identity,
     pointwise_right_continuity,
     scan_axis_breakpoints,
     scan_axis_right_limit,
@@ -203,6 +209,107 @@ def test_eval_grid_matches_point_eval(df, seed):
         return  # a lenient payload whose margins are not cdfs has no copula
     check_grid_against_points(copula, rng, [level_pool(m) for m in copula.margins])
     check_index_boxes(copula, seed)
+
+
+def _random_rank_axes(df, rng, max_len=3):
+    """Per-axis rank lists, possibly empty, from the ranks of the query pool (-inf and +inf too)."""
+    return [
+        df.axis_codes(i, rng.sample(pool, rng.randint(0, min(max_len, len(pool)))))
+        for i, pool in enumerate(_query_pool(df, i) for i in range(df.dim))
+    ]
+
+
+def _check_code_grid(df, rank_axes):
+    """``code_grid`` pairs against ``code_ratio`` and the oracle at each point, in product order."""
+    got = list(df.code_grid(rank_axes))
+    points = list(product(*rank_axes))
+    assert [F(*pair) for pair in got] == [oracle_counting_value(df, r) for r in points], rank_axes
+    return got, points
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(empirical_dfs(), lenient_grid_dfs()), st.integers(0, 2**32))
+@example(empirical_from_rows([(F(1),), (F(1),), (F(-1),)]), 0)
+@example(
+    _grid_payload_df(
+        [(F(0), F(1)), (F(1), F(0)), (F(1), F(1)), (F(2), F(2))],
+        [F(0), F(-1, 3), F(2, 3), F(2, 3)],
+    ),
+    1,
+)
+def test_code_grid_matches_code_ratio_on_every_index_path(df, seed):
+    """The scan path, the call that builds the table, and table reads all equal the point values."""
+    df = replace(df)
+    rng = random.Random(seed)
+    inf_ranks = [df.axis_codes(i, [NEG_INF, POS_INF]) for i in range(df.dim)]
+    assert all(ranks == [0, len(df.axis_breakpoints(i))] for i, ranks in enumerate(inf_ranks))
+    index = df._rank_index()
+    rows, cells = len(index._rows), index._cells
+
+    # scan path: the call's points x rows stay under the cells, and no table is built
+    rank_axes = _random_rank_axes(df, rng)
+    if prod(map(len, rank_axes)) * rows >= cells:
+        rank_axes = [[rng.choice(ranks)] for ranks in inf_ranks]
+    got, points = _check_code_grid(df, rank_axes)
+    assert index._table is None and index._scanned == len(points) * rows
+    assert list(df.code_grid([*rank_axes[:-1], []])) == []
+    assert index._scanned == len(points) * rows
+
+    # one call whose charge reaches the cells builds the table, and reads every rank from it
+    all_ranks = [list(range(len(df.axis_breakpoints(i)) + 1)) for i in range(df.dim)]
+    for ranks in all_ranks:
+        rng.shuffle(ranks)
+    _check_code_grid(df, all_ranks)
+    assert index._table is not None
+    assert got == [df.code_ratio(r) for r in points]
+
+    # table path: later calls read the table, -inf and +inf ranks included
+    for _ in range(3):
+        rank_axes = _random_rank_axes(df, rng)
+        got, points = _check_code_grid(df, [[*ranks, *inf] for ranks, inf in zip(rank_axes, inf_ranks)])
+        assert got == [df.code_ratio(r) for r in points]
+    assert list(df.code_grid([[] for _ in range(df.dim)])) == []
+    check_index_boxes(df, seed)
+
+    try:
+        copula = extract_copula(df)
+    except ValidationError:
+        return  # a lenient payload whose margins are not cdfs has no copula
+    assert copula.code_grid == df.code_grid
+    axes = [rng.sample(pool, min(3, len(pool))) for pool in (level_pool(m) for m in copula.margins)]
+    codes = [copula.axis_codes(i, levels) for i, levels in enumerate(axes)]
+    assert list(copula.ratio_grid(axes)) == [copula.code_ratio(c) for c in product(*codes)]
+    assert list(copula.eval_grid(axes)) == [oracle_eval(copula, t) for t in product(*axes)]
+    check_index_boxes(copula, seed)
+
+
+def test_a_sweep_that_reaches_the_cells_reads_the_table_not_the_rows(monkeypatch):
+    """Grid calls charge the scan budget once: a large sweep never scans, a small call never tabulates."""
+    calls = []
+
+    def spy(name):
+        original = getattr(_RankIndex, name)
+
+        def wrapped(self, ranks):
+            calls.append((name, tuple(ranks)))
+            return original(self, ranks)
+
+        monkeypatch.setattr(_RankIndex, name, wrapped)
+
+    spy("_weight_below")
+    spy("_scan")
+    rows = [(F(k), F(3 * k % 7)) for k in range(7)]  # 8 x 8 = 64 cells, 7 rows
+    df = empirical_from_rows(rows)
+    report = verify_sklar_identity(df, GridSpec(4))
+    assert report.sections[0].points * len(df._index._rows) >= df._index._cells == 64
+    assert calls == [] and df._index._table is not None
+    assert report == oracle_sklar_identity(df, 4)
+
+    # 2 points x 7 rows = 14 scanned of 64 cells: a scan, charged once, and no table
+    small = empirical_from_rows(rows)
+    assert list(small.eval_grid([(F(1), F(5, 2)), (F(4),)])) == [F(2, 7), F(2, 7)]
+    assert small._index._table is None and small._index._scanned == 14
+    assert [name for name, _ in calls] == ["_scan", "_scan"]
 
 
 def test_rank_index_is_invisible(tmp_path):
