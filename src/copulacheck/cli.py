@@ -9,10 +9,12 @@ Scalar arguments accept exact decimals ("0.3") and rational strings ("3/10");
 points are comma-separated coordinates and may use "-inf" / "+inf" where a
 limit is meant; a value that starts with "-" other than a plain number ("-1/2",
 "-inf,0") needs "--" before it.  Reports are emitted as deterministic JSON:
-same inputs and same seed give byte-identical output.  ``--max-witnesses`` is
-the one witness cap: the check keeps that many witnesses per list, and
-``serialize.report_to_json`` writes what it kept.  Every grid a command checks
-or dumps comes from ``sklar.GridSpec``; ``--grid M`` only sets its resolution.
+same inputs and same seed give byte-identical output.  Each ``verify`` kind has
+a sub-parser that declares only the options its check reads, so any other
+option exits 2.  ``--max-witnesses`` is the one witness cap: the check keeps
+that many witnesses per list, and ``serialize.report_to_json`` writes what it
+kept.  Every grid a command checks or dumps comes from ``sklar.GridSpec``;
+``--grid M`` only sets its resolution.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import CopulaCheckError, ValidationError
 from .families import EmpiricalDf
 from .monotone import MonotoneFn, lemma_report
 from .mvdf import Cuboid, MultivariateDf, check_df_axioms, margin, volume
+from .report import Report
 from .scalars import fmt, parse_ext, parse_scalar
 from .sklar import (
     GridSpec,
@@ -113,28 +116,31 @@ def cmd_extract(args) -> int:
     return 0
 
 
+def _verify_lemma(args) -> Report:
+    fn = _load(args.path, MonotoneFn)
+    return lemma_report(fn, *GridSpec(args.grid).lemma_grids(fn), max_witnesses=args.max_witnesses)
+
+
+def _verify_df(args) -> Report:
+    return check_df_axioms(_load(args.path, MultivariateDf), args.cuboids, args.seed, args.max_witnesses)
+
+
+def _verify_sklar(args) -> Report:
+    return verify_sklar_identity(_load(args.path, MultivariateDf), GridSpec(args.grid), args.max_witnesses)
+
+
+def _verify_margins(args) -> Report:
+    copula = extract_copula(_load(args.path, MultivariateDf))
+    return verify_uniform_margins(copula, GridSpec(args.grid), args.max_witnesses)
+
+
+def _verify_copula(args) -> Report:
+    copula = extract_copula(_load(args.path, MultivariateDf))
+    return verify_copula_axioms(copula, args.cuboids, args.seed, GridSpec(args.grid), args.max_witnesses)
+
+
 def cmd_verify(args) -> int:
-    # the only cap: the check builds no witness past it, and the report emits what it kept
-    cap = args.max_witnesses
-    if args.kind == "lemma":
-        fn = _load(args.path, MonotoneFn)
-        report = lemma_report(fn, *GridSpec(args.grid).lemma_grids(fn), max_witnesses=cap)
-    elif args.kind == "df":
-        df = _load(args.path, MultivariateDf)
-        report = check_df_axioms(df, n_cuboids=args.cuboids, seed=args.seed, max_witnesses=cap)
-    elif args.kind == "sklar":
-        df = _load(args.path, MultivariateDf)
-        report = verify_sklar_identity(df, grid=GridSpec(args.grid), max_witnesses=cap)
-    elif args.kind == "margins":
-        copula = extract_copula(_load(args.path, MultivariateDf))
-        report = verify_uniform_margins(copula, grid=GridSpec(args.grid), max_witnesses=cap)
-    elif args.kind == "copula":
-        copula = extract_copula(_load(args.path, MultivariateDf))
-        report = verify_copula_axioms(
-            copula, n_cuboids=args.cuboids, seed=args.seed, grid=GridSpec(args.grid), max_witnesses=cap
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown verify kind {args.kind!r}")
+    report = args.check(args)
     _emit(serialize.report_to_json(report), args.output)
     return 0 if report.passed else 1
 
@@ -196,20 +202,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("verify", help="run a verification suite; exit 1 on violations")
-    p.add_argument("kind", choices=("lemma", "df", "sklar", "margins", "copula"))
-    p.add_argument("path", help="monotone-function JSON for 'lemma', df JSON otherwise")
-    p.add_argument("--grid", type=int, default=20, metavar="M", help="grid resolution per axis (default 20)")
-    p.add_argument("--seed", type=int, default=0, metavar="S", help="seed for random boxes (default 0)")
-    p.add_argument("--cuboids", type=int, default=200, metavar="N", help="number of random boxes (default 200)")
-    p.add_argument(
-        "--max-witnesses",
-        type=int,
-        default=20,
-        metavar="K",
-        help="witnesses the check keeps and emits per list (default 20; below 0: all)",
-    )
-    add_output(p)
-    p.set_defaults(func=cmd_verify)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    # (flag, default, metavar, help): each kind declares only the options its check reads
+    grid = "--grid", 20, "M", "grid resolution per axis"
+    seed = "--seed", 0, "S", "seed for random boxes"
+    cuboids = "--cuboids", 200, "N", "number of random boxes"
+    cap = "--max-witnesses", 20, "K", "witnesses the check keeps and emits per list; below 0: all"
+    for kind, check, options in (
+        ("lemma", _verify_lemma, (grid,)),
+        ("df", _verify_df, (seed, cuboids)),
+        ("sklar", _verify_sklar, (grid,)),
+        ("margins", _verify_margins, (grid,)),
+        ("copula", _verify_copula, (grid, seed, cuboids)),
+    ):
+        k = kinds.add_parser(kind)
+        k.add_argument("path", help="monotone-function JSON" if kind == "lemma" else "df JSON")
+        for flag, default, var, text in (*options, cap):
+            k.add_argument(flag, type=int, default=default, metavar=var, help=f"{text} (default {default})")
+        add_output(k)
+        k.set_defaults(func=cmd_verify, check=check)
 
     p = sub.add_parser("ingest", help="convert a CSV dataset to an empirical df JSON")
     p.add_argument("csv_path")

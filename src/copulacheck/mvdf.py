@@ -33,10 +33,10 @@ Right limits take one offset rule, :func:`right_deltas`, and one hook,
 ``axis_right_codes``, which codes a whole axis's right limits at once.
 
 :func:`check_df_axioms` probes all of this exactly on seeded random boxes and
-on distinct structural breakpoints of the family (each axis coded once at x
-and once at the right limit), and returns a report; failures are counted in
-``report.Witnesses`` sinks, which keep exact witnesses for the first K,
-never exceptions.
+on structural breakpoints of the family picked with no seed (each axis coded
+once at x and once at the right limit), and returns a report; failures are
+counted in ``report.Witnesses`` sinks, which keep exact witnesses for the
+first K, never exceptions.
 """
 
 from __future__ import annotations
@@ -300,6 +300,8 @@ def random_index_boxes(seed: int, dim: int, count: int) -> list[IndexBox]:
     Per box, axes are drawn in order and each axis takes two draws from
     :class:`SplitMix64`, sorted into the lower and upper corner.
     """
+    if count < 1:
+        raise ValidationError(f"n_cuboids must be >= 1, got {count}")
     rng = SplitMix64(seed)
     boxes = []
     for _ in range(count):
@@ -336,24 +338,17 @@ def index_box_grid(fn: AxisSeparable, boxes: Sequence[IndexBox]) -> RatioGridFn:
 # -- axiom checking ------------------------------------------------------------
 
 
-def _probe_indices(sizes: Sequence[int], seed: int, cap: int) -> list[tuple[int, ...]]:
-    """Per-axis breakpoint indices of the right-continuity probes: all, or ``cap`` distinct ones.
+def _probe_indices(sizes: Sequence[int]) -> list[tuple[int, ...]]:
+    """Per-axis breakpoint indices of the right-continuity probes: all, or ``PROBE_POINTS`` spread evenly.
 
-    The sample is Floyd's: flat indices in ``itertools.product`` order are
-    drawn without replacement from a stream seeded with ``seed + 1`` (so it is
-    independent of the cuboid stream), sorted, and decoded per axis.
+    With ``count = min(total, PROBE_POINTS)``, probe j is the flat index
+    ``j * total // count`` in ``itertools.product`` order, decoded per axis.
     """
     total = prod(sizes)
-    if total <= cap:
-        return list(iter_product(*map(range, sizes)))
-    rng = SplitMix64(seed + 1)
-    chosen: set[int] = set()
-    for top in range(total - cap, total):
-        k = rng.below(top + 1)
-        chosen.add(top if k in chosen else k)
+    count = min(total, PROBE_POINTS)
     probes = []
-    for flat in sorted(chosen):
-        index = []
+    for j in range(count):
+        flat, index = j * total // count, []
         for size in reversed(sizes):
             flat, k = divmod(flat, size)
             index.append(k)
@@ -378,18 +373,16 @@ def _continuity_violation(axes: Axes, index: tuple, axis: int, delta: Fraction, 
 def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int, max_witnesses: int = -1) -> Report:
     """Probe non-negative volumes, the two limit conditions, and right-continuity.
 
-    Volumes are checked on ``n_cuboids`` seeded random boxes in [0,1]^d.  The
-    limit conditions expect 0 whenever one coordinate is -inf and 1 at the
-    all-+inf point.  Right-continuity is probed along every axis at breakpoint
-    grid points (at most ``PROBE_POINTS``, distinct), comparing the value with
-    the one-sided limit by cross-multiplying their pairs.  The probes are
-    breakpoints only, so they take no k/m grid from ``sklar.GridSpec``, the
-    one grid builder.  Each section keeps the witnesses of its first
-    ``max_witnesses`` violations (all when below 0) and counts the rest.
+    Volumes are checked on ``n_cuboids`` random boxes in [0,1]^d drawn from
+    ``seed``.  The limit conditions expect 0 whenever one coordinate is -inf and
+    1 at the all-+inf point.  Right-continuity is probed along every axis at
+    breakpoint grid points (at most ``PROBE_POINTS``, spread evenly and the same
+    at every seed), comparing the value with the one-sided limit by
+    cross-multiplying their pairs.  The probes are breakpoints only, so they
+    take no k/m grid from ``sklar.GridSpec``, the one grid builder.  Each
+    section keeps the witnesses of its first ``max_witnesses`` violations (all
+    when below 0) and counts the rest.
     """
-    if n_cuboids < 1:
-        raise ValidationError(f"n_cuboids must be >= 1, got {n_cuboids}")
-
     volumes = Witnesses(max_witnesses)
     boxes = random_index_boxes(seed, df.dim, n_cuboids)
     grid_fn = index_box_grid(df, boxes)
@@ -415,7 +408,7 @@ def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int, max_witnesses
     deltas = [right_deltas(bps, bps) for bps in axes]
     at_codes = [df.axis_codes(i, bps) for i, bps in enumerate(axes)]
     right_codes = [df.axis_right_codes(i, bps, ds) for i, (bps, ds) in enumerate(zip(axes, deltas))]
-    probes = _probe_indices([len(bps) for bps in axes], seed, PROBE_POINTS)
+    probes = _probe_indices([len(bps) for bps in axes])
     continuity = Witnesses(max_witnesses)
     for index in probes:
         codes = [c[k] for c, k in zip(at_codes, index)]

@@ -4,10 +4,10 @@ splitmix64: the 64-bit state advances by the golden-ratio constant and each
 output is finalized by two xorshift-multiply rounds (Steele, Lea & Flood).
 The whole algorithm is a dozen lines, so its output for a given seed is
 identical on every platform and interpreter version, which the byte-identical
-report contract requires.  Draws in ``[0, n)`` use the remainder of a 64-bit
-output; the modulo bias (negligible for the box lattice, n <= 1001, and for
-probe grids far below 2**64 points) is irrelevant because the generator
-serves determinism, not statistics.
+report contract requires.  It draws only the random boxes.  Draws in
+``[0, n)`` use the remainder of a 64-bit output; the modulo bias (negligible
+for the box lattice, n <= 1001) is irrelevant because the generator serves
+determinism, not statistics.
 """
 
 from __future__ import annotations

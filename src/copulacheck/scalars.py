@@ -46,6 +46,12 @@ def as_ext(value) -> ExtScalar:
     return as_scalar(value)
 
 
+def _max_str_digits() -> int:
+    """int's digit limit for str conversion, else its default (4300 before Python 3.10.7)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit or getattr(sys.int_info, "default_max_str_digits", 4300)
+
+
 # the one scalar grammar, ASCII whatever this Python's Fraction takes: [+-]p/q, or [+-]decimal[e[+-]n]
 _SCALAR = re.compile(r"([+-]?\d+)/(\d+)|([+-]?(?:\d+\.?\d*|\.\d+))(?:e([+-]?\d+))?", re.ASCII | re.I)
 
@@ -59,7 +65,7 @@ def parse_scalar(text: str) -> Fraction:
     # value has at most the mantissa's length plus the exponent's magnitude in digits
     p, q, mantissa, exponent = match.groups()
     if exponent:
-        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        limit = _max_str_digits()
         digits = exponent.lstrip("+-0")
         if len(digits) > len(str(limit)) or len(mantissa) + int(digits or 0) > limit:
             raise ValidationError(
@@ -92,7 +98,10 @@ def parse_ext(text: str) -> ExtScalar:
 def fmt(x: ExtScalar) -> str:
     """Canonical emission: ``p/q`` (integers as plain ``n``), ``-inf`` or ``+inf``."""
     if isinstance(x, Fraction):
-        return str(x)
+        try:
+            return str(x)
+        except ValueError as exc:  # int's digit limit, refused as parse_scalar refuses it
+            raise ValidationError(f"value too large to print: over {_max_str_digits()} digits") from exc
     if x == NEG_INF:
         return "-inf"
     if x == POS_INF:

@@ -10,9 +10,10 @@ where each coordinate is transformed by the right-limit quantile
 constraint", so C(1, ..., 1) = 1.
 
 Three verifiers compare this construction against what a copula must satisfy:
-the factorization F(x) = C(F_1(x_1), ..., F_d(x_d)) on a grid, uniformity of
-the one-dimensional sections C(1,..,s,..,1) = s, and the copula axioms
-(non-negative box volumes, groundedness on the faces s_i = 0, and the
+the factorization F(x) = C(F_1(x_1), ..., F_d(x_d)) on the grid of F's support
+box, uniformity of the one-dimensional sections C(1,..,s,..,1) = s, and the
+copula axioms (non-negative volumes on the seeded boxes of
+``mvdf.random_index_boxes``, groundedness on the faces s_i = 0, and the
 dependence envelope max(sum s_i - (d-1), 0) <= C(s) <= min s_i).  All
 comparisons are exact; failures become report entries with rational witnesses,
 because for discontinuous margins the construction genuinely breaks and
@@ -47,14 +48,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, product as iter_product
 from math import prod
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .monotone import MonotoneFn
 from .mvdf import (
     AxisSeparable,
     MultivariateDf,
-    Point,
     Ratio,
     index_box_grid,
     random_index_boxes,
@@ -63,7 +63,6 @@ from .mvdf import (
     vertex_sum,
 )
 from .report import Report, Witnesses
-from .scalars import as_scalar
 
 
 @dataclass(frozen=True)
@@ -124,17 +123,10 @@ class GridSpec:
         xs = fn.knot_xs()
         return self.levels(fn), self.axis_points(xs[0] - 1, xs[-1] + 1, xs)
 
-    def df_axes(
-        self, df: MultivariateDf, box: Optional[tuple[Point, Point]] = None
-    ) -> list[tuple[Fraction, ...]]:
-        """Per-axis points on ``box`` (default: the support box of ``df``) merged with its breakpoints."""
-        lo, hi = box if box is not None else df.support_box()
-        if len(lo) != df.dim or len(hi) != df.dim:
-            raise DomainError("bounding box dimension does not match the df")
-        return [
-            self.axis_points(as_scalar(lo[i]), as_scalar(hi[i]), df.axis_breakpoints(i))
-            for i in range(df.dim)
-        ]
+    def df_axes(self, df: MultivariateDf) -> list[tuple[Fraction, ...]]:
+        """Per-axis points on the support box of ``df`` merged with its breakpoints."""
+        lo, hi = df.support_box()
+        return [self.axis_points(lo[i], hi[i], df.axis_breakpoints(i)) for i in range(df.dim)]
 
 
 @dataclass(frozen=True)
@@ -210,20 +202,15 @@ def _flat_report(check: str, points: int, sink: Witnesses) -> Report:
     return Report(check, (sink.section(check, "violations", points),))
 
 
-def verify_sklar_identity(
-    df: MultivariateDf,
-    grid: GridSpec = GridSpec(),
-    box: Optional[tuple[Point, Point]] = None,
-    max_witnesses: int = -1,
-) -> Report:
+def verify_sklar_identity(df: MultivariateDf, grid: GridSpec = GridSpec(), max_witnesses: int = -1) -> Report:
     """Compare F(x) against C(F_1(x_1), ..., F_d(x_d)) on a merged grid.
 
-    The grid spans ``box`` (default: the support box of F) merged with every
-    structural breakpoint.  F sweeps the grid and C sweeps its margin levels,
-    side by side.
+    The grid spans the support box of F merged with every structural
+    breakpoint.  F sweeps the grid and C sweeps its margin levels, side by
+    side.
     """
     copula = extract_copula(df)
-    axes = grid.df_axes(df, box)
+    axes = grid.df_axes(df)
     levels = [m.eval_many(axis_pts) for m, axis_pts in zip(copula.margins, axes)]
 
     sink = Witnesses(max_witnesses)
@@ -270,8 +257,6 @@ def verify_copula_axioms(
     C(s) = 0 whenever some coordinate is 0; the envelope is
     max(sum s_i - (d-1), 0) <= C(s) <= min s_i.
     """
-    if n_cuboids < 1:
-        raise ValidationError(f"n_cuboids must be >= 1, got {n_cuboids}")
     sink = Witnesses(max_witnesses)
 
     boxes = random_index_boxes(seed, copula.dim, n_cuboids)

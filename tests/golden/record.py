@@ -88,6 +88,9 @@ INPUTS = {
             )
         )
     ),
+    # each margin holds a level with a 2,501-digit denominator, so the value at
+    # (1, 1) has more digits than an int may print
+    "digits.json": df_to_payload(product_df([make_monotone([(1, 0, F(1, 10**2500)), (2, 1, 1)])] * 2)),
     # a grid point with no coordinate: refused on load, before any check runs
     "grid-dim0.json": {"family": "grid", "dim": 0, "masses": [{"point": [], "mass": "1"}]},
     # ingest input: a header line, a decimal, rationals, an exponent, a negative
@@ -197,6 +200,11 @@ CASES = {
         for kind in ("lemma", "df", "sklar", "margins", "copula")
     },
     "extract-grid-dim0": ["extract", "grid-dim0.json"],
+    # an option the kind's check does not read, and a value too long to print
+    "sklar-emp-seed": ["verify", "sklar", "emp.json", "--seed", "1"],
+    "df-emp-grid": ["verify", "df", "emp.json", "--grid", "5"],
+    "lemma-flat-cuboids": ["verify", "lemma", "flat.json", "--cuboids", "3"],
+    "eval-digits-over-limit": ["eval", "digits.json", "1,1"],
 }
 
 
@@ -211,7 +219,10 @@ def main() -> None:
     for name, argv in CASES.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses the arguments
+                code = exc.code
         (GOLDEN / "out" / f"{name}.txt").write_bytes(out.getvalue().encode("utf-8"))
         manifest.append({"name": name, "argv": argv, "exit": code})
     (GOLDEN / "cases.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")

@@ -32,6 +32,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from math import prod
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -355,27 +356,23 @@ def scan_axis_right_limit(df, t, axis: int, scan=None) -> tuple[Fraction, Fracti
 PROBE_POINTS = 200
 
 
-def oracle_probe_points(df, seed: int, cap: int = PROBE_POINTS) -> list[tuple]:
-    """Breakpoint-grid points where right-continuity is probed, built point by point.
+def oracle_probe_points(df) -> list[tuple]:
+    """Breakpoint-grid points where right-continuity is probed, picked by stride with no seed.
 
-    The full cartesian product of per-axis breakpoints is used when it has at
-    most ``cap`` points; otherwise ``cap`` distinct points of it are sampled by
-    Floyd's algorithm from a stream seeded with ``seed + 1``: for each t of
-    the last ``cap`` positions, one draw j in [0, t], and t is taken instead
-    when j already is.  The sample is listed in grid order.
+    Of the ``total`` points of the cartesian product of the per-axis
+    breakpoints, with ``count = min(total, PROBE_POINTS)``, the n-th point in
+    ``product`` order is a probe when n is ``j * total // count`` for some j:
+    every point when there are at most ``PROBE_POINTS``.  The grid is walked
+    point by point, never decoded from an index.
     """
-    grid = list(product(*[df.axis_breakpoints(i) for i in range(df.dim)]))
-    if len(grid) <= cap:
-        return grid
-    rng = SplitMix64(seed + 1)
-    taken = []
-    for t in range(len(grid) - cap, len(grid)):
-        j = rng.below(t + 1)
-        taken.append(t if j in taken else j)
-    return [grid[j] for j in sorted(taken)]
+    axes = [df.axis_breakpoints(i) for i in range(df.dim)]
+    total = prod(map(len, axes))
+    count = min(total, PROBE_POINTS)
+    taken = {j * total // count for j in range(count)}
+    return [point for n, point in enumerate(product(*axes)) if n in taken]
 
 
-def pointwise_right_continuity(df, seed: int, value=None, right_limit=None) -> list[dict]:
+def pointwise_right_continuity(df, value=None, right_limit=None) -> list[dict]:
     """The right-continuity witnesses of ``check_df_axioms``, one probe point at a time.
 
     ``value(point)`` and ``right_limit(point, axis) -> (limit, delta)`` default
@@ -384,7 +381,7 @@ def pointwise_right_continuity(df, seed: int, value=None, right_limit=None) -> l
     value = value or df.eval
     right_limit = right_limit or df.axis_right_limit
     witnesses = []
-    for point in oracle_probe_points(df, seed):
+    for point in oracle_probe_points(df):
         value_at = value(point)
         for i in range(df.dim):
             limit, delta = right_limit(point, i)
@@ -522,11 +519,9 @@ def oracle_level_axes(copula, m: int) -> list[tuple[Fraction, ...]]:
     return axes
 
 
-def oracle_df_axes(df, m: int, box=None) -> list[tuple[Fraction, ...]]:
-    """Per-axis points on ``box`` (default: the support box) merged with the axis breakpoints."""
-    lo, hi = box if box is not None else df.support_box()
-    if len(lo) != df.dim or len(hi) != df.dim:
-        raise DomainError("bounding box dimension does not match the df")
+def oracle_df_axes(df, m: int) -> list[tuple[Fraction, ...]]:
+    """Per-axis points on the support box merged with the axis breakpoints."""
+    lo, hi = df.support_box()
     return [
         oracle_axis_points(m, as_scalar(lo[i]), as_scalar(hi[i]), df.axis_breakpoints(i))
         for i in range(df.dim)
@@ -540,10 +535,10 @@ def oracle_lemma_grids(fn: MonotoneFn, m: int):
     return us, oracle_axis_points(m, xs[0] - 1, xs[-1] + 1, xs)
 
 
-def oracle_sklar_identity(df, m: int, box=None) -> Report:
+def oracle_sklar_identity(df, m: int) -> Report:
     """F on the merged grid against F on its quantile transform, each margin walked by hand."""
     margins = extract_copula(df).margins
-    axes = oracle_df_axes(df, m, box)
+    axes = oracle_df_axes(df, m)
     transformed = [
         [walk_inverse(margin, walk_eval(margin, x), True) for x in axis_pts]
         for margin, axis_pts in zip(margins, axes)

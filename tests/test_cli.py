@@ -12,8 +12,18 @@ import json
 from fractions import Fraction
 import pytest
 
-from copulacheck import cli
+from copulacheck import (
+    GridSpec,
+    check_df_axioms,
+    cli,
+    extract_copula,
+    lemma_report,
+    verify_copula_axioms,
+    verify_sklar_identity,
+    verify_uniform_margins,
+)
 from copulacheck.cli import build_parser
+from copulacheck.serialize import load_payload, report_to_json
 from helpers import run_cli
 
 F = Fraction
@@ -32,6 +42,18 @@ G_FLAT_JSON = (
     ' {"x": "3/2", "left": "1/2", "value": "1/2"},'
     ' {"x": "2", "left": "1", "value": "1"}]}\n'
 )
+
+
+# the options each verify kind reads, with a value other than its default
+VERIFY_READS = {
+    "lemma": ("--grid",),
+    "df": ("--seed", "--cuboids"),
+    "sklar": ("--grid",),
+    "margins": ("--grid",),
+    "copula": ("--grid", "--seed", "--cuboids"),
+}
+VERIFY_VALUES = {"--grid": 3, "--seed": 7, "--cuboids": 9}
+VERIFY_DEFAULTS = {"--grid": 20, "--seed": 0, "--cuboids": 200}
 
 
 def verdict(*args, cwd):
@@ -363,3 +385,56 @@ def test_main_builds_one_parser_and_keeps_no_state(workdir, monkeypatch, capsys)
 def test_usage_error_exits_2():
     r = run_cli("verify", "nonsense-kind", "x.json")
     assert r.returncode == 2
+
+
+def test_each_verify_kind_refuses_every_option_it_does_not_read(workdir):
+    unread = [(k, o) for k, reads in VERIFY_READS.items() for o in VERIFY_VALUES if o not in reads]
+    assert len(unread) == 7
+    for kind, option in unread:
+        path = "g_flat.json" if kind == "lemma" else "unif2.json"
+        r = run_cli("verify", kind, path, option, str(VERIFY_VALUES[option]), cwd=workdir)
+        assert (r.returncode, r.stdout) == (2, ""), (kind, option)
+        assert f"unrecognized arguments: {option} " in r.stderr, (kind, option)
+
+
+def test_each_verify_kind_passes_the_options_it_reads_to_its_check(workdir, monkeypatch, capsys):
+    """Each kind's report is the library's at the given values, and each value shows in it."""
+    g_id = json.loads(G_ID_JSON)
+    counter3 = json.dumps({"family": "countermonotone", "dim": 3, "margins": [g_id] * 3})
+    (workdir / "counter3.json").write_text(counter3)
+    flat, df = load_payload(G_FLAT_JSON), load_payload(counter3)
+    copula = extract_copula(df)
+    checks = {
+        "lemma": lambda o: lemma_report(flat, *GridSpec(o["--grid"]).lemma_grids(flat), max_witnesses=20),
+        "df": lambda o: check_df_axioms(df, o["--cuboids"], o["--seed"], max_witnesses=20),
+        "sklar": lambda o: verify_sklar_identity(df, GridSpec(o["--grid"]), max_witnesses=20),
+        "margins": lambda o: verify_uniform_margins(copula, GridSpec(o["--grid"]), max_witnesses=20),
+        "copula": lambda o: verify_copula_axioms(
+            copula, o["--cuboids"], o["--seed"], GridSpec(o["--grid"]), max_witnesses=20
+        ),
+    }
+    monkeypatch.chdir(workdir)
+    for kind, reads in VERIFY_READS.items():
+        given = {**VERIFY_DEFAULTS, **{option: VERIFY_VALUES[option] for option in reads}}
+        want = report_to_json(checks[kind](given))
+        for option in reads:
+            assert report_to_json(checks[kind]({**given, option: VERIFY_DEFAULTS[option]})) != want
+        argv = ["verify", kind, "g_flat.json" if kind == "lemma" else "counter3.json"]
+        code = cli.main([*argv, *(arg for option in reads for arg in (option, str(given[option])))])
+        assert (code, capsys.readouterr().out) == (1 if '"pass": false' in want else 0, want), kind
+
+
+def test_a_value_past_the_digit_limit_exits_2(workdir):
+    """A value with more digits than an int may print is refused, not a crash.
+
+    Each margin of the product holds a level with a 2,501-digit denominator,
+    which loads; the value at (1, 1) has a 5,001-digit one.
+    """
+    q = "1" + "0" * 2500
+    knots = [{"x": "1", "left": "0", "value": f"1/{q}"}, {"x": "2", "left": "1", "value": "1"}]
+    margin = {"knots": knots}
+    (workdir / "digits.json").write_text(json.dumps({"family": "product", "dim": 2, "margins": [margin] * 2}))
+    assert run_cli("eval", "digits.json", "2,1", cwd=workdir).stdout == f"1/{q}\n"
+    r = run_cli("eval", "digits.json", "1,1", cwd=workdir)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: value too large to print: over 4300 digits\n"

@@ -40,7 +40,7 @@ from copulacheck import (
 )
 from copulacheck import cli
 from copulacheck.families import _RankIndex
-from copulacheck.mvdf import _probe_indices
+from copulacheck.mvdf import MultivariateDf
 from copulacheck.serialize import df_to_payload, dumps_payload, load_payload
 from helpers import (
     PROBE_POINTS,
@@ -51,6 +51,7 @@ from helpers import (
     level_pool,
     oracle_counting_value,
     oracle_eval,
+    oracle_probe_points,
     oracle_sklar_identity,
     pointwise_right_continuity,
     scan_axis_breakpoints,
@@ -454,19 +455,63 @@ def test_right_continuity_sweep_matches_the_pointwise_oracle(rows, sampled, cls,
     def right_limit(t, axis):
         return scan_axis_right_limit(df, t, axis, scan=scan_eval_below)
 
-    expected = pointwise_right_continuity(df, seed, partial(scan_eval_below, df), right_limit)
+    expected = pointwise_right_continuity(df, partial(scan_eval_below, df), right_limit)
     section = check_df_axioms(df, n_cuboids=3, seed=seed).sections[2]
     assert expected and list(section.witnesses) == expected
     assert section.points == 2 * min(sizes[0] * sizes[1], PROBE_POINTS)
 
 
+class EveryProbeFails(MultivariateDf):
+    """Breakpoints 0, 1, .., size - 1 per axis, and every right limit differs from the value.
+
+    So each right-continuity probe leaves one witness per axis, and the
+    witnesses list the probes.
+    """
+
+    family = "every-probe-fails"
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    @property
+    def dim(self):
+        return len(self.sizes)
+
+    def axis_breakpoints(self, axis):
+        return tuple(map(F, range(self.sizes[axis])))
+
+    def axis_codes(self, axis, values):
+        return [0] * len(values)
+
+    def axis_right_codes(self, axis, xs, deltas):
+        return [1] * len(xs)
+
+    def code_ratio(self, codes):
+        return sum(codes), 1
+
+    def margin_fn(self, axis):
+        raise NotImplementedError
+
+
 @pytest.mark.parametrize("sizes", [(201,), (16, 13), (15, 14), (800, 800), (7, 6, 5)])
 @pytest.mark.parametrize("seed", [0, 5])
 def test_sampled_probes_are_distinct_and_in_grid_order(sizes, seed):
-    probes = _probe_indices(sizes, seed, PROBE_POINTS)
+    # the seed draws only the boxes: at every seed the probes are the stride oracle's
+    df = EveryProbeFails(sizes)
+    witnesses = check_df_axioms(df, n_cuboids=1, seed=seed).sections[2].witnesses
+    assert [w["axis"] for w in witnesses] == list(range(1, df.dim + 1)) * PROBE_POINTS
+    probes = [w["point"] for w in witnesses[:: df.dim]]
     assert len(probes) == len(set(probes)) == PROBE_POINTS
-    assert probes == sorted(probes)
-    assert all(0 <= k < size for index in probes for k, size in zip(index, sizes))
+    assert probes == sorted(probes) == oracle_probe_points(df)
+
+
+def test_right_continuity_section_is_the_same_at_every_seed():
+    # a sampled 16 x 13 breakpoint grid with failing probes: only the boxes read the seed
+    ys = [F(3 * (k % 13) + 1, 7) for k in range(16)]
+    df = LeftContinuousEmpirical(tuple((F(k, 16), y) for k, y in enumerate(ys)))
+    sections = [check_df_axioms(df, n_cuboids=3, seed=seed).sections[2] for seed in range(5)]
+    assert sections[0].count and sections[0].points == 2 * PROBE_POINTS
+    assert all(section == sections[0] for section in sections)
 
 
 def test_a_failing_sampled_probe_yields_one_witness_per_axis():

@@ -19,7 +19,10 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_golden_output(case, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN / "inputs")
-    code = cli.main(case["argv"])
+    try:
+        code = cli.main(case["argv"])
+    except SystemExit as exc:  # argparse refuses the arguments
+        code = exc.code
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / "out" / f"{case['name']}.txt").read_bytes()
     assert code == case["exit"]

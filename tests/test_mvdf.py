@@ -283,7 +283,7 @@ def test_right_continuity_sweep_matches_the_pointwise_probes_on_composed_dfs(bui
     steps = make_monotone([(0, 0, F(1, 4)), (F(1, 2), F(1, 2), F(1, 2)), (2, F(3, 4), 1)])
     df = build([uniform_cdf(), steps])
     section = check_df_axioms(df, n_cuboids=3, seed=0).sections[2]
-    assert list(section.witnesses) == pointwise_right_continuity(df, 0) == []
+    assert list(section.witnesses) == pointwise_right_continuity(df) == []
     assert section.points == 2 * 2 * 3
 
 

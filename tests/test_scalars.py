@@ -1,4 +1,6 @@
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +97,22 @@ def test_parse_ext_infinities():
     assert parse_ext("+inf") == POS_INF
     assert parse_ext("inf") == POS_INF
     assert parse_ext("0.5") == Fraction(1, 2)
+
+
+def test_the_digit_limit_falls_back_to_4300_where_python_has_none(monkeypatch):
+    # Python 3.10.0-3.10.6 have neither sys.get_int_max_str_digits nor the default in int_info
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    monkeypatch.setattr(sys, "int_info", SimpleNamespace(bits_per_digit=30, sizeof_digit=4))
+    assert parse_scalar("1e3") == 1000
+    assert parse_scalar("1e4299") == 10**4299
+    with pytest.raises(ValidationError, match="more than 4300 digits"):
+        parse_scalar("1e4301")
+
+
+def test_fmt_refuses_a_value_past_the_digit_limit():
+    assert fmt(Fraction(1, 10**4299)) == "1/1" + "0" * 4299
+    with pytest.raises(ValidationError, match="value too large to print: over 4300 digits"):
+        fmt(Fraction(1, 10**4300))
 
 
 def test_total_order_across_infinities():

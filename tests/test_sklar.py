@@ -121,9 +121,7 @@ def test_sklar_identity_continuous_margins_exact(f_unif2, g_flat):
 
 
 def test_sklar_identity_empirical_witness(emp2):
-    report = verify_sklar_identity(
-        emp2, grid=GridSpec(6), box=((F(-1), F(-1)), (F(2), F(2)))
-    )
+    report = verify_sklar_identity(emp2, grid=GridSpec(6))
     assert not report.passed
     by_point = {v["point"]: v for v in report.violations}
     witness = by_point[(F(1, 2), F(1, 2))]
@@ -191,6 +189,11 @@ def test_uniform_margins_deviation_formula(emp2):
 def test_copula_axioms_pass_for_continuous(f_unif2):
     report = verify_copula_axioms(extract_copula(f_unif2), n_cuboids=200, seed=11)
     assert report.passed
+
+
+def test_copula_axioms_reject_bad_count(f_unif2):
+    with pytest.raises(ValidationError, match="n_cuboids must be >= 1, got 0"):
+        verify_copula_axioms(extract_copula(f_unif2), n_cuboids=0, seed=1)
 
 
 def test_copula_axioms_comonotone_touches_upper_bound():
