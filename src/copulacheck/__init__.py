@@ -9,16 +9,16 @@ pieces), the reports carry exact rational counterexample witnesses.
 Dfs and copulas evaluate one point with ``eval`` and a product grid with
 ``eval_grid(axes)``, which yields values in ``itertools.product`` order.
 ``eval_grid`` is built on two public hooks that every df and copula has:
-``axis_codes(axis, values)`` codes the coordinates of one axis, and
-``code_ratio(codes)`` turns one code per axis into the exact value as an
-integer pair ``(numerator, denominator)``, with a positive denominator and
-not necessarily reduced.  ``code_value(codes)`` is that pair as a
-``Fraction``.  A third hook, ``code_grid(code_axes)``, yields the pairs on
-the product of per-axis code lists; ``ratio_grid(axes)`` codes each axis and
-reads the grid through it, and ``eval_grid`` is the ``Fraction``s of
-``ratio_grid``.  By default ``code_grid`` applies ``code_ratio`` at each
-point; an empirical or grid df reads its rank index for the whole grid at
-once.
+``pair_codes(axis, pairs)`` codes one axis's coordinates given as integer
+pairs (``axis_codes(axis, values)`` on values), and ``code_ratio(codes)``
+turns one code per axis into the exact value as an integer pair
+``(numerator, denominator)``, with a positive denominator and not
+necessarily reduced.  ``code_value(codes)`` is that pair as a ``Fraction``.
+A third hook, ``code_grid(code_axes)``, yields the pairs on the product of
+per-axis code lists; ``ratio_grid(axes)`` codes each axis and reads the grid
+through it, and ``eval_grid`` is the ``Fraction``s of ``ratio_grid``.  By
+default ``code_grid`` applies ``code_ratio`` at each point; an empirical or
+grid df reads its rank index for the whole grid at once.
 ``vertex_sum(ratio_grid, box)`` takes a pair grid evaluator
 (``df.ratio_grid``, ``copula.ratio_grid``, or the lattice-index evaluator
 that ``mvdf.index_box_grid`` builds for a batch of seeded boxes), not a point
@@ -29,7 +29,7 @@ for the witnesses they keep: the first ``max_witnesses`` per section, all
 by default.
 
 Each function has one evaluation path: ``eval`` codes its point with the
-same ``axis_codes`` as a sweep and combines the codes with ``code_ratio``,
+same ``pair_codes`` as a sweep and combines the codes with ``code_ratio``,
 the one-point form of ``code_grid``, and a monotone function's ``eval``,
 ``gen_inverse`` and ``gen_inverse_right`` are one-point calls into its batch
 kernels.  The independent oracles they are tested against live in

@@ -11,10 +11,10 @@ limit is meant; a value that starts with "-" other than a plain number ("-1/2",
 "-inf,0") needs "--" before it.  Reports are emitted as deterministic JSON:
 same inputs and same seed give byte-identical output.  Each ``verify`` kind has
 a sub-parser that declares only the options its check reads, so any other
-option exits 2.  ``--max-witnesses`` is the one witness cap: the check keeps
-that many witnesses per list, and ``serialize.report_to_json`` writes what it
-kept.  Every grid a command checks or dumps comes from ``sklar.GridSpec``;
-``--grid M`` only sets its resolution.
+option exits 2 with that kind's usage.  ``--max-witnesses`` is the one witness
+cap: the check keeps that many witnesses per list, and
+``serialize.report_to_json`` writes what it kept.  Every grid a command checks
+or dumps comes from ``sklar.GridSpec``; ``--grid M`` only sets its resolution.
 """
 
 from __future__ import annotations
@@ -152,6 +152,16 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+class _KindParser(argparse.ArgumentParser):
+    """A ``verify`` kind's parser: it refuses an option the kind does not take with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="copulacheck",
@@ -202,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("verify", help="run a verification suite; exit 1 on violations")
-    kinds = p.add_subparsers(dest="kind", required=True)
+    kinds = p.add_subparsers(dest="kind", required=True, parser_class=_KindParser)
     # (flag, default, metavar, help): each kind declares only the options its check reads
     grid = "--grid", 20, "M", "grid resolution per axis"
     seed = "--seed", 0, "S", "seed for random boxes"

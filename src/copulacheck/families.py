@@ -14,24 +14,24 @@ non-negative-volume axiom and must be caught by ``check_df_axioms``.
 
 The two counting families (empirical and grid) evaluate in rank space: F(t)
 depends only on where each coordinate of t falls among that axis's sorted
-breakpoints.  A query ranks t by the cursor that ranks G's abscissae in
-``monotone``, over the breakpoints as integer pairs, then scans integer rank
+breakpoints.  The index is built on first use from the rows as integer
+pairs: each axis's distinct pairs are sorted once, and each row coordinate
+is ranked by a dict from its pair to its rank.  A query ranks t by the
+cursor that ranks G's abscissae in ``monotone``, then scans integer rank
 rows or, once the rows scanned reach the size of the d-dimensional cumulative
 table, builds that table and answers by one lookup.  A whole grid is one
 query: ``code_grid`` charges its points x rows at once, and past the cells
-reads the table lazily by strides.  The index is built on first use, and
-each value is the integer pair (weight, denominator).
+reads the table lazily by strides.  Each value is the integer pair
+(weight, denominator).
 
-For the hooks of ``mvdf.AxisSeparable``, a counting family's ``axis_codes``
+For the hooks of ``mvdf.AxisSeparable``, a counting family's ``pair_codes``
 are ranks, its ``code_ratio`` the pair (weight below them, denominator) and
 its ``code_grid`` the rank index's whole-grid read; a margin-composed
-family's codes are its margin values as the (numerator,
-denominator) pairs the margins' knot walk returns, unreduced, with no
-``Fraction`` in between, and its ``code_ratio`` combines them by integer arithmetic
+family's ``pair_codes`` are its margin values as the unreduced pairs of the
+margin's knot walk, and its ``code_ratio`` combines them by integer arithmetic
 (product, cross-multiplied minimum, lower bound over a common denominator).
-Every family evaluates one point with the shared ``AxisSeparable.eval``,
-through the same ``axis_codes`` and ``code_ratio`` as a grid's codes and
-values; there is no other evaluation path.
+No family defines ``axis_codes``: every value reaches ``pair_codes`` as a
+pair, and one point goes through the same hooks as a grid.
 Right limits share the offset rule ``mvdf.right_deltas``: ``axis_right_codes``
 codes a counting axis at x + delta, and reads a margin-composed axis as
 2 G(x + delta/2) - G(x + delta) off one ``eval_pairs`` call.
@@ -42,16 +42,16 @@ reads the payloads of all five families.
 from __future__ import annotations
 
 from abc import abstractmethod
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import product as iter_product, repeat
 from math import lcm, prod
 from operator import le, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ValidationError
-from .monotone import MonotoneFn, _pairs, _ranks, step_cdf
+from .monotone import MonotoneFn, _ranks, _walk, step_cdf
 from .mvdf import AxisSeparable, MultivariateDf, Ratio, ratio_lower_bound, ratio_min
 from .scalars import ExtScalar, as_scalar
 
@@ -77,8 +77,8 @@ class _RankIndex:
 
     The df is constant between breakpoints, so F(t) depends only on the ranks
     r_i, the number of axis-i breakpoints (integer pairs in ``keys``) at or
-    below t_i, counted by monotone's cursor; the unsorted rows are ranked once
-    by bisection.  A row is <= t exactly when each of its coordinate ranks is
+    below t_i, counted by monotone's cursor; each row coordinate is ranked once
+    by its pair.  A row is <= t exactly when each of its coordinate ranks is
     <= r_i (dominance counting).  Queries scan the integer rank rows until the
     rows scanned reach the cells of the cumulative table; only then is that
     d-dimensional prefix-sum table built, and each later query is one lookup.
@@ -88,22 +88,25 @@ class _RankIndex:
     reads the table throughout.
     """
 
-    def __init__(
-        self, points: Sequence[tuple[Fraction, ...]], weights: Sequence[int], denominator: int
-    ):
-        dim = len(points[0])
-        self.axes = tuple(tuple(sorted({p[i] for p in points})) for i in range(dim))
-        self.keys = [tuple(zip(*(b.as_integer_ratio() for b in bps))) for bps in self.axes]
+    def __init__(self, points: Sequence[tuple[Fraction, ...]], weights: Sequence[int], denominator: int):
+        axes, self.keys, rank_columns = [], [], []
+        for column in zip(*points):
+            pairs = [c.as_integer_ratio() for c in column]
+            values = dict(zip(pairs, column))  # each reduced pair once, with its Fraction
+            order = sorted(values, key=cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1]))
+            axes.append(tuple(map(values.__getitem__, order)))
+            self.keys.append(tuple(zip(*order)))
+            rank_columns.append(map({pair: r for r, pair in enumerate(order, 1)}.__getitem__, pairs))
+        self.axes = tuple(axes)
         merged: dict[tuple[int, ...], int] = {}
-        for p, w in zip(points, weights):
-            ranks = tuple(map(bisect_right, self.axes, p))
+        for ranks, w in zip(zip(*rank_columns), weights):
             merged[ranks] = merged.get(ranks, 0) + w
         self._rows = tuple(merged.items())
         self._total = sum(weights)
         self._denominator = denominator
         self._sizes = [len(bps) + 1 for bps in self.axes]
-        self._strides = [1] * dim
-        for i in range(dim - 2, -1, -1):
+        self._strides = [1] * len(axes)
+        for i in range(len(axes) - 2, -1, -1):
             self._strides[i] = self._strides[i + 1] * self._sizes[i + 1]
         self._cells = self._strides[0] * self._sizes[0]
         self._scanned = 0
@@ -180,8 +183,8 @@ class _CountingDf(MultivariateDf):
             object.__setattr__(self, "_index", _RankIndex(*self._weighted_points()))
         return self._index
 
-    def axis_codes(self, axis: int, values: Sequence[ExtScalar]) -> list[int]:
-        return _ranks(*self._rank_index().keys[axis], _pairs(values), 1)
+    def pair_codes(self, axis: int, pairs: Iterable[Ratio]) -> list[int]:
+        return _ranks(*self._rank_index().keys[axis], pairs, 1)
 
     def code_ratio(self, codes: Sequence[int]) -> Ratio:
         return self._rank_index().ratio(codes)
@@ -265,8 +268,8 @@ class _MarginComposedDf(MultivariateDf):
     eval = AxisSeparable.eval
     axis_right_limit = MultivariateDf.axis_right_limit
 
-    def axis_codes(self, axis: int, values: Sequence[ExtScalar]) -> list[Ratio]:
-        return self.margins[axis].eval_pairs(values)
+    def pair_codes(self, axis: int, pairs: Iterable[Ratio]) -> list[Ratio]:
+        return _walk(self.margins[axis]._tables().g, pairs, 1)
 
     def margin_fn(self, axis: int) -> MonotoneFn:
         return self.margins[axis]

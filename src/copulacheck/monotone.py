@@ -26,9 +26,9 @@ non-decreasing for valid knots.  The first level past u names the inverse: a
 ``value_k`` the jump at knot k, a ``left_k`` the affine crossing on the piece
 ending at knot k, the end +inf (Embrechts & Hofert, "A note on generalized
 inverses", 2013).  ``eval_many``, ``gen_inverse_many`` and
-``gen_inverse_right_many`` return ``Fraction``s, ``eval_pairs`` the pairs, and
-the single-point methods are one-point walks; the independent oracles they are
-tested against live in the tests.
+``gen_inverse_right_many`` return ``Fraction``s, ``eval_pairs`` and
+``gen_inverse_right_pairs`` (on level pairs) the pairs, and the single-point
+methods are one-point walks; the tests hold them to independent oracles.
 
 The module also has a report runner checking, point by point, the classical
 inverse inequalities G(G^-1(u)) >= u and G^-1(G(x)) <= x, left-continuity of
@@ -279,11 +279,15 @@ class MonotoneFn:
 
     def _level_pairs(self, us: Iterable) -> list[Ratio]:
         """Each of ``us`` as a pair; the first outside [inf G, sup G] raises before the next is coerced."""
+        return self._checked_levels(as_scalar(u).as_integer_ratio() for u in us)
+
+    def _checked_levels(self, pairs: Iterable[Ratio]) -> list[Ratio]:
+        """Level pairs in [inf G, sup G], each checked before the next is read; (+-1, 0) is +-inf."""
         (lo_n, lo_d), (hi_n, hi_d) = self.inf_value.as_integer_ratio(), self.sup_value.as_integer_ratio()
         out = []
-        for u in map(as_scalar, us):
-            a, b = u.as_integer_ratio()
+        for a, b in pairs:
             if lo_n * b > a * lo_d or a * hi_d > hi_n * b:
+                u = Fraction(a, b) if b else a * POS_INF
                 raise DomainError(f"level {u} outside the range [{self.inf_value}, {self.sup_value}]")
             out.append((a, b))
         return out
@@ -295,6 +299,11 @@ class MonotoneFn:
     def gen_inverse_right_many(self, us: Iterable) -> list[ExtScalar]:
         """inf { x : G(x) > u } for each of ``us``, walking one cursor over the knot levels."""
         return self._fractions(_walk(self._tables().inverse, self._level_pairs(us), 1))
+
+    def gen_inverse_right_pairs(self, pairs: Iterable[Ratio]) -> list[Ratio]:
+        """inf { x : G(x) > a/b } for each level pair, as a pair: +-inf as (+-1, 0), the rest reduced."""
+        qs = _walk(self._tables().inverse, self._checked_levels(pairs), 1)
+        return [_INF_PAIRS[q] if q.__class__ is float else (q[0] // (g := gcd(*q)), q[1] // g) for q in qs]
 
     def gen_inverse_left_limit(self, u) -> Fraction:
         """Exact limit of gen_inverse from below at u, for u in (inf G, sup G]."""

@@ -7,9 +7,10 @@ distribution function when it is right-continuous and every such volume is
 non-negative; it is a cdf when additionally any coordinate at -inf forces the
 value 0 and all coordinates at +inf give 1.
 
-Every family is separable by axis (:class:`AxisSeparable`): ``axis_codes``
-codes one axis's coordinates (margin values as integer pairs, or ranks among
-the axis breakpoints) and ``code_ratio`` combines one code per axis into the
+Every family is separable by axis (:class:`AxisSeparable`): ``pair_codes``
+codes one axis's coordinates given as integer pairs (into margin values as
+pairs, or ranks among the axis breakpoints), ``axis_codes`` codes values
+through it, and ``code_ratio`` combines one code per axis into the
 value as an integer pair ``(numerator, denominator)``, with a positive
 denominator and not necessarily reduced (a :data:`Ratio`).  ``code_grid``
 reads the pairs of the product of per-axis code lists, by default with
@@ -18,8 +19,8 @@ reads the pairs of the product of per-axis code lists, by default with
 grid through ``code_grid``, ``eval_grid`` is its ``Fraction``s, and a box's
 vertices are the 2 x .. x 2 grid of its corners.  The seeded boxes are drawn
 as integer indices k of corners k/1000 (:class:`IndexBox`), and
-:func:`index_box_grid` codes each distinct corner index of a batch once and
-reads each box through ``code_grid`` too.
+:func:`index_box_grid` codes each distinct corner of a batch once, as the
+pair (k, 1000), and reads each box through ``code_grid`` too.
 
 The sweeps compare pairs by integer cross-multiplication, so a ``Fraction``
 is built only where a value leaves the sweep: ``code_value`` and
@@ -27,7 +28,7 @@ is built only where a value leaves the sweep: ``code_value`` and
 in :func:`vertex_sum`, and one per witness in the verifiers.  There is no
 second evaluation path: grids go through ``code_grid`` and single points
 (``eval`` and the right limits) through ``code_ratio``, over the codes of
-the same ``axis_codes``, and the independent oracles live in the tests.
+the same ``pair_codes``, and the independent oracles live in the tests.
 
 Right limits take one offset rule, :func:`right_deltas`, and one hook,
 ``axis_right_codes``, which codes a whole axis's right limits at once.
@@ -51,7 +52,7 @@ from math import gcd, prod
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ValidationError
-from .monotone import MonotoneFn
+from .monotone import MonotoneFn, _pairs
 from .report import NO_DEVIATION, Report, Witnesses
 from .rng import SplitMix64
 from .scalars import NEG_INF, POS_INF, ExtScalar, Ratio, as_ext, is_finite
@@ -180,8 +181,12 @@ class AxisSeparable(ABC):
     def dim(self) -> int: ...
 
     @abstractmethod
+    def pair_codes(self, axis: int, pairs: Iterable[Ratio]) -> list:
+        """Codes along a 0-based axis of the coordinates a/b given as pairs, (+-1, 0) for +-inf."""
+
     def axis_codes(self, axis: int, values: Sequence[ExtScalar]) -> list:
-        """Codes of ``values`` along a 0-based axis; raises on a value outside its domain."""
+        """Codes of ``values`` along a 0-based axis: their pairs through ``pair_codes``."""
+        return self.pair_codes(axis, _pairs(values))
 
     @abstractmethod
     def code_ratio(self, codes: Sequence) -> Ratio:
@@ -231,7 +236,7 @@ class MultivariateDf(AxisSeparable):
     """Shared contract of the concrete distribution-function families.
 
     The contract is the three axis hooks, the margins and the breakpoints; the
-    payload format is not part of it (``serialize`` owns it).  ``axis_codes``
+    payload format is not part of it (``serialize`` owns it).  ``pair_codes``
     and ``code_ratio`` must implement the extended-real semantics (any -inf
     coordinate gives 0 for cdf families, +inf coordinates drop the
     constraint), and the margins are produced analytically from the family's
@@ -318,14 +323,14 @@ def random_index_boxes(seed: int, dim: int, count: int) -> list[IndexBox]:
 def index_box_grid(fn: AxisSeparable, boxes: Sequence[IndexBox]) -> RatioGridFn:
     """A pair grid evaluator on lattice indices, for ``vertex_sum`` over ``boxes``.
 
-    Each axis codes the distinct corner indices of all the boxes with one
-    ``axis_codes`` call; the evaluator looks codes up by integer index and
-    reads the box's grid with one ``code_grid`` call.
+    Each axis codes the distinct corner indices of all the boxes, as the
+    pairs (k, LATTICE), with one ``pair_codes`` call; the evaluator looks codes
+    up by integer index and reads the box's grid with one ``code_grid`` call.
     """
     tables = []
     for axis in range(fn.dim):
         ks = sorted({k for box in boxes for k in (box.a[axis], box.b[axis])})
-        codes = fn.axis_codes(axis, [Fraction(k, LATTICE) for k in ks])
+        codes = fn.pair_codes(axis, [(k, LATTICE) for k in ks])
         tables.append(dict(zip(ks, codes)))
     code_grid = fn.code_grid
 

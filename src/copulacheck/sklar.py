@@ -24,12 +24,12 @@ structural breakpoints of the inputs, so a violation at a jump cannot hide
 between grid points.  It makes the k/m points of a range from integers, in
 order, and places each breakpoint among them by integer division, so grid
 points are never compared.  Only :class:`Copula` applies the quantile
-transform: its ``axis_codes`` checks and transforms each level, then codes it
-with the source's ``axis_codes``; its ``code_ratio`` and ``code_grid`` are
-the source's, so a counting source reads a copula grid as one of its own.  So
-every sweep transforms each axis point once, and the random boxes
-(``mvdf.IndexBox``) transform each distinct corner level of the whole batch
-once.
+transform: its ``pair_codes`` range-checks and transforms level pairs and
+hands the quantiles, as pairs, to the source's ``pair_codes``; its
+``code_ratio`` and ``code_grid`` are the source's.  Every sweep transforms
+each axis point once, the random boxes (``mvdf.IndexBox``) each distinct
+corner pair (k, 1000) of the batch once, and the Sklar identity the margin
+values F_i(x_i) as the pairs the margins return.
 
 The verifiers sweep ``ratio_grid``, whose values are integer pairs
 (``mvdf.Ratio``), and decide every comparison by cross-multiplying them.
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, product as iter_product
 from math import prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 from .monotone import MonotoneFn
@@ -63,6 +63,7 @@ from .mvdf import (
     vertex_sum,
 )
 from .report import Report, Witnesses
+from .scalars import as_scalar
 
 
 @dataclass(frozen=True)
@@ -147,12 +148,13 @@ class Copula(AxisSeparable):
     # bench/spans.py traces this by name in the class's own __dict__
     eval = AxisSeparable.eval
 
-    def axis_codes(self, axis: int, levels: Sequence) -> list:
-        """The source's codes of the quantile-transformed levels along ``axis``.
+    def pair_codes(self, axis: int, pairs: Iterable[Ratio]) -> list:
+        """The source's codes of the right-limit quantiles of the level pairs, range-checked in [0, 1]."""
+        return self.source.pair_codes(axis, self.margins[axis].gen_inverse_right_pairs(pairs))
 
-        The margins are cdfs, so the quantile's range check is the [0, 1] check.
-        """
-        return self.source.axis_codes(axis, self.margins[axis].gen_inverse_right_many(levels))
+    def axis_codes(self, axis: int, levels: Sequence) -> list:
+        """Each level coerced to an exact rational as the range check reaches it, then ``pair_codes``."""
+        return self.pair_codes(axis, (as_scalar(u).as_integer_ratio() for u in levels))
 
     @property
     def code_ratio(self) -> Callable[[Sequence], Ratio]:
@@ -211,10 +213,10 @@ def verify_sklar_identity(df: MultivariateDf, grid: GridSpec = GridSpec(), max_w
     """
     copula = extract_copula(df)
     axes = grid.df_axes(df)
-    levels = [m.eval_many(axis_pts) for m, axis_pts in zip(copula.margins, axes)]
+    codes = [copula.pair_codes(i, m.eval_pairs(pts)) for i, (m, pts) in enumerate(zip(copula.margins, axes))]
 
     sink = Witnesses(max_witnesses)
-    sweep = zip(iter_product(*axes), df.ratio_grid(axes), copula.ratio_grid(levels))
+    sweep = zip(iter_product(*axes), df.ratio_grid(axes), copula.code_grid(codes))
     for x, (en, ed), (gn, gd) in sweep:
         diff = gn * ed - en * gd
         if diff:

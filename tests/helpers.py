@@ -16,6 +16,10 @@ at a time, the seeded box oracle draws its corners as ``Fraction`` levels
 directly, the grid-axis oracles build each axis with a set of
 ``lo + k/m * (hi - lo)`` points, and the lemma report oracle uses only the
 walks.
+``oracle_rank_index`` builds a counting df's rank index as the library did
+before it ranked integer pairs: sorted sets of ``Fraction``s and a
+``bisect_right`` per row coordinate.  ``LeftContinuous`` codes its pairs by
+``bisect_left`` over the ``Fraction`` breakpoints.
 ``pointwise_right_continuity`` is the right-continuity probe loop one point
 at a time, with the right-limit offset found by scanning the breakpoints.
 ``run_cli`` runs the command line in a child process that imports the
@@ -318,8 +322,9 @@ def scan_eval_below(df, t) -> Fraction:
 class LeftContinuous:
     """Mixin: a counting df ranked with bisect_left, so F(t) weighs the rows < t (left-continuous)."""
 
-    def axis_codes(self, axis, values):
-        return [bisect_left(self.axis_breakpoints(axis), as_ext(c)) for c in values]
+    def pair_codes(self, axis, pairs):
+        # (+-1, 0) is +-inf
+        return [bisect_left(self.axis_breakpoints(axis), Fraction(a, b) if b else a * POS_INF) for a, b in pairs]
 
 
 class LeftContinuousEmpirical(LeftContinuous, EmpiricalDf):
@@ -328,6 +333,17 @@ class LeftContinuousEmpirical(LeftContinuous, EmpiricalDf):
 
 class LeftContinuousGrid(LeftContinuous, GridDf):
     pass
+
+
+def oracle_rank_index(points, weights) -> tuple:
+    """A rank index's (axes, keys, rows), built on ``Fraction``s: sorted sets, and bisect_right row by row."""
+    axes = tuple(tuple(sorted({p[i] for p in points})) for i in range(len(points[0])))
+    keys = [tuple(zip(*(b.as_integer_ratio() for b in bps))) for bps in axes]
+    merged: dict[tuple[int, ...], int] = {}
+    for p, w in zip(points, weights):
+        ranks = tuple(map(bisect_right, axes, p))
+        merged[ranks] = merged.get(ranks, 0) + w
+    return axes, keys, tuple(merged.items())
 
 
 def scan_axis_breakpoints(df, axis: int) -> tuple[Fraction, ...]:

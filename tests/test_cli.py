@@ -397,6 +397,22 @@ def test_each_verify_kind_refuses_every_option_it_does_not_read(workdir):
         assert f"unrecognized arguments: {option} " in r.stderr, (kind, option)
 
 
+# per verify kind, one option it does not take; copula takes all three, so it gets quantile's flag
+UNTAKEN = {"lemma": "--seed", "df": "--grid", "sklar": "--seed", "margins": "--cuboids", "copula": "--right-limit"}
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFY_READS))
+def test_an_option_a_kind_does_not_take_is_refused_with_that_kinds_usage(kind, workdir, monkeypatch, capsys):
+    monkeypatch.chdir(workdir)
+    path = "g_flat.json" if kind == "lemma" else "unif2.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", kind, path, UNTAKEN[kind], "1"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith(f"usage: copulacheck verify {kind} [-h] ")
+    assert err.endswith(f"\ncopulacheck verify {kind}: error: unrecognized arguments: {UNTAKEN[kind]} 1\n")
+
+
 def test_each_verify_kind_passes_the_options_it_reads_to_its_check(workdir, monkeypatch, capsys):
     """Each kind's report is the library's at the given values, and each value shows in it."""
     g_id = json.loads(G_ID_JSON)

@@ -397,9 +397,10 @@ def test_right_continuity_evaluates_each_probe_point_once():
             calls.append(("axis_right_limit", tuple(t)))
             return super().axis_right_limit(t, axis)
 
-        def axis_codes(self, axis, values):
-            calls.append(("axis_codes", axis, tuple(values)))
-            return super().axis_codes(axis, values)
+        def pair_codes(self, axis, pairs):
+            pairs = list(pairs)
+            calls.append(("pair_codes", axis, tuple(pairs)))
+            return super().pair_codes(axis, pairs)
 
         def axis_right_codes(self, axis, xs, deltas):
             calls.append(("axis_right_codes", axis, tuple(xs)))
@@ -412,8 +413,9 @@ def test_right_continuity_evaluates_each_probe_point_once():
     bps = (F(2), F(3), F(5))
     probes = set(product(bps, bps))
     assert report.sections[2].points == 2 * len(probes)
-    at_breakpoints = [c for c in calls if c[0] == "axis_codes" and set(c[2]) & set(bps)]
-    assert at_breakpoints == [("axis_codes", 0, bps), ("axis_codes", 1, bps)]
+    bp_pairs = tuple(b.as_integer_ratio() for b in bps)
+    at_breakpoints = [c for c in calls if c[0] == "pair_codes" and set(c[2]) & set(bp_pairs)]
+    assert at_breakpoints == [("pair_codes", 0, bp_pairs), ("pair_codes", 1, bp_pairs)]
     assert [c for c in calls if c[0] == "axis_right_codes"] == [
         ("axis_right_codes", 0, bps),
         ("axis_right_codes", 1, bps),
@@ -480,8 +482,8 @@ class EveryProbeFails(MultivariateDf):
     def axis_breakpoints(self, axis):
         return tuple(map(F, range(self.sizes[axis])))
 
-    def axis_codes(self, axis, values):
-        return [0] * len(values)
+    def pair_codes(self, axis, pairs):
+        return [0 for _ in pairs]
 
     def axis_right_codes(self, axis, xs, deltas):
         return [1] * len(xs)

@@ -81,8 +81,8 @@ def test_df_to_payload_refuses_a_df_outside_the_families():
     class BareDf(MultivariateDf):
         dim = 1
 
-        def axis_codes(self, axis, values):
-            return list(values)
+        def pair_codes(self, axis, pairs):
+            return list(pairs)
 
         def code_ratio(self, codes):
             return 0, 1
