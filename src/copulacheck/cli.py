@@ -11,7 +11,7 @@ limit is meant; a value that starts with "-" other than a plain number ("-1/2",
 "-inf,0") needs "--" before it.  Reports are emitted as deterministic JSON:
 same inputs and same seed give byte-identical output.  Each ``verify`` kind has
 a sub-parser that declares only the options its check reads, so any other
-option exits 2 with that kind's usage.  ``--max-witnesses`` is the one witness
+option exits 2, with that kind's usage as for every command.  ``--max-witnesses`` is the one witness
 cap: the check keeps that many witnesses per list, and
 ``serialize.report_to_json`` writes what it kept.  Every grid a command checks
 or dumps comes from ``sklar.GridSpec``; ``--grid M`` only sets its resolution.
@@ -152,8 +152,8 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-class _KindParser(argparse.ArgumentParser):
-    """A ``verify`` kind's parser: it refuses an option the kind does not take with its own usage."""
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: it refuses an argument the command does not take with its own usage."""
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
@@ -168,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact rational checks for distribution functions, quantile "
         "transforms, and extracted copulas.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the command parsers, and the verify kinds' under them, take their class from here
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def add_output(p):
         p.add_argument("-o", "--output", metavar="PATH", help="write output to PATH instead of stdout")
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("verify", help="run a verification suite; exit 1 on violations")
-    kinds = p.add_subparsers(dest="kind", required=True, parser_class=_KindParser)
+    kinds = p.add_subparsers(dest="kind", required=True)
     # (flag, default, metavar, help): each kind declares only the options its check reads
     grid = "--grid", 20, "M", "grid resolution per axis"
     seed = "--seed", 0, "S", "seed for random boxes"

@@ -413,6 +413,23 @@ def test_an_option_a_kind_does_not_take_is_refused_with_that_kinds_usage(kind, w
     assert err.endswith(f"\ncopulacheck verify {kind}: error: unrecognized arguments: {UNTAKEN[kind]} 1\n")
 
 
+@pytest.mark.parametrize(
+    "argv, prog",
+    [
+        (["quantile", "g_bern.json", "1/2", "--seed", "1"], "copulacheck quantile"),
+        (["eval", "unif2.json", "0,0", "extra"], "copulacheck eval"),
+        (["verify", "--bogus", "sklar", "unif2.json"], "copulacheck verify"),
+    ],
+)
+def test_an_argument_a_command_does_not_take_is_refused_with_its_usage(argv, prog, workdir, monkeypatch, capsys):
+    monkeypatch.chdir(workdir)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith(f"usage: {prog} [-h] ") and f"\n{prog}: error: unrecognized arguments: " in err
+
+
 def test_each_verify_kind_passes_the_options_it_reads_to_its_check(workdir, monkeypatch, capsys):
     """Each kind's report is the library's at the given values, and each value shows in it."""
     g_id = json.loads(G_ID_JSON)
