@@ -11,8 +11,8 @@ limit is meant; a value that starts with "-" other than a plain number ("-1/2",
 "-inf,0") needs "--" before it.  Reports are emitted as deterministic JSON:
 same inputs and same seed give byte-identical output.  Each ``verify`` kind has
 a sub-parser that declares only the options its check reads, so any other
-option exits 2, with that kind's usage as for every command.  ``--max-witnesses`` is the one witness
-cap: the check keeps that many witnesses per list, and
+option exits 2, with the kind's usage as for every command.  ``--max-witnesses``
+is the one witness cap: the check keeps that many witnesses per list, and
 ``serialize.report_to_json`` writes what it kept.  Every grid a command checks
 or dumps comes from ``sklar.GridSpec``; ``--grid M`` only sets its resolution.
 """

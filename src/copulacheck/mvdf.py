@@ -185,7 +185,7 @@ class AxisSeparable(ABC):
         """Codes along a 0-based axis of the coordinates a/b given as pairs, (+-1, 0) for +-inf."""
 
     def axis_codes(self, axis: int, values: Sequence[ExtScalar]) -> list:
-        """Codes of ``values`` along a 0-based axis: their pairs through ``pair_codes``."""
+        """Codes of ``values`` along a 0-based axis, through ``pair_codes``; raises outside its domain."""
         return self.pair_codes(axis, _pairs(values))
 
     @abstractmethod
