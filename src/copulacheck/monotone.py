@@ -15,8 +15,9 @@ offers exact evaluation, one-sided limits, and the two generalized inverses
     gen_inverse(u)       = inf { x : G(x) >= u }
     gen_inverse_right(u) = inf { x : G(x) > u }
 
-G, its left limit and both inverses are one walk on integer pairs (a, b),
-b > 0, for a/b, over one of two answer tables built on the first call.  Each
+G, its left limit and both inverses are one walk on integer pairs in the
+format of ``scalars`` (a/b as (a, b), b > 0; -inf as (-1, 0), +inf as (1, 0)),
+over one of two answer tables built on the first call.  Each
 table carries its own sorted keys: the walk counts the keys below a/b (s = 0)
 or at or below it (s = 1) and answers at that rank by a constant or an affine
 piece at a/b.  G(x) and G(x-) are s = 1 and s = 0 on the abscissa table;
@@ -26,9 +27,10 @@ non-decreasing for valid knots.  The first level past u names the inverse: a
 ``value_k`` the jump at knot k, a ``left_k`` the affine crossing on the piece
 ending at knot k, the end +inf (Embrechts & Hofert, "A note on generalized
 inverses", 2013).  ``eval_many``, ``gen_inverse_many`` and
-``gen_inverse_right_many`` return ``Fraction``s, ``eval_pairs`` and
-``gen_inverse_right_pairs`` (on level pairs) the pairs, and the single-point
-methods are one-point walks; the tests hold them to independent oracles.
+``gen_inverse_right_many`` decode the pairs by ``scalars.pair_value``,
+``eval_pairs`` and ``gen_inverse_right_pairs`` (on level pairs) return them,
+and the single-point methods are one-point walks; the tests hold them to
+independent oracles.
 
 The module also has a report runner checking, point by point, the classical
 inverse inequalities G(G^-1(u)) >= u and G^-1(G(x)) <= x, left-continuity of
@@ -50,7 +52,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ValidationError
 from .report import NO_DEVIATION, Report, Witnesses
-from .scalars import NEG_INF, POS_INF, ExtScalar, Ratio, as_ext, as_scalar
+from .scalars import NEG_INF, NEG_PAIR, POS_PAIR, ExtScalar, Ratio, as_pairs, as_scalar, pair_value
 
 
 @dataclass(frozen=True)
@@ -79,25 +81,10 @@ def _piece(x0: Ratio, y0: Ratio, x1: Ratio, y1: Ratio) -> _Piece:
     return alpha // g, beta // g, gamma // g
 
 
-def _sign(r: Ratio | float, a: int, b: int) -> int:
-    """The sign of r - a/b, for a pair or an infinity r."""
-    diff = r if r.__class__ is float else r[0] * b - a * r[1]
+def _sign(r: Ratio, a: int, b: int) -> int:
+    """The sign of r - a/b, for b > 0; (-1, 0) and (1, 0) read -1 and 1."""
+    diff = r[0] * b - a * r[1]
     return (diff > 0) - (diff < 0)
-
-
-def _ext(r: Ratio | float) -> ExtScalar:
-    """A pair as its ``Fraction``; an infinity as itself."""
-    return r if r.__class__ is float else Fraction(*r)
-
-
-# in the cursor's compares n b - a d of a key n/d with a point (a, b), (-1, 0) lies below
-# every key and (1, 0) above all, so -inf ranks 0 and +inf past every key
-_INF_PAIRS = {NEG_INF: (-1, 0), POS_INF: (1, 0)}
-
-
-def _pairs(xs: Iterable) -> list[Ratio]:
-    """Each extended scalar as an integer pair for the cursor; an infinity as its pair above."""
-    return [_INF_PAIRS[x] if x.__class__ is float else x.as_integer_ratio() for x in map(as_ext, xs)]
 
 
 def _ranks(ns: Sequence[int], ds: Sequence[int], pairs: Iterable[Ratio], s: int) -> list[int]:
@@ -139,17 +126,17 @@ def _walk(table: tuple, pairs: Iterable[Ratio], s: int) -> list:
 
 
 class _SweepTables:
-    """The kernels' two answer tables, each with its keys, and the ``Fraction`` cache.
+    """The kernels' two answer tables, each with its keys.
 
     An answer table (key numerators, key denominators, consts, pieces) is read
     by :func:`_walk`.  ``g`` is G by rank among the knot abscissae: the
     infimum at 0, value_i or the piece on [x_i, x_{i+1}) at i + 1.
     ``inverse`` is the inverse by rank among the knot levels: -inf at 0, x_k at
     2k + 1, the crossing between value_{k-1} and left_k at 2k, +inf at the
-    end.  ``cached`` maps each key pair to its ``Fraction``.
+    end, the infinities as their pairs.
     """
 
-    __slots__ = ("g", "inverse", "cached")
+    __slots__ = ("g", "inverse")
 
     def __init__(self, knots: Sequence[Knot], levels: Sequence[Fraction]) -> None:
         xs = [k.x.as_integer_ratio() for k in knots]
@@ -158,9 +145,7 @@ class _SweepTables:
         self.g = (*zip(*xs), pairs[:1] + pairs[1::2], pieces)
         crossings: list[_Piece] = [None] * (len(pairs) + 1)
         crossings[2:-1:2] = map(_piece, pairs[1::2], xs, pairs[2::2], xs[1:])
-        self.inverse = (*zip(*pairs), [NEG_INF, *[x for x in xs for _ in (0, 1)][1:], POS_INF], crossings)
-        self.cached = dict(zip([*xs, *pairs], [*(k.x for k in knots), *levels]))
-        self.cached.update({NEG_INF: NEG_INF, POS_INF: POS_INF})
+        self.inverse = (*zip(*pairs), [NEG_PAIR, *[x for x in xs for _ in (0, 1)][1:], POS_PAIR], crossings)
 
 
 def _coerce_knot(entry, index: int) -> Knot:
@@ -250,22 +235,17 @@ class MonotoneFn:
             object.__setattr__(self, "_sweep", _SweepTables(self.knots, self._levels))
         return self._sweep
 
-    def _fractions(self, results: Iterable[Ratio | float]) -> list[ExtScalar]:
-        """Kernel results as extended scalars; knot abscissae and levels are the cached objects."""
-        cached = self._tables().cached
-        return [cached[r] if r in cached else Fraction(*r) for r in results]
-
     def eval_many(self, xs: Iterable[ExtScalar]) -> list[Fraction]:
         """Exact G at each of ``xs``; the infinities map to the infimum and supremum."""
-        return self._fractions(self.eval_pairs(xs))
+        return list(map(pair_value, self.eval_pairs(xs)))
 
     def eval_pairs(self, xs: Iterable[ExtScalar]) -> list[Ratio]:
         """Exact G at each of ``xs`` as a pair; the infinities map to the infimum and supremum."""
-        return _walk(self._tables().g, _pairs(xs), 1)
+        return _walk(self._tables().g, as_pairs(xs), 1)
 
     def eval_left(self, x) -> Fraction:
         """Exact limit of G from below at finite x."""
-        return self._fractions(_walk(self._tables().g, [as_scalar(x).as_integer_ratio()], 0))[0]
+        return pair_value(_walk(self._tables().g, [as_scalar(x).as_integer_ratio()], 0)[0])
 
     # -- generalized inverses ------------------------------------------------
 
@@ -282,32 +262,32 @@ class MonotoneFn:
         return self._checked_levels(as_scalar(u).as_integer_ratio() for u in us)
 
     def _checked_levels(self, pairs: Iterable[Ratio]) -> list[Ratio]:
-        """Level pairs in [inf G, sup G], each checked before the next is read; (+-1, 0) is +-inf."""
+        """Level pairs in [inf G, sup G], each checked before the next is read; an infinity is outside."""
         (lo_n, lo_d), (hi_n, hi_d) = self.inf_value.as_integer_ratio(), self.sup_value.as_integer_ratio()
         out = []
         for a, b in pairs:
             if lo_n * b > a * lo_d or a * hi_d > hi_n * b:
-                u = Fraction(a, b) if b else a * POS_INF
+                u = pair_value((a, b))
                 raise DomainError(f"level {u} outside the range [{self.inf_value}, {self.sup_value}]")
             out.append((a, b))
         return out
 
     def gen_inverse_many(self, us: Iterable) -> list[ExtScalar]:
         """inf { x : G(x) >= u } for each of ``us``, walking one cursor over the knot levels."""
-        return self._fractions(_walk(self._tables().inverse, self._level_pairs(us), 0))
+        return list(map(pair_value, _walk(self._tables().inverse, self._level_pairs(us), 0)))
 
     def gen_inverse_right_many(self, us: Iterable) -> list[ExtScalar]:
         """inf { x : G(x) > u } for each of ``us``, walking one cursor over the knot levels."""
-        return self._fractions(_walk(self._tables().inverse, self._level_pairs(us), 1))
+        return list(map(pair_value, _walk(self._tables().inverse, self._level_pairs(us), 1)))
 
     def gen_inverse_right_pairs(self, pairs: Iterable[Ratio]) -> list[Ratio]:
-        """inf { x : G(x) > a/b } for each level pair, as a pair: +-inf as (+-1, 0), the rest reduced."""
+        """inf { x : G(x) > a/b } for each level pair, as a reduced pair; +inf at sup G is (1, 0)."""
         qs = _walk(self._tables().inverse, self._checked_levels(pairs), 1)
-        return [_INF_PAIRS[q] if q.__class__ is float else (q[0] // (g := gcd(*q)), q[1] // g) for q in qs]
+        return [(n // (g := gcd(n, d)), d // g) for n, d in qs]
 
     def gen_inverse_left_limit(self, u) -> Fraction:
         """Exact limit of gen_inverse from below at u, for u in (inf G, sup G]."""
-        return self._fractions(self._left_limits(self._level_pairs((u,))))[0]
+        return pair_value(self._left_limits(self._level_pairs((u,)))[0])
 
     def _left_limits(self, pairs: Sequence[Ratio]) -> list[Ratio]:
         """The limit of gen_inverse from below at each level u = a/b in (inf G, sup G].
@@ -328,7 +308,7 @@ class MonotoneFn:
             ae, cb, be = a * e, c * b, b * e
             probes += ((ae + cb, 2 * be), (3 * ae + cb, 4 * be))
         probed = _walk(inverse, probes, 0)
-        if any(r.__class__ is float for r in probed):
+        if not all(d for _, d in probed):
             raise AssertionError(f"left-limit probe with an infinite inverse: {probed}")
         return [
             (2 * near_n * far_d - far_n * near_d, near_d * far_d)
@@ -381,12 +361,12 @@ def _level_witness(u: Ratio, lhs: Ratio, rhs: Ratio) -> dict:
     return {"point": Fraction(*u), "lhs": Fraction(*lhs), "rhs": Fraction(*rhs)}
 
 
-def _point_witness(x: Fraction, inv: Ratio | float) -> dict:
-    return {"point": x, "lhs": _ext(inv), "rhs": x}
+def _point_witness(x: Fraction, inv: Ratio) -> dict:
+    return {"point": x, "lhs": pair_value(inv), "rhs": x}
 
 
-def _ff_witness(x: Fraction, lhs: Ratio | float) -> dict:
-    return {"x": x, "lhs": _ext(lhs)}
+def _ff_witness(x: Fraction, lhs: Ratio) -> dict:
+    return {"x": x, "lhs": pair_value(lhs)}
 
 
 def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence, max_witnesses: int = -1) -> Report:
@@ -407,7 +387,7 @@ def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence, max_witnesses: int 
     xs = [as_scalar(x) for x in xs]
 
     # u = inf G, where G^-1(u) = -inf, has G(G^-1(u)) = u and no left limit
-    checked = [(pair, at) for pair, at in zip(pairs, _walk(t.inverse, pairs, 0)) if at != NEG_INF]
+    checked = [(pair, at) for pair, at in zip(pairs, _walk(t.inverse, pairs, 0)) if at != NEG_PAIR]
     violations_a = Witnesses(max_witnesses)
     for ((a, b), _), value in zip(checked, _walk(t.g, [at for _, at in checked], 1)):
         if _sign(value, a, b) < 0:
@@ -423,7 +403,7 @@ def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence, max_witnesses: int 
             violations_b.add(NO_DEVIATION, _point_witness, x, inv)
         side = _sign(lhs, a, b)
         if side < 0:
-            raise AssertionError(f"one-sided bound violated at x={x}: lhs={_ext(lhs)}")
+            raise AssertionError(f"one-sided bound violated at x={x}: lhs={pair_value(lhs)}")
         if side:
             ff_witnesses.add(NO_DEVIATION, _ff_witness, x, lhs)
 

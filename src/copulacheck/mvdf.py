@@ -52,10 +52,10 @@ from math import gcd, prod
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ValidationError
-from .monotone import MonotoneFn, _pairs
+from .monotone import MonotoneFn
 from .report import NO_DEVIATION, Report, Witnesses
 from .rng import SplitMix64
-from .scalars import NEG_INF, POS_INF, ExtScalar, Ratio, as_ext, is_finite
+from .scalars import NEG_INF, POS_INF, ExtScalar, Ratio, as_ext, as_pairs, is_finite
 
 Point = tuple[ExtScalar, ...]
 # the per-axis coordinates of a product grid
@@ -182,11 +182,11 @@ class AxisSeparable(ABC):
 
     @abstractmethod
     def pair_codes(self, axis: int, pairs: Iterable[Ratio]) -> list:
-        """Codes along a 0-based axis of the coordinates a/b given as pairs, (+-1, 0) for +-inf."""
+        """Codes along a 0-based axis of coordinates given as pairs in the format of ``scalars.as_pairs``."""
 
     def axis_codes(self, axis: int, values: Sequence[ExtScalar]) -> list:
         """Codes of ``values`` along a 0-based axis, through ``pair_codes``; raises outside its domain."""
-        return self.pair_codes(axis, _pairs(values))
+        return self.pair_codes(axis, as_pairs(values))
 
     @abstractmethod
     def code_ratio(self, codes: Sequence) -> Ratio:

@@ -4,6 +4,11 @@ Every numeric quantity in this package is a ``fractions.Fraction``.  The only
 floats allowed anywhere are the two IEEE infinities, used as endpoints of the
 extended real line; ``Fraction`` compares exactly against them, so ordering and
 equality on extended scalars are decidable with tolerance zero.
+
+The kernels read and return extended scalars as integer pairs in one format:
+a/b as ``(a, b)`` with b > 0 (a :data:`Ratio`), -inf and +inf as ``(-1, 0)``
+and ``(1, 0)``, which a compare ``n b - a d`` with a key n/d puts below and
+above every key.  :func:`as_pairs` encodes and :func:`pair_value` decodes.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import ValidationError
 
@@ -22,6 +27,8 @@ Ratio = tuple[int, int]
 
 NEG_INF: float = float("-inf")
 POS_INF: float = float("inf")
+NEG_PAIR: Ratio = (-1, 0)
+POS_PAIR: Ratio = (1, 0)
 
 
 def is_finite(x: ExtScalar) -> bool:
@@ -44,6 +51,18 @@ def as_ext(value) -> ExtScalar:
             return value
         raise ValidationError(f"finite floats are not exact; got {value!r}")
     return as_scalar(value)
+
+
+def as_pairs(xs: Iterable) -> list[Ratio]:
+    """Each extended scalar as its pair: a/b as its integer ratio, -inf and +inf as (-1, 0) and (1, 0)."""
+    ext = map(as_ext, xs)
+    return [(POS_PAIR if x > 0 else NEG_PAIR) if x.__class__ is float else x.as_integer_ratio() for x in ext]
+
+
+def pair_value(pair: Ratio) -> ExtScalar:
+    """A pair as its extended scalar: (a, b) as ``Fraction(a, b)``, (-1, 0) and (1, 0) as -inf and +inf."""
+    a, b = pair
+    return Fraction(a, b) if b else POS_INF if a > 0 else NEG_INF
 
 
 def _max_str_digits() -> int:

@@ -25,6 +25,7 @@ sys.path.insert(0, str(GOLDEN.parent.parent / "src"))
 from copulacheck import (  # noqa: E402
     CountermonotoneDf,
     GridDf,
+    ProductDf,
     cli,
     comonotone_df,
     countermonotone_df,
@@ -78,6 +79,10 @@ INPUTS = {
     "counter2.json": df_to_payload(countermonotone_df(U, G_MIXED)),
     # the lower bound extended to three margins is not a df: negative volumes
     "counter3.json": df_to_payload(CountermonotoneDf((U, U, U))),
+    # not cdfs, for the limits section: masses that sum to 1/2, so F(+inf, +inf) = 1/2,
+    # and a first margin with infimum 1/4, so F is not 0 where the first coordinate is -inf
+    "half.json": df_to_payload(GridDf((((0, 0), F(1, 4)), ((1, 1), F(1, 4))))),
+    "lifted.json": df_to_payload(ProductDf((make_monotone([(0, F(1, 4), F(1, 4)), (1, 1, 1)]), U))),
     # signed masses with cdf margins, a df only leniently: its copula report
     # interleaves d_increasing, grounded, fh_lower and fh_upper witnesses
     "signed.json": df_to_payload(
@@ -118,6 +123,9 @@ CASES = {
         for stem in ("emp", "grid", "product", "comonotone", "counter2")
     },
     "df-counter3": ["verify", "df", "counter3.json", "--cuboids", "100", "--seed", "7"],
+    # limit witnesses: one at (+inf, +inf), and two at the -inf points of the first axis
+    "df-half": ["verify", "df", "half.json", "--cuboids", "60"],
+    "df-lifted": ["verify", "df", "lifted.json", "--cuboids", "60"],
     **{
         f"{kind}-{stem}": ["verify", kind, f"{stem}.json", "--grid", "6"]
         for kind in ("sklar", "margins", "copula")

@@ -5,9 +5,9 @@ single-point ``eval``, ``gen_inverse`` and ``gen_inverse_right`` that call
 them, must equal ``walk_eval`` and ``walk_inverse`` element by element, in
 value and in type, in any input order and from either end first; a bad
 element anywhere must raise what the first bad element calls for;
-``lemma_report`` must equal its oracle, and its sections a and b must fire on
-deliberately corrupted tables; and the kernel tables must stay out of loading,
-equality, hashing, ``repr`` and payloads.
+``lemma_report`` must equal its oracle, and its sections a, b and
+left_continuity must fire on deliberately corrupted tables; and the kernel
+tables must stay out of loading, equality, hashing, ``repr`` and payloads.
 """
 
 import json
@@ -232,6 +232,19 @@ def test_lemma_sections_a_and_b_fire_on_corrupted_tables():
     assert b.witnesses == tuple(
         {"point": x, "lhs": x + F(1, 16), "rhs": x} for x in (F(1, 8), F(1, 2), F(7, 8), F(1))
     )
+
+
+def test_lemma_left_continuity_fires_on_a_corrupted_table(g_bern):
+    # G^-1 is left-continuous on any level table with sorted keys: a level and the probes just
+    # below it share a rank.  Bern(1/2)'s level keys are (0, 1/2, 1/2, 1); with left_1 written
+    # as 1/4, the key read below u = 5/8 is 1/4, so the probes 7/16 and 17/32 straddle the
+    # jump at 1/2 and read 0 and 1: the limit 2 * 1 - 0 = 2 is not G^-1(5/8) = 1
+    fn = MonotoneFn(g_bern.knots)
+    tables = fn._tables()
+    tables.inverse = ((0, 1, 1, 1), (1, 2, 4, 1), *tables.inverse[2:])
+    a, b, left_continuity, _ = lemma_report(fn, *GridSpec(8).lemma_grids(fn)).sections
+    assert a.count == b.count == 0
+    assert left_continuity.witnesses == ({"point": F(5, 8), "lhs": F(2), "rhs": F(1)},)
 
 
 # -- laziness ------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""The package's import graph: acyclic, and every import at module level.
+"""The package's import graph: acyclic, every import at module level, few private names.
 
 Each ``src/copulacheck/*.py`` is parsed with ``ast``.  Every import of a
 package module, relative or absolute, at module level or inside a function,
 is an edge of the graph.  A cycle means two modules each need the other, the
-kind of coupling a function-level import hides until it is called.
+kind of coupling a function-level import hides until it is called.  A name
+with a leading underscore crosses from one module to another only where
+``PRIVATE_IMPORTS`` lists it, so shared helpers (the integer-pair format in
+``scalars``, say) stay public where they are defined.
 """
 
 import ast
@@ -12,6 +15,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "copulacheck"
 MODULES = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
+# (importer, module, name): the families read the kernels' rank walk and answer tables
+PRIVATE_IMPORTS = {("families", "monotone", "_ranks"), ("families", "monotone", "_walk")}
 
 
 def _imported_modules(node: ast.AST) -> set[str]:
@@ -33,6 +38,19 @@ def _tree(stem: str) -> ast.Module:
     return ast.parse(MODULES[stem].read_text(encoding="utf-8"), filename=str(MODULES[stem]))
 
 
+def private_imports() -> set[tuple[str, str, str]]:
+    """(importer, module, name) for each underscored name one package module imports from another."""
+    return {
+        (stem, module, alias.name)
+        for stem in MODULES
+        for node in ast.walk(_tree(stem))
+        if isinstance(node, ast.ImportFrom) and node.module
+        for module in _imported_modules(node)
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
 def import_graph() -> dict[str, set[str]]:
     """Module -> the package modules it imports anywhere in its source."""
     return {
@@ -46,6 +64,7 @@ def test_the_graph_sees_the_known_imports():
     assert {"families", "monotone", "mvdf", "scalars", "errors"} <= graph["serialize"]
     assert {"serialize", "sklar", "families"} <= graph["cli"]
     assert graph["errors"] == set()
+    assert ("families", "monotone", "_walk") in private_imports()
 
 
 def test_intra_package_imports_are_acyclic():
@@ -66,3 +85,7 @@ def test_no_import_inside_a_function():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert nested == []
+
+
+def test_private_names_cross_modules_only_where_listed():
+    assert private_imports() <= PRIVATE_IMPORTS

@@ -65,6 +65,9 @@ def test_eval_examples(g_id, g_bern):
     assert g_bern.eval(POS_INF) == 1
     assert g_bern.eval(F(-3)) == 0
     assert g_bern.eval(F(3)) == 1
+    # at a jump, the value from the right
+    assert g_bern.eval(0) == F(1, 2)
+    assert g_bern.eval(1) == 1
 
 
 def test_eval_left_examples(g_id, g_bern):

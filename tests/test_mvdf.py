@@ -10,6 +10,7 @@ from copulacheck import (
     GridDf,
     NEG_INF,
     POS_INF,
+    ProductDf,
     SplitMix64,
     ValidationError,
     check_df_axioms,
@@ -242,6 +243,22 @@ def test_axioms_catch_broken_right_continuity():
         dict(point=(F(0),), axis=1, delta=F(1, 2), value_at=F(0), value_right=F(1, 2)),
         dict(point=(F(1),), axis=1, delta=F(1), value_at=F(1, 2), value_right=F(1)),
     )
+
+
+def test_axioms_catch_limits_that_are_not_0_and_1():
+    """Masses summing to 1/2 miss 1 at (+inf, +inf); a margin from 1/4 misses 0 at -inf."""
+    half = GridDf((((0, 0), F(1, 4)), ((1, 1), F(1, 4))))
+    lifted = ProductDf((make_monotone([(0, F(1, 4), F(1, 4)), (1, 1, 1)]), uniform_cdf()))
+    for df, witnesses in (
+        (half, [((POS_INF, POS_INF), F(1, 2), F(1))]),
+        (lifted, [((NEG_INF, POS_INF), F(1, 4), F(0)), ((NEG_INF, F(1, 2)), F(1, 8), F(0))]),
+    ):
+        volumes, limits, continuity = check_df_axioms(df, n_cuboids=60, seed=0).sections
+        assert volumes.count == continuity.count == 0
+        assert limits.points == 5
+        assert limits.witnesses == tuple(
+            {"point": point, "value": value, "expected": expected} for point, value, expected in witnesses
+        )
 
 
 COORD = st.integers(-3, 3).map(lambda k: F(k, 2))

@@ -21,6 +21,7 @@ from copulacheck import (
     extract_copula,
     monotone,
 )
+from copulacheck.scalars import as_pairs
 from helpers import (
     assert_matches_scan,
     check_grid_against_points,
@@ -111,6 +112,26 @@ def _between(values):
     values = sorted(set(values))
     mids = [(a + b) / 2 for a, b in zip(values, values[1:])]
     return merged(values + mids, [values[0] - 1, values[-1] + 1])
+
+
+def _in_pair_format(r):
+    """(a, b) of two ints with b > 0, or the pair of an infinity, (-1, 0) or (1, 0)."""
+    return type(r) is tuple and len(r) == 2 and all(type(v) is int for v in r) and (
+        r[1] > 0 or r in ((-1, 0), (1, 0))
+    )
+
+
+@given(monotone_fns())
+@settings(max_examples=100, deadline=None)
+def test_every_walk_returns_pairs_in_the_one_format(fn):
+    tables = fn._tables()
+    c, d = fn.inf_value, fn.sup_value
+    knot_levels = [lv for k in fn.knots for lv in (k.left, k.value)]
+    points = as_pairs([NEG_INF, POS_INF, *_between(fn.knot_xs())])
+    levels = as_pairs(merged(level_grid(fn), [u for u in _between(knot_levels) if c <= u <= d]))
+    for s in (0, 1):
+        for r in [*monotone._walk(tables.g, points, s), *monotone._walk(tables.inverse, levels, s)]:
+            assert _in_pair_format(r), r
 
 
 def _left_limit_probes(fn, u):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copulacheck import NEG_INF, POS_INF, ValidationError, fmt, parse_ext, parse_scalar, scalars
-from copulacheck.scalars import as_ext, as_scalar, is_finite
+from copulacheck.scalars import NEG_PAIR, POS_PAIR, as_ext, as_pairs, as_scalar, is_finite, pair_value
 
 
 def test_decimal_strings_parse_exactly():
@@ -126,6 +126,25 @@ def test_fmt_canonical():
     assert fmt(Fraction(-7, 3)) == "-7/3"
     assert fmt(NEG_INF) == "-inf"
     assert fmt(POS_INF) == "+inf"
+
+
+@given(st.one_of(st.sampled_from([NEG_INF, POS_INF]), st.fractions()))
+def test_pair_format_round_trips_every_extended_scalar(x):
+    [pair] = as_pairs([x])
+    a, b = pair
+    assert type(a) is int and type(b) is int
+    assert b > 0 or pair == (NEG_PAIR if x < 0 else POS_PAIR)
+    value = pair_value(pair)
+    assert type(value) is type(x) and value == x
+
+
+def test_pair_format_of_the_infinities():
+    assert as_pairs([NEG_INF, Fraction(-3, 6), 2, POS_INF]) == [(-1, 0), (-1, 2), (2, 1), (1, 0)]
+    assert (NEG_PAIR, POS_PAIR) == ((-1, 0), (1, 0))
+    assert pair_value((-1, 0)) == NEG_INF and pair_value((1, 0)) == POS_INF
+    assert pair_value((2, 4)) == Fraction(1, 2)
+    with pytest.raises(ValidationError):
+        as_pairs([0.5])
 
 
 def test_coercions_reject_floats():
