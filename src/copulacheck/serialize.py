@@ -142,7 +142,7 @@ def df_from_payload(obj) -> MultivariateDf:
 def load_payload(text: str):
     """Parse JSON text into a MonotoneFn or MultivariateDf by its shape."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=str)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:

@@ -161,16 +161,14 @@ def walk_critical_levels(fn: MonotoneFn) -> tuple[Fraction, ...]:
     return tuple(sorted({k.left for k in fn.knots} | {k.value for k in fn.knots}))
 
 
-def walk_left_probes(fn: MonotoneFn, u: Fraction) -> tuple[Fraction, Fraction]:
-    """u - delta and u - delta/2, with delta half the way down to the next level below u."""
-    delta = (u - max(lv for lv in walk_critical_levels(fn) if lv < u)) / 2
-    return u - delta, u - delta / 2
-
-
 def walk_left_limit(fn: MonotoneFn, u: Fraction) -> Fraction:
-    """Limit of gen_inverse from below at u, extrapolated from two walks below u."""
-    far, near = walk_left_probes(fn, u)
-    return 2 * walk_inverse(fn, near, False) - walk_inverse(fn, far, False)
+    """Limit of gen_inverse from below at u, extrapolated from two walks below u.
+
+    With delta half the way down to the next level below u, the inverse is
+    affine on [u - delta, u), so 2 G^-1(u - delta/2) - G^-1(u - delta) is the limit.
+    """
+    delta = (u - max(lv for lv in walk_critical_levels(fn) if lv < u)) / 2
+    return 2 * walk_inverse(fn, u - delta / 2, False) - walk_inverse(fn, u - delta, False)
 
 
 def walk_eval(fn: MonotoneFn, x) -> Fraction:

@@ -328,6 +328,12 @@ def test_scalars_off_the_grammar_exit_2_in_payloads_and_points(workdir, text):
         assert "cannot parse exact rational" in r.stderr, args
 
 
+def test_an_unquoted_exponent_past_the_float_range_loads_exactly(workdir):
+    (workdir / "wide.json").write_text(G_ID_JSON.replace('"x": "1"', '"x": 1e400'))
+    r = run_cli("eval", "wide.json", "5e399", cwd=workdir)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "1/2\n", "")
+
+
 def test_ingest_reads_a_csv_with_a_byte_order_mark(workdir):
     (workdir / "bom.csv").write_bytes(b"\xef\xbb\xbf0,0\n1,1\n")
     r = run_cli("ingest", "bom.csv", cwd=workdir)

@@ -5,13 +5,16 @@ single-point ``eval``, ``gen_inverse`` and ``gen_inverse_right`` that call
 them, must equal ``walk_eval`` and ``walk_inverse`` element by element, in
 value and in type, in any input order and from either end first; a bad
 element anywhere must raise what the first bad element calls for;
-``lemma_report`` must equal its oracle, and its sections a, b and
-left_continuity must fire on deliberately corrupted tables; and the kernel
-tables must stay out of loading, equality, hashing, ``repr`` and payloads.
+``lemma_report`` must equal its oracle, and its sections a and b must fire
+on deliberately corrupted tables; the level keys must be sorted, which
+certifies the left_continuity section, and ``lemma_report`` must rank only
+inside its walks; and the kernel tables must stay out of loading, equality,
+hashing, ``repr`` and payloads.
 """
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +28,7 @@ from copulacheck import (
     SplitMix64,
     ValidationError,
     lemma_report,
+    monotone,
     uniform_cdf,
 )
 from copulacheck.serialize import df_to_payload, dumps_payload, load_payload, monotone_to_payload
@@ -234,17 +238,37 @@ def test_lemma_sections_a_and_b_fire_on_corrupted_tables():
     )
 
 
-def test_lemma_left_continuity_fires_on_a_corrupted_table(g_bern):
-    # G^-1 is left-continuous on any level table with sorted keys: a level and the probes just
-    # below it share a rank.  Bern(1/2)'s level keys are (0, 1/2, 1/2, 1); with left_1 written
-    # as 1/4, the key read below u = 5/8 is 1/4, so the probes 7/16 and 17/32 straddle the
-    # jump at 1/2 and read 0 and 1: the limit 2 * 1 - 0 = 2 is not G^-1(5/8) = 1
-    fn = MonotoneFn(g_bern.knots)
-    tables = fn._tables()
-    tables.inverse = ((0, 1, 1, 1), (1, 2, 4, 1), *tables.inverse[2:])
-    a, b, left_continuity, _ = lemma_report(fn, *GridSpec(8).lemma_grids(fn)).sections
-    assert a.count == b.count == 0
-    assert left_continuity.witnesses == ({"point": F(5, 8), "lhs": F(2), "rhs": F(1)},)
+# -- the left_continuity certificate ------------------------------------------------
+
+
+@given(monotone_fns())
+@settings(max_examples=100, deadline=None)
+def test_level_keys_are_sorted_on_every_valid_function(fn):
+    # the premise of the certified left_continuity section: sorted keys make G^-1 left-continuous
+    loaded = load_payload(dumps_payload(monotone_to_payload(fn)))
+    for g in (fn, loaded):
+        ns, ds = g._tables().inverse[:2]
+        assert all(d > 0 for d in ds)
+        assert all(n0 * d1 <= n1 * d0 for n0, d0, n1, d1 in zip(ns, ds, ns[1:], ds[1:]))
+
+
+@pytest.mark.parametrize("name", LEMMA_INPUTS)
+def test_lemma_report_ranks_only_inside_its_walks(name, monkeypatch):
+    # each walk ranks once; a rank pass of its own would be a left-continuity probe
+    calls = Counter()
+
+    def spy(real):
+        def counted(*args):
+            calls[real.__name__] += 1
+            return real(*args)
+
+        return counted
+
+    monkeypatch.setattr(monotone, "_walk", spy(monotone._walk))
+    monkeypatch.setattr(monotone, "_ranks", spy(monotone._ranks))
+    fn = _golden_fn(name)
+    lemma_report(fn, *GridSpec(8).lemma_grids(fn))
+    assert calls["_ranks"] == calls["_walk"] > 0
 
 
 # -- laziness ------------------------------------------------------------------------

@@ -46,6 +46,17 @@ def test_monotone_payload_accepts_decimals_exactly():
     assert fn.knots[0].value == F(1, 2)
 
 
+def test_unquoted_json_decimals_load_as_written():
+    # a JSON number reaches the scalar grammar as its text, not through a binary float
+    x = F(30000000000000001, 10**17)
+    fn = load_payload('{"knots": [{"x": 0.30000000000000001, "left": 0, "value": 1}]}')
+    assert fn.knots[0].x == x
+    assert fn == load_payload('{"knots": [{"x": "0.30000000000000001", "left": "0", "value": "1"}]}')
+    assert rows_from_csv("0.30000000000000001,1\n") == ((x, F(1)),)
+    df = load_payload('{"family": "empirical", "dim": 2, "rows": [[1e400, 0], [0, 2.5E-1]]}')
+    assert df.rows == ((F(10**400), F(0)), (F(0), F(1, 4)))
+
+
 def test_monotone_payload_errors():
     with pytest.raises(ValidationError):
         monotone_from_payload({"knots": [{"x": "0", "left": "0"}]})
