@@ -185,6 +185,8 @@ CASES = {
         )
         for label, point in points
     },
+    # inside both margins' ranges, where min (1/3) and product (1/6) differ
+    "eval-comonotone-interior": ["eval", "comonotone.json", "--", "1/2,1/2"],
     "eval-emp-all-inf": ["eval", "emp.json", "--", "+inf,+inf"],
     "eval-emp-wrong-dim": ["eval", "emp.json", "1/2"],
     # the payload emitters: ingest writes an empirical df, margin a monotone function
