@@ -347,31 +347,38 @@ def _level_witness(u: Ratio, lhs: Ratio, rhs: Ratio) -> dict:
     return {"point": Fraction(*u), "lhs": Fraction(*lhs), "rhs": Fraction(*rhs)}
 
 
-def _point_witness(x: Fraction, inv: Ratio) -> dict:
+def _point_witness(x: Ratio, inv: Ratio) -> dict:
+    x = Fraction(*x)
     return {"point": x, "lhs": pair_value(inv), "rhs": x}
 
 
-def _ff_witness(x: Fraction, lhs: Ratio) -> dict:
-    return {"x": x, "lhs": pair_value(lhs)}
+def _ff_witness(x: Ratio, lhs: Ratio) -> dict:
+    return {"x": Fraction(*x), "lhs": pair_value(lhs)}
 
 
-def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence, max_witnesses: int = -1) -> Report:
-    """Run the full inverse-property suite on level grid ``us`` and point grid ``xs``.
+def lemma_report(fn: MonotoneFn, us: Iterable[Ratio], xs: Iterable[Ratio], max_witnesses: int = -1) -> Report:
+    """Run the full inverse-property suite on level pairs ``us`` and point pairs ``xs``.
 
-    Raises DomainError if some u lies outside [inf G, sup G].  The
-    left_continuity section is certified by the sorted level keys: it counts
-    the grid levels above inf G and never holds a witness.  Witnesses carry
-    the checked point and both sides of the failed comparison.  The ``ff``
-    section checks the round trip gen_inverse_right(G(x)) == x; its one-sided
-    bound lhs >= x holds for every valid MonotoneFn and is asserted, while
-    equality failures are witnesses.  Comparisons are integer
-    cross-multiplications on the kernels' pairs.  Each section keeps the
-    witnesses of its first ``max_witnesses`` violations (all when below 0) and
-    counts the rest.
+    Both grids are integer pairs in the format of ``scalars``, as
+    ``GridSpec.lemma_grids`` gives them.  Raises DomainError if some u lies
+    outside [inf G, sup G], and ValidationError if some point's denominator
+    is not positive, before any walk.  The left_continuity section is
+    certified by the sorted level keys: it counts the grid levels above inf G
+    and never holds a witness.  Witnesses carry the checked point and both
+    sides of the failed comparison; a ``Fraction`` is built only for a
+    witness a sink keeps.  The ``ff`` section checks the round trip
+    gen_inverse_right(G(x)) == x; its one-sided bound lhs >= x holds for
+    every valid MonotoneFn and is asserted, while equality failures are
+    witnesses.  Comparisons are integer cross-multiplications on the pairs.
+    Each section keeps the witnesses of its first ``max_witnesses``
+    violations (all when below 0) and counts the rest.
     """
     t = fn._tables()
-    pairs = fn._level_pairs(us)
-    xs = [as_scalar(x) for x in xs]
+    pairs = fn._checked_levels(us)
+    points = list(xs)
+    for a, b in points:
+        if b <= 0:
+            raise ValidationError(f"point pair ({a}, {b}) needs a positive denominator")
 
     # u = inf G, where G^-1(u) = -inf, has G(G^-1(u)) = u and no left limit
     checked = [(pair, at) for pair, at in zip(pairs, _walk(t.inverse, pairs, 0)) if at != NEG_PAIR]
@@ -380,28 +387,27 @@ def lemma_report(fn: MonotoneFn, us: Sequence, xs: Sequence, max_witnesses: int 
         if _sign(value, a, b) < 0:
             violations_a.add(NO_DEVIATION, _level_witness, (a, b), value, (a, b))
 
-    points = [x.as_integer_ratio() for x in xs]
     levels = _walk(t.g, points, 1)
     violations_b = Witnesses(max_witnesses)
     ff_witnesses = Witnesses(max_witnesses)
     low, high = _walk(t.inverse, levels, 0), _walk(t.inverse, levels, 1)
-    for x, (a, b), inv, lhs in zip(xs, points, low, high):
+    for (a, b), inv, lhs in zip(points, low, high):
         if _sign(inv, a, b) > 0:
-            violations_b.add(NO_DEVIATION, _point_witness, x, inv)
+            violations_b.add(NO_DEVIATION, _point_witness, (a, b), inv)
         side = _sign(lhs, a, b)
         if side < 0:
-            raise AssertionError(f"one-sided bound violated at x={x}: lhs={pair_value(lhs)}")
+            raise AssertionError(f"one-sided bound violated at x={Fraction(a, b)}: lhs={pair_value(lhs)}")
         if side:
-            ff_witnesses.add(NO_DEVIATION, _ff_witness, x, lhs)
+            ff_witnesses.add(NO_DEVIATION, _ff_witness, (a, b), lhs)
 
     return Report(
         "lemma",
         (
             violations_a.section("a", "violations_a", len(pairs), "pass_a"),
-            violations_b.section("b", "violations_b", len(xs), "pass_b"),
+            violations_b.section("b", "violations_b", len(points), "pass_b"),
             Witnesses(max_witnesses).section(
                 "left_continuity", "violations_leftcont", len(checked), "pass_leftcont"
             ),
-            ff_witnesses.section("ff", "ff_witnesses", len(xs)),
+            ff_witnesses.section("ff", "ff_witnesses", len(points)),
         ),
     )

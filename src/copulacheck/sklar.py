@@ -23,7 +23,10 @@ exhibiting the exact break points is the purpose of this module.
 structural breakpoints of the inputs, so a violation at a jump cannot hide
 between grid points.  It makes the k/m points of a range from integers, in
 order, and places each breakpoint among them by integer division, so grid
-points are never compared.  Only :class:`Copula` applies the quantile
+points are never compared.  One placement feeds two emitters: ``axis_points``
+gives the axis as values, and ``axis_pairs`` gives it as integer pairs and
+builds no ``Fraction``; ``lemma_grids`` hands such pairs to
+``monotone.lemma_report``.  Only :class:`Copula` applies the quantile
 transform: its ``pair_codes`` range-checks and transforms level pairs and
 hands the quantiles, as pairs, to the source's ``pair_codes``; its
 ``code_ratio`` and ``code_grid`` are the source's.  Every sweep transforms
@@ -76,18 +79,17 @@ class GridSpec:
         if not isinstance(self.m, int) or self.m < 1:
             raise ValidationError(f"grid resolution must be an integer >= 1, got {self.m!r}")
 
-    def axis_points(self, lo: Fraction, hi: Fraction, extra: Sequence[Fraction] = ()) -> tuple[Fraction, ...]:
-        """k/m points on [lo, hi] merged with the given structural breakpoints, sorted and distinct.
+    def _placement(self, lo, hi, extra: Sequence[Fraction]) -> tuple[int, int, int, list]:
+        """(start, span, den, runs): grid point k is (start + k span) / den, exactly hi at k = m.
 
-        The k/m points are in order by construction and never compared.  Each
-        breakpoint p/q is placed among them by one integer division: it is
-        dropped when it equals a grid point (the grid's ``Fraction`` is kept),
-        and otherwise goes just before the next grid point, before lo or past
-        hi.  Only breakpoints in the same gap are sorted and deduplicated,
-        among themselves, and each keeps its own object.  ``lo == hi`` is one
-        grid point.
+        The runs hold the grid points and breakpoints in order: each is a range
+        of k and then the breakpoints just before the next grid point, sorted
+        and distinct among themselves.  A breakpoint p/q is placed by one
+        integer division: it is dropped when it equals a grid point, and
+        otherwise goes just before the next grid point, before lo or past hi.
+        ``lo == hi`` is one grid point.
         """
-        # with lo = a/b and hi = c/d, point k is (a d m + k (c b - a d)) / (b d m), exactly hi at k = m
+        # with lo = a/b and hi = c/d, point k is (a d m + k (c b - a d)) / (b d m)
         a, b, c, d, m = lo.numerator, lo.denominator, hi.numerator, hi.denominator, self.m
         start, span, den = a * d * m, c * b - a * d, b * d * m
         if span < 0:
@@ -103,13 +105,38 @@ class GridSpec:
                 continue  # p is grid point k
             gap = k + 1 if r else k
             gaps.setdefault(min(max(gap, 0), m + 1), []).append(p)
-        points: list = []
-        done = 0
+        runs, done = [], 0
         for gap in sorted(gaps):
-            points += [Fraction(start + k * span, den) for k in range(done, gap)]
-            points += [p for p, _ in groupby(sorted(gaps[gap]))]
+            runs.append((range(done, gap), [p for p, _ in groupby(sorted(gaps[gap]))]))
             done = gap
+        return start, span, den, runs
+
+    def axis_points(self, lo: Fraction, hi: Fraction, extra: Sequence[Fraction] = ()) -> tuple[Fraction, ...]:
+        """k/m points on [lo, hi] merged with the given structural breakpoints, sorted and distinct.
+
+        The k/m points are in order by construction and never compared.  A
+        breakpoint equal to a grid point yields to the grid's ``Fraction``;
+        every other one keeps its own object.
+        """
+        start, span, den, runs = self._placement(lo, hi, extra)
+        points: list = []
+        for ks, breaks in runs:
+            points += [Fraction(start + k * span, den) for k in ks]
+            points += breaks
         return tuple(points)
+
+    def axis_pairs(self, lo: Fraction, hi: Fraction, extra: Sequence[Fraction] = ()) -> tuple[Ratio, ...]:
+        """``axis_points`` as integer pairs, building no ``Fraction``.
+
+        Grid point k is the unreduced pair (start + k span, den), and each
+        breakpoint its ``as_integer_ratio()``.
+        """
+        start, span, den, runs = self._placement(lo, hi, extra)
+        pairs: list = []
+        for ks, breaks in runs:
+            pairs += [(start + k * span, den) for k in ks]
+            pairs += [p.as_integer_ratio() for p in breaks]
+        return tuple(pairs)
 
     def levels(self, fn: MonotoneFn) -> tuple[Fraction, ...]:
         """Levels on [inf G, sup G] merged with the critical levels of G.
@@ -119,10 +146,11 @@ class GridSpec:
         """
         return self.axis_points(fn.inf_value, fn.sup_value, fn.critical_levels())
 
-    def lemma_grids(self, fn: MonotoneFn) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        """The level grid of G and its point grid, one unit past the knots on each side."""
+    def lemma_grids(self, fn: MonotoneFn) -> tuple[tuple[Ratio, ...], tuple[Ratio, ...]]:
+        """The level grid of G and its point grid, one unit past the knots on each side, as pairs."""
         xs = fn.knot_xs()
-        return self.levels(fn), self.axis_points(xs[0] - 1, xs[-1] + 1, xs)
+        levels = self.axis_pairs(fn.inf_value, fn.sup_value, fn.critical_levels())
+        return levels, self.axis_pairs(xs[0] - 1, xs[-1] + 1, xs)
 
     def df_axes(self, df: MultivariateDf) -> list[tuple[Fraction, ...]]:
         """Per-axis points on the support box of ``df`` merged with its breakpoints."""

@@ -29,6 +29,7 @@ from copulacheck import (
     volume,
 )
 from copulacheck.mvdf import random_index_boxes
+from copulacheck.scalars import as_pairs
 from copulacheck.sklar import GridSpec
 from helpers import (
     assert_matches_scan,
@@ -79,7 +80,7 @@ def test_criterion_1_lemma_suite_on_random_corpus():
             xs = merged(grid(lo, hi, 50), fn.knot_xs())
             assert len(us) >= 50
             assert len(xs) >= 50
-            a, b, leftcont, ff = lemma_report(fn, us, xs).sections
+            a, b, leftcont, ff = lemma_report(fn, as_pairs(us), as_pairs(xs)).sections
             assert not a.witnesses, f"G(G^-1(u)) >= u violated: {fn}"
             assert not b.witnesses, f"G^-1(G(x)) <= x violated: {fn}"
             assert not leftcont.witnesses, f"inverse left-continuity violated: {fn}"
@@ -97,7 +98,7 @@ def test_criterion_2_ff_counterexample_on_flat():
     """The flat piece breaks the round-trip identity exactly where expected."""
     with criterion(2, "round-trip counterexample at the flat piece, scan-verified"):
         g_flat = make_monotone(G_FLAT_KNOTS)
-        ff = lemma_report(g_flat, us=[], xs=[F(7, 10), F(3, 2)]).sections[3]
+        ff = lemma_report(g_flat, us=[], xs=as_pairs([F(7, 10), F(3, 2)])).sections[3]
         # only the point inside the flat fails; the flat's right end holds
         assert ff.points == 2
         assert ff.witnesses == ({"x": F(7, 10), "lhs": F(3, 2)},)

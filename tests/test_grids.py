@@ -26,6 +26,7 @@ from copulacheck import (
     grid_df,
     make_monotone,
     product_df,
+    sklar,
     verify_sklar_identity,
 )
 from helpers import (
@@ -61,6 +62,20 @@ def test_axis_points_match_the_set_oracle(m, lo, hi, degenerate, extra):
     want = oracle_axis_points(m, lo, hi, extra)
     assert got == want
     assert [type(p) for p in got] == [type(p) for p in want]
+
+
+def values(pairs) -> tuple[Fraction, ...]:
+    """Integer pairs with positive denominators, as their values."""
+    assert all(type(n) is int and type(d) is int and d > 0 for n, d in pairs)
+    return tuple(F(n, d) for n, d in pairs)
+
+
+@given(st.integers(1, 50), ends, ends, st.booleans(), extras)
+@settings(max_examples=300, deadline=None)
+def test_axis_pairs_match_the_set_oracle(m, lo, hi, degenerate, extra):
+    lo, hi = (lo, lo) if degenerate else sorted((lo, hi))
+    extra = extra + extra[: len(extra) // 2]
+    assert values(GridSpec(m).axis_pairs(lo, hi, extra)) == oracle_axis_points(m, lo, hi, extra)
 
 
 def test_axis_points_keep_both_ends_exactly():
@@ -161,9 +176,13 @@ def test_the_grid_points_are_never_compared():
     with spy("__lt__"), spy("__eq__"):
         bare = GridSpec(50).axis_points(lo, hi)
         placed = GridSpec(50).axis_points(lo, hi, one_per_gap)
+        # the pair emitter builds no Fraction either: the module's name would fail on a call
+        with patch.object(sklar, "Fraction", None):
+            pairs = [GridSpec(50).axis_pairs(lo, hi, extra) for extra in ((), one_per_gap)]
     assert calls == []
     assert bare == oracle_axis_points(50, lo, hi)
     assert placed == oracle_axis_points(50, lo, hi, one_per_gap)
+    assert [values(p) for p in pairs] == [bare, placed]
 
 
 @given(composed_dfs(), st.integers(1, 30))
@@ -178,7 +197,8 @@ def test_levels_match_the_copula_level_axis(df, m):
 @settings(max_examples=80, deadline=None)
 def test_lemma_grids_match_the_oracle(fn, m):
     grid = GridSpec(m)
-    assert grid.lemma_grids(fn) == oracle_lemma_grids(fn, m)
+    us, xs = grid.lemma_grids(fn)
+    assert (values(us), values(xs)) == oracle_lemma_grids(fn, m)
 
 
 FAMILIES = ("product", "comonotone", "countermonotone", "empirical", "grid")

@@ -31,10 +31,12 @@ from copulacheck import (
     monotone,
     uniform_cdf,
 )
+from copulacheck.scalars import as_pairs
 from copulacheck.serialize import df_to_payload, dumps_payload, load_payload, monotone_to_payload
 from helpers import (
     composed_dfs,
     monotone_fns,
+    oracle_lemma_grids,
     oracle_lemma_report,
     random_monotone,
     walk_eval,
@@ -174,34 +176,38 @@ def test_kernels_on_empty_input(g_flat):
 @example(G_PRIMES, 3, 1)
 @example(G_PRIMES, 12, 2)
 def test_lemma_report_matches_oracle(fn, m, seed):
-    us, xs = GridSpec(m).lemma_grids(fn)
-    assert lemma_report(fn, us, xs) == oracle_lemma_report(fn, us, xs)
+    us, xs = oracle_lemma_grids(fn, m)
+    assert lemma_report(fn, *GridSpec(m).lemma_grids(fn)) == oracle_lemma_report(fn, us, xs)
     # any order, repeats, and ints among the levels
     rng = random.Random(seed)
     us, xs = list(us), list(xs)
     us += [int(u) for u in us if u == int(u)]
     rng.shuffle(us)
     rng.shuffle(xs)
-    assert lemma_report(fn, us, xs + xs[:3]) == oracle_lemma_report(fn, us, xs + xs[:3])
+    got = lemma_report(fn, as_pairs(us), as_pairs(xs + xs[:3]))
+    assert got == oracle_lemma_report(fn, us, xs + xs[:3])
 
 
 def test_lemma_report_matches_oracle_on_seeded_corpus():
     rng = SplitMix64(7)
     for _ in range(40):
         fn = random_monotone(rng)
-        us, xs = GridSpec(10).lemma_grids(fn)
-        assert lemma_report(fn, us, xs) == oracle_lemma_report(fn, us, xs)
+        got = lemma_report(fn, *GridSpec(10).lemma_grids(fn))
+        assert got == oracle_lemma_report(fn, *oracle_lemma_grids(fn, 10))
 
 
 @pytest.mark.parametrize("name", LEMMA_INPUTS)
 @pytest.mark.parametrize("m", [8, 20])
 def test_lemma_report_matches_oracle_on_golden_inputs(name, m):
     fn = _golden_fn(name)
-    us, xs = GridSpec(m).lemma_grids(fn)
-    assert lemma_report(fn, us, xs) == oracle_lemma_report(fn, us, xs)
+    got = lemma_report(fn, *GridSpec(m).lemma_grids(fn))
+    assert got == oracle_lemma_report(fn, *oracle_lemma_grids(fn, m))
 
 
 def test_lemma_report_raises_as_oracle(g_bern):
+    def lazy_pairs(values):  # each value coerced as the report reads it, so the first bad one raises
+        return (pair for v in values for pair in as_pairs([v]))
+
     for us, xs in (
         ([F(1, 2), F(2), 0.5], [F(0)]),
         ([F(1, 2), 0.5, F(2)], [F(0)]),
@@ -210,7 +216,7 @@ def test_lemma_report_raises_as_oracle(g_bern):
     ):
         want = _outcome(lambda: oracle_lemma_report(g_bern, us, xs))
         assert want in (ValidationError, DomainError)
-        assert _outcome(lambda: lemma_report(g_bern, us, xs)) is want
+        assert _outcome(lambda: lemma_report(g_bern, lazy_pairs(us), lazy_pairs(xs))) is want
 
 
 def _corrupted_uniform(table: str, index: int, piece: tuple[int, int, int]) -> MonotoneFn:
@@ -225,7 +231,7 @@ def test_lemma_sections_a_and_b_fire_on_corrupted_tables():
     # G computed as x/2 on [0, 1): G(G^-1(u)) = u/2 < u at each level inside (0, 1); the
     # points stay off the open piece, where G^-1(G(x)) = x/2 < x would break the ff bound
     fn = _corrupted_uniform("g", 1, (1, 0, 2))
-    a, b, _, _ = lemma_report(fn, us, [F(-1), F(0), F(1), F(2)]).sections
+    a, b, _, _ = lemma_report(fn, us, as_pairs([F(-1), F(0), F(1), F(2)])).sections
     assert a.witnesses == tuple(
         {"point": F(k, 8), "lhs": F(k, 16), "rhs": F(k, 8)} for k in range(1, 8)
     )

@@ -10,8 +10,10 @@ from copulacheck import (
     discrete_cdf,
     lemma_report,
     make_monotone,
+    monotone,
     uniform_cdf,
 )
+from copulacheck.scalars import as_pairs
 from helpers import assert_matches_scan, grid, is_right_increase, merged
 
 F = Fraction
@@ -139,7 +141,7 @@ def test_inverse_left_limit_examples(g_bern, g_flat):
 
 def ff_section(fn, xs):
     """The round-trip section of the lemma report on points ``xs``."""
-    ff = lemma_report(fn, us=[], xs=xs).sections[3]
+    ff = lemma_report(fn, us=[], xs=as_pairs(xs)).sections[3]
     assert ff.name == "ff" and ff.points == len(xs)
     return ff
 
@@ -174,7 +176,7 @@ def test_ff_equality_iff_right_increase(g_id, g_bern, g_flat):
 
 
 def test_lemma_report_identity(g_id):
-    rep = lemma_report(g_id, us=grid(0, 1, 10), xs=grid(0, 1, 10))
+    rep = lemma_report(g_id, us=as_pairs(grid(0, 1, 10)), xs=as_pairs(grid(0, 1, 10)))
     a, b, leftcont, ff = rep.sections
     assert not (a.witnesses or b.witnesses or leftcont.witnesses)
     # the constant tail beyond x=1 breaks the round trip at x=1 itself
@@ -183,13 +185,13 @@ def test_lemma_report_identity(g_id):
 
 
 def test_lemma_report_interior_grid_identity(g_id):
-    rep = lemma_report(g_id, us=grid(0, 1, 10), xs=grid(0, F(9, 10), 9))
+    rep = lemma_report(g_id, us=as_pairs(grid(0, 1, 10)), xs=as_pairs(grid(0, F(9, 10), 9)))
     assert rep.passed
 
 
 def test_lemma_report_bernoulli(g_bern):
     rep = lemma_report(
-        g_bern, us=[F(3, 10), F(1, 2), F(9, 10)], xs=[F(-1), F(0), F(1, 2), F(1)]
+        g_bern, us=as_pairs([F(3, 10), F(1, 2), F(9, 10)]), xs=as_pairs([F(-1), F(0), F(1, 2), F(1)])
     )
     a, b, leftcont, ff = rep.sections
     assert not (a.witnesses or b.witnesses or leftcont.witnesses)
@@ -207,7 +209,7 @@ def test_lemma_report_flat_witnesses(g_flat):
     confirms; the flat's right endpoint 3/2 satisfies the round trip.
     """
     xs = grid(0, 2, 8)
-    a, b, leftcont, ff = lemma_report(g_flat, us=grid(0, 1, 8), xs=xs).sections
+    a, b, leftcont, ff = lemma_report(g_flat, us=as_pairs(grid(0, 1, 8)), xs=as_pairs(xs)).sections
     assert not (a.witnesses or b.witnesses or leftcont.witnesses)
     expected = {x for x in xs if not is_right_increase(g_flat, x)}
     assert expected == {F(1, 2), F(3, 4), F(1), F(5, 4), F(2)}
@@ -216,7 +218,16 @@ def test_lemma_report_flat_witnesses(g_flat):
 
 def test_lemma_report_rejects_out_of_range_levels(g_bern):
     with pytest.raises(DomainError):
-        lemma_report(g_bern, us=[F(2)], xs=[F(0)])
+        lemma_report(g_bern, us=as_pairs([F(2)]), xs=as_pairs([F(0)]))
+
+
+@pytest.mark.parametrize("bad", [(1, 0), (-1, 0), (0, 0), (3, -2)])
+def test_lemma_report_rejects_a_point_pair_without_a_positive_denominator(g_bern, bad, monkeypatch):
+    walks = []
+    monkeypatch.setattr(monotone, "_walk", lambda *args: walks.append(args))
+    with pytest.raises(ValidationError, match="positive denominator"):
+        lemma_report(g_bern, us=[(1, 2)], xs=[(0, 1), bad, (1, 1)])
+    assert walks == []  # refused before any walk
 
 
 # -- helpers ------------------------------------------------------------------------
