@@ -1,7 +1,7 @@
 """JSON payloads, report emission, and CSV ingestion.
 
 This module owns the payload format: it writes and reads every payload, and
-:func:`dumps_payload` fixes the layout of every JSON document the CLI prints.
+:func:`dumps_payload` writes every JSON document the CLI prints, in one fixed layout.
 :func:`report_to_json` writes every report, in the two layouts the output
 contract fixes, from exactly the witnesses each section kept; the only
 witness cap is the sink's (``report.Witnesses``), set before the check runs.
@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from json.encoder import encode_basestring_ascii
 
 from .errors import ValidationError
 from .families import (
@@ -142,7 +143,7 @@ def df_from_payload(obj) -> MultivariateDf:
 def load_payload(text: str):
     """Parse JSON text into a MonotoneFn or MultivariateDf by its shape."""
     try:
-        obj = json.loads(text, parse_float=str)
+        obj = json.loads(text, parse_float=str, parse_constant=str)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -158,8 +159,45 @@ def load_payload(text: str):
 
 
 def dumps_payload(payload: dict) -> str:
-    """The one text layout of emitted JSON: two-space indent and a final newline."""
-    return json.dumps(payload, indent=2) + "\n"
+    """The one text layout of emitted JSON: two-space indent and a final newline.
+
+    A direct writer of what ``json.dumps(payload, indent=2) + "\\n"`` writes,
+    for the types a payload holds: dicts with string keys, lists and tuples,
+    strings (escaped to ASCII by ``json``'s own encoder), bools, ints and
+    None.  Any other type, a float included, raises TypeError.
+    """
+    out: list[str] = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, indent: str, out: list[str]) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``indent`` starts the lines it is nested in."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, (dict, list, tuple)):
+        is_dict = isinstance(value, dict)
+        if not value:
+            out.append("{}" if is_dict else "[]")
+            return
+        inner, sep = indent + "  ", "{" if is_dict else "["
+        for item in value.items() if is_dict else value:
+            out.append(sep + inner)
+            if is_dict:
+                out.append(encode_basestring_ascii(item[0]) + ": ")
+                item = item[1]
+            _write(item, inner, out)
+            sep = ","
+        out.append(indent + ("}" if is_dict else "]"))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # -- CSV ingestion ---------------------------------------------------------------

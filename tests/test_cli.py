@@ -334,6 +334,14 @@ def test_an_unquoted_exponent_past_the_float_range_loads_exactly(workdir):
     assert (r.returncode, r.stdout, r.stderr) == (0, "1/2\n", "")
 
 
+@pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+def test_a_json_constant_is_refused_as_written(workdir, constant):
+    (workdir / "constant.json").write_text(G_ID_JSON.replace('"x": "1"', f'"x": {constant}'))
+    r = run_cli("eval", "constant.json", "1/2", cwd=workdir)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert f"cannot parse exact rational from '{constant}'" in r.stderr
+
+
 def test_ingest_reads_a_csv_with_a_byte_order_mark(workdir):
     (workdir / "bom.csv").write_bytes(b"\xef\xbb\xbf0,0\n1,1\n")
     r = run_cli("ingest", "bom.csv", cwd=workdir)

@@ -1,7 +1,10 @@
 import json
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from copulacheck import (
     CountermonotoneDf,
@@ -29,6 +32,7 @@ from copulacheck.serialize import (
     report_to_json,
     rows_from_csv,
 )
+from copulacheck.scalars import as_pairs
 from helpers import grid
 
 F = Fraction
@@ -208,7 +212,7 @@ def test_check_report_json_shape_and_truncation():
 
 
 def test_lemma_report_json_shape(g_flat):
-    rep = lemma_report(g_flat, us=grid(0, 1, 8), xs=grid(0, 2, 8))
+    rep = lemma_report(g_flat, us=as_pairs(grid(0, 1, 8)), xs=as_pairs(grid(0, 2, 8)))
     obj = json.loads(report_to_json(rep))
     assert obj["pass_a"] and obj["pass_b"] and obj["pass_leftcont"]
     assert obj["pass"] is False
@@ -224,6 +228,66 @@ def test_df_report_json_shape():
     assert obj["pass"] is False
     assert obj["volume_violations"]
     assert {"a", "b", "volume"} == set(obj["volume_violations"][0])
+
+
+# -- the JSON writer against json.dumps -------------------------------------------------
+
+# quotes, backslashes, control characters, non-ASCII and lone surrogates, often
+json_strings = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ud800é😀'), st.characters(exclude_categories=())),
+    max_size=8,
+)
+# small ints and ints of up to 5,000 digits, past int's default limit for str
+json_ints = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.builds(lambda sign, digits: sign * (10**digits - 1), st.sampled_from([1, -1]), st.integers(1, 5000)),
+)
+payloads = st.recursive(
+    st.one_of(json_strings, json_ints, st.booleans(), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(json_strings, inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+def _emitted(emit, payload):
+    """What ``emit`` writes, or the type of what it raises (int's digit limit raises ValueError)."""
+    try:
+        return emit(payload)
+    except ValueError as exc:
+        return type(exc)
+
+
+@contextmanager
+def _no_digit_limit():
+    """int's str digit limit lifted for the block, where this Python has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+@given(payloads)
+@settings(max_examples=300, deadline=None)
+@example({"pass": True, "truncated": False, "none": None, "n": [0, -1, 1], "empty": [{}, [], ()]})
+def test_dumps_payload_writes_what_json_dumps_writes(payload):
+    oracle = lambda p: json.dumps(p, indent=2) + "\n"  # noqa: E731
+    assert _emitted(dumps_payload, payload) == _emitted(oracle, payload)
+    with _no_digit_limit():
+        assert dumps_payload(payload) == oracle(payload)
+
+
+@pytest.mark.parametrize("bad", [0.5, {1}, {"a": [1, {"b": float("inf")}]}, [frozenset()]])
+def test_dumps_payload_refuses_a_float_or_a_set(bad):
+    with pytest.raises(TypeError):
+        dumps_payload(bad)
 
 
 def test_report_json_deterministic():
