@@ -1,10 +1,11 @@
 """JSON payloads, report emission, and CSV ingestion.
 
 This module owns the payload format: it writes and reads every payload, and
-:func:`dumps_payload` writes every JSON document the CLI prints, in one fixed layout.
-:func:`report_to_json` writes every report, in the two layouts the output
-contract fixes, from exactly the witnesses each section kept; the only
-witness cap is the sink's (``report.Witnesses``), set before the check runs.
+:func:`dumps_payload` writes every JSON document the CLI prints, in one
+fixed layout.  :func:`report_to_json` writes every report, in the two layouts
+the output contract fixes, from exactly the witnesses each section kept; the
+only witness cap is the sink's (``report.Witnesses``), set before the check
+runs.
 
 All scalars travel as strings: exact decimals ("0.3") and rational strings
 ("3/10") are accepted on input; emission always canonicalizes to rational
