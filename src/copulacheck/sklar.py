@@ -80,14 +80,14 @@ class GridSpec:
             raise ValidationError(f"grid resolution must be an integer >= 1, got {self.m!r}")
 
     def _placement(self, lo, hi, extra: Sequence[Fraction]) -> tuple[int, int, int, list]:
-        """(start, span, den, runs): grid point k is (start + k span) / den, exactly hi at k = m.
+        """The placement both emitters share: (start, span, den, runs).
 
-        The runs hold the grid points and breakpoints in order: each is a range
-        of k and then the breakpoints just before the next grid point, sorted
-        and distinct among themselves.  A breakpoint p/q is placed by one
-        integer division: it is dropped when it equals a grid point, and
-        otherwise goes just before the next grid point, before lo or past hi.
-        ``lo == hi`` is one grid point.
+        Grid point k is (start + k span) / den.  The runs give the axis in
+        order, each a range of k and then the breakpoints just before the next
+        grid point, sorted and distinct among themselves.  A breakpoint p/q is
+        placed by one integer division: dropped when it equals a grid point,
+        else put just before the next one, before lo or past hi.  ``lo == hi``
+        is one grid point.
         """
         # with lo = a/b and hi = c/d, point k is (a d m + k (c b - a d)) / (b d m)
         a, b, c, d, m = lo.numerator, lo.denominator, hi.numerator, hi.denominator, self.m
@@ -114,9 +114,8 @@ class GridSpec:
     def axis_points(self, lo: Fraction, hi: Fraction, extra: Sequence[Fraction] = ()) -> tuple[Fraction, ...]:
         """k/m points on [lo, hi] merged with the given structural breakpoints, sorted and distinct.
 
-        The k/m points are in order by construction and never compared.  A
-        breakpoint equal to a grid point yields to the grid's ``Fraction``;
-        every other one keeps its own object.
+        Grid points are never compared.  A breakpoint equal to a grid point
+        yields to the grid's ``Fraction``; every other one keeps its object.
         """
         start, span, den, runs = self._placement(lo, hi, extra)
         points: list = []
@@ -128,8 +127,8 @@ class GridSpec:
     def axis_pairs(self, lo: Fraction, hi: Fraction, extra: Sequence[Fraction] = ()) -> tuple[Ratio, ...]:
         """``axis_points`` as integer pairs, building no ``Fraction``.
 
-        Grid point k is the unreduced pair (start + k span, den), and each
-        breakpoint its ``as_integer_ratio()``.
+        Grid point k is the unreduced pair (start + k span, den); a breakpoint
+        is its ``as_integer_ratio()``.
         """
         start, span, den, runs = self._placement(lo, hi, extra)
         pairs: list = []
