@@ -79,7 +79,7 @@ class GridSpec:
         if not isinstance(self.m, int) or self.m < 1:
             raise ValidationError(f"grid resolution must be an integer >= 1, got {self.m!r}")
 
-    def _placement(self, lo, hi, extra: Sequence[Fraction]) -> tuple[int, int, int, list]:
+    def _placement(self, lo: Fraction, hi: Fraction, extra: Sequence[Fraction]) -> tuple[int, int, int, list]:
         """The placement both emitters share: (start, span, den, runs).
 
         Grid point k is (start + k span) / den.  The runs give the axis in

@@ -234,7 +234,9 @@ def test_df_report_json_shape():
 
 # quotes, backslashes, control characters, non-ASCII and lone surrogates, often
 json_strings = st.text(
-    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ud800é😀'), st.characters(exclude_categories=())),
+    st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ud800é😀'), st.characters(exclude_categories=())
+    ),
     max_size=8,
 )
 # small ints and ints of up to 5,000 digits, past int's default limit for str
