@@ -17,13 +17,15 @@ necessarily reduced.  ``code_value(codes)`` is that pair as a ``Fraction``.
 A third hook, ``code_grid(code_axes)``, yields the pairs on the product of
 per-axis code lists; ``ratio_grid(axes)`` codes each axis and reads the grid
 through it, and ``eval_grid`` is the ``Fraction``s of ``ratio_grid``.  By
-default ``code_grid`` applies ``code_ratio`` at each point; an empirical or
-grid df reads its rank index for the whole grid at once.
-``vertex_sum(ratio_grid, box)`` takes a pair grid evaluator
-(``df.ratio_grid``, ``copula.ratio_grid``, or the lattice-index evaluator
-that ``mvdf.index_box_grid`` builds for a batch of seeded boxes), not a point
-evaluator, sums over the box's corners as one 2 x ... x 2 grid, and returns
-the exact ``Fraction``.  The verifiers compare pairs by integer
+default ``code_grid`` applies ``code_ratio`` at each point; a product,
+comonotone or countermonotone df folds the axes pairwise with its combining
+step, and an empirical or grid df reads its rank index for the whole grid at
+once.  ``vertex_sum(ratio_grid, box)`` takes a pair grid evaluator
+(``df.ratio_grid`` or ``copula.ratio_grid``), not a point evaluator, sums
+over the box's corners as one 2 x ... x 2 grid, and returns the exact
+``Fraction``.  The seeded boxes of the axiom checks are read as columns
+instead: each vertex for the whole batch with ``code_ratio``, each box's
+volume an integer pair.  The verifiers compare pairs by integer
 cross-multiplication, count every violation, and build ``Fraction``s only
 for the witnesses they keep: the first ``max_witnesses`` per section, all
 by default.

@@ -28,8 +28,12 @@ For the hooks of ``mvdf.AxisSeparable``, a counting family's ``pair_codes``
 are ranks, its ``code_ratio`` the pair (weight below them, denominator) and
 its ``code_grid`` the rank index's whole-grid read; a margin-composed
 family's ``pair_codes`` are its margin values as the unreduced pairs of the
-margin's knot walk, and its ``code_ratio`` combines them by integer arithmetic
-(product, cross-multiplied minimum, lower bound over a common denominator).
+margin's knot walk, its ``code_ratio`` combines them by integer arithmetic
+(product, cross-multiplied minimum, lower bound over a common denominator),
+and its ``code_grid`` is the same combination as one fold over the axes
+(``mvdf.product_grid``, ``mvdf.min_grid``, ``mvdf.lower_bound_grid``): the
+first d - 1 axes joined pairwise into a list, the last streamed lazily
+against it, and the lower bound clipped at 0 once, at the end.
 No family defines ``axis_codes``: every value reaches ``pair_codes`` as a
 pair, and one point goes through the same hooks as a grid.
 Right limits share the offset rule ``mvdf.right_deltas``: ``axis_right_codes``
@@ -52,7 +56,16 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ValidationError
 from .monotone import MonotoneFn, _ranks, _walk, step_cdf
-from .mvdf import AxisSeparable, MultivariateDf, Ratio, ratio_lower_bound, ratio_min
+from .mvdf import (
+    AxisSeparable,
+    MultivariateDf,
+    Ratio,
+    lower_bound_grid,
+    min_grid,
+    product_grid,
+    ratio_lower_bound,
+    ratio_min,
+)
 from .scalars import ExtScalar, as_scalar
 
 
@@ -298,6 +311,9 @@ class ProductDf(_MarginComposedDf):
             den *= d
         return num, den
 
+    def code_grid(self, code_axes: Sequence[Sequence[Ratio]]) -> Iterator[Ratio]:
+        return product_grid(code_axes)
+
 
 @dataclass(frozen=True)
 class ComonotoneDf(_MarginComposedDf):
@@ -307,6 +323,9 @@ class ComonotoneDf(_MarginComposedDf):
 
     def code_ratio(self, codes: Sequence[Ratio]) -> Ratio:
         return ratio_min(codes)
+
+    def code_grid(self, code_axes: Sequence[Sequence[Ratio]]) -> Iterator[Ratio]:
+        return min_grid(code_axes)
 
 
 @dataclass(frozen=True)
@@ -328,6 +347,9 @@ class CountermonotoneDf(_MarginComposedDf):
 
     def code_ratio(self, codes: Sequence[Ratio]) -> Ratio:
         return ratio_lower_bound(codes)
+
+    def code_grid(self, code_axes: Sequence[Sequence[Ratio]]) -> Iterator[Ratio]:
+        return lower_bound_grid(code_axes)
 
 
 def product_df(margins: Sequence[MonotoneFn]) -> ProductDf:

@@ -264,10 +264,15 @@ class MonotoneFn:
         return self._checked_levels(as_scalar(u).as_integer_ratio() for u in us)
 
     def _checked_levels(self, pairs: Iterable[Ratio]) -> list[Ratio]:
-        """Level pairs in [inf G, sup G], each checked before the next is read; an infinity is outside."""
+        """Level pairs in [inf G, sup G], each checked before the next is read; an infinity is outside.
+
+        A pair with a negative denominator, or (0, 0), is no value and raises ``ValidationError``.
+        """
         (lo_n, lo_d), (hi_n, hi_d) = self.inf_value.as_integer_ratio(), self.sup_value.as_integer_ratio()
         out = []
         for a, b in pairs:
+            if b < 0 or a == b == 0:
+                raise ValidationError(f"level pair ({a}, {b}) needs a positive denominator")
             if lo_n * b > a * lo_d or a * hi_d > hi_n * b:
                 u = pair_value((a, b))
                 raise DomainError(f"level {u} outside the range [{self.inf_value}, {self.sup_value}]")

@@ -14,21 +14,26 @@ through it, and ``code_ratio`` combines one code per axis into the
 value as an integer pair ``(numerator, denominator)``, with a positive
 denominator and not necessarily reduced (a :data:`Ratio`).  ``code_grid``
 reads the pairs of the product of per-axis code lists, by default with
-``code_ratio`` at each point; a family may read the whole grid at once.
-``ratio_grid`` codes each axis point of a product grid once and reads the
-grid through ``code_grid``, ``eval_grid`` is its ``Fraction``s, and a box's
-vertices are the 2 x .. x 2 grid of its corners.  The seeded boxes are drawn
-as integer indices k of corners k/1000 (:class:`IndexBox`), and
-:func:`index_box_grid` codes each distinct corner of a batch once, as the
-pair (k, 1000), and reads each box through ``code_grid`` too.
+``code_ratio`` at each point; a family may read the whole grid at once, as
+the margin-composed ones do with the folds :func:`product_grid`,
+:func:`min_grid` and :func:`lower_bound_grid`, which also give the bounds M
+and W of a level grid.  ``ratio_grid`` codes each axis point of a product
+grid once and reads the grid through ``code_grid``, ``eval_grid`` is its
+``Fraction``s, and a box's vertices are the 2 x .. x 2 grid of its corners
+(:func:`vertex_sum`).  The seeded boxes are drawn as columns of integer
+indices k of corners k/1000 (:func:`unit_box_columns`), and
+:func:`box_volumes` codes each distinct corner of a batch once, as the pair
+(k, 1000), then reads each vertex for all boxes at once with ``code_ratio``
+down the columns and adds each box's vertices into one unreduced pair.
 
 The sweeps compare pairs by integer cross-multiplication, so a ``Fraction``
 is built only where a value leaves the sweep: ``code_value`` and
-``eval_grid`` (one per point, for callers that want the values), one per box
-in :func:`vertex_sum`, and one per witness in the verifiers.  There is no
-second evaluation path: grids go through ``code_grid`` and single points
-(``eval`` and the right limits) through ``code_ratio``, over the codes of
-the same ``pair_codes``, and the independent oracles live in the tests.
+``eval_grid`` (one per point, for callers that want the values), one per
+:func:`vertex_sum` call, and one per kept witness in the verifiers.  There
+is no second evaluation path: grids go through ``code_grid`` and single
+points (``eval``, the right limits and the box vertices) through
+``code_ratio``, over the codes of the same ``pair_codes``, and the
+independent oracles live in the tests.
 
 Right limits take one offset rule, :func:`right_deltas`, and one hook,
 ``axis_right_codes``, which codes a whole axis's right limits at once.
@@ -48,19 +53,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product as iter_product, starmap
-from math import gcd, prod
+from math import prod
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ValidationError
 from .monotone import MonotoneFn
 from .report import NO_DEVIATION, Report, Witnesses
 from .rng import SplitMix64
-from .scalars import NEG_INF, POS_INF, ExtScalar, Ratio, as_ext, as_pairs, is_finite
+from .scalars import NEG_INF, POS_INF, POS_PAIR, ExtScalar, Ratio, as_ext, as_pairs, is_finite
 
 Point = tuple[ExtScalar, ...]
 # the per-axis coordinates of a product grid
 Axes = Sequence[Sequence[ExtScalar]]
 RatioGridFn = Callable[[Axes], Iterable[Ratio]]
+# the lattice indices k of a box corner k / LATTICE
+Indices = tuple[int, ...]
 # random box corners lie on the lattice k/LATTICE, 0 <= k <= LATTICE
 LATTICE = 1000
 # right-continuity is probed at most at this many breakpoint-grid points
@@ -96,55 +103,36 @@ class Cuboid:
         return len(self.a)
 
 
-class IndexBox:
-    """The box ]a / LATTICE, b / LATTICE] given by the integer lattice indices of its corners."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: tuple[int, ...], b: tuple[int, ...]) -> None:
-        self.a = a
-        self.b = b
-
-    @property
-    def dim(self) -> int:
-        return len(self.a)
-
-    def cuboid(self) -> Cuboid:
-        """The same box with its corners as exact levels k / LATTICE."""
-        return Cuboid(
-            tuple(Fraction(k, LATTICE) for k in self.a),
-            tuple(Fraction(k, LATTICE) for k in self.b),
-        )
-
-
 @cache
 def _even_vertices(dim: int) -> tuple[bool, ...]:
     """Per vertex of a d-box in ``itertools.product`` order: True where its sign is +1."""
     return tuple(sum(eps) % 2 == 0 for eps in iter_product((0, 1), repeat=dim))
 
 
-def vertex_sum(ratio_grid: RatioGridFn, box: Cuboid | IndexBox) -> Fraction:
+def vertex_sum(ratio_grid: RatioGridFn, box: Cuboid) -> Fraction:
     """Signed inclusion-exclusion sum over the vertices of ``box``, as one grid call.
 
     ``ratio_grid`` evaluates a product grid as integer pairs in
-    ``itertools.product`` order, like :meth:`AxisSeparable.ratio_grid` (or
-    :func:`index_box_grid` for an :class:`IndexBox`).  The box is the grid
-    ``((b_i, a_i))_i``, so the vertex at index ``eps`` takes ``a_i`` where
-    ``eps_i`` is 1 and has the sign ``(-1)`` to the number of ``a``
-    coordinates.  The pairs are added over the lcm of their denominators (a
-    plain integer add while the denominators agree), and the sum becomes one
-    ``Fraction``.
+    ``itertools.product`` order, like :meth:`AxisSeparable.ratio_grid`.  The
+    box is the grid ``((b_i, a_i))_i``, so the vertex at index ``eps`` takes
+    ``a_i`` where ``eps_i`` is 1 and has the sign ``(-1)`` to the number of
+    ``a`` coordinates.  :func:`_signed_sums` adds the pairs, and the sum
+    becomes one ``Fraction``.
     """
-    num, den = 0, 1
-    terms = ratio_grid(tuple(zip(box.b, box.a)))
-    for positive, (n, d) in zip(_even_vertices(box.dim), terms):
-        if d != den:
-            scale = d // gcd(den, d)
-            num *= scale
-            den *= scale
-            n *= den // d
-        num += n if positive else -n
-    return Fraction(num, den)
+    vertices = [(pair,) for pair in ratio_grid(tuple(zip(box.b, box.a)))]
+    return Fraction(*next(_signed_sums(box.dim, vertices)))
+
+
+def _signed_sums(dim: int, vertices: Sequence[Iterable[Ratio]]) -> Iterator[Ratio]:
+    """Per box, the signed sum of its vertex pairs, from one column of pairs per vertex, lazily.
+
+    The vertices come in ``itertools.product`` order, the first with the sign
+    +1.  Each sum is one unreduced pair, cross-multiplied vertex by vertex.
+    """
+    sums = iter(vertices[0])
+    for positive, column in zip(_even_vertices(dim)[1:], vertices[1:]):
+        sums = map(_sum_join if positive else _difference_join, sums, column)
+    return sums
 
 
 def ratio_min(ratios: Iterable[Ratio]) -> Ratio:
@@ -171,6 +159,62 @@ def ratio_lower_bound(ratios: Sequence[Ratio]) -> Ratio:
         den *= d
     num -= (len(ratios) - 1) * den
     return (num, den) if num > 0 else (0, 1)
+
+
+def _fold_grid(
+    join: Callable[[Ratio, Ratio], Ratio], identity: Ratio, code_axes: Sequence[Sequence[Ratio]], last=None
+) -> Iterator[Ratio]:
+    """One pair per axis, joined at each point of the product of the axes, in ``itertools.product`` order.
+
+    The first d - 1 axes are folded pairwise into one list, from ``identity``;
+    the last axis is read lazily against that list and joined by ``last``
+    (``join`` by default).
+    """
+    acc = [identity]
+    for axis in code_axes[:-1]:
+        acc = list(starmap(join, iter_product(acc, axis)))
+    return starmap(last or join, iter_product(acc, code_axes[-1]))
+
+
+def _product_join(p: Ratio, q: Ratio) -> Ratio:
+    return p[0] * q[0], p[1] * q[1]
+
+
+def _min_join(p: Ratio, q: Ratio) -> Ratio:
+    return q if q[0] * p[1] < p[0] * q[1] else p
+
+
+def _sum_join(p: Ratio, q: Ratio) -> Ratio:
+    return p[0] * q[1] + q[0] * p[1], p[1] * q[1]
+
+
+def _difference_join(p: Ratio, q: Ratio) -> Ratio:
+    return p[0] * q[1] - q[0] * p[1], p[1] * q[1]
+
+
+def product_grid(code_axes: Sequence[Sequence[Ratio]]) -> Iterator[Ratio]:
+    """The product of the pairs at each grid point, by one fold."""
+    return _fold_grid(_product_join, (1, 1), code_axes)
+
+
+def min_grid(code_axes: Sequence[Sequence[Ratio]]) -> Iterator[Ratio]:
+    """:func:`ratio_min` at each grid point, by one fold: M on a level grid."""
+    return _fold_grid(_min_join, POS_PAIR, code_axes)
+
+
+def lower_bound_grid(code_axes: Sequence[Sequence[Ratio]]) -> Iterator[Ratio]:
+    """:func:`ratio_lower_bound` at each grid point, by one fold of sums: W on a level grid.
+
+    The sum is clipped at 0 once, at the last axis.
+    """
+    excess = len(code_axes) - 1
+
+    def clipped(p: Ratio, q: Ratio) -> Ratio:
+        den = p[1] * q[1]
+        num = p[0] * q[1] + q[0] * p[1] - excess * den
+        return (num, den) if num > 0 else (0, 1)
+
+    return _fold_grid(_sum_join, (0, 1), code_axes, clipped)
 
 
 class AxisSeparable(ABC):
@@ -299,45 +343,54 @@ def margin(df: MultivariateDf, i: int) -> MonotoneFn:
     return df.margin_fn(i - 1)
 
 
-def random_index_boxes(seed: int, dim: int, count: int) -> list[IndexBox]:
-    """Seed-deterministic boxes in [0,1]^d, as lattice indices of their corners.
+def lattice_point(ks: Sequence[int]) -> Point:
+    """Lattice indices as the point of levels k / LATTICE."""
+    return tuple(Fraction(k, LATTICE) for k in ks)
 
-    Per box, axes are drawn in order and each axis takes two draws from
-    :class:`SplitMix64`, sorted into the lower and upper corner.
+
+def unit_box_columns(seed: int, dim: int, count: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Seed-deterministic boxes in [0,1]^d as columns of lattice indices: (lower, upper), one list per axis.
+
+    Box j is ]lower[.][j] / LATTICE, upper[.][j] / LATTICE].  Per box, axes
+    are drawn in order and each axis takes two draws from :class:`SplitMix64`,
+    sorted into the lower and upper corner.
     """
     if count < 1:
         raise ValidationError(f"n_cuboids must be >= 1, got {count}")
-    rng = SplitMix64(seed)
-    boxes = []
-    for _ in range(count):
-        a, b = [], []
-        for _axis in range(dim):
-            u = rng.below(LATTICE + 1)
-            v = rng.below(LATTICE + 1)
-            a.append(min(u, v))
-            b.append(max(u, v))
-        boxes.append(IndexBox(tuple(a), tuple(b)))
-    return boxes
+    draws, step = SplitMix64(seed).below_many(LATTICE + 1, 2 * dim * count), 2 * dim
+    pairs = [(draws[2 * i :: step], draws[2 * i + 1 :: step]) for i in range(dim)]
+    return [list(map(min, u, v)) for u, v in pairs], [list(map(max, u, v)) for u, v in pairs]
 
 
-def index_box_grid(fn: AxisSeparable, boxes: Sequence[IndexBox]) -> RatioGridFn:
-    """A pair grid evaluator on lattice indices, for ``vertex_sum`` over ``boxes``.
+def box_volumes(
+    fn: AxisSeparable, lower: Sequence[Sequence[int]], upper: Sequence[Sequence[int]]
+) -> Iterator[Ratio]:
+    """The volume under ``fn`` of each box in the lattice columns ``lower`` and ``upper``, as unreduced pairs.
 
-    Each axis codes the distinct corner indices of all the boxes, as the
-    pairs (k, LATTICE), with one ``pair_codes`` call; the evaluator looks codes
-    up by integer index and reads the box's grid with one ``code_grid`` call.
+    Each axis codes the distinct corner indices of the batch once, as the
+    pairs (k, LATTICE), with one ``pair_codes`` call.  Each of the 2^d
+    vertices is then read for every box at once, by ``code_ratio`` down the
+    columns of its corners' codes, and :func:`_signed_sums` adds each box's
+    vertices; the volumes are yielded lazily.
     """
-    tables = []
-    for axis in range(fn.dim):
-        ks = sorted({k for box in boxes for k in (box.a[axis], box.b[axis])})
-        codes = fn.pair_codes(axis, [(k, LATTICE) for k in ks])
-        tables.append(dict(zip(ks, codes)))
-    code_grid = fn.code_grid
+    columns = []
+    for axis, (los, his) in enumerate(zip(lower, upper)):
+        ks = sorted(set(los).union(his))
+        code = dict(zip(ks, fn.pair_codes(axis, [(k, LATTICE) for k in ks]))).__getitem__
+        columns.append((list(map(code, his)), list(map(code, los))))
+    # vertex eps reads b_i where eps_i is 0 and a_i where it is 1, as vertex_sum's grid ((b_i, a_i))_i
+    return _signed_sums(fn.dim, [map(fn.code_ratio, zip(*cols)) for cols in iter_product(*columns)])
 
-    def grid_fn(index_axes: Sequence[Sequence[int]]) -> Iterator[Ratio]:
-        return code_grid([[table[k] for k in ks] for table, ks in zip(tables, index_axes)])
 
-    return grid_fn
+def negative_boxes(fn: AxisSeparable, seed: int, count: int) -> Iterator[tuple[Indices, Indices, Ratio]]:
+    """(lower, upper, volume) of each seeded box of negative volume under ``fn``, in draw order.
+
+    The corners are lattice indices and the volume is an unreduced pair.
+    """
+    lower, upper = unit_box_columns(seed, fn.dim, count)
+    for j, vol in enumerate(box_volumes(fn, lower, upper)):
+        if vol[0] < 0:
+            yield tuple(col[j] for col in lower), tuple(col[j] for col in upper), vol
 
 
 # -- axiom checking ------------------------------------------------------------
@@ -361,9 +414,8 @@ def _probe_indices(sizes: Sequence[int]) -> list[tuple[int, ...]]:
     return probes
 
 
-def _box_violation(box: IndexBox, vol: Fraction) -> dict:
-    box = box.cuboid()
-    return {"a": box.a, "b": box.b, "volume": vol}
+def _box_violation(a: Indices, b: Indices, vol: Ratio) -> dict:
+    return {"a": lattice_point(a), "b": lattice_point(b), "volume": Fraction(*vol)}
 
 
 def _limit_violation(point: Point, value: Fraction, expected: Fraction) -> dict:
@@ -389,12 +441,8 @@ def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int, max_witnesses
     when below 0) and counts the rest.
     """
     volumes = Witnesses(max_witnesses)
-    boxes = random_index_boxes(seed, df.dim, n_cuboids)
-    grid_fn = index_box_grid(df, boxes)
-    for box in boxes:
-        vol = vertex_sum(grid_fn, box)
-        if vol.numerator < 0:
-            volumes.add(NO_DEVIATION, _box_violation, box, vol)
+    for a, b, vol in negative_boxes(df, seed, n_cuboids):
+        volumes.add(NO_DEVIATION, _box_violation, a, b, vol)
 
     lo, hi = df.support_box()
     mid = tuple((l + h) / 2 for l, h in zip(lo, hi))

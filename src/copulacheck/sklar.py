@@ -13,7 +13,7 @@ Three verifiers compare this construction against what a copula must satisfy:
 the factorization F(x) = C(F_1(x_1), ..., F_d(x_d)) on the grid of F's support
 box, uniformity of the one-dimensional sections C(1,..,s,..,1) = s, and the
 copula axioms (non-negative volumes on the seeded boxes of
-``mvdf.random_index_boxes``, groundedness on the faces s_i = 0, and the
+``mvdf.negative_boxes``, groundedness on the faces s_i = 0, and the
 dependence envelope max(sum s_i - (d-1), 0) <= C(s) <= min s_i).  All
 comparisons are exact; failures become report entries with rational witnesses,
 because for discontinuous margins the construction genuinely breaks and
@@ -30,16 +30,18 @@ builds no ``Fraction``; ``lemma_grids`` hands such pairs to
 transform: its ``pair_codes`` range-checks and transforms level pairs and
 hands the quantiles, as pairs, to the source's ``pair_codes``; its
 ``code_ratio`` and ``code_grid`` are the source's.  Every sweep transforms
-each axis point once, the random boxes (``mvdf.IndexBox``) each distinct
+each axis point once, the random boxes (``mvdf.box_volumes``) each distinct
 corner pair (k, 1000) of the batch once, and the Sklar identity the margin
 values F_i(x_i) as the pairs the margins return.
 
-The verifiers sweep ``ratio_grid``, whose values are integer pairs
+The verifiers sweep ``code_grid``, whose values are integer pairs
 (``mvdf.Ratio``), and decide every comparison by cross-multiplying them.
-Each violation goes to a ``report.Witnesses`` sink with its deviation as a
-pair, and a ``Fraction`` is built only for a witness the sink keeps (and one
-per box, by ``vertex_sum``).  ``max_witnesses`` caps the kept witnesses; the
-default, below 0, keeps all.
+The envelope reads W and M on the level grid through the folds
+``mvdf.lower_bound_grid`` and ``mvdf.min_grid``, side by side with C.  Each
+violation goes to a ``report.Witnesses`` sink with its deviation as a pair,
+and a ``Fraction`` is built only for a witness the sink keeps: a negative
+box's corners and volume, or a grid point decoded from its flat index.
+``max_witnesses`` caps the kept witnesses; the default, below 0, keeps all.
 ``Copula.eval`` at one point codes its levels as a sweep does and reads them
 with the source's ``code_ratio``, so the copula, like every df, has a single
 evaluation path.
@@ -59,11 +61,11 @@ from .mvdf import (
     AxisSeparable,
     MultivariateDf,
     Ratio,
-    index_box_grid,
-    random_index_boxes,
-    ratio_lower_bound,
-    ratio_min,
-    vertex_sum,
+    lattice_point,
+    lower_bound_grid,
+    min_grid,
+    negative_boxes,
+    vertex_sum,  # bench/spans.py traces it by name in this module too
 )
 from .report import Report, Witnesses
 from .scalars import as_scalar
@@ -221,9 +223,17 @@ def _pair_witness(point: tuple, expected: Ratio, got: Ratio, kind: str) -> dict:
     return _witness(point, Fraction(*expected), Fraction(*got), kind)
 
 
-def _box_witness(box, volume: Fraction) -> dict:
-    box = box.cuboid()
-    return _witness((box.a, box.b), Fraction(0), volume, "d_increasing")
+def _box_witness(a: tuple[int, ...], b: tuple[int, ...], volume: Ratio) -> dict:
+    return _witness((lattice_point(a), lattice_point(b)), Fraction(0), Fraction(*volume), "d_increasing")
+
+
+def _grid_witness(axes: Sequence[Sequence], flat: int, expected: Ratio, got: Ratio, kind: str) -> dict:
+    """A pair witness at flat index ``flat`` of the product of ``axes``, the point decoded only when kept."""
+    point = []
+    for axis in reversed(axes):
+        flat, k = divmod(flat, len(axis))
+        point.append(axis[k])
+    return _pair_witness(tuple(reversed(point)), expected, got, kind)
 
 
 def _flat_report(check: str, points: int, sink: Witnesses) -> Report:
@@ -287,30 +297,23 @@ def verify_copula_axioms(
     max(sum s_i - (d-1), 0) <= C(s) <= min s_i.
     """
     sink = Witnesses(max_witnesses)
+    for a, b, (vn, vd) in negative_boxes(copula, seed, n_cuboids):
+        sink.add((-vn, vd), _box_witness, a, b, (vn, vd))
 
-    boxes = random_index_boxes(seed, copula.dim, n_cuboids)
-    grid_fn = index_box_grid(copula, boxes)
-    for box in boxes:
-        vol = vertex_sum(grid_fn, box)
-        if vol.numerator < 0:
-            sink.add((-vol.numerator, vol.denominator), _box_witness, box, vol)
-
+    # levels lie in [0, 1], so M(s) = min s_i is 0 exactly where some s_i is 0
     axis_levels = [grid.levels(m) for m in copula.margins]
-    axis_ratios = [[(s.numerator, s.denominator) for s in levels] for levels in axis_levels]
-    sweep = zip(
-        iter_product(*axis_levels), iter_product(*axis_ratios), copula.ratio_grid(axis_levels)
-    )
-    for combo, ratios, value in sweep:
-        vn, vd = value
-        if vn and any(n == 0 for n, _ in ratios):
-            sink.add((abs(vn), vd), _pair_witness, combo, (0, 1), value, "grounded")
-        ln, ld = lower = ratio_lower_bound(ratios)
+    axis_ratios = [[s.as_integer_ratio() for s in levels] for levels in axis_levels]
+    codes = [copula.pair_codes(i, ratios) for i, ratios in enumerate(axis_ratios)]
+    sweep = zip(copula.code_grid(codes), lower_bound_grid(axis_ratios), min_grid(axis_ratios))
+    for flat, (value, lower, upper) in enumerate(sweep):
+        (vn, vd), (ln, ld), (un, ud) = value, lower, upper
+        if vn and not un:
+            sink.add((abs(vn), vd), _grid_witness, axis_levels, flat, (0, 1), value, "grounded")
         below = ln * vd - vn * ld
         if below > 0:
-            sink.add((below, ld * vd), _pair_witness, combo, lower, value, "fh_lower")
-        un, ud = upper = ratio_min(ratios)
+            sink.add((below, ld * vd), _grid_witness, axis_levels, flat, lower, value, "fh_lower")
         above = vn * ud - un * vd
         if above > 0:
-            sink.add((above, ud * vd), _pair_witness, combo, upper, value, "fh_upper")
+            sink.add((above, ud * vd), _grid_witness, axis_levels, flat, upper, value, "fh_upper")
     points = n_cuboids + prod(map(len, axis_levels))
     return _flat_report("copula_axioms", points, sink)

@@ -22,6 +22,10 @@ before it ranked integer pairs: sorted sets of ``Fraction``s and a
 ``bisect_left`` over the ``Fraction`` breakpoints.
 ``pointwise_right_continuity`` is the right-continuity probe loop one point
 at a time, with the right-limit offset found by scanning the breakpoints.
+The box-by-box oracles (``oracle_negative_boxes`` and the two reports built
+on it) draw the seeded boxes one call to ``SplitMix64.below`` at a time and
+read each box with one ``code_grid`` call and one ``vertex_sum``, as the
+library did before it read the boxes as columns.
 ``run_cli`` runs the command line in a child process that imports the
 package from this checkout's ``src``.
 """
@@ -61,7 +65,7 @@ from copulacheck import (
     extract_copula,
     vertex_sum,
 )
-from copulacheck.mvdf import IndexBox, index_box_grid, random_index_boxes
+from copulacheck.mvdf import LATTICE, box_volumes, ratio_lower_bound, ratio_min, unit_box_columns
 from copulacheck.scalars import as_ext, as_scalar, is_finite
 from copulacheck.sklar import _witness
 
@@ -501,15 +505,89 @@ def check_index_boxes(obj, seed: int, count: int = 20) -> None:
     499, 500, 999 and 1000, where an index off by one or a lattice with the
     wrong denominator moves a level across the common breakpoints 1/2 and 1.
     """
-    index_boxes = random_index_boxes(seed, obj.dim, count)
+    lower, upper = unit_box_columns(seed, obj.dim, count)
     boxes = oracle_unit_cuboids(seed, obj.dim, count)
     for lo, hi in ((0, 499), (499, 500), (500, 999), (999, 1000), (0, 1000)):
-        index_boxes.append(IndexBox((lo,) * obj.dim, (hi,) * obj.dim))
+        for los, his in zip(lower, upper):
+            los.append(lo)
+            his.append(hi)
         boxes.append(Cuboid((Fraction(lo, 1000),) * obj.dim, (Fraction(hi, 1000),) * obj.dim))
-    grid_fn = index_box_grid(obj, index_boxes)
-    for index_box, box in zip(index_boxes, boxes):
-        vol = vertex_sum(grid_fn, index_box)
-        assert type(vol) is Fraction and vol == naive_vertex_sum(partial(oracle_eval, obj), box), box
+    vols = list(box_volumes(obj, lower, upper))
+    assert len(vols) == len(boxes)
+    for (num, den), box in zip(vols, boxes):
+        assert den > 0 and Fraction(num, den) == naive_vertex_sum(partial(oracle_eval, obj), box), box
+
+
+# -- the seeded boxes one box at a time: a grid call and a vertex_sum per box ------------
+
+
+class OracleIndexBox:
+    """The box ]a / 1000, b / 1000] by the lattice indices of its corners."""
+
+    def __init__(self, a: tuple[int, ...], b: tuple[int, ...]) -> None:
+        self.a, self.b, self.dim = a, b, len(a)
+
+    def cuboid(self) -> Cuboid:
+        return Cuboid(*(tuple(Fraction(k, LATTICE) for k in ks) for ks in (self.a, self.b)))
+
+
+def oracle_index_boxes(seed: int, dim: int, count: int) -> list[OracleIndexBox]:
+    """The seeded boxes drawn one ``SplitMix64.below`` at a time: per box, axes in order, two draws sorted."""
+    rng = SplitMix64(seed)
+    boxes = []
+    for _ in range(count):
+        a, b = [], []
+        for _axis in range(dim):
+            u, v = rng.below(LATTICE + 1), rng.below(LATTICE + 1)
+            a.append(min(u, v))
+            b.append(max(u, v))
+        boxes.append(OracleIndexBox(tuple(a), tuple(b)))
+    return boxes
+
+
+def oracle_index_box_grid(fn, boxes):
+    """A pair grid evaluator on lattice indices: each distinct corner coded once, one ``code_grid`` per call."""
+    tables = []
+    for axis in range(fn.dim):
+        ks = sorted({k for box in boxes for k in (box.a[axis], box.b[axis])})
+        tables.append(dict(zip(ks, fn.pair_codes(axis, [(k, LATTICE) for k in ks]))))
+
+    def grid_fn(index_axes):
+        return fn.code_grid([[table[k] for k in ks] for table, ks in zip(tables, index_axes)])
+
+    return grid_fn
+
+
+def oracle_negative_boxes(fn, seed: int, count: int) -> list[tuple[OracleIndexBox, Fraction]]:
+    """Each seeded box of negative volume with its volume: one ``vertex_sum`` per box."""
+    boxes = oracle_index_boxes(seed, fn.dim, count)
+    grid_fn = oracle_index_box_grid(fn, boxes)
+    return [(box, vol) for box in boxes if (vol := vertex_sum(grid_fn, box)) < 0]
+
+
+def oracle_df_volumes(df, n_cuboids: int, seed: int) -> Section:
+    """The keep-all volumes section of ``check_df_axioms`` from the box-by-box loop."""
+    cuboids = [(box.cuboid(), vol) for box, vol in oracle_negative_boxes(df, seed, n_cuboids)]
+    witnesses = [{"a": c.a, "b": c.b, "volume": vol} for c, vol in cuboids]
+    return oracle_section("volumes", "volume_violations", n_cuboids, witnesses)
+
+
+def oracle_copula_axioms_loop(copula, n_cuboids: int, seed: int, m: int) -> Report:
+    """The keep-all copula axioms report from the box-by-box loop and W and M read point by point."""
+    cuboids = [(box.cuboid(), vol) for box, vol in oracle_negative_boxes(copula, seed, n_cuboids)]
+    violations = [_witness((c.a, c.b), Fraction(0), vol, "d_increasing") for c, vol in cuboids]
+    axis_levels = oracle_level_axes(copula, m)
+    for combo in product(*axis_levels):
+        ratios = [s.as_integer_ratio() for s in combo]
+        got = copula.code_value([copula.axis_codes(i, (s,))[0] for i, s in enumerate(combo)])
+        lower, upper = Fraction(*ratio_lower_bound(ratios)), Fraction(*ratio_min(ratios))
+        if got and 0 in combo:
+            violations.append(_witness(combo, Fraction(0), got, "grounded"))
+        if got < lower:
+            violations.append(_witness(combo, lower, got, "fh_lower"))
+        if got > upper:
+            violations.append(_witness(combo, upper, got, "fh_upper"))
+    return _flat_report("copula_axioms", n_cuboids + prod(map(len, axis_levels)), violations)
 
 
 # -- grid-axis oracles ----------------------------------------------------------------

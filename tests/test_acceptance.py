@@ -28,7 +28,6 @@ from copulacheck import (
     verify_uniform_margins,
     volume,
 )
-from copulacheck.mvdf import random_index_boxes
 from copulacheck.scalars import as_pairs
 from copulacheck.sklar import GridSpec
 from helpers import (
@@ -37,6 +36,7 @@ from helpers import (
     grid,
     is_right_increase,
     merged,
+    oracle_unit_cuboids,
     random_monotone,
     random_rows,
     run_cli,
@@ -129,7 +129,7 @@ def test_criterion_3_volume_operator():
         # (b) empirical volumes equal direct box counts on a 50-row d=3 dataset
         rows = random_rows(SplitMix64(321), n=50, dim=3)
         emp3 = empirical_from_rows(rows)
-        boxes = [b.cuboid() for b in random_index_boxes(seed=99, dim=3, count=100)]
+        boxes = oracle_unit_cuboids(seed=99, dim=3, count=100)
         for box in boxes:
             assert volume(emp3, box) == F(count_in_box(rows, box.a, box.b), 50)
 

@@ -230,6 +230,22 @@ def test_lemma_report_rejects_a_point_pair_without_a_positive_denominator(g_bern
     assert walks == []  # refused before any walk
 
 
+@pytest.mark.parametrize("bad", [(-1, -2), (0, -1), (1, -1), (-3, -2), (0, 0)])
+def test_a_level_pair_without_a_positive_denominator_is_refused_not_read(g_bern, bad, monkeypatch):
+    """(-1, -2) is no level 1/2 and (0, -1) no level 0; only (1, 0) and (-1, 0), the infinities, lack one."""
+    walks = []
+    monkeypatch.setattr(monotone, "_walk", lambda *args: walks.append(args))
+    message = rf"^level pair \({bad[0]}, {bad[1]}\) needs a positive denominator$"
+    with pytest.raises(ValidationError, match=message):
+        lemma_report(g_bern, us=[(1, 2), bad], xs=[(0, 1)])
+    with pytest.raises(ValidationError, match="positive denominator"):
+        g_bern.gen_inverse_right_pairs([bad])
+    assert walks == []
+    for inf in ((1, 0), (-1, 0)):
+        with pytest.raises(DomainError, match="outside the range"):
+            g_bern.gen_inverse_right_pairs([inf])
+
+
 # -- helpers ------------------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,12 @@ from copulacheck import (
     Cuboid,
     DomainError,
     GridDf,
+    GridMass,
+    GridSpec,
     NEG_INF,
     POS_INF,
     ProductDf,
+    Report,
     SplitMix64,
     ValidationError,
     check_df_axioms,
@@ -26,13 +30,16 @@ from copulacheck import (
     verify_copula_axioms,
     volume,
 )
-from copulacheck import mvdf, sklar
-from copulacheck.mvdf import random_index_boxes
+from copulacheck import mvdf
+from copulacheck.mvdf import unit_box_columns
 from helpers import (
     LeftContinuousEmpirical,
     check_index_boxes,
     composed_dfs,
     count_in_box,
+    oracle_capped,
+    oracle_copula_axioms_loop,
+    oracle_df_volumes,
     oracle_eval,
     oracle_unit_cuboids,
     pointwise_right_continuity,
@@ -160,7 +167,7 @@ def test_empirical_volume_equals_box_count():
     rng = SplitMix64(5)
     rows = random_rows(rng, n=25, dim=3)
     df = empirical_from_rows(rows)
-    for box in [b.cuboid() for b in random_index_boxes(seed=13, dim=3, count=50)]:
+    for box in oracle_unit_cuboids(seed=13, dim=3, count=50):
         assert volume(df, box) == F(count_in_box(rows, box.a, box.b), len(rows))
 
 
@@ -169,7 +176,7 @@ def test_bisection_additivity():
     rows = random_rows(rng, n=20, dim=2)
     dfs = [empirical_from_rows(rows), comonotone_df([uniform_cdf(), uniform_cdf()])]
     for df in dfs:
-        for box in [b.cuboid() for b in random_index_boxes(seed=3, dim=2, count=25)]:
+        for box in oracle_unit_cuboids(seed=3, dim=2, count=25):
             for axis in range(2):
                 mid = (box.a[axis] + box.b[axis]) / 2
                 lower = Cuboid(
@@ -310,20 +317,21 @@ def test_axioms_reject_bad_count(f_unif2):
 
 
 def test_random_cuboids_deterministic_and_sorted():
-    a = [box.cuboid() for box in random_index_boxes(seed=42, dim=2, count=10)]
-    b = [box.cuboid() for box in random_index_boxes(seed=42, dim=2, count=10)]
-    assert a == b
-    assert all(box.a[i] <= box.b[i] for box in a for i in range(2))
-    assert all(1000 % c.denominator == 0 for box in a for c in box.a + box.b)
+    a = unit_box_columns(seed=42, dim=2, count=10)
+    assert a == unit_box_columns(seed=42, dim=2, count=10)
+    lower, upper = a
+    assert all(len(col) == 10 for col in lower + upper)
+    assert all(lo <= hi for los, his in zip(lower, upper) for lo, hi in zip(los, his))
+    assert all(0 <= k <= 1000 for col in lower + upper for k in col)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_seeded_boxes_match_the_fraction_draw(dim):
     for seed in range(21):
-        want = oracle_unit_cuboids(seed, dim, 30)
-        index_boxes = random_index_boxes(seed, dim, 30)
-        assert all(0 <= k <= 1000 for box in index_boxes for k in box.a + box.b)
-        assert [box.cuboid() for box in index_boxes] == want
+        lower, upper = unit_box_columns(seed, dim, 30)
+        corners = zip(zip(*lower), zip(*upper))
+        got = [Cuboid(tuple(F(k, 1000) for k in a), tuple(F(k, 1000) for k in b)) for a, b in corners]
+        assert got == oracle_unit_cuboids(seed, dim, 30)
 
 
 def test_index_boxes_on_uniform_margins():
@@ -342,22 +350,68 @@ def test_index_boxes_on_uniform_margins():
             check_index_boxes(extract_copula(df), seed)
 
 
-def test_box_loops_call_vertex_sum_once_per_box(monkeypatch):
-    calls = []
-    original = mvdf.vertex_sum
-
-    def counted(grid_fn, box):
-        calls.append(box)
-        return original(grid_fn, box)
-
-    monkeypatch.setattr(sklar, "vertex_sum", counted)
+def test_box_sweep_codes_each_axis_once_and_reads_each_vertex_once():
+    """One ``pair_codes`` call per axis and one ``code_ratio`` per vertex of each box; no grid call."""
     u = uniform_cdf()
-    verify_copula_axioms(extract_copula(product_df([u, u])), n_cuboids=7, seed=1)
-    assert len(calls) == 7
-    monkeypatch.setattr(mvdf, "vertex_sum", counted)
-    calls.clear()
-    check_df_axioms(comonotone_df([u, u, u]), n_cuboids=9, seed=1)
-    assert len(calls) == 9
+    for df, n in ((comonotone_df([u, u, u]), 9), (product_df([u, u]), 7)):
+        calls = {"pair_codes": 0, "code_ratio": 0, "code_grid": 0}
+        for name in calls:
+
+            def counted(*args, name=name, original=getattr(df, name)):
+                calls[name] += 1
+                return original(*args)
+
+            object.__setattr__(df, name, counted)
+        assert len(list(mvdf.box_volumes(df, *unit_box_columns(1, df.dim, n)))) == n
+        assert calls == {"pair_codes": df.dim, "code_ratio": n * 2**df.dim, "code_grid": 0}
+
+
+def test_below_many_draws_the_stream_of_below():
+    for seed in (0, 1, 13, 2**64 - 1, -5):
+        one_by_one = SplitMix64(seed)
+        batched = SplitMix64(seed)
+        assert batched.below_many(1001, 40) == [one_by_one.below(1001) for _ in range(40)]
+        assert batched.below(7) == one_by_one.below(7)  # and the state moves on alike
+
+
+def _box_subjects() -> dict:
+    """The five families, and two lenient dfs with negative boxes inside [0, 1]^d."""
+    u = uniform_cdf()
+    steps = make_monotone([(0, 0, F(1, 4)), (F(1, 2), F(1, 2), F(1, 2)), (1, F(3, 4), 1)])
+    quarters = (F(1, 4), F(1, 2), F(3, 4))
+    centre = (F(1, 2), F(1, 2))
+    points = itertools.product(quarters, repeat=2)
+    negative_mass = [GridMass(p, F(-1, 10) if p == centre else F(11, 80)) for p in points]
+    return {
+        "empirical": empirical_from_rows(random_rows(SplitMix64(11), n=12, dim=2)),
+        "grid": grid_df([((F(1, 3), F(2, 3)), F(1, 2)), ((F(2, 3), F(1, 5)), F(1, 4)), ((1, 1), F(1, 4))]),
+        "product": product_df([u, steps]),
+        "comonotone": comonotone_df([steps, u, u]),
+        "countermonotone": countermonotone_df(steps, u),
+        "countermonotone d=3": CountermonotoneDf((u, u, u)),
+        "grid with a negative mass": GridDf(tuple(negative_mass)),
+    }
+
+
+BOX_SUBJECTS = _box_subjects()
+LENIENT = ("countermonotone d=3", "grid with a negative mass")
+
+
+@pytest.mark.parametrize("max_witnesses", [-1, 0, 1, 3])
+@pytest.mark.parametrize("name", list(BOX_SUBJECTS))
+def test_box_volumes_match_the_box_by_box_loop(name, max_witnesses):
+    """Same count, largest deviation and kept witnesses as one grid call and one ``vertex_sum`` per box."""
+    df = BOX_SUBJECTS[name]
+    copula = extract_copula(df)
+    for seed in (0, 7):
+        want = oracle_df_volumes(df, 200, seed)
+        got = check_df_axioms(df, 200, seed, max_witnesses).sections[0]
+        assert got == oracle_capped(Report("df_axioms", (want,)), max_witnesses).sections[0]
+        assert want.count > 0 or name not in LENIENT
+        want = oracle_copula_axioms_loop(copula, 200, seed, 4)
+        got = verify_copula_axioms(copula, 200, seed, GridSpec(4), max_witnesses)
+        assert got == oracle_capped(want, max_witnesses)
+        assert any(w["kind"] == "d_increasing" for w in want.violations) or name not in LENIENT
 
 
 def test_monotone_coordinatewise(f_unif2, emp2):

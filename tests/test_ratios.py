@@ -8,15 +8,20 @@ and the verifiers' reports, witness order included, to oracles that evaluate
 ``Copula.eval`` one point at a time, on inputs that pass and inputs that fail.
 """
 
+import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from copulacheck import (
+    NEG_INF,
+    POS_INF,
     ComonotoneDf,
     CountermonotoneDf,
+    Cuboid,
     GridSpec,
     ProductDf,
     empirical_from_rows,
@@ -29,7 +34,7 @@ from copulacheck import (
     verify_uniform_margins,
     vertex_sum,
 )
-from copulacheck.mvdf import IndexBox, ratio_lower_bound, ratio_min
+from copulacheck.mvdf import lower_bound_grid, min_grid, product_grid, ratio_lower_bound, ratio_min
 from copulacheck.serialize import load_payload
 from helpers import (
     ORACLE_COMBINE,
@@ -37,6 +42,7 @@ from helpers import (
     composed_dfs,
     oracle_copula_axioms,
     oracle_lower_bound,
+    oracle_product,
     oracle_sklar_identity,
     oracle_uniform_margins,
 )
@@ -91,9 +97,61 @@ def test_ratio_bounds_match_fraction_formulas(pairs):
         assert pair[1] > 0 and F(*pair) == want
 
 
+@st.composite
+def composed_grids(draw):
+    """A composed df on 1-3 cdf margins, and 1-4 coordinates per axis: -inf, +inf, 0, 1, its knots or others."""
+    df = draw(composed_dfs())
+    axes = []
+    for i in range(df.dim):
+        pool = st.sampled_from([NEG_INF, POS_INF, F(0), F(1), *df.axis_breakpoints(i)])
+        axes.append(draw(st.lists(pool | st.fractions(-5, 5, max_denominator=12), min_size=1, max_size=4)))
+    return df, axes
+
+
+@settings(max_examples=300, deadline=None)
+@given(composed_grids())
+def test_composed_code_grid_equals_code_ratio_at_every_point(case):
+    df, axes = case
+    codes = [df.axis_codes(i, xs) for i, xs in enumerate(axes)]
+    got = list(df.code_grid(codes))
+    assert all(d > 0 for _, d in got)
+    assert [F(*p) for p in got] == [F(*df.code_ratio(c)) for c in itertools.product(*codes)]
+
+
+# per-axis lists of pairs, unreduced, with 0 and 1 among them, values in [-2, 3]
+axis_pair = st.sampled_from([(0, 1), (1, 1), (0, 7), (4, 4)]) | code_pairs(1).map(lambda pairs: pairs[0])
+pair_axes = st.lists(st.lists(axis_pair, min_size=1, max_size=4), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_axes)
+def test_bound_grids_equal_the_pointwise_bounds(axes):
+    """W by the fold of sums, clipped once, and M by the fold of minima, at every point of the grid."""
+    points = list(itertools.product(*axes))
+    lower = list(lower_bound_grid(axes))
+    assert all(d > 0 for _, d in lower)
+    assert [F(*p) for p in lower] == [F(*ratio_lower_bound(p)) for p in points]
+    assert list(min_grid(axes)) == [ratio_min(p) for p in points]  # the first least pair, as written
+    assert [F(*p) for p in product_grid(axes)] == [oracle_product([F(*q) for q in p]) for p in points]
+
+
+def test_a_grid_of_a_million_points_yields_its_first_pair_without_building_the_grid():
+    axis = [(k, 1000) for k in range(1000)]
+    margins = (uniform_cdf(), uniform_cdf())
+    grids = [cls(margins).code_grid for cls in (ProductDf, ComonotoneDf, CountermonotoneDf)]
+    tracemalloc.start()
+    try:
+        firsts = [next(grid([axis, axis])) for grid in (*grids, lower_bound_grid, min_grid)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert firsts == [(0, 10**6), (0, 1000), (0, 1), (0, 1), (0, 1000)]
+    assert peak < 2**20  # a built grid holds 10**6 pairs, some 100 MiB
+
+
 def test_vertex_sum_adds_pairs_over_their_lcm():
-    """Pairs on changing denominators, and one on a denominator the lcm already holds."""
-    box = IndexBox((0, 0), (1, 1))
+    """Pairs on changing denominators, and on repeated ones, cross-multiplied into one pair."""
+    box = Cuboid((0, 0), (1, 1))
     terms = [(1, 2), (1, 3), (1, 4), (5, 6)]  # signs +, -, -, +
     assert vertex_sum(lambda axes: iter(terms), box) == F(1, 2) - F(1, 3) - F(1, 4) + F(5, 6)
     terms = [(3, 6), (0, 1), (2, 6), (1, 3)]
