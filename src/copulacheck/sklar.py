@@ -300,13 +300,13 @@ def verify_copula_axioms(
     for a, b, (vn, vd) in negative_boxes(copula, seed, n_cuboids):
         sink.add((-vn, vd), _box_witness, a, b, (vn, vd))
 
-    # levels lie in [0, 1], so M(s) = min s_i is 0 exactly where some s_i is 0
     axis_levels = [grid.levels(m) for m in copula.margins]
     axis_ratios = [[s.as_integer_ratio() for s in levels] for levels in axis_levels]
     codes = [copula.pair_codes(i, ratios) for i, ratios in enumerate(axis_ratios)]
     sweep = zip(copula.code_grid(codes), lower_bound_grid(axis_ratios), min_grid(axis_ratios))
     for flat, (value, lower, upper) in enumerate(sweep):
         (vn, vd), (ln, ld), (un, ud) = value, lower, upper
+        # levels lie in [0, 1], so M(s) = min s_i is 0 exactly where some s_i is 0
         if vn and not un:
             sink.add((abs(vn), vd), _grid_witness, axis_levels, flat, (0, 1), value, "grounded")
         below = ln * vd - vn * ld

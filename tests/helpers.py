@@ -23,9 +23,9 @@ before it ranked integer pairs: sorted sets of ``Fraction``s and a
 ``pointwise_right_continuity`` is the right-continuity probe loop one point
 at a time, with the right-limit offset found by scanning the breakpoints.
 The box-by-box oracles (``oracle_negative_boxes`` and the two reports built
-on it) draw the seeded boxes one call to ``SplitMix64.below`` at a time and
-read each box with one ``code_grid`` call and one ``vertex_sum``, as the
-library did before it read the boxes as columns.
+on it) take the seeded boxes of ``oracle_unit_cuboids`` as lattice indices
+and read each box with one ``code_grid`` call and one vertex sum over the lcm of
+the denominators, as the library did before it read the boxes as columns.
 ``run_cli`` runs the command line in a child process that imports the
 package from this checkout's ``src``.
 """
@@ -40,7 +40,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -527,26 +527,9 @@ class OracleIndexBox:
     def __init__(self, a: tuple[int, ...], b: tuple[int, ...]) -> None:
         self.a, self.b, self.dim = a, b, len(a)
 
-    def cuboid(self) -> Cuboid:
-        return Cuboid(*(tuple(Fraction(k, LATTICE) for k in ks) for ks in (self.a, self.b)))
-
-
-def oracle_index_boxes(seed: int, dim: int, count: int) -> list[OracleIndexBox]:
-    """The seeded boxes drawn one ``SplitMix64.below`` at a time: per box, axes in order, two draws sorted."""
-    rng = SplitMix64(seed)
-    boxes = []
-    for _ in range(count):
-        a, b = [], []
-        for _axis in range(dim):
-            u, v = rng.below(LATTICE + 1), rng.below(LATTICE + 1)
-            a.append(min(u, v))
-            b.append(max(u, v))
-        boxes.append(OracleIndexBox(tuple(a), tuple(b)))
-    return boxes
-
 
 def oracle_index_box_grid(fn, boxes):
-    """A pair grid evaluator on lattice indices: each distinct corner coded once, one ``code_grid`` per call."""
+    """A pair grid evaluator on lattice indices: each corner coded once, one ``code_grid`` per call."""
     tables = []
     for axis in range(fn.dim):
         ks = sorted({k for box in boxes for k in (box.a[axis], box.b[axis])})
@@ -558,24 +541,40 @@ def oracle_index_box_grid(fn, boxes):
     return grid_fn
 
 
-def oracle_negative_boxes(fn, seed: int, count: int) -> list[tuple[OracleIndexBox, Fraction]]:
-    """Each seeded box of negative volume with its volume: one ``vertex_sum`` per box."""
-    boxes = oracle_index_boxes(seed, fn.dim, count)
+def oracle_lcm_vertex_sum(grid_fn, box) -> Fraction:
+    """``vertex_sum`` as it added a box's vertex pairs before the columns: over the lcm of their denominators."""
+    num, den = 0, 1
+    signs = [sum(eps) % 2 == 0 for eps in product((0, 1), repeat=box.dim)]
+    for positive, (n, d) in zip(signs, grid_fn(tuple(zip(box.b, box.a)))):
+        if d != den:
+            scale = d // gcd(den, d)
+            num *= scale
+            den *= scale
+            n *= den // d
+        num += n if positive else -n
+    return Fraction(num, den)
+
+
+def oracle_negative_boxes(fn, seed: int, count: int) -> list[tuple[Cuboid, Fraction]]:
+    """The seeded boxes of negative volume with their volumes, one grid call and one vertex sum per box."""
+    cuboids = oracle_unit_cuboids(seed, fn.dim, count)
+    indices = [[tuple(int(c * LATTICE) for c in corner) for corner in (box.a, box.b)] for box in cuboids]
+    boxes = [OracleIndexBox(a, b) for a, b in indices]
     grid_fn = oracle_index_box_grid(fn, boxes)
-    return [(box, vol) for box in boxes if (vol := vertex_sum(grid_fn, box)) < 0]
+    return [(c, vol) for c, box in zip(cuboids, boxes) if (vol := oracle_lcm_vertex_sum(grid_fn, box)) < 0]
 
 
 def oracle_df_volumes(df, n_cuboids: int, seed: int) -> Section:
     """The keep-all volumes section of ``check_df_axioms`` from the box-by-box loop."""
-    cuboids = [(box.cuboid(), vol) for box, vol in oracle_negative_boxes(df, seed, n_cuboids)]
-    witnesses = [{"a": c.a, "b": c.b, "volume": vol} for c, vol in cuboids]
+    boxes = oracle_negative_boxes(df, seed, n_cuboids)
+    witnesses = [{"a": c.a, "b": c.b, "volume": vol} for c, vol in boxes]
     return oracle_section("volumes", "volume_violations", n_cuboids, witnesses)
 
 
 def oracle_copula_axioms_loop(copula, n_cuboids: int, seed: int, m: int) -> Report:
     """The keep-all copula axioms report from the box-by-box loop and W and M read point by point."""
-    cuboids = [(box.cuboid(), vol) for box, vol in oracle_negative_boxes(copula, seed, n_cuboids)]
-    violations = [_witness((c.a, c.b), Fraction(0), vol, "d_increasing") for c, vol in cuboids]
+    boxes = oracle_negative_boxes(copula, seed, n_cuboids)
+    violations = [_witness((c.a, c.b), Fraction(0), vol, "d_increasing") for c, vol in boxes]
     axis_levels = oracle_level_axes(copula, m)
     for combo in product(*axis_levels):
         ratios = [s.as_integer_ratio() for s in combo]

@@ -366,12 +366,23 @@ def test_box_sweep_codes_each_axis_once_and_reads_each_vertex_once():
         assert calls == {"pair_codes": df.dim, "code_ratio": n * 2**df.dim, "code_grid": 0}
 
 
-def test_below_many_draws_the_stream_of_below():
+def test_below_many_draws_the_splitmix64_stream():
+    """Against the algorithm as published (Steele, Lea & Flood), one 64-bit output at a time."""
+    mask = (1 << 64) - 1
+
+    def outputs(seed, count):
+        state, out = seed & mask, []
+        for _ in range(count):
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            out.append(z ^ (z >> 31))
+        return out
+
     for seed in (0, 1, 13, 2**64 - 1, -5):
-        one_by_one = SplitMix64(seed)
-        batched = SplitMix64(seed)
-        assert batched.below_many(1001, 40) == [one_by_one.below(1001) for _ in range(40)]
-        assert batched.below(7) == one_by_one.below(7)  # and the state moves on alike
+        rng, want = SplitMix64(seed), outputs(seed, 43)
+        assert rng.below_many(1001, 40) == [z % 1001 for z in want[:40]]
+        assert [rng.below(7) for _ in range(3)] == [z % 7 for z in want[40:]]  # the state moved on
 
 
 def _box_subjects() -> dict:

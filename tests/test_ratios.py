@@ -99,7 +99,7 @@ def test_ratio_bounds_match_fraction_formulas(pairs):
 
 @st.composite
 def composed_grids(draw):
-    """A composed df on 1-3 cdf margins, and 1-4 coordinates per axis: -inf, +inf, 0, 1, its knots or others."""
+    """A composed df on 1-3 cdf margins, and 1-4 coordinates per axis: -inf, +inf, 0, 1, knots or others."""
     df = draw(composed_dfs())
     axes = []
     for i in range(df.dim):
