@@ -39,6 +39,17 @@ pair, and one point goes through the same hooks as a grid.
 Right limits share the offset rule ``mvdf.right_deltas``: ``axis_right_codes``
 codes a counting axis at x + delta, and reads a margin-composed axis as
 2 G(x + delta/2) - G(x + delta) off one ``eval_pairs`` call.
+
+Every instance of the five classes is right-continuous by construction, the
+lenient ones included, which certifies the ``right_continuity`` section of
+``mvdf.check_df_axioms``.  A counting F is a finite weighted sum of
+indicators of closed orthants {t : t >= row}, each right-continuous in every
+coordinate, whatever the signs and total of the weights.  A margin-composed
+F is a product, minimum or clipped sum max(sum - (d-1), 0) of margins that
+are right-continuous by their knots (``monotone``), and each of the three is
+continuous in the margin values, whatever their range.  The five classes
+join ``mvdf``'s registry by ``mvdf.df_family``, and ``check_df_axioms``
+refuses any other class, subclasses of these included.
 The classes know nothing of the JSON payload format: ``serialize`` writes and
 reads the payloads of all five families.
 """
@@ -60,6 +71,7 @@ from .mvdf import (
     AxisSeparable,
     MultivariateDf,
     Ratio,
+    df_family,
     lower_bound_grid,
     min_grid,
     product_grid,
@@ -215,6 +227,7 @@ class _CountingDf(MultivariateDf):
         return self.axis_codes(axis, [x + d for x, d in zip(xs, deltas)])
 
 
+@df_family
 @dataclass(frozen=True)
 class EmpiricalDf(_CountingDf):
     """F(t) = (number of data rows <= t componentwise) / n."""
@@ -298,6 +311,7 @@ class _MarginComposedDf(MultivariateDf):
         return [(2 * nn * fd - fn * nd, nd * fd) for (fn, fd), (nn, nd) in zip(pairs[::2], pairs[1::2])]
 
 
+@df_family
 @dataclass(frozen=True)
 class ProductDf(_MarginComposedDf):
     """Independence: F(t) is the product of the margin values."""
@@ -315,6 +329,7 @@ class ProductDf(_MarginComposedDf):
         return product_grid(code_axes)
 
 
+@df_family
 @dataclass(frozen=True)
 class ComonotoneDf(_MarginComposedDf):
     """Perfect positive dependence: F(t) is the minimum of the margin values."""
@@ -328,6 +343,7 @@ class ComonotoneDf(_MarginComposedDf):
         return min_grid(code_axes)
 
 
+@df_family
 @dataclass(frozen=True)
 class CountermonotoneDf(_MarginComposedDf):
     """Lower dependence bound: F(t) = max(sum of margin values - (d-1), 0).
@@ -382,6 +398,7 @@ class GridMass:
         object.__setattr__(self, "mass", as_scalar(self.mass))
 
 
+@df_family
 @dataclass(frozen=True)
 class GridDf(_CountingDf):
     """F(t) = total mass of support points <= t componentwise."""

@@ -120,6 +120,8 @@ def df_from_payload(obj) -> MultivariateDf:
         for i, entry in enumerate(_entries(obj, "masses", family)):
             if not isinstance(entry, dict) or "point" not in entry or "mass" not in entry:
                 raise ValidationError(f'mass {i + 1}: expected {{"point", "mass"}}')
+            if not isinstance(entry["point"], list):
+                raise ValidationError(f"mass {i + 1}: expected a list as its point")
             built.append(
                 GridMass(
                     point=tuple(parse_scalar(str(c)) for c in entry["point"]),

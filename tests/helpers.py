@@ -20,8 +20,11 @@ walks.
 before it ranked integer pairs: sorted sets of ``Fraction``s and a
 ``bisect_right`` per row coordinate.  ``LeftContinuous`` codes its pairs by
 ``bisect_left`` over the ``Fraction`` breakpoints.
-``pointwise_right_continuity`` is the right-continuity probe loop one point
-at a time, with the right-limit offset found by scanning the breakpoints.
+``check_df_axioms`` certifies right-continuity on the five families and
+probes nothing; ``oracle_right_continuity`` is the probe sweep it ran
+before, keep-all, and ``pointwise_right_continuity`` is the same probe loop
+one point at a time, with the right-limit offset found by scanning the
+breakpoints.
 The box-by-box oracles (``oracle_negative_boxes`` and the two reports built
 on it) take the seeded boxes of ``oracle_unit_cuboids`` as lattice indices
 and read each box with one ``code_grid`` call and one vertex sum over the lcm of
@@ -65,7 +68,14 @@ from copulacheck import (
     extract_copula,
     vertex_sum,
 )
-from copulacheck.mvdf import LATTICE, box_volumes, ratio_lower_bound, ratio_min, unit_box_columns
+from copulacheck.mvdf import (
+    LATTICE,
+    box_volumes,
+    ratio_lower_bound,
+    ratio_min,
+    right_deltas,
+    unit_box_columns,
+)
 from copulacheck.scalars import as_ext, as_scalar, is_finite
 from copulacheck.sklar import _witness
 
@@ -391,7 +401,7 @@ def oracle_probe_points(df) -> list[tuple]:
 
 
 def pointwise_right_continuity(df, value=None, right_limit=None) -> list[dict]:
-    """The right-continuity witnesses of ``check_df_axioms``, one probe point at a time.
+    """The right-continuity witnesses of the probe sweep, one probe point at a time.
 
     ``value(point)`` and ``right_limit(point, axis) -> (limit, delta)`` default
     to the df's own ``eval`` and ``axis_right_limit``.
@@ -408,6 +418,54 @@ def pointwise_right_continuity(df, value=None, right_limit=None) -> list[dict]:
                     dict(point=point, axis=i + 1, delta=delta, value_at=value_at, value_right=limit)
                 )
     return witnesses
+
+
+def _probe_indices(sizes) -> list[tuple[int, ...]]:
+    """Per-axis breakpoint indices of the probes: flat index ``j * total // count``, decoded per axis."""
+    total = prod(sizes)
+    count = min(total, PROBE_POINTS)
+    probes = []
+    for j in range(count):
+        flat, index = j * total // count, []
+        for size in reversed(sizes):
+            flat, k = divmod(flat, size)
+            index.append(k)
+        probes.append(tuple(reversed(index)))
+    return probes
+
+
+def oracle_right_continuity(df) -> Section:
+    """The keep-all right-continuity section as the probe sweep computes it, for the certified section.
+
+    Each axis's breakpoints are coded once at x and once at the right limit
+    (``axis_right_codes`` at ``right_deltas``), and each probe of
+    ``_probe_indices`` is decided on every axis by cross-multiplying the two
+    ``code_ratio`` pairs.  It takes any df, so it sees the violations of the
+    left-continuous test subjects that ``check_df_axioms`` refuses.
+    """
+    axes = [df.axis_breakpoints(i) for i in range(df.dim)]
+    deltas = [right_deltas(bps, bps) for bps in axes]
+    at_codes = [df.axis_codes(i, bps) for i, bps in enumerate(axes)]
+    right_codes = [df.axis_right_codes(i, bps, ds) for i, (bps, ds) in enumerate(zip(axes, deltas))]
+    probes = _probe_indices([len(bps) for bps in axes])
+    witnesses = []
+    for index in probes:
+        codes = [c[k] for c, k in zip(at_codes, index)]
+        num, den = df.code_ratio(codes)
+        for i, k in enumerate(index):
+            right = df.code_ratio([*codes[:i], right_codes[i][k], *codes[i + 1 :]])
+            if num * right[1] != right[0] * den:
+                point = tuple(bps[j] for bps, j in zip(axes, index))
+                witnesses.append(
+                    dict(
+                        point=point,
+                        axis=i + 1,
+                        delta=deltas[i][k],
+                        value_at=Fraction(num, den),
+                        value_right=Fraction(*right),
+                    )
+                )
+    return oracle_section("right_continuity", "right_continuity_violations", len(probes) * df.dim, witnesses)
 
 
 # -- point-wise oracles for grid evaluation --------------------------------------

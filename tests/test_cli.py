@@ -216,6 +216,16 @@ def test_a_zero_dimensional_grid_payload_exits_2(workdir):
         assert r.stderr == "error: mass 1: empty point\n", (args, r.stderr)
 
 
+def test_a_grid_mass_point_that_is_not_a_list_exits_2(workdir):
+    for name, point in (("string", "12"), ("object", {"3": 0})):
+        payload = {"family": "grid", "dim": 2, "masses": [{"point": point, "mass": "1"}]}
+        (workdir / f"{name}.json").write_text(json.dumps(payload))
+        for args in (("verify", "df", f"{name}.json"), ("extract", f"{name}.json")):
+            r = run_cli(*args, cwd=workdir)
+            assert (r.returncode, r.stdout) == (2, ""), args
+            assert r.stderr == "error: mass 1: expected a list as its point\n", (args, r.stderr)
+
+
 def test_values_starting_with_a_dash_follow_a_double_dash(workdir):
     # G rises linearly from -1 at x = -2 to 1 at x = 2
     knots = [{"x": "-2", "left": "-1", "value": "-1"}, {"x": "2", "left": "1", "value": "1"}]

@@ -52,6 +52,7 @@ from helpers import (
     oracle_counting_value,
     oracle_eval,
     oracle_probe_points,
+    oracle_right_continuity,
     oracle_sklar_identity,
     pointwise_right_continuity,
     scan_axis_breakpoints,
@@ -383,45 +384,29 @@ def test_threads_racing_through_the_switch_agree_with_the_scan():
     assert shared._index._table is not None
 
 
-def test_right_continuity_evaluates_each_probe_point_once():
-    # the probes are a sweep: each axis's breakpoints are coded once at x and once at
-    # the right limit, and no probe point goes through eval or axis_right_limit
+def test_the_certified_section_codes_no_breakpoint_and_no_right_limit(monkeypatch):
+    # the right_continuity section is certified: check_df_axioms codes only the box corners
+    # and the limit points, never a breakpoint and never a right limit
     calls = []
+    pair_codes, right_codes = EmpiricalDf.pair_codes, EmpiricalDf.axis_right_codes
 
-    class CountedEmpirical(EmpiricalDf):
-        def eval(self, t):
-            calls.append(("eval", tuple(t)))
-            return super().eval(t)
+    def counted_pair_codes(self, axis, pairs):
+        pairs = list(pairs)
+        calls.append(("pair_codes", axis, tuple(pairs)))
+        return pair_codes(self, axis, pairs)
 
-        def axis_right_limit(self, t, axis):
-            calls.append(("axis_right_limit", tuple(t)))
-            return super().axis_right_limit(t, axis)
+    def counted_right_codes(self, axis, xs, deltas):
+        calls.append(("axis_right_codes", axis, tuple(xs)))
+        return right_codes(self, axis, xs, deltas)
 
-        def pair_codes(self, axis, pairs):
-            pairs = list(pairs)
-            calls.append(("pair_codes", axis, tuple(pairs)))
-            return super().pair_codes(axis, pairs)
-
-        def axis_right_codes(self, axis, xs, deltas):
-            calls.append(("axis_right_codes", axis, tuple(xs)))
-            return super().axis_right_codes(axis, xs, deltas)
-
-    # breakpoints outside [0, 1], so no random box vertex is a probe point
-    df = CountedEmpirical(((F(2), F(3)), (F(3), F(5)), (F(5), F(2))))
+    monkeypatch.setattr(EmpiricalDf, "pair_codes", counted_pair_codes)
+    monkeypatch.setattr(EmpiricalDf, "axis_right_codes", counted_right_codes)
+    # breakpoints outside [0, 1], so no random box vertex is a breakpoint
+    df = EmpiricalDf(((F(2), F(3)), (F(3), F(5)), (F(5), F(2))))
     report = check_df_axioms(df, n_cuboids=5, seed=0)
-    assert report.passed
-    bps = (F(2), F(3), F(5))
-    probes = set(product(bps, bps))
-    assert report.sections[2].points == 2 * len(probes)
-    bp_pairs = tuple(b.as_integer_ratio() for b in bps)
-    at_breakpoints = [c for c in calls if c[0] == "pair_codes" and set(c[2]) & set(bp_pairs)]
-    assert at_breakpoints == [("pair_codes", 0, bp_pairs), ("pair_codes", 1, bp_pairs)]
-    assert [c for c in calls if c[0] == "axis_right_codes"] == [
-        ("axis_right_codes", 0, bps),
-        ("axis_right_codes", 1, bps),
-    ]
-    assert not [c for c in calls if c[0] == "axis_right_limit"]
-    assert not [c for c in calls if c[0] == "eval" and c[1] in probes]
+    assert report.passed and report.sections[2].points == 2 * 3 * 3
+    bp_pairs = {b.as_integer_ratio() for b in (F(2), F(3), F(5))}
+    assert calls and not [c for c in calls if c[0] == "axis_right_codes" or set(c[2]) & bp_pairs]
 
 
 def test_right_limit_off_the_breakpoints_probes_before_the_next_one():
@@ -443,7 +428,8 @@ def test_right_limit_off_the_breakpoints_probes_before_the_next_one():
 @pytest.mark.parametrize("cls", [LeftContinuousEmpirical, LeftContinuousGrid])
 @pytest.mark.parametrize("seed", [0, 5])
 def test_right_continuity_sweep_matches_the_pointwise_oracle(rows, sampled, cls, seed):
-    # one breakpoint per row on axis 1 and fewer on axis 2, so the axes differ in size
+    # the sweep oracle sees every violation the pointwise one sees, on subjects that
+    # check_df_axioms refuses; one breakpoint per row on axis 1 and fewer on axis 2
     ys = [F(3 * (k % (rows - 1 - rows // 8)) + 1, 7) for k in range(rows)]
     random.Random(seed).shuffle(ys)
     pts = [(F(k, rows), y) for k, y in enumerate(ys)]
@@ -458,7 +444,7 @@ def test_right_continuity_sweep_matches_the_pointwise_oracle(rows, sampled, cls,
         return scan_axis_right_limit(df, t, axis, scan=scan_eval_below)
 
     expected = pointwise_right_continuity(df, partial(scan_eval_below, df), right_limit)
-    section = check_df_axioms(df, n_cuboids=3, seed=seed).sections[2]
+    section = oracle_right_continuity(df)
     assert expected and list(section.witnesses) == expected
     assert section.points == 2 * min(sizes[0] * sizes[1], PROBE_POINTS)
 
@@ -466,8 +452,8 @@ def test_right_continuity_sweep_matches_the_pointwise_oracle(rows, sampled, cls,
 class EveryProbeFails(MultivariateDf):
     """Breakpoints 0, 1, .., size - 1 per axis, and every right limit differs from the value.
 
-    So each right-continuity probe leaves one witness per axis, and the
-    witnesses list the probes.
+    So each right-continuity probe of the sweep oracle leaves one witness per
+    axis, and the witnesses list the probes.
     """
 
     family = "every-probe-fails"
@@ -498,29 +484,33 @@ class EveryProbeFails(MultivariateDf):
 @pytest.mark.parametrize("sizes", [(201,), (16, 13), (15, 14), (800, 800), (7, 6, 5)])
 @pytest.mark.parametrize("seed", [0, 5])
 def test_sampled_probes_are_distinct_and_in_grid_order(sizes, seed):
-    # the seed draws only the boxes: at every seed the probes are the stride oracle's
+    # the sweep oracle's probes are the stride oracle's; check_df_axioms refuses the df at every seed
     df = EveryProbeFails(sizes)
-    witnesses = check_df_axioms(df, n_cuboids=1, seed=seed).sections[2].witnesses
+    witnesses = oracle_right_continuity(df).witnesses
     assert [w["axis"] for w in witnesses] == list(range(1, df.dim + 1)) * PROBE_POINTS
     probes = [w["point"] for w in witnesses[:: df.dim]]
     assert len(probes) == len(set(probes)) == PROBE_POINTS
     assert probes == sorted(probes) == oracle_probe_points(df)
+    with pytest.raises(ValidationError):
+        check_df_axioms(df, n_cuboids=1, seed=seed)
 
 
 def test_right_continuity_section_is_the_same_at_every_seed():
-    # a sampled 16 x 13 breakpoint grid with failing probes: only the boxes read the seed
+    # a sampled 16 x 13 breakpoint grid: the certified section reads no seed, holds no
+    # witness, and counts the probes the sweep oracle makes, where none fails
     ys = [F(3 * (k % 13) + 1, 7) for k in range(16)]
-    df = LeftContinuousEmpirical(tuple((F(k, 16), y) for k, y in enumerate(ys)))
+    df = EmpiricalDf(tuple((F(k, 16), y) for k, y in enumerate(ys)))
     sections = [check_df_axioms(df, n_cuboids=3, seed=seed).sections[2] for seed in range(5)]
-    assert sections[0].count and sections[0].points == 2 * PROBE_POINTS
+    assert sections[0] == oracle_right_continuity(df)
+    assert sections[0].count == 0 and sections[0].points == 2 * PROBE_POINTS
     assert all(section == sections[0] for section in sections)
 
 
 def test_a_failing_sampled_probe_yields_one_witness_per_axis():
-    # 16 rows give a 16 x 13 breakpoint grid, so the probes are sampled
+    # 16 rows give a 16 x 13 breakpoint grid, so the sweep oracle samples its probes
     ys = [F(3 * (k % 13) + 1, 7) for k in range(16)]
     df = LeftContinuousEmpirical(tuple((F(k, 16), y) for k, y in enumerate(ys)))
-    section = check_df_axioms(df, n_cuboids=3, seed=0).sections[2]
+    section = oracle_right_continuity(df)
     keys = [(w["point"], w["axis"]) for w in section.witnesses]
     assert keys and len(keys) == len(set(keys)) == section.count
     assert section.points == 2 * PROBE_POINTS

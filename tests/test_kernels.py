@@ -5,10 +5,11 @@ single-point ``eval``, ``gen_inverse`` and ``gen_inverse_right`` that call
 them, must equal ``walk_eval`` and ``walk_inverse`` element by element, in
 value and in type, in any input order and from either end first; a bad
 element anywhere must raise what the first bad element calls for;
-``lemma_report`` must equal its oracle, and its sections a and b must fire
-on deliberately corrupted tables; the level keys must be sorted, which
-certifies the left_continuity section, and ``lemma_report`` must rank only
-inside its walks; and the kernel tables must stay out of loading, equality,
+``lemma_report`` must equal its oracle section by section, where the
+oracle finds no violation of the certified sections a and b, and
+deliberately corrupted tables must fail the kernel-vs-walk comparison; the
+level keys must be sorted, which certifies the left_continuity section, and
+``lemma_report`` must rank only inside its walks; and the kernel tables must stay out of loading, equality,
 hashing, ``repr`` and payloads.
 """
 
@@ -226,22 +227,37 @@ def _corrupted_uniform(table: str, index: int, piece: tuple[int, int, int]) -> M
     return fn
 
 
-def test_lemma_sections_a_and_b_fire_on_corrupted_tables():
-    us, xs = GridSpec(8).lemma_grids(uniform_cdf())
-    # G computed as x/2 on [0, 1): G(G^-1(u)) = u/2 < u at each level inside (0, 1); the
-    # points stay off the open piece, where G^-1(G(x)) = x/2 < x would break the ff bound
+def test_corrupted_tables_fail_the_kernel_oracle_comparison():
+    # sections a and b are certified, so the kernel-vs-walk comparison is what would see a
+    # table that breaks G(G^-1(u)) >= u or G^-1(G(x)) <= x
+    us = [F(k, 8) for k in range(9)]
+    # G computed as x/2 on [0, 1): G(G^-1(u)) = u/2 < u at each level inside (0, 1)
     fn = _corrupted_uniform("g", 1, (1, 0, 2))
-    a, b, _, _ = lemma_report(fn, us, as_pairs([F(-1), F(0), F(1), F(2)])).sections
-    assert a.witnesses == tuple(
-        {"point": F(k, 8), "lhs": F(k, 16), "rhs": F(k, 8)} for k in range(1, 8)
-    )
-    assert b.witnesses == ()
+    assert fn.eval_many(fn.gen_inverse_many(us)) == [u / 2 if u < 1 else u for u in us]
+    with pytest.raises(AssertionError):
+        _check_kernels(fn, random.Random(0))
     # G^-1 computed as u + 1/16 on (0, 1]: G^-1(G(x)) = x + 1/16 > x for x in (0, 1]
-    a, b, _, _ = lemma_report(_corrupted_uniform("inverse", 2, (16, 1, 16)), us, xs).sections
-    assert a.witnesses == ()
-    assert b.witnesses == tuple(
-        {"point": x, "lhs": x + F(1, 16), "rhs": x} for x in (F(1, 8), F(1, 2), F(7, 8), F(1))
-    )
+    fn = _corrupted_uniform("inverse", 2, (16, 1, 16))
+    assert fn.gen_inverse_many(fn.eval_many(us[1:])) == [x + F(1, 16) for x in us[1:]]
+    with pytest.raises(AssertionError):
+        _check_kernels(fn, random.Random(0))
+
+
+@given(
+    st.one_of(monotone_fns(), st.integers(0, 2**32).map(lambda seed: random_monotone(SplitMix64(seed)))),
+    st.integers(1, 12),
+)
+@settings(max_examples=100, deadline=None)
+def test_lemma_sections_a_and_b_are_certified(fn, m):
+    # the oracle walks G(G^-1(u)) and G^-1(G(x)) at every grid point and finds no violation
+    us, xs = oracle_lemma_grids(fn, m)
+    want = oracle_lemma_report(fn, us, xs)
+    got = lemma_report(fn, *GridSpec(m).lemma_grids(fn))
+    a, b = want.sections[:2]
+    assert a.count == b.count == 0 and a.points == len(us) and b.points == len(xs)
+    assert len(got.sections) == len(want.sections)
+    for section, expected in zip(got.sections, want.sections):
+        assert section == expected, section.name
 
 
 # -- the left_continuity certificate ------------------------------------------------

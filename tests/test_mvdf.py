@@ -2,9 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from copulacheck import (
+    ComonotoneDf,
     CountermonotoneDf,
     Cuboid,
     DomainError,
@@ -34,13 +35,16 @@ from copulacheck import mvdf
 from copulacheck.mvdf import unit_box_columns
 from helpers import (
     LeftContinuousEmpirical,
+    LeftContinuousGrid,
     check_index_boxes,
     composed_dfs,
     count_in_box,
+    monotone_fns,
     oracle_capped,
     oracle_copula_axioms_loop,
     oracle_df_volumes,
     oracle_eval,
+    oracle_right_continuity,
     oracle_unit_cuboids,
     pointwise_right_continuity,
     random_rows,
@@ -241,15 +245,37 @@ def test_axioms_catch_corrupted_lower_bound_extension():
 
 
 def test_axioms_catch_broken_right_continuity():
-    """A left-continuous step function is not a valid margin convention."""
+    """A left-continuous step function is not a valid margin convention.
+
+    The verifier refuses the df, which is none of the five families; the
+    probe sweep oracle shows what it would have found.
+    """
 
     broken = LeftContinuousEmpirical(((F(0),), (F(1),)))
-    report = check_df_axioms(broken, n_cuboids=10, seed=1)
-    assert not report.passed
-    assert report.sections[2].witnesses == (
+    with pytest.raises(ValidationError, match="LeftContinuousEmpirical is not one of the five df families"):
+        check_df_axioms(broken, n_cuboids=10, seed=1)
+    assert oracle_right_continuity(broken).witnesses == (
         dict(point=(F(0),), axis=1, delta=F(1, 2), value_at=F(0), value_right=F(1, 2)),
         dict(point=(F(1),), axis=1, delta=F(1), value_at=F(1, 2), value_right=F(1)),
     )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LeftContinuousEmpirical(((F(0), F(1)), (F(1), F(0)))),
+        lambda: LeftContinuousGrid((((F(0),), F(1, 2)), ((F(1),), F(1, 2)))),
+        lambda: type("SubProduct", (ProductDf,), {})((uniform_cdf(),)),
+    ],
+    ids=["left-continuous-empirical", "left-continuous-grid", "product-subclass"],
+)
+def test_axioms_refuse_a_df_outside_the_five_families_before_any_work(build, monkeypatch):
+    # refused before a box is drawn or the df is read
+    df = build()
+    for name in ("pair_codes", "axis_breakpoints", "code_ratio", "code_grid"):
+        monkeypatch.setattr(type(df), name, lambda *args: pytest.fail("the df was read"))
+    with pytest.raises(ValidationError, match="is not one of the five df families"):
+        check_df_axioms(df, n_cuboids=10, seed=0)
 
 
 def test_axioms_catch_limits_that_are_not_0_and_1():
@@ -269,19 +295,34 @@ def test_axioms_catch_limits_that_are_not_0_and_1():
 
 
 COORD = st.integers(-3, 3).map(lambda k: F(k, 2))
+# lenient grid masses: negative ones, and totals other than 1
+MASS = st.integers(-4, 4).map(lambda k: F(k, 4))
 
 
 @st.composite
 def five_family_dfs(draw):
-    """An empirical, grid, product, comonotone or countermonotone df on 1-3 axes."""
-    kind = draw(st.sampled_from(["empirical", "grid", "composed"]))
+    """An empirical, grid, product, comonotone or countermonotone df on 1-3 axes, or a lenient one.
+
+    The lenient subjects load from payloads but need not be cdfs: grid dfs
+    with masses of either sign and any total, composed dfs built directly on
+    margins of any range, and the countermonotone df on three margins.
+    """
+    kind = draw(st.sampled_from(["empirical", "grid", "composed", "lenient-grid", "lenient-composed"]))
     if kind == "composed":
         return draw(composed_dfs())
+    if kind == "lenient-composed":
+        cls = draw(st.sampled_from([ProductDf, ComonotoneDf, CountermonotoneDf]))
+        dim = 3 if cls is CountermonotoneDf else draw(st.integers(1, 3))
+        cdf = cls is CountermonotoneDf and draw(st.booleans())
+        return cls(tuple(draw(monotone_fns(cdf=cdf)) for _ in range(dim)))
     dim = draw(st.integers(1, 3))
     points = draw(st.lists(st.tuples(*[COORD] * dim), min_size=1, max_size=6, unique=True))
     if kind == "empirical":
         return empirical_from_rows(points)
-    return GridDf(tuple((p, F(1, len(points))) for p in points))
+    if kind == "grid":
+        return GridDf(tuple((p, F(1, len(points))) for p in points))
+    masses = draw(st.lists(MASS, min_size=len(points), max_size=len(points)))
+    return GridDf(tuple(zip(points, masses)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -301,12 +342,24 @@ def test_right_limit_is_the_value_everywhere_on_every_family(df, data):
             assert delta > 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(five_family_dfs(), st.integers(0, 2**32))
+# a 6 x 6 x 6 breakpoint grid: more points than PROBE_POINTS
+@example(empirical_from_rows([(k, -k, 2 * k) for k in range(6)]), 0)
+def test_the_right_continuity_certificate_holds_on_every_family(df, seed):
+    """The probe sweep oracle finds no violation on any family, lenient or not, and the section is its."""
+    section = check_df_axioms(df, n_cuboids=3, seed=seed).sections[2]
+    assert section == oracle_right_continuity(df)
+    assert section.count == 0 and pointwise_right_continuity(df) == []
+
+
 @pytest.mark.parametrize("build", [product_df, comonotone_df])
 def test_right_continuity_sweep_matches_the_pointwise_probes_on_composed_dfs(build):
     # the axes have different knots, so a probe that read another axis's right codes would show
     steps = make_monotone([(0, 0, F(1, 4)), (F(1, 2), F(1, 2), F(1, 2)), (2, F(3, 4), 1)])
     df = build([uniform_cdf(), steps])
     section = check_df_axioms(df, n_cuboids=3, seed=0).sections[2]
+    assert section == oracle_right_continuity(df)
     assert list(section.witnesses) == pointwise_right_continuity(df) == []
     assert section.points == 2 * 2 * 3
 

@@ -149,6 +149,14 @@ def test_df_payload_dim_is_checked_after_family_and_shape():
         load_payload('{"family": "empirical", "dim": 5, "rows": [["0", "1"], ["1"]]}')
 
 
+@pytest.mark.parametrize("point", ["12", {"3": 0}, 5, None], ids=["string", "object", "number", "null"])
+def test_a_grid_mass_whose_point_is_not_a_list_is_refused(point):
+    # a string or an object would otherwise load as the point of its characters or keys
+    masses = [{"point": ["0", "0"], "mass": "1/2"}, {"point": point, "mass": "1/2"}]
+    with pytest.raises(ValidationError, match="^mass 2: expected a list as its point$"):
+        df_from_payload({"family": "grid", "dim": 2, "masses": masses})
+
+
 def test_lenient_load_of_broken_countermonotone():
     u_payload = monotone_to_payload(uniform_cdf())
     payload = {"family": "countermonotone", "dim": 3, "margins": [u_payload] * 3}
