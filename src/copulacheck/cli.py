@@ -43,7 +43,7 @@ from .sklar import (
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 

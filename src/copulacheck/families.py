@@ -36,9 +36,6 @@ first d - 1 axes joined pairwise into a list, the last streamed lazily
 against it, and the lower bound clipped at 0 once, at the end.
 No family defines ``axis_codes``: every value reaches ``pair_codes`` as a
 pair, and one point goes through the same hooks as a grid.
-Right limits share the offset rule ``mvdf.right_deltas``: ``axis_right_codes``
-codes a counting axis at x + delta, and reads a margin-composed axis as
-2 G(x + delta/2) - G(x + delta) off one ``eval_pairs`` call.
 
 Every instance of the five classes is right-continuous by construction, the
 lenient ones included, which certifies the ``right_continuity`` section of
@@ -48,8 +45,8 @@ coordinate, whatever the signs and total of the weights.  A margin-composed
 F is a product, minimum or clipped sum max(sum - (d-1), 0) of margins that
 are right-continuous by their knots (``monotone``), and each of the three is
 continuous in the margin values, whatever their range.  The five classes
-join ``mvdf``'s registry by ``mvdf.df_family``, and ``check_df_axioms``
-refuses any other class, subclasses of these included.
+join ``mvdf``'s registry by ``mvdf.df_family``; ``check_df_axioms`` and
+``axis_right_limit`` refuse any other class, subclasses of these included.
 The classes know nothing of the JSON payload format: ``serialize`` writes and
 reads the payloads of all five families.
 """
@@ -78,7 +75,7 @@ from .mvdf import (
     ratio_lower_bound,
     ratio_min,
 )
-from .scalars import ExtScalar, as_scalar
+from .scalars import as_scalar
 
 
 def _require_cdf_margins(margins: Sequence[MonotoneFn], what: str) -> tuple[MonotoneFn, ...]:
@@ -223,9 +220,6 @@ class _CountingDf(MultivariateDf):
     def axis_breakpoints(self, axis: int) -> tuple[Fraction, ...]:
         return self._rank_index().axes[axis]
 
-    def axis_right_codes(self, axis: int, xs: Sequence[ExtScalar], deltas: Sequence[Fraction]) -> list[int]:
-        return self.axis_codes(axis, [x + d for x, d in zip(xs, deltas)])
-
 
 @df_family
 @dataclass(frozen=True)
@@ -302,13 +296,6 @@ class _MarginComposedDf(MultivariateDf):
 
     def axis_breakpoints(self, axis: int) -> tuple[Fraction, ...]:
         return self.margins[axis].knot_xs()
-
-    def axis_right_codes(self, axis: int, xs: Sequence[ExtScalar], deltas: Sequence[Fraction]) -> list[Ratio]:
-        # both probes lie in the knot-free window ]x, x + 2 delta[, on which the margin is
-        # one affine piece, so 2 G(x + delta/2) - G(x + delta) is the limit exactly
-        probes = [p for x, d in zip(xs, deltas) for p in (x + d, x + d / 2)]
-        pairs = self.margins[axis].eval_pairs(probes)
-        return [(2 * nn * fd - fn * nd, nd * fd) for (fn, fd), (nn, nd) in zip(pairs[::2], pairs[1::2])]
 
 
 @df_family

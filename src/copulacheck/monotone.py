@@ -57,7 +57,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ValidationError
 from .report import NO_DEVIATION, Report, Witnesses
-from .scalars import NEG_INF, NEG_PAIR, POS_PAIR, ExtScalar, Ratio, as_pairs, as_scalar, pair_value
+from .scalars import NEG_PAIR, POS_PAIR, ExtScalar, Ratio, as_pairs, as_scalar, pair_value
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ class MonotoneFn:
         object.__setattr__(self, "_xs", tuple(k.x for k in knots))
         object.__setattr__(self, "_levels", tuple(lv for k in knots for lv in (k.left, k.value)))
 
-    # -- range and endpoints -------------------------------------------------
+    # -- range ---------------------------------------------------------------
 
     @property
     def inf_value(self) -> Fraction:
@@ -208,16 +208,6 @@ class MonotoneFn:
     def sup_value(self) -> Fraction:
         """d = sup G, attained at and beyond the last knot."""
         return self.knots[-1].value
-
-    def lep(self) -> ExtScalar:
-        """Lower end-point: inf of the set where G exceeds its infimum."""
-        return self.gen_inverse_right(self.inf_value)
-
-    def uep(self) -> ExtScalar:
-        """Upper end-point: sup of the set where G stays below its supremum."""
-        if self.inf_value == self.sup_value:
-            return NEG_INF
-        return self.gen_inverse(self.sup_value)
 
     def is_cdf(self) -> bool:
         return self.inf_value == 0 and self.sup_value == 1

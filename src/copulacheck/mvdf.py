@@ -31,12 +31,9 @@ is built only where a value leaves the sweep: ``code_value`` and
 ``eval_grid`` (one per point, for callers that want the values), one per
 :func:`vertex_sum` call, and one per kept witness in the verifiers.  There
 is no second evaluation path: grids go through ``code_grid`` and single
-points (``eval``, the right limits and the box vertices) through
-``code_ratio``, over the codes of the same ``pair_codes``, and the
-independent oracles live in the tests.
-
-Right limits take one offset rule, :func:`right_deltas`, and one hook,
-``axis_right_codes``, which codes a whole axis's right limits at once.
+points (``eval`` and the box vertices) through ``code_ratio``, over the
+codes of the same ``pair_codes``, and the independent oracles live in the
+tests.
 
 :func:`check_df_axioms` probes non-negative volumes exactly on seeded random
 boxes and the limit conditions at fixed points, and returns a report;
@@ -44,13 +41,13 @@ failures are counted in ``report.Witnesses`` sinks, which keep exact
 witnesses for the first K, never exceptions.  Its right-continuity section
 is certified, not probed: the five family classes, which join the registry
 by :func:`df_family`, are right-continuous by construction (see
-``families``), and any other class is refused.
+``families``), and any other class is refused.  For the same reason
+``axis_right_limit`` is the value itself on the five classes.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -62,7 +59,7 @@ from .errors import DomainError, ValidationError
 from .monotone import MonotoneFn
 from .report import NO_DEVIATION, Report, Witnesses
 from .rng import SplitMix64
-from .scalars import NEG_INF, POS_INF, POS_PAIR, ExtScalar, Ratio, as_ext, as_pairs, is_finite
+from .scalars import NEG_INF, POS_INF, POS_PAIR, ExtScalar, Ratio, as_ext, as_pairs
 
 Point = tuple[ExtScalar, ...]
 # the per-axis coordinates of a product grid
@@ -145,12 +142,6 @@ def ratio_min(ratios: Iterable[Ratio]) -> Ratio:
         if n * best_d < best_n * d:
             best_n, best_d = n, d
     return best_n, best_d
-
-
-def right_deltas(breakpoints: Sequence[Fraction], xs: Sequence[ExtScalar]) -> list[Fraction]:
-    """The right-limit offset of each x: half the gap to the next breakpoint, else 1 (also at +-inf)."""
-    nexts, last = [bisect_right(breakpoints, x) for x in xs], len(breakpoints)
-    return [(breakpoints[i] - x) / 2 if i < last and is_finite(x) else Fraction(1) for x, i in zip(xs, nexts)]
 
 
 def ratio_lower_bound(ratios: Sequence[Ratio]) -> Ratio:
@@ -278,10 +269,26 @@ class AxisSeparable(ABC):
         return starmap(Fraction, self.ratio_grid(axes))
 
 
+# the classes of the five families, each right-continuous by construction (:func:`df_family`)
+_FAMILIES: set[type] = set()
+
+
+def df_family(cls: type) -> type:
+    """Class decorator: ``cls`` is one of the five df families, whose right-continuity is certified."""
+    _FAMILIES.add(cls)
+    return cls
+
+
+def _require_family(df: MultivariateDf) -> None:
+    """Refuse, with ``ValidationError``, a df whose class is not exactly one of the five families."""
+    if type(df) not in _FAMILIES:
+        raise ValidationError(f"{type(df).__name__} is not one of the five df families")
+
+
 class MultivariateDf(AxisSeparable):
     """Shared contract of the concrete distribution-function families.
 
-    The contract is the three axis hooks, the margins and the breakpoints; the
+    The contract is the axis hooks, the margins and the breakpoints; the
     payload format is not part of it (``serialize`` owns it).  ``pair_codes``
     and ``code_ratio`` must implement the extended-real semantics (any -inf
     coordinate gives 0 for cdf families, +inf coordinates drop the
@@ -299,20 +306,16 @@ class MultivariateDf(AxisSeparable):
     def axis_breakpoints(self, axis: int) -> tuple[Fraction, ...]:
         """Sorted distinct coordinates where structure changes along a 0-based axis."""
 
-    @abstractmethod
-    def axis_right_codes(self, axis: int, xs: Sequence[ExtScalar], deltas: Sequence[Fraction]) -> list:
-        """Codes of the right limits at ``xs`` along a 0-based axis, from :func:`right_deltas`.
+    def axis_right_limit(self, t: Sequence, axis: int) -> Fraction:
+        """Exact limit of eval from the right along a 0-based ``axis`` at ``t``.
 
-        No breakpoint lies in ]x, x + 2 delta[, so the limit is read there.
+        It is ``eval(t)``: the five families are right-continuous by
+        construction, and any other class is refused with ``ValidationError``.
         """
-
-    def axis_right_limit(self, t: Sequence, axis: int) -> tuple[Fraction, Fraction]:
-        """Exact limit of eval from the right along ``axis`` at ``t``: (limit, probe delta)."""
-        point = tuple(t)
-        codes, x = self._point_codes(point), (as_ext(point[axis]),)
-        deltas = right_deltas(self.axis_breakpoints(axis), x)
-        codes[axis] = self.axis_right_codes(axis, x, deltas)[0]
-        return self.code_value(codes), deltas[0]
+        _require_family(self)
+        if not 0 <= axis < self.dim:
+            raise DomainError(f"axis {axis} out of range 0..{self.dim - 1}")
+        return self.eval(t)
 
     def support_box(self) -> tuple[Point, Point]:
         """Smallest axis-aligned box containing all structural breakpoints.
@@ -397,16 +400,6 @@ def negative_boxes(fn: AxisSeparable, seed: int, count: int) -> Iterator[tuple[I
 
 # -- axiom checking ------------------------------------------------------------
 
-# the classes of the five families, each right-continuous by construction (:func:`df_family`)
-_FAMILIES: set[type] = set()
-
-
-def df_family(cls: type) -> type:
-    """Class decorator: ``cls`` is one of the five df families, whose right-continuity is certified."""
-    _FAMILIES.add(cls)
-    return cls
-
-
 def _box_violation(a: Indices, b: Indices, vol: Ratio) -> dict:
     return {"a": lattice_point(a), "b": lattice_point(b), "volume": Fraction(*vol)}
 
@@ -428,8 +421,7 @@ def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int, max_witnesses
     section keeps the witnesses of its first ``max_witnesses`` violations
     (all when below 0) and counts the rest.
     """
-    if type(df) not in _FAMILIES:
-        raise ValidationError(f"{type(df).__name__} is not one of the five df families")
+    _require_family(df)
     volumes = Witnesses(max_witnesses)
     for a, b, vol in negative_boxes(df, seed, n_cuboids):
         volumes.add(NO_DEVIATION, _box_violation, a, b, vol)

@@ -147,7 +147,7 @@ def load_payload(text: str):
     """Parse JSON text into a MonotoneFn or MultivariateDf by its shape."""
     try:
         obj = json.loads(text, parse_float=str, parse_constant=str)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise ValidationError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValidationError("invalid JSON: nested too deeply") from exc

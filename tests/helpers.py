@@ -21,10 +21,14 @@ before it ranked integer pairs: sorted sets of ``Fraction``s and a
 ``bisect_right`` per row coordinate.  ``LeftContinuous`` codes its pairs by
 ``bisect_left`` over the ``Fraction`` breakpoints.
 ``check_df_axioms`` certifies right-continuity on the five families and
-probes nothing; ``oracle_right_continuity`` is the probe sweep it ran
-before, keep-all, and ``pointwise_right_continuity`` is the same probe loop
-one point at a time, with the right-limit offset found by scanning the
-breakpoints.
+probes nothing, and ``axis_right_limit`` returns the value itself.  The
+right-limit oracles read each limit at an offset delta, half the gap to the
+next breakpoint (``oracle_right_delta``): a counting df at x + delta, a
+margin as 2 G(x + delta/2) - G(x + delta) by ``walk_eval``, which is exact
+because G is affine on the knot-free ]x, x + 2 delta[.
+``oracle_right_continuity`` is the keep-all probe sweep that
+``check_df_axioms`` ran before, and ``pointwise_right_continuity`` the same
+probe loop one point at a time, by ``oracle_right_limit``.
 The box-by-box oracles (``oracle_negative_boxes`` and the two reports built
 on it) take the seeded boxes of ``oracle_unit_cuboids`` as lattice indices
 and read each box with one ``code_grid`` call and one vertex sum over the lcm of
@@ -73,7 +77,6 @@ from copulacheck.mvdf import (
     box_volumes,
     ratio_lower_bound,
     ratio_min,
-    right_deltas,
     unit_box_columns,
 )
 from copulacheck.scalars import as_ext, as_scalar, is_finite
@@ -198,6 +201,11 @@ def walk_eval(fn: MonotoneFn, x) -> Fraction:
         return k.value
     nxt = fn.knots[i + 1]
     return k.value + (nxt.left - k.value) * (x - k.x) / (nxt.x - k.x)
+
+
+def walk_right_limit(fn: MonotoneFn, x, delta: Fraction) -> Fraction:
+    """Limit of G from the right at x, read as 2 G(x + delta/2) - G(x + delta); no knot lies in ]x, x + 2 delta[."""
+    return 2 * walk_eval(fn, x + delta / 2) - walk_eval(fn, x + delta)
 
 
 def walk_eval_left(fn: MonotoneFn, x: Fraction) -> Fraction:
@@ -378,6 +386,20 @@ def scan_axis_right_limit(df, t, axis: int, scan=None) -> tuple[Fraction, Fracti
     return (scan or scan_eval)(df, shifted), delta
 
 
+def oracle_right_limit(df, t, axis: int) -> tuple[Fraction, Fraction]:
+    """The limit of F from the right along ``axis`` at ``t``, and its offset delta, from the oracles alone.
+
+    A counting df is ``scan_axis_right_limit``; a margin-composed df is its
+    family's formula over ``walk_eval``, with ``walk_right_limit`` on ``axis``.
+    """
+    if not isinstance(df, tuple(ORACLE_COMBINE)):
+        return scan_axis_right_limit(df, t, axis)
+    delta = oracle_right_delta(df.margins[axis].knot_xs(), t[axis])
+    values = [walk_eval(m, c) for m, c in zip(df.margins, t)]
+    values[axis] = walk_right_limit(df.margins[axis], t[axis], delta)
+    return ORACLE_COMBINE[type(df)](values), delta
+
+
 # -- point-wise oracle for the right-continuity probes ---------------------------------
 
 # right-continuity is probed at most at this many breakpoint-grid points
@@ -403,11 +425,11 @@ def oracle_probe_points(df) -> list[tuple]:
 def pointwise_right_continuity(df, value=None, right_limit=None) -> list[dict]:
     """The right-continuity witnesses of the probe sweep, one probe point at a time.
 
-    ``value(point)`` and ``right_limit(point, axis) -> (limit, delta)`` default
-    to the df's own ``eval`` and ``axis_right_limit``.
+    ``value(point)`` defaults to the df's own ``eval``, and
+    ``right_limit(point, axis) -> (limit, delta)`` to ``oracle_right_limit``.
     """
     value = value or df.eval
-    right_limit = right_limit or df.axis_right_limit
+    right_limit = right_limit or partial(oracle_right_limit, df)
     witnesses = []
     for point in oracle_probe_points(df):
         value_at = value(point)
@@ -434,19 +456,26 @@ def _probe_indices(sizes) -> list[tuple[int, ...]]:
     return probes
 
 
+def _oracle_right_codes(df, axis: int, xs, deltas) -> list:
+    """Codes of the right limits at ``xs``: a margin's ``walk_right_limit`` as a pair, else the df's codes at x + delta."""
+    if isinstance(df, tuple(ORACLE_COMBINE)):
+        return [walk_right_limit(df.margins[axis], x, d).as_integer_ratio() for x, d in zip(xs, deltas)]
+    return df.axis_codes(axis, [x + d for x, d in zip(xs, deltas)])
+
+
 def oracle_right_continuity(df) -> Section:
     """The keep-all right-continuity section as the probe sweep computes it, for the certified section.
 
     Each axis's breakpoints are coded once at x and once at the right limit
-    (``axis_right_codes`` at ``right_deltas``), and each probe of
+    (``_oracle_right_codes`` at ``oracle_right_delta``), and each probe of
     ``_probe_indices`` is decided on every axis by cross-multiplying the two
     ``code_ratio`` pairs.  It takes any df, so it sees the violations of the
     left-continuous test subjects that ``check_df_axioms`` refuses.
     """
     axes = [df.axis_breakpoints(i) for i in range(df.dim)]
-    deltas = [right_deltas(bps, bps) for bps in axes]
+    deltas = [[oracle_right_delta(bps, x) for x in bps] for bps in axes]
     at_codes = [df.axis_codes(i, bps) for i, bps in enumerate(axes)]
-    right_codes = [df.axis_right_codes(i, bps, ds) for i, (bps, ds) in enumerate(zip(axes, deltas))]
+    right_codes = [_oracle_right_codes(df, i, bps, ds) for i, (bps, ds) in enumerate(zip(axes, deltas))]
     probes = _probe_indices([len(bps) for bps in axes])
     witnesses = []
     for index in probes:

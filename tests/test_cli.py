@@ -364,6 +364,25 @@ def test_payload_with_a_byte_order_mark_loads(workdir):
     assert (r.returncode, r.stdout) == (0, "1/2\n")
 
 
+def test_a_file_that_is_not_utf8_exits_2(workdir):
+    # UTF-16 starts with the bytes ff fe, which open no UTF-8 character
+    (workdir / "wide.json").write_bytes(G_BERN_JSON.encode("utf-16"))
+    (workdir / "wide.csv").write_bytes("0,0\n1,1\n".encode("utf-16"))
+    for args in (("eval", "wide.json", "1"), ("ingest", "wide.csv")):
+        r = run_cli(*args, cwd=workdir)
+        assert (r.returncode, r.stdout) == (2, ""), args
+        assert r.stderr.startswith(f"error: cannot read {args[1]}: 'utf-8' codec can't decode"), r.stderr
+
+
+def test_a_json_integer_past_the_digit_limit_exits_2(workdir):
+    # json refuses it with a plain ValueError where int has a digit limit; without one the dim check refuses it
+    text = (workdir / "unif2.json").read_text().replace('"dim": 2', '"dim": 1' + "0" * 4999)
+    (workdir / "dim.json").write_text(text)
+    r = run_cli("eval", "dim.json", "1", cwd=workdir)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith("error: "), r.stderr
+
+
 def test_reports_byte_identical_for_fixed_seed(workdir):
     run_cli("ingest", "rows.csv", "-o", "emp.json", cwd=workdir)
     args = ("verify", "copula", "emp.json", "--seed", "11", "--cuboids", "100")

@@ -118,7 +118,7 @@ def _check_against_scan(df, seed):
         if queries == 0:
             assert df._index._table is None, "the first query must scan"
         axis = rng.randrange(df.dim)
-        assert df.axis_right_limit(t, axis) == scan_axis_right_limit(df, t, axis), (t, axis)
+        assert df.axis_right_limit(t, axis) == scan_axis_right_limit(df, t, axis)[0], (t, axis)
         queries += 1
         # each query scans at least one row, so the table is built within its cell count
         assert queries <= df._index._cells + 1
@@ -388,34 +388,34 @@ def test_the_certified_section_codes_no_breakpoint_and_no_right_limit(monkeypatc
     # the right_continuity section is certified: check_df_axioms codes only the box corners
     # and the limit points, never a breakpoint and never a right limit
     calls = []
-    pair_codes, right_codes = EmpiricalDf.pair_codes, EmpiricalDf.axis_right_codes
+    pair_codes, right_limit = EmpiricalDf.pair_codes, EmpiricalDf.axis_right_limit
 
     def counted_pair_codes(self, axis, pairs):
         pairs = list(pairs)
         calls.append(("pair_codes", axis, tuple(pairs)))
         return pair_codes(self, axis, pairs)
 
-    def counted_right_codes(self, axis, xs, deltas):
-        calls.append(("axis_right_codes", axis, tuple(xs)))
-        return right_codes(self, axis, xs, deltas)
+    def counted_right_limit(self, t, axis):
+        calls.append(("axis_right_limit", axis, tuple(t)))
+        return right_limit(self, t, axis)
 
     monkeypatch.setattr(EmpiricalDf, "pair_codes", counted_pair_codes)
-    monkeypatch.setattr(EmpiricalDf, "axis_right_codes", counted_right_codes)
+    monkeypatch.setattr(EmpiricalDf, "axis_right_limit", counted_right_limit)
     # breakpoints outside [0, 1], so no random box vertex is a breakpoint
     df = EmpiricalDf(((F(2), F(3)), (F(3), F(5)), (F(5), F(2))))
     report = check_df_axioms(df, n_cuboids=5, seed=0)
     assert report.passed and report.sections[2].points == 2 * 3 * 3
     bp_pairs = {b.as_integer_ratio() for b in (F(2), F(3), F(5))}
-    assert calls and not [c for c in calls if c[0] == "axis_right_codes" or set(c[2]) & bp_pairs]
+    assert calls and not [c for c in calls if c[0] == "axis_right_limit" or set(c[2]) & bp_pairs]
 
 
 def test_right_limit_off_the_breakpoints_probes_before_the_next_one():
-    # F(9/10+) = F(9/10) = 1/3; a shift by half the smallest data gap (1/2) crossed 1
+    # F(9/10+) = F(9/10) = 1/3; the oracle's shift by half the smallest data gap (1/2) would cross 1
     df = empirical_from_rows([(0,), (1,), (3,)])
-    assert df.axis_right_limit((F(9, 10),), 0) == (F(1, 3), F(1, 20))
+    assert df.axis_right_limit((F(9, 10),), 0) == F(1, 3)
     assert scan_axis_right_limit(df, (F(9, 10),), 0) == (F(1, 3), F(1, 20))
-    assert df.axis_right_limit((F(1),), 0) == (F(2, 3), F(1))
-    assert df.axis_right_limit((F(3),), 0) == (F(1), F(1))
+    assert df.axis_right_limit((F(1),), 0) == F(2, 3)
+    assert df.axis_right_limit((F(3),), 0) == F(1)
 
 
 @pytest.mark.parametrize(
@@ -450,10 +450,11 @@ def test_right_continuity_sweep_matches_the_pointwise_oracle(rows, sampled, cls,
 
 
 class EveryProbeFails(MultivariateDf):
-    """Breakpoints 0, 1, .., size - 1 per axis, and every right limit differs from the value.
+    """Breakpoints 0, 1, .., size - 1 per axis, coded 0, and every other coordinate coded 1.
 
-    So each right-continuity probe of the sweep oracle leaves one witness per
-    axis, and the witnesses list the probes.
+    The sweep oracle reads each right limit at a coordinate off the
+    breakpoints, so every right limit differs from the value: each probe
+    leaves one witness per axis, and the witnesses list the probes.
     """
 
     family = "every-probe-fails"
@@ -469,10 +470,7 @@ class EveryProbeFails(MultivariateDf):
         return tuple(map(F, range(self.sizes[axis])))
 
     def pair_codes(self, axis, pairs):
-        return [0 for _ in pairs]
-
-    def axis_right_codes(self, axis, xs, deltas):
-        return [1] * len(xs)
+        return [int(not (b == 1 and 0 <= a < self.sizes[axis])) for a, b in pairs]
 
     def code_ratio(self, codes):
         return sum(codes), 1

@@ -1,4 +1,4 @@
-"""The package's import graph: acyclic, every import at module level, few private names.
+"""The package's import graph: acyclic, every import at module level and used, few private names.
 
 Each ``src/copulacheck/*.py`` is parsed with ``ast``.  Every import of a
 package module, relative or absolute, at module level or inside a function,
@@ -6,7 +6,9 @@ is an edge of the graph.  A cycle means two modules each need the other, the
 kind of coupling a function-level import hides until it is called.  A name
 with a leading underscore crosses from one module to another only where
 ``PRIVATE_IMPORTS`` lists it, so shared helpers (the integer-pair format in
-``scalars``, say) stay public where they are defined.
+``scalars``, say) stay public where they are defined.  A module reads every
+name it imports or lists it in ``__all__``, except where ``UNUSED_IMPORTS``
+keeps one.
 """
 
 import ast
@@ -17,6 +19,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "copulacheck"
 MODULES = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
 # (importer, module, name): the families read the kernels' rank walk and answer tables
 PRIVATE_IMPORTS = {("families", "monotone", "_ranks"), ("families", "monotone", "_walk")}
+# (module, name): bench/spans.py traces vertex_sum by name in sklar's namespace too
+UNUSED_IMPORTS = {("sklar", "vertex_sum")}
 
 
 def _imported_modules(node: ast.AST) -> set[str]:
@@ -49,6 +53,27 @@ def private_imports() -> set[tuple[str, str, str]]:
         for alias in node.names
         if alias.name.startswith("_")
     }
+
+
+def unused_imports() -> set[tuple[str, str]]:
+    """(module, name) for each name a package module imports but neither reads nor lists in ``__all__``."""
+    unused = set()
+    for stem in MODULES:
+        tree = _tree(stem)
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = [
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        ]
+        unused |= {(stem, name) for name in imported - read - set(*exported)}
+    return unused
 
 
 def import_graph() -> dict[str, set[str]]:
@@ -89,3 +114,7 @@ def test_no_import_inside_a_function():
 
 def test_private_names_cross_modules_only_where_listed():
     assert private_imports() <= PRIVATE_IMPORTS
+
+
+def test_every_imported_name_is_read_or_exported():
+    assert unused_imports() == UNUSED_IMPORTS

@@ -54,7 +54,6 @@ def test_degenerate_constant_accepted():
     assert const.eval(F(-5)) == const.eval(F(5)) == F(1, 3)
     assert const.gen_inverse(F(1, 3)) == NEG_INF
     assert const.gen_inverse_right(F(1, 3)) == POS_INF
-    assert const.lep() == POS_INF and const.uep() == NEG_INF
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -119,12 +118,6 @@ def test_gen_inverse_domain_errors(g_bern):
         g_bern.gen_inverse(F(3, 2))
     with pytest.raises(DomainError):
         g_bern.gen_inverse_right(F(-1, 10))
-
-
-def test_endpoints(g_id, g_bern, g_flat):
-    assert g_id.lep() == 0 and g_id.uep() == 1
-    assert g_bern.lep() == 0 and g_bern.uep() == 1
-    assert g_flat.lep() == 0 and g_flat.uep() == 2
 
 
 def test_inverse_left_limit_examples(g_bern, g_flat):

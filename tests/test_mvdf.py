@@ -45,6 +45,7 @@ from helpers import (
     oracle_df_volumes,
     oracle_eval,
     oracle_right_continuity,
+    oracle_right_limit,
     oracle_unit_cuboids,
     pointwise_right_continuity,
     random_rows,
@@ -278,6 +279,16 @@ def test_axioms_refuse_a_df_outside_the_five_families_before_any_work(build, mon
         check_df_axioms(df, n_cuboids=10, seed=0)
 
 
+def test_right_limit_refuses_a_df_outside_the_five_families_and_an_axis_out_of_range():
+    # the left-continuous df is 0 at 0 with the right limit 1/2, so eval(t) would be wrong
+    with pytest.raises(ValidationError, match="LeftContinuousEmpirical is not one of the five df families"):
+        LeftContinuousEmpirical(((F(0),), (F(1),))).axis_right_limit((F(0),), 0)
+    df = empirical_from_rows([(0, 0), (1, 1)])
+    for axis in (-1, 2):
+        with pytest.raises(DomainError, match=rf"axis {axis} out of range 0\.\.1"):
+            df.axis_right_limit((F(0), F(0)), axis)
+
+
 def test_axioms_catch_limits_that_are_not_0_and_1():
     """Masses summing to 1/2 miss 1 at (+inf, +inf); a margin from 1/4 misses 0 at -inf."""
     half = GridDf((((0, 0), F(1, 4)), ((1, 1), F(1, 4))))
@@ -337,9 +348,8 @@ def test_right_limit_is_the_value_everywhere_on_every_family(df, data):
     for _ in range(10):
         t = tuple(data.draw(st.sampled_from(pool)) for pool in pools)
         for i in range(df.dim):
-            limit, delta = df.axis_right_limit(t, i)
-            assert limit == df.eval(t) == oracle_eval(df, t), (t, i)
-            assert delta > 0
+            limit = df.axis_right_limit(t, i)
+            assert limit == df.eval(t) == oracle_eval(df, t) == oracle_right_limit(df, t, i)[0], (t, i)
 
 
 @settings(max_examples=100, deadline=None)
@@ -347,7 +357,7 @@ def test_right_limit_is_the_value_everywhere_on_every_family(df, data):
 # a 6 x 6 x 6 breakpoint grid: more points than PROBE_POINTS
 @example(empirical_from_rows([(k, -k, 2 * k) for k in range(6)]), 0)
 def test_the_right_continuity_certificate_holds_on_every_family(df, seed):
-    """The probe sweep oracle finds no violation on any family, lenient or not, and the section is its."""
+    """The probe sweep oracles find no violation on any family, lenient or not, and the section is theirs."""
     section = check_df_axioms(df, n_cuboids=3, seed=seed).sections[2]
     assert section == oracle_right_continuity(df)
     assert section.count == 0 and pointwise_right_continuity(df) == []

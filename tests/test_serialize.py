@@ -108,9 +108,6 @@ def test_df_to_payload_refuses_a_df_outside_the_families():
         def axis_breakpoints(self, axis):
             return (F(0),)
 
-        def axis_right_codes(self, axis, xs, deltas):
-            return list(xs)
-
     with pytest.raises(ValidationError, match="no payload format for BareDf"):
         df_to_payload(BareDf())
 
