@@ -96,6 +96,17 @@ INPUTS = {
     # each margin holds a level with a 2,501-digit denominator, so the value at
     # (1, 1) has more digits than an int may print
     "digits.json": df_to_payload(product_df([make_monotone([(1, 0, F(1, 10**2500)), (2, 1, 1)])] * 2)),
+    # three axes with ties on each, and a comonotone triple whose middle margin
+    # is a step cdf: their grid witnesses decode a 3-D flat index, on axes of
+    # unequal lengths and values, so a decode in the wrong axis order shows
+    "emp3.json": df_to_payload(
+        empirical_from_rows(
+            [(0, 0, 0), (1, 1, 0), (1, 0, 2), (F(1, 2), 1, 2), (1, 1, 2), (0, 0, F(1, 2)), (1, 0, 0)]
+        )
+    ),
+    "comonotone3.json": df_to_payload(
+        comonotone_df([U, discrete_cdf({0: F(1, 3), 1: F(2, 3)}), uniform_cdf(0, 2)])
+    ),
     # a grid point with no coordinate: refused on load, before any check runs
     "grid-dim0.json": {"family": "grid", "dim": 0, "masses": [{"point": [], "mass": "1"}]},
     # ingest input: a header line, a decimal, rationals, an exponent, a negative
@@ -204,6 +215,17 @@ CASES = {
         for label, a, b in (("finite", "0,0", "1,1"), ("inf", "-inf,1/4", "1/2,+inf"))
     },
     **{f"extract-{stem}": ["extract", f"{stem}.json", "--grid", "4"] for stem in ("emp", "grid")},
+    # three axes, every witness kept
+    **{
+        f"{kind}-{stem}": ["verify", kind, f"{stem}.json", *grid, "--max-witnesses", "-1"]
+        for stem in ("emp3", "comonotone3")
+        for kind, grid in (
+            ("sklar", ("--grid", "2")),
+            ("margins", ("--grid", "3")),
+            ("copula", ("--grid", "2", "--cuboids", "20")),
+        )
+    },
+    **{f"extract-{stem}": ["extract", f"{stem}.json", "--grid", "2"] for stem in ("emp3", "comonotone3")},
     # refusals: exit 2 and nothing on stdout
     **{
         f"{kind}-grid-dim0": ["verify", kind, "grid-dim0.json"]
