@@ -25,7 +25,8 @@ once.  ``vertex_sum(ratio_grid, box)`` takes a pair grid evaluator
 over the box's corners as one 2 x ... x 2 grid, and returns the exact
 ``Fraction``.  The seeded boxes of the axiom checks are read as columns
 instead: each vertex for the whole batch with ``code_ratio``, each box's
-volume an integer pair.  The verifiers compare pairs by integer
+volume an integer pair.  ``GridSpec`` gives every verification axis as
+integer pairs.  The verifiers code those pairs, compare values by integer
 cross-multiplication, count every violation, and build ``Fraction``s only
 for the witnesses they keep: the first ``max_witnesses`` per section, all
 by default.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from itertools import product as iter_product
 from pathlib import Path
 
@@ -107,9 +108,11 @@ def cmd_extract(args) -> int:
     copula = extract_copula(df)
     grid = GridSpec(args.grid)
     axes = [grid.levels(m) for m in copula.margins]
+    labels = [[fmt(Fraction(*s)) for s in levels] for levels in axes]
+    codes = [copula.pair_codes(i, levels) for i, levels in enumerate(axes)]
     values = [
-        {"s": [fmt(c) for c in combo], "value": fmt(value)}
-        for combo, value in zip(iter_product(*axes), copula.eval_grid(axes))
+        {"s": list(combo), "value": fmt(Fraction(*value))}
+        for combo, value in zip(iter_product(*labels), copula.code_grid(codes))
     ]
     payload = {"dim": copula.dim, "grid_m": args.grid, "values": values}
     _emit(serialize.dumps_payload(payload), args.output)

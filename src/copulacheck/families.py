@@ -28,7 +28,7 @@ For the hooks of ``mvdf.AxisSeparable``, a counting family's ``pair_codes``
 are ranks, its ``code_ratio`` the pair (weight below them, denominator) and
 its ``code_grid`` the rank index's whole-grid read; a margin-composed
 family's ``pair_codes`` are its margin values as the unreduced pairs of the
-margin's knot walk, its ``code_ratio`` combines them by integer arithmetic
+margin's ``eval_pairs``, its ``code_ratio`` combines them by integer arithmetic
 (product, cross-multiplied minimum, lower bound over a common denominator),
 and its ``code_grid`` is the same combination as one fold over the axes
 (``mvdf.product_grid``, ``mvdf.min_grid``, ``mvdf.lower_bound_grid``): the
@@ -63,7 +63,7 @@ from operator import le, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ValidationError
-from .monotone import MonotoneFn, _ranks, _walk, step_cdf
+from .monotone import MonotoneFn, _ranks, step_cdf
 from .mvdf import (
     AxisSeparable,
     MultivariateDf,
@@ -289,7 +289,7 @@ class _MarginComposedDf(MultivariateDf):
     axis_right_limit = MultivariateDf.axis_right_limit
 
     def pair_codes(self, axis: int, pairs: Iterable[Ratio]) -> list[Ratio]:
-        return _walk(self.margins[axis]._tables().g, pairs, 1)
+        return self.margins[axis].eval_pairs(pairs)
 
     def margin_fn(self, axis: int) -> MonotoneFn:
         return self.margins[axis]

@@ -28,9 +28,9 @@ non-decreasing for valid knots.  The first level past u names the inverse: a
 ending at knot k, the end +inf (Embrechts & Hofert, "A note on generalized
 inverses", 2013).  ``eval_many``, ``gen_inverse_many`` and
 ``gen_inverse_right_many`` decode the pairs by ``scalars.pair_value``,
-``eval_pairs`` and ``gen_inverse_right_pairs`` (on level pairs) return them,
-and the single-point methods are one-point walks; the tests hold them to
-independent oracles.
+``eval_pairs`` (on point pairs) and ``gen_inverse_right_pairs`` (on level
+pairs) take and return them, and the single-point methods are one-point
+walks; the tests hold them to independent oracles.
 
 The module also has a report runner (:func:`lemma_report`) on a level grid
 and a point grid.  It checks the round-trip identity
@@ -232,11 +232,11 @@ class MonotoneFn:
 
     def eval_many(self, xs: Iterable[ExtScalar]) -> list[Fraction]:
         """Exact G at each of ``xs``; the infinities map to the infimum and supremum."""
-        return list(map(pair_value, self.eval_pairs(xs)))
+        return list(map(pair_value, self.eval_pairs(as_pairs(xs))))
 
-    def eval_pairs(self, xs: Iterable[ExtScalar]) -> list[Ratio]:
-        """Exact G at each of ``xs`` as a pair; the infinities map to the infimum and supremum."""
-        return _walk(self._tables().g, as_pairs(xs), 1)
+    def eval_pairs(self, pairs: Iterable[Ratio]) -> list[Ratio]:
+        """Exact G at each point pair, as a pair; (-1, 0) and (1, 0) map to the infimum and supremum."""
+        return _walk(self._tables().g, pairs, 1)
 
     def eval_left(self, x) -> Fraction:
         """Exact limit of G from below at finite x."""

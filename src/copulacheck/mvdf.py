@@ -29,11 +29,12 @@ down the columns and adds each box's vertices into one unreduced pair.
 The sweeps compare pairs by integer cross-multiplication, so a ``Fraction``
 is built only where a value leaves the sweep: ``code_value`` and
 ``eval_grid`` (one per point, for callers that want the values), one per
-:func:`vertex_sum` call, and one per kept witness in the verifiers.  There
-is no second evaluation path: grids go through ``code_grid`` and single
-points (``eval`` and the box vertices) through ``code_ratio``, over the
-codes of the same ``pair_codes``, and the independent oracles live in the
-tests.
+:func:`vertex_sum` call, and one per kept witness in the verifiers, which
+sweep the integer-pair axes of ``sklar.GridSpec`` and decode a witness's
+grid point only when they keep it.  There is no second evaluation path:
+grids go through ``code_grid`` and single points (``eval`` and the box
+vertices) through ``code_ratio``, over the codes of the same
+``pair_codes``, and the independent oracles live in the tests.
 
 :func:`check_df_axioms` probes non-negative volumes exactly on seeded random
 boxes and the limit conditions at fixed points, and returns a report;

@@ -23,19 +23,21 @@ exhibiting the exact break points is the purpose of this module.
 structural breakpoints of the inputs, so a violation at a jump cannot hide
 between grid points.  It makes the k/m points of a range from integers, in
 order, and places each breakpoint among them by integer division, so grid
-points are never compared.  One placement feeds two emitters: ``axis_points``
-gives the axis as values, and ``axis_pairs`` gives it as integer pairs and
-builds no ``Fraction``; ``lemma_grids`` hands such pairs to
-``monotone.lemma_report``.  Only :class:`Copula` applies the quantile
-transform: its ``pair_codes`` range-checks and transforms level pairs and
-hands the quantiles, as pairs, to the source's ``pair_codes``; its
-``code_ratio`` and ``code_grid`` are the source's.  Every sweep transforms
-each axis point once, the random boxes (``mvdf.box_volumes``) each distinct
-corner pair (k, 1000) of the batch once, and the Sklar identity the margin
-values F_i(x_i) as the pairs the margins return.
+points are never compared.  Its one emitter, ``axis_pairs``, gives an axis
+as integer pairs (``mvdf.Ratio``) and builds no ``Fraction``; ``levels``,
+``df_axes`` and ``lemma_grids`` give their axes in that format, and
+``lemma_grids`` hands them to ``monotone.lemma_report``.  Only
+:class:`Copula` applies the quantile transform: its ``pair_codes``
+range-checks and transforms level pairs and hands the quantiles, as pairs,
+to the source's ``pair_codes``; its ``code_ratio`` and ``code_grid`` are the
+source's.  Every sweep transforms each axis point once, the random boxes
+(``mvdf.box_volumes``) each distinct corner pair (k, 1000) of the batch
+once, and the Sklar identity the margin values F_i(x_i) as the pairs the
+margins return.
 
-The verifiers sweep ``code_grid``, whose values are integer pairs
-(``mvdf.Ratio``), and decide every comparison by cross-multiplying them.
+The verifiers feed the axis pairs to ``pair_codes``, sweep ``code_grid``,
+whose values are pairs too, and decide every comparison by
+cross-multiplying them.
 The envelope reads W and M on the level grid through the folds
 ``mvdf.lower_bound_grid`` and ``mvdf.min_grid``, side by side with C.  Each
 violation goes to a ``report.Witnesses`` sink with its deviation as a pair,
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, product as iter_product
+from itertools import groupby
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -81,15 +83,15 @@ class GridSpec:
         if not isinstance(self.m, int) or self.m < 1:
             raise ValidationError(f"grid resolution must be an integer >= 1, got {self.m!r}")
 
-    def _placement(self, lo: Fraction, hi: Fraction, extra: Sequence[Fraction]) -> tuple[int, int, int, list]:
-        """The placement both emitters share: (start, span, den, runs).
+    def axis_pairs(self, lo: Fraction, hi: Fraction, extra: Sequence[Fraction] = ()) -> tuple[Ratio, ...]:
+        """k/m points on [lo, hi] merged with the structural breakpoints, sorted and distinct, as pairs.
 
-        Grid point k is (start + k span) / den.  The runs give the axis in
-        order, each a range of k and then the breakpoints just before the next
-        grid point, sorted and distinct among themselves.  A breakpoint p/q is
-        placed by one integer division: dropped when it equals a grid point,
-        else put just before the next one, before lo or past hi.  ``lo == hi``
-        is one grid point.
+        Grid point k is the unreduced pair (start + k span, den), built from
+        integers, so grid points are never compared and no ``Fraction`` is
+        built.  A breakpoint p/q is placed by one integer division: dropped
+        when it equals a grid point, else put, as its ``as_integer_ratio()``,
+        just before the next one, before lo or past hi.  ``lo == hi`` is one
+        grid point.
         """
         # with lo = a/b and hi = c/d, point k is (a d m + k (c b - a d)) / (b d m)
         a, b, c, d, m = lo.numerator, lo.denominator, hi.numerator, hi.denominator, self.m
@@ -107,56 +109,30 @@ class GridSpec:
                 continue  # p is grid point k
             gap = k + 1 if r else k
             gaps.setdefault(min(max(gap, 0), m + 1), []).append(p)
-        runs, done = [], 0
+        pairs, done = [], 0
         for gap in sorted(gaps):
-            runs.append((range(done, gap), [p for p, _ in groupby(sorted(gaps[gap]))]))
+            pairs += [(start + k * span, den) for k in range(done, gap)]
+            pairs += [p.as_integer_ratio() for p, _ in groupby(sorted(gaps[gap]))]
             done = gap
-        return start, span, den, runs
-
-    def axis_points(self, lo: Fraction, hi: Fraction, extra: Sequence[Fraction] = ()) -> tuple[Fraction, ...]:
-        """k/m points on [lo, hi] merged with the given structural breakpoints, sorted and distinct.
-
-        Grid points are never compared.  A breakpoint equal to a grid point
-        yields to the grid's ``Fraction``; every other one keeps its object.
-        """
-        start, span, den, runs = self._placement(lo, hi, extra)
-        points: list = []
-        for ks, breaks in runs:
-            points += [Fraction(start + k * span, den) for k in ks]
-            points += breaks
-        return tuple(points)
-
-    def axis_pairs(self, lo: Fraction, hi: Fraction, extra: Sequence[Fraction] = ()) -> tuple[Ratio, ...]:
-        """``axis_points`` as integer pairs, building no ``Fraction``.
-
-        Grid point k is the unreduced pair (start + k span, den); a breakpoint
-        is its ``as_integer_ratio()``.
-        """
-        start, span, den, runs = self._placement(lo, hi, extra)
-        pairs: list = []
-        for ks, breaks in runs:
-            pairs += [(start + k * span, den) for k in ks]
-            pairs += [p.as_integer_ratio() for p in breaks]
         return tuple(pairs)
 
-    def levels(self, fn: MonotoneFn) -> tuple[Fraction, ...]:
-        """Levels on [inf G, sup G] merged with the critical levels of G.
+    def levels(self, fn: MonotoneFn) -> tuple[Ratio, ...]:
+        """Levels on [inf G, sup G] merged with the critical levels of G, as pairs.
 
         A jump of a margin forces the copula away from its axioms exactly at
         these levels, so no verification grid may step over them.
         """
-        return self.axis_points(fn.inf_value, fn.sup_value, fn.critical_levels())
+        return self.axis_pairs(fn.inf_value, fn.sup_value, fn.critical_levels())
 
     def lemma_grids(self, fn: MonotoneFn) -> tuple[tuple[Ratio, ...], tuple[Ratio, ...]]:
         """The level grid of G and its point grid, one unit past the knots on each side, as pairs."""
         xs = fn.knot_xs()
-        levels = self.axis_pairs(fn.inf_value, fn.sup_value, fn.critical_levels())
-        return levels, self.axis_pairs(xs[0] - 1, xs[-1] + 1, xs)
+        return self.levels(fn), self.axis_pairs(xs[0] - 1, xs[-1] + 1, xs)
 
-    def df_axes(self, df: MultivariateDf) -> list[tuple[Fraction, ...]]:
-        """Per-axis points on the support box of ``df`` merged with its breakpoints."""
+    def df_axes(self, df: MultivariateDf) -> list[tuple[Ratio, ...]]:
+        """Per-axis points on the support box of ``df`` merged with its breakpoints, as pairs."""
         lo, hi = df.support_box()
-        return [self.axis_points(lo[i], hi[i], df.axis_breakpoints(i)) for i in range(df.dim)]
+        return [self.axis_pairs(lo[i], hi[i], df.axis_breakpoints(i)) for i in range(df.dim)]
 
 
 @dataclass(frozen=True)
@@ -219,21 +195,17 @@ def _witness(point: tuple, expected: Fraction, got: Fraction, kind: str) -> dict
     return {"point": point, "expected": expected, "got": got, "deviation": deviation, "kind": kind}
 
 
-def _pair_witness(point: tuple, expected: Ratio, got: Ratio, kind: str) -> dict:
-    return _witness(point, Fraction(*expected), Fraction(*got), kind)
-
-
 def _box_witness(a: tuple[int, ...], b: tuple[int, ...], volume: Ratio) -> dict:
     return _witness((lattice_point(a), lattice_point(b)), Fraction(0), Fraction(*volume), "d_increasing")
 
 
-def _grid_witness(axes: Sequence[Sequence], flat: int, expected: Ratio, got: Ratio, kind: str) -> dict:
-    """A pair witness at flat index ``flat`` of the product of ``axes``, the point decoded only when kept."""
+def _grid_witness(axes: Sequence[Sequence[Ratio]], flat: int, expected: Ratio, got: Ratio, kind: str) -> dict:
+    """The witness at index ``flat`` of the product of the pair ``axes``, its point decoded only when kept."""
     point = []
     for axis in reversed(axes):
         flat, k = divmod(flat, len(axis))
-        point.append(axis[k])
-    return _pair_witness(tuple(reversed(point)), expected, got, kind)
+        point.append(Fraction(*axis[k]))
+    return _witness(tuple(reversed(point)), Fraction(*expected), Fraction(*got), kind)
 
 
 def _flat_report(check: str, points: int, sink: Witnesses) -> Report:
@@ -253,11 +225,12 @@ def verify_sklar_identity(df: MultivariateDf, grid: GridSpec = GridSpec(), max_w
     codes = [copula.pair_codes(i, m.eval_pairs(pts)) for i, (m, pts) in enumerate(zip(copula.margins, axes))]
 
     sink = Witnesses(max_witnesses)
-    sweep = zip(iter_product(*axes), df.ratio_grid(axes), copula.code_grid(codes))
-    for x, (en, ed), (gn, gd) in sweep:
+    sweep = zip(df.code_grid([df.pair_codes(i, pts) for i, pts in enumerate(axes)]), copula.code_grid(codes))
+    for flat, (expected, got) in enumerate(sweep):
+        (en, ed), (gn, gd) = expected, got
         diff = gn * ed - en * gd
         if diff:
-            sink.add((abs(diff), gd * ed), _pair_witness, x, (en, ed), (gn, gd), "identity")
+            sink.add((abs(diff), gd * ed), _grid_witness, axes, flat, expected, got, "identity")
     return _flat_report("sklar_identity", prod(map(len, axes)), sink)
 
 
@@ -270,15 +243,16 @@ def verify_uniform_margins(copula: Copula, grid: GridSpec = GridSpec(), max_witn
     sink = Witnesses(max_witnesses)
     points = 0
     for i, levels in enumerate(grid.levels(m) for m in copula.margins):
-        section = [levels if j == i else (Fraction(1),) for j in range(copula.dim)]
+        section = [levels if j == i else ((1, 1),) for j in range(copula.dim)]
         kind = f"margin_{i + 1}"
-        for point, (gn, gd) in zip(iter_product(*section), copula.ratio_grid(section)):
-            s = point[i]
-            points += 1
-            sn, sd = s.numerator, s.denominator
+        points += len(levels)
+        codes = [copula.pair_codes(j, axis) for j, axis in enumerate(section)]
+        # the other axes hold one point each, so flat index k is levels[k]
+        for k, got in enumerate(copula.code_grid(codes)):
+            (sn, sd), (gn, gd) = levels[k], got
             diff = gn * sd - sn * gd
             if diff:
-                sink.add((abs(diff), gd * sd), _pair_witness, point, (sn, sd), (gn, gd), kind)
+                sink.add((abs(diff), gd * sd), _grid_witness, section, k, levels[k], got, kind)
     return _flat_report("uniform_margins", points, sink)
 
 
@@ -301,9 +275,8 @@ def verify_copula_axioms(
         sink.add((-vn, vd), _box_witness, a, b, (vn, vd))
 
     axis_levels = [grid.levels(m) for m in copula.margins]
-    axis_ratios = [[s.as_integer_ratio() for s in levels] for levels in axis_levels]
-    codes = [copula.pair_codes(i, ratios) for i, ratios in enumerate(axis_ratios)]
-    sweep = zip(copula.code_grid(codes), lower_bound_grid(axis_ratios), min_grid(axis_ratios))
+    codes = [copula.pair_codes(i, levels) for i, levels in enumerate(axis_levels)]
+    sweep = zip(copula.code_grid(codes), lower_bound_grid(axis_levels), min_grid(axis_levels))
     for flat, (value, lower, upper) in enumerate(sweep):
         (vn, vd), (ln, ld), (un, ud) = value, lower, upper
         # levels lie in [0, 1], so M(s) = min s_i is 0 exactly where some s_i is 0

@@ -4,9 +4,10 @@ The oracles build each axis as a set of ``lo + k/m * (hi - lo)`` points and
 sort it, and transform the sklar identity's grid by hand, one margin inverse
 per axis point.  ``GridSpec`` builds each point from integers and places each
 breakpoint among them by integer division, and the identity reads the copula
-on the margin levels of the grid; both must give the same tuples and the same
-reports.  ``axis_pairs`` and ``lemma_grids`` give the same points as integer
-pairs, equal to the oracle's by value.
+on the margin levels of the grid.  Its axes (``axis_pairs``, ``levels``,
+``df_axes``, ``lemma_grids``) are integer pairs, equal to the oracle's points
+by value; ``grid_pairs`` pins the pair each point is given as.  The reports
+must equal the oracle's.
 """
 
 from fractions import Fraction
@@ -28,7 +29,9 @@ from copulacheck import (
     make_monotone,
     product_df,
     sklar,
+    verify_copula_axioms,
     verify_sklar_identity,
+    verify_uniform_margins,
 )
 from helpers import (
     composed_dfs,
@@ -60,58 +63,69 @@ def values(pairs) -> tuple[Fraction, ...]:
     return tuple(F(n, d) for n, d in pairs)
 
 
+def grid_point_pairs(m, lo, hi) -> dict:
+    """Each grid point's value and its unreduced pair (a d m + k (c b - a d), b d m), for lo = a/b, hi = c/d."""
+    (a, b), (c, d) = F(lo).as_integer_ratio(), F(hi).as_integer_ratio()
+    return {lo + F(k, m) * (hi - lo): (a * d * m + k * (c * b - a * d), b * d * m) for k in range(m + 1)}
+
+
+def grid_pairs(m, lo, hi, extra=()) -> tuple:
+    """The set oracle's axis as pairs: a grid point as its unreduced pair, any other point reduced."""
+    grid = grid_point_pairs(m, lo, hi)
+    return tuple(grid.get(p) or F(p).as_integer_ratio() for p in oracle_axis_points(m, lo, hi, extra))
+
+
 @given(st.integers(1, 50), ends, ends, st.booleans(), extras)
 @settings(max_examples=300, deadline=None)
 def test_axis_points_match_the_set_oracle(m, lo, hi, degenerate, extra):
     lo, hi = (lo, lo) if degenerate else sorted((lo, hi))
     extra = extra + extra[: len(extra) // 2]
-    got = GridSpec(m).axis_points(lo, hi, extra)
+    got = GridSpec(m).axis_pairs(lo, hi, extra)
     want = oracle_axis_points(m, lo, hi, extra)
-    assert got == want
-    assert [type(p) for p in got] == [type(p) for p in want]
-    assert values(GridSpec(m).axis_pairs(lo, hi, extra)) == want
+    assert values(got) == want
+    assert got == grid_pairs(m, lo, hi, extra)
 
 
 def test_axis_points_keep_both_ends_exactly():
-    got = GridSpec(3).axis_points(F(-1, 2), F(2, 3), [F(2, 3), 0, F(-1, 2)])
-    assert got == (F(-1, 2), F(-1, 9), 0, F(5, 18), F(2, 3))
+    got = GridSpec(3).axis_pairs(F(-1, 2), F(2, 3), [F(2, 3), 0, F(-1, 2)])
+    assert values(got) == (F(-1, 2), F(-1, 9), 0, F(5, 18), F(2, 3))
+    assert got == ((-9, 18), (-2, 18), (0, 1), (5, 18), (12, 18))
 
 
 def test_axis_points_reject_an_empty_range():
     with pytest.raises(ValidationError, match="empty"):
-        GridSpec(4).axis_points(F(1), F(1, 2))
+        GridSpec(4).axis_pairs(F(1), F(1, 2))
 
 
 # -- integer placement of the breakpoints ---------------------------------------
 
 
 def assert_placed(m, lo, hi, extra):
-    """``axis_points`` equals the set oracle, and every breakpoint tied with a grid point
-    yields to the grid's own ``Fraction`` while every other one keeps its object."""
-    got = GridSpec(m).axis_points(lo, hi, extra)
+    """``axis_pairs`` equals the set oracle by value, and every breakpoint tied with a grid
+    point yields to the grid's own unreduced pair while every other one is its reduced pair."""
+    got = GridSpec(m).axis_pairs(lo, hi, extra)
     want = oracle_axis_points(m, lo, hi, extra)
-    assert got == want
-    assert [type(p) for p in got] == [type(p) for p in want]
-    grid = {lo + F(k, m) * (hi - lo) for k in range(m + 1)}
+    assert values(got) == want
+    assert got == grid_pairs(m, lo, hi, extra)
+    grid = grid_point_pairs(m, lo, hi)
     for p in extra:
         if p in grid:
-            assert all(x is not p for x in got), p
-        else:  # of equal breakpoints, the first one given is kept
-            first = next(e for e in extra if e == p)
-            assert any(x is first for x in got), p
+            assert grid[p] in got, p
+        else:  # equal breakpoints give one pair
+            assert sum(x == F(p).as_integer_ratio() for x in got) == 1, p
     return got
 
 
 def test_breakpoints_on_a_grid_point_in_another_form_yield_to_the_grid():
     extra = [F(2, 4), 0, 1, F(0), F(4, 4), F(1, 3)]
     got = assert_placed(2, F(0), F(1), extra)
-    assert got == (0, F(1, 3), F(1, 2), 1)
-    assert [type(p) for p in got] == [F] * 4
-    assert got[1] is extra[-1]
+    assert values(got) == (0, F(1, 3), F(1, 2), 1)
+    assert got == ((0, 2), (1, 3), (1, 2), (2, 2))
+    assert got[1] == extra[-1].as_integer_ratio()
     # an int range puts int breakpoints on every grid point
     got = assert_placed(4, 0, 2, [0, 1, 2, F(1, 2), F(3, 2), 3, -1])
-    assert got == (-1, 0, F(1, 2), 1, F(3, 2), 2, 3)
-    assert [type(p) for p in got] == [int, F, F, F, F, F, int]
+    assert values(got) == (-1, 0, F(1, 2), 1, F(3, 2), 2, 3)
+    assert got == ((-1, 1), (0, 4), (2, 4), (4, 4), (6, 4), (8, 4), (3, 1))
 
 
 @pytest.mark.parametrize("m", [1, 3, 7])
@@ -129,8 +143,8 @@ def test_a_one_point_range_places_breakpoints_on_both_sides(m):
     lo = F(2, 3)
     extra = [lo + F(1, 10**9), 5, F(4, 6), 0, lo - F(1, 10**9), -5, 1, lo]
     got = assert_placed(m, lo, lo, extra)
-    assert got == (-5, 0, lo - F(1, 10**9), lo, lo + F(1, 10**9), 1, 5)
-    assert got[3] is not extra[2] and got[3] is not extra[-1]
+    assert values(got) == (-5, 0, lo - F(1, 10**9), lo, lo + F(1, 10**9), 1, 5)
+    assert got[3] == (6 * m, 9 * m) != extra[2].as_integer_ratio() == extra[-1].as_integer_ratio()
 
 
 @given(
@@ -168,15 +182,14 @@ def test_the_grid_points_are_never_compared():
     # at most one breakpoint per gap, so no breakpoint meets another either
     one_per_gap = [F(-1), F(0), F(3, 2), F(1, 5) + F(1, 10**12)]
     with spy("__lt__"), spy("__eq__"):
-        bare = GridSpec(50).axis_points(lo, hi)
-        placed = GridSpec(50).axis_points(lo, hi, one_per_gap)
-        # the pair emitter builds no Fraction either: the module's name would fail on a call
+        # nor is a Fraction built: the module's name would fail on a call
         with patch.object(sklar, "Fraction", None):
-            pairs = [GridSpec(50).axis_pairs(lo, hi, extra) for extra in ((), one_per_gap)]
+            bare = GridSpec(50).axis_pairs(lo, hi)
+            placed = GridSpec(50).axis_pairs(lo, hi, one_per_gap)
     assert calls == []
-    assert bare == oracle_axis_points(50, lo, hi)
-    assert placed == oracle_axis_points(50, lo, hi, one_per_gap)
-    assert [values(p) for p in pairs] == [bare, placed]
+    assert values(bare) == oracle_axis_points(50, lo, hi)
+    assert values(placed) == oracle_axis_points(50, lo, hi, one_per_gap)
+    assert [bare, placed] == [grid_pairs(50, lo, hi), grid_pairs(50, lo, hi, one_per_gap)]
 
 
 @given(composed_dfs(), st.integers(1, 30))
@@ -184,7 +197,7 @@ def test_the_grid_points_are_never_compared():
 def test_levels_match_the_copula_level_axis(df, m):
     copula = extract_copula(df)
     grid = GridSpec(m)
-    assert [grid.levels(margin) for margin in copula.margins] == oracle_level_axes(copula, m)
+    assert [values(grid.levels(margin)) for margin in copula.margins] == oracle_level_axes(copula, m)
 
 
 @given(monotone_fns(), st.integers(1, 30))
@@ -222,7 +235,7 @@ def family_dfs(draw, family):
 def test_sklar_identity_matches_the_hand_transform(family, data):
     df = data.draw(family_dfs(family))
     m = data.draw(st.integers(1, 6))
-    assert GridSpec(m).df_axes(df) == oracle_df_axes(df, m)
+    assert [values(axis) for axis in GridSpec(m).df_axes(df)] == oracle_df_axes(df, m)
     assert verify_sklar_identity(df, GridSpec(m)) == oracle_sklar_identity(df, m)
 
 
@@ -239,3 +252,51 @@ def test_sklar_identity_with_a_box_matches_the_hand_transform(family):
     report = verify_sklar_identity(df, GridSpec(5))
     assert report == oracle_sklar_identity(df, 5)
     assert report.sections[0].points == prod(len(axis) for axis in oracle_df_axes(df, 5))
+
+
+# -- a grid point becomes a Fraction only in a kept witness ----------------------
+
+STEP = make_monotone([(0, 0, F(1, 3)), (1, F(1, 3), F(3, 4)), (2, F(3, 4), 1)])
+COUNTED_DFS = {
+    "product": lambda: product_df([MARGIN, make_monotone([(0, 0, 0), (2, 1, 1)])]),
+    "comonotone-d3": lambda: comonotone_df([MARGIN, STEP, make_monotone([(-1, 0, 0), (1, 1, 1)])]),
+    "empirical": lambda: empirical_from_rows(
+        [(0, 0), (1, 1), (1, 0), (F(1, 2), 1), (1, 1), (0, F(1, 2))]
+    ),
+    "product-steps": lambda: product_df([STEP, STEP]),
+}
+VERIFIERS = {
+    "sklar": lambda df, grid: verify_sklar_identity(df, grid, max_witnesses=0),
+    "margins": lambda df, grid: verify_uniform_margins(extract_copula(df), grid, max_witnesses=0),
+    "copula": lambda df, grid: verify_copula_axioms(extract_copula(df), 20, 0, grid, max_witnesses=0),
+}
+
+
+def fractions_built(run) -> int:
+    """How many ``Fraction``s ``run()`` builds, arithmetic results included."""
+    count = 0
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return new(cls, *args, **kwargs)
+
+    with patch.object(F, "__new__", counting_new):
+        run()
+    return count
+
+
+@pytest.mark.parametrize("verifier", VERIFIERS)
+@pytest.mark.parametrize("family", COUNTED_DFS)
+def test_the_grid_size_adds_no_fraction(family, verifier):
+    """With no witness kept, a sweep on 41 points per axis builds as many ``Fraction``s as on 6.
+
+    Each run gets a fresh df, so lazily built indexes and tables count alike.
+    """
+    check = VERIFIERS[verifier]
+    counts = []
+    for m in (5, 40):
+        df = COUNTED_DFS[family]()
+        counts.append(fractions_built(lambda: check(df, GridSpec(m))))
+    assert counts[0] == counts[1], counts

@@ -17,8 +17,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "copulacheck"
 MODULES = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
-# (importer, module, name): the families read the kernels' rank walk and answer tables
-PRIVATE_IMPORTS = {("families", "monotone", "_ranks"), ("families", "monotone", "_walk")}
+# (importer, module, name): the counting families rank their breakpoints by the kernels' cursor
+PRIVATE_IMPORTS = {("families", "monotone", "_ranks")}
 # (module, name): bench/spans.py traces vertex_sum by name in sklar's namespace too
 UNUSED_IMPORTS = {("sklar", "vertex_sum")}
 
@@ -89,7 +89,7 @@ def test_the_graph_sees_the_known_imports():
     assert {"families", "monotone", "mvdf", "scalars", "errors"} <= graph["serialize"]
     assert {"serialize", "sklar", "families"} <= graph["cli"]
     assert graph["errors"] == set()
-    assert ("families", "monotone", "_walk") in private_imports()
+    assert ("families", "monotone", "_ranks") in private_imports()
 
 
 def test_intra_package_imports_are_acyclic():
