@@ -327,14 +327,20 @@ def discrete_cdf(weights: dict) -> MonotoneFn:
 
 
 def step_cdf(atoms: Iterable[tuple[Fraction, Fraction | int]], total: Fraction | int) -> MonotoneFn:
-    """Step function of sorted (atom, mass) pairs, each mass divided by ``total``."""
+    """Step function of sorted (atom, mass) pairs, each mass divided by ``total``.
+
+    The masses accumulate as given (integers stay integers), and each knot's
+    value is one ``Fraction`` of the running sum, which is the next knot's left limit.
+    """
     if total == 0:
         raise ValidationError("masses sum to 0, so they cannot be normalized to a cdf")
     knots = []
-    acc = Fraction(0)
+    acc, left = 0, Fraction(0)
     for x, mass in atoms:
-        knots.append(Knot(x, acc / total, (acc + mass) / total))
         acc += mass
+        value = Fraction(acc, total)
+        knots.append(Knot(x, left, value))
+        left = value
     return MonotoneFn(tuple(knots))
 
 

@@ -19,6 +19,18 @@ comparisons are exact; failures become report entries with rational witnesses,
 because for discontinuous margins the construction genuinely breaks and
 exhibiting the exact break points is the purpose of this module.
 
+The factorization is decided axis by axis.  C(F_1(x_1), ..., F_d(x_d)) is F
+read at the quantiles Q_i(F_i(x_i)), and F and C share one ``code_grid``,
+whose value at a point depends only on the values of its d codes.  So a point
+where every axis keeps its code under that round trip (equal ranks, or pairs
+equal by cross-multiplication) satisfies the identity exactly and is not
+read.  A continuous margin keeps every code, since F_i(Q_i(u)) = u
+(Embrechts & Hofert, "A note on generalized inverses", 2013), so dfs of
+continuous margins read no point; a margin value changes only on a flat piece
+that ends in a jump.  The rest is read as d product blocks, one ``code_grid``
+call per side each, and compared in flat order; ``points`` still counts
+every grid point.
+
 :class:`GridSpec` builds every verification grid and always merges the
 structural breakpoints of the inputs, so a violation at a jump cannot hide
 between grid points.  It makes the k/m points of a range from integers, in
@@ -213,24 +225,73 @@ def _flat_report(check: str, points: int, sink: Witnesses) -> Report:
     return Report(check, (sink.section(check, "violations", points),))
 
 
+def _changed(f_code, c_code) -> bool:
+    """Whether an axis point's quantile round trip changes its code: ranks differ, or pairs by value."""
+    return f_code != c_code and (type(f_code) is not tuple or f_code[0] * c_code[1] != c_code[0] * f_code[1])
+
+
+def _changed_runs(changed: Sequence[Sequence[bool]]) -> Iterator[tuple[int, range]]:
+    """The grid points where some axis changes its code, in flat order, as (block, run of flat indices).
+
+    Block j holds the points whose axes before j keep their code and whose
+    axis j changes it; each run covers a run of changed indices of axis j
+    under one kept prefix, with every index of the axes after j.
+    """
+    strides = [prod(map(len, changed[j + 1 :])) for j in range(len(changed))]
+    runs = [[(differs, sum(1 for _ in group)) for differs, group in groupby(mask)] for mask in changed]
+    # deeper[j]: some axis after j changes, so a kept index of axis j has changed points under it
+    deeper = [any(map(any, changed[j + 1 :])) for j in range(len(changed))]
+
+    def walk(j: int, base: int) -> Iterator[tuple[int, range]]:
+        lo, stride = 0, strides[j]
+        for differs, n in runs[j]:
+            if differs:
+                yield j, range(base + lo * stride, base + (lo + n) * stride)
+            elif deeper[j]:
+                for k in range(lo, lo + n):
+                    yield from walk(j + 1, base + k * stride)
+            lo += n
+
+    return walk(0, 0)
+
+
 def verify_sklar_identity(df: MultivariateDf, grid: GridSpec = GridSpec(), max_witnesses: int = -1) -> Report:
     """Compare F(x) against C(F_1(x_1), ..., F_d(x_d)) on a merged grid.
 
     The grid spans the support box of F merged with every structural
-    breakpoint.  F sweeps the grid and C sweeps its margin levels, side by
-    side.
+    breakpoint.  C(F_1(x_1), ...) is F read at the codes of the quantiles
+    Q_i(F_i(x_i)), through the same ``code_grid`` as F, whose value depends
+    only on the values of the d codes.  So a point where every axis keeps its
+    code under that round trip satisfies the identity exactly, and only the
+    rest is read: block by block (:func:`_changed_runs`), one ``code_grid``
+    call per side and block, compared in flat order.  ``points`` counts
+    every grid point.
     """
     copula = extract_copula(df)
     axes = grid.df_axes(df)
-    codes = [copula.pair_codes(i, m.eval_pairs(pts)) for i, (m, pts) in enumerate(zip(copula.margins, axes))]
+    f_codes = [df.pair_codes(i, pts) for i, pts in enumerate(axes)]
+    c_codes = [copula.pair_codes(i, m.eval_pairs(pts)) for i, (m, pts) in enumerate(zip(copula.margins, axes))]
+    changed = [list(map(_changed, fs, cs)) for fs, cs in zip(f_codes, c_codes)]
+
+    # per block, the streams of F and C; a block whose axis keeps every code is empty
+    blocks = []
+    for j, mask in enumerate(changed):
+        if not any(mask):
+            blocks.append(None)
+            continue
+        # the indices each axis takes in block j: kept before j, changed at j, all after j
+        picks = [[k for k, differs in enumerate(changed[i]) if differs == (i == j)] for i in range(j + 1)]
+        picks += [range(len(axis)) for axis in axes[j + 1 :]]
+        f_block, c_block = ([[axis[k] for k in ks] for axis, ks in zip(codes, picks)] for codes in (f_codes, c_codes))
+        blocks.append((df.code_grid(f_block), copula.code_grid(c_block)))
 
     sink = Witnesses(max_witnesses)
-    sweep = zip(df.code_grid([df.pair_codes(i, pts) for i, pts in enumerate(axes)]), copula.code_grid(codes))
-    for flat, (expected, got) in enumerate(sweep):
-        (en, ed), (gn, gd) = expected, got
-        diff = gn * ed - en * gd
-        if diff:
-            sink.add((abs(diff), gd * ed), _grid_witness, axes, flat, expected, got, "identity")
+    for j, flats in _changed_runs(changed):
+        for flat, expected, got in zip(flats, *blocks[j]):
+            (en, ed), (gn, gd) = expected, got
+            diff = gn * ed - en * gd
+            if diff:
+                sink.add((abs(diff), gd * ed), _grid_witness, axes, flat, expected, got, "identity")
     return _flat_report("sklar_identity", prod(map(len, axes)), sink)
 
 

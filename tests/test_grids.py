@@ -10,7 +10,9 @@ by value; ``grid_pairs`` pins the pair each point is given as.  The reports
 must equal the oracle's.
 """
 
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import ceil, floor, prod
 from random import Random
 from unittest.mock import patch
@@ -19,7 +21,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copulacheck import (
+    EmpiricalDf,
+    GridDf,
     GridSpec,
+    ProductDf,
     ValidationError,
     comonotone_df,
     countermonotone_df,
@@ -29,6 +34,7 @@ from copulacheck import (
     make_monotone,
     product_df,
     sklar,
+    uniform_cdf,
     verify_copula_axioms,
     verify_sklar_identity,
     verify_uniform_margins,
@@ -40,7 +46,10 @@ from helpers import (
     oracle_df_axes,
     oracle_lemma_grids,
     oracle_level_axes,
+    oracle_capped,
     oracle_sklar_identity,
+    walk_eval,
+    walk_inverse,
 )
 
 F = Fraction
@@ -233,10 +242,14 @@ def family_dfs(draw, family):
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_sklar_identity_matches_the_hand_transform(family, data):
+    """Every family, under every witness cap: the composed margins mix flats, jumps and rising
+    pieces, so on d = 2 and 3 the points whose codes change form ragged regions."""
     df = data.draw(family_dfs(family))
     m = data.draw(st.integers(1, 6))
+    k = data.draw(st.sampled_from([-1, 0, 1, 3]))
     assert [values(axis) for axis in GridSpec(m).df_axes(df)] == oracle_df_axes(df, m)
-    assert verify_sklar_identity(df, GridSpec(m)) == oracle_sklar_identity(df, m)
+    report = verify_sklar_identity(df, GridSpec(m), max_witnesses=k)
+    assert report == oracle_capped(oracle_sklar_identity(df, m), k)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -300,3 +313,89 @@ def test_the_grid_size_adds_no_fraction(family, verifier):
         df = COUNTED_DFS[family]()
         counts.append(fractions_built(lambda: check(df, GridSpec(m))))
     assert counts[0] == counts[1], counts
+
+
+# -- the identity reads only the points whose codes change -----------------------
+
+
+def oracle_code(df, axis: int, x):
+    """The value of the code of x on ``axis``: its rank among the breakpoints, or the margin's value."""
+    if isinstance(df, (EmpiricalDf, GridDf)):
+        return sum(bp <= x for bp in df.axis_breakpoints(axis))
+    return walk_eval(df.margins[axis], x)
+
+
+def oracle_reads(df, m: int) -> Counter:
+    """The code values of F and of C at each grid point where some margin's round trip
+    Q_i(F_i(x_i)) changes the code of x_i, from the knot walks."""
+    margins = extract_copula(df).margins
+    pairs = [
+        [(oracle_code(df, i, x), oracle_code(df, i, walk_inverse(g, walk_eval(g, x), True))) for x in axis]
+        for i, (g, axis) in enumerate(zip(margins, oracle_df_axes(df, m)))
+    ]
+    reads = Counter()
+    for point in product(*pairs):
+        f, c = zip(*point)
+        if f != c:
+            reads.update([f, c])
+    return reads
+
+
+def sweep_reads(df, m: int):
+    """The identity's report on ``GridSpec(m)``, and the code values of each point ``code_grid`` yielded to it."""
+    reads = Counter()
+    original = type(df).code_grid
+
+    def spy(self, code_axes):
+        for codes, value in zip(product(*code_axes), original(self, code_axes)):
+            reads[tuple(F(*c) if type(c) is tuple else c for c in codes)] += 1
+            yield value
+
+    with patch.object(type(df), "code_grid", spy):
+        report = verify_sklar_identity(df, GridSpec(m))
+    return report, reads
+
+
+CONTINUOUS = make_monotone([(-1, 0, 0), (0, F(1, 2), F(1, 2)), (3, 1, 1)])
+CONTINUOUS_DFS = {
+    "product": lambda: product_df([uniform_cdf(), CONTINUOUS]),
+    "comonotone-d3": lambda: comonotone_df([uniform_cdf(), CONTINUOUS, uniform_cdf(-2, 5)]),
+    "countermonotone": lambda: countermonotone_df(CONTINUOUS, uniform_cdf()),
+}
+
+
+@pytest.mark.parametrize("family", CONTINUOUS_DFS)
+def test_continuous_margins_read_no_point(family):
+    """A continuous margin's round trip keeps every code, so no point is read, yet every one is counted."""
+    df = CONTINUOUS_DFS[family]()
+    report, reads = sweep_reads(df, 7)
+    assert reads == oracle_reads(df, 7) == Counter()
+    assert report.sections[0].points == prod(len(axis) for axis in oracle_df_axes(df, 7))
+    assert report == oracle_sklar_identity(df, 7) and report.passed
+
+
+# flat at 1/3 up to a jump to 1/2: the round trip's code has the same numerator
+ONE_THIRD_TO_HALF = make_monotone([(0, 0, F(1, 3)), (1, F(1, 3), F(1, 2)), (2, 1, 1)])
+
+
+@pytest.mark.parametrize("margin", [STEP, ONE_THIRD_TO_HALF], ids=["step", "numerators"])
+def test_a_step_margin_reads_the_slabs_of_its_changed_indices(margin):
+    """Beside a uniform margin, which keeps every code, exactly the slabs of axis 2's changed indices are read."""
+    df = ProductDf((uniform_cdf(), margin))
+    axes = oracle_df_axes(df, 6)
+    level = [walk_eval(margin, x) for x in axes[1]]
+    changed = [u for u in level if walk_eval(margin, walk_inverse(margin, u, True)) != u]
+    assert 0 < len(changed) < len(axes[1])
+    report, reads = sweep_reads(df, 6)
+    assert reads == oracle_reads(df, 6)
+    assert sum(reads.values()) == 2 * len(axes[0]) * len(changed)
+    assert report == oracle_sklar_identity(df, 6) and not report.passed
+
+
+def test_a_counting_sweep_reads_all_but_the_kept_corner():
+    """Each counting margin moves every point but its last breakpoint up a rank, so one point is kept."""
+    df = empirical_from_rows([(0, 1), (1, 0), (F(1, 2), F(1, 2)), (1, 1), (F(1, 3), 2)])
+    report, reads = sweep_reads(df, 4)
+    assert reads == oracle_reads(df, 4)
+    assert sum(reads.values()) == 2 * (report.sections[0].points - 1)
+    assert report == oracle_sklar_identity(df, 4)
