@@ -259,12 +259,10 @@ def verify_sklar_identity(df: MultivariateDf, grid: GridSpec = GridSpec(), max_w
     """Compare F(x) against C(F_1(x_1), ..., F_d(x_d)) on a merged grid.
 
     The grid spans the support box of F merged with every structural
-    breakpoint.  C(F_1(x_1), ...) is F read at the codes of the quantiles
-    Q_i(F_i(x_i)), through the same ``code_grid`` as F, whose value depends
-    only on the values of the d codes.  So a point where every axis keeps its
-    code under that round trip satisfies the identity exactly, and only the
-    rest is read: block by block (:func:`_changed_runs`), one ``code_grid``
-    call per side and block, compared in flat order.  ``points`` counts
+    breakpoint.  A point where every axis keeps its code under the round trip
+    Q_i(F_i(x_i)) satisfies the identity exactly (module docstring) and is
+    not read; the rest is read block by block (:func:`_changed_runs`), one
+    ``code_grid`` call per side and block, in flat order.  ``points`` counts
     every grid point.
     """
     copula = extract_copula(df)
