@@ -47,6 +47,11 @@ are right-continuous by their knots (``monotone``), and each of the three is
 continuous in the margin values, whatever their range.  The five classes
 join ``mvdf``'s registry by ``mvdf.df_family``; ``check_df_axioms`` and
 ``axis_right_limit`` refuse any other class, subclasses of these included.
+Each class also says, by ``certainly_d_increasing``, whether its structure
+alone makes every box volume non-negative, so that the axiom checks need
+draw no box: always for the empirical, product and comonotone dfs, for the
+countermonotone df only when d = 2, and for a grid df when no mass is
+negative.
 The classes know nothing of the JSON payload format: ``serialize`` writes and
 reads the payloads of all five families.
 """
@@ -253,6 +258,10 @@ class EmpiricalDf(_CountingDf):
     def dim(self) -> int:
         return len(self.rows[0])
 
+    def certainly_d_increasing(self) -> bool:
+        """True: a box's volume counts the rows in it, each of weight 1."""
+        return True
+
     def _weighted_points(self) -> tuple[Sequence[tuple[Fraction, ...]], Sequence[int], int]:
         return self.rows, [1] * len(self.rows), len(self.rows)
 
@@ -305,6 +314,10 @@ class ProductDf(_MarginComposedDf):
 
     family = "product"
 
+    def certainly_d_increasing(self) -> bool:
+        """True: a box's volume is the product of the margin increments G_i(b_i) - G_i(a_i)."""
+        return True
+
     def code_ratio(self, codes: Sequence[Ratio]) -> Ratio:
         num, den = 1, 1
         for n, d in codes:
@@ -322,6 +335,10 @@ class ComonotoneDf(_MarginComposedDf):
     """Perfect positive dependence: F(t) is the minimum of the margin values."""
 
     family = "comonotone"
+
+    def certainly_d_increasing(self) -> bool:
+        """True: a box's volume is the length of the intersection of the intervals ]G_i(a_i), G_i(b_i)]."""
+        return True
 
     def code_ratio(self, codes: Sequence[Ratio]) -> Ratio:
         return ratio_min(codes)
@@ -347,6 +364,10 @@ class CountermonotoneDf(_MarginComposedDf):
         super().__post_init__()
         if len(self.margins) < 2:
             raise ValidationError("countermonotone df needs at least two margins")
+
+    def certainly_d_increasing(self) -> bool:
+        """Only for d = 2: a convex function of u + v is 2-increasing, and W is max(u + v - 1, 0)."""
+        return self.dim == 2
 
     def code_ratio(self, codes: Sequence[Ratio]) -> Ratio:
         return ratio_lower_bound(codes)
@@ -423,6 +444,10 @@ class GridDf(_CountingDf):
     @property
     def dim(self) -> int:
         return len(self.masses[0].point)
+
+    def certainly_d_increasing(self) -> bool:
+        """Exactly when every mass is >= 0: the support points are distinct, so each is the volume of a cell."""
+        return all(gm.mass >= 0 for gm in self.masses)
 
     def _weighted_points(self) -> tuple[Sequence[tuple[Fraction, ...]], Sequence[int], int]:
         denominator = lcm(*(gm.mass.denominator for gm in self.masses))

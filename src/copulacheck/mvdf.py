@@ -44,6 +44,20 @@ is certified, not probed: the five family classes, which join the registry
 by :func:`df_family`, are right-continuous by construction (see
 ``families``), and any other class is refused.  For the same reason
 ``axis_right_limit`` is the value itself on the five classes.
+
+The boxes are drawn only for a df that
+:meth:`MultivariateDf.certainly_d_increasing` does not certify.  A family
+certifies itself when its structure alone makes every volume non-negative:
+empirical (the rows have weight 1), product (a volume is a product of margin
+increments), comonotone (a volume is the length of an intersection of margin
+intervals), countermonotone with d = 2 (a convex function of u + v is
+2-increasing), and a grid df with no negative mass.  The default is False, so
+the lenient grid df with a negative mass, the countermonotone df with d >= 3
+and any other class are swept.  A certified section is the one the sweep
+would give: no witness, and ``points`` still ``n_cuboids``.  The copula
+check in ``sklar`` asks the same of its source, since V_C(]s, t]) =
+V_F(]Q(s), Q(t)]) with each quantile Q_i non-decreasing.  Both checks refuse
+``n_cuboids < 1`` by :func:`require_box_count` before any work.
 """
 
 from __future__ import annotations
@@ -299,6 +313,13 @@ class MultivariateDf(AxisSeparable):
 
     family: ClassVar[str]
 
+    def certainly_d_increasing(self) -> bool:
+        """Whether the family alone proves every box volume non-negative, so no box need be drawn.
+
+        False here, so a class that does not override it keeps the seeded box sweep.
+        """
+        return False
+
     @abstractmethod
     def margin_fn(self, axis: int) -> MonotoneFn:
         """Margin along a 0-based axis."""
@@ -354,6 +375,12 @@ def lattice_point(ks: Sequence[int]) -> Point:
     return tuple(Fraction(k, LATTICE) for k in ks)
 
 
+def require_box_count(count: int) -> None:
+    """Refuse, with ``ValidationError``, fewer than one box; both axiom checks call it before any work."""
+    if count < 1:
+        raise ValidationError(f"n_cuboids must be >= 1, got {count}")
+
+
 def unit_box_columns(seed: int, dim: int, count: int) -> tuple[list[list[int]], list[list[int]]]:
     """Seed-deterministic boxes in [0,1]^d as columns of lattice indices: (lower, upper), one list per axis.
 
@@ -361,8 +388,6 @@ def unit_box_columns(seed: int, dim: int, count: int) -> tuple[list[list[int]], 
     are drawn in order and each axis takes two draws from :class:`SplitMix64`,
     sorted into the lower and upper corner.
     """
-    if count < 1:
-        raise ValidationError(f"n_cuboids must be >= 1, got {count}")
     draws, step = SplitMix64(seed).below_many(LATTICE + 1, 2 * dim * count), 2 * dim
     pairs = [(draws[2 * i :: step], draws[2 * i + 1 :: step]) for i in range(dim)]
     return [list(map(min, u, v)) for u, v in pairs], [list(map(max, u, v)) for u, v in pairs]
@@ -413,8 +438,11 @@ def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int, max_witnesses
     """Probe non-negative volumes and the two limit conditions; right-continuity is certified.
 
     Refuses a df whose class is not exactly one of the five families
-    (:func:`df_family`) with ``ValidationError``, before any work.  Volumes
-    are checked on ``n_cuboids`` random boxes in [0,1]^d drawn from ``seed``.
+    (:func:`df_family`) with ``ValidationError``, before any work, and then
+    ``n_cuboids < 1``.  Volumes are checked on ``n_cuboids`` random boxes in
+    [0,1]^d drawn from ``seed``, unless the df is certified d-increasing, when
+    the section is the one the boxes would give: no witness, ``n_cuboids``
+    points.
     The limit conditions expect 0 whenever one coordinate is -inf and 1 at
     the all-+inf point.  The ``right_continuity`` section never holds a
     witness (``families`` gives the argument); its ``points`` are d times
@@ -423,9 +451,11 @@ def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int, max_witnesses
     (all when below 0) and counts the rest.
     """
     _require_family(df)
+    require_box_count(n_cuboids)
     volumes = Witnesses(max_witnesses)
-    for a, b, vol in negative_boxes(df, seed, n_cuboids):
-        volumes.add(NO_DEVIATION, _box_violation, a, b, vol)
+    if not df.certainly_d_increasing():
+        for a, b, vol in negative_boxes(df, seed, n_cuboids):
+            volumes.add(NO_DEVIATION, _box_violation, a, b, vol)
 
     lo, hi = df.support_box()
     mid = tuple((l + h) / 2 for l, h in zip(lo, hi))

@@ -14,7 +14,11 @@ the factorization F(x) = C(F_1(x_1), ..., F_d(x_d)) on the grid of F's support
 box, uniformity of the one-dimensional sections C(1,..,s,..,1) = s, and the
 copula axioms (non-negative volumes on the seeded boxes of
 ``mvdf.negative_boxes``, groundedness on the faces s_i = 0, and the
-dependence envelope max(sum s_i - (d-1), 0) <= C(s) <= min s_i).  All
+dependence envelope max(sum s_i - (d-1), 0) <= C(s) <= min s_i).  The boxes
+are drawn only when the source's family does not certify d-increase
+(``mvdf.MultivariateDf.certainly_d_increasing``): C reads F at the
+non-decreasing quantiles, so V_C(]s, t]) = V_F(]Q(s), Q(t)]) and a box of C
+can be negative only where one of F can.  All
 comparisons are exact; failures become report entries with rational witnesses,
 because for discontinuous margins the construction genuinely breaks and
 exhibiting the exact break points is the purpose of this module.
@@ -79,6 +83,7 @@ from .mvdf import (
     lower_bound_grid,
     min_grid,
     negative_boxes,
+    require_box_count,
     vertex_sum,  # bench/spans.py traces it by name in this module too
 )
 from .report import Report, Witnesses
@@ -325,13 +330,17 @@ def verify_copula_axioms(
     """Check d-increase on random boxes, groundedness, and the dependence envelope.
 
     Random boxes live in [0,1]^d and come from the seeded deterministic
-    generator; grid points merge the margin critical levels.  Grounded means
+    generator; they are drawn only when ``copula.source`` is not certified
+    d-increasing, and ``points`` counts ``n_cuboids`` either way.  Grid
+    points merge the margin critical levels.  Grounded means
     C(s) = 0 whenever some coordinate is 0; the envelope is
     max(sum s_i - (d-1), 0) <= C(s) <= min s_i.
     """
+    require_box_count(n_cuboids)
     sink = Witnesses(max_witnesses)
-    for a, b, (vn, vd) in negative_boxes(copula, seed, n_cuboids):
-        sink.add((-vn, vd), _box_witness, a, b, (vn, vd))
+    if not copula.source.certainly_d_increasing():
+        for a, b, (vn, vd) in negative_boxes(copula, seed, n_cuboids):
+            sink.add((-vn, vd), _box_witness, a, b, (vn, vd))
 
     axis_levels = [grid.levels(m) for m in copula.margins]
     codes = [copula.pair_codes(i, levels) for i, levels in enumerate(axis_levels)]

@@ -271,6 +271,37 @@ def composed_dfs(draw):
     return cls(tuple(draw(monotone_fns(cdf=True)) for _ in range(dim)))
 
 
+COORD = st.integers(-3, 3).map(lambda k: Fraction(k, 2))
+# lenient grid masses: negative ones, and totals other than 1
+MASS = st.integers(-4, 4).map(lambda k: Fraction(k, 4))
+
+
+@st.composite
+def five_family_dfs(draw):
+    """An empirical, grid, product, comonotone or countermonotone df on 1-3 axes, or a lenient one.
+
+    The lenient subjects load from payloads but need not be cdfs: grid dfs
+    with masses of either sign and any total, composed dfs built directly on
+    margins of any range, and the countermonotone df on three margins.
+    """
+    kind = draw(st.sampled_from(["empirical", "grid", "composed", "lenient-grid", "lenient-composed"]))
+    if kind == "composed":
+        return draw(composed_dfs())
+    if kind == "lenient-composed":
+        cls = draw(st.sampled_from([ProductDf, ComonotoneDf, CountermonotoneDf]))
+        dim = 3 if cls is CountermonotoneDf else draw(st.integers(1, 3))
+        cdf = cls is CountermonotoneDf and draw(st.booleans())
+        return cls(tuple(draw(monotone_fns(cdf=cdf)) for _ in range(dim)))
+    dim = draw(st.integers(1, 3))
+    points = draw(st.lists(st.tuples(*[COORD] * dim), min_size=1, max_size=6, unique=True))
+    if kind == "empirical":
+        return EmpiricalDf(tuple(points))
+    if kind == "grid":
+        return GridDf(tuple((p, Fraction(1, len(points))) for p in points))
+    masses = draw(st.lists(MASS, min_size=len(points), max_size=len(points)))
+    return GridDf(tuple(zip(points, masses)))
+
+
 def random_fraction(rng: SplitMix64, max_den: int = 100, span: int = 200) -> Fraction:
     q = 1 + rng.below(max_den)
     p = rng.below(2 * span + 1) - span

@@ -39,6 +39,7 @@ from helpers import (
     check_index_boxes,
     composed_dfs,
     count_in_box,
+    five_family_dfs,
     monotone_fns,
     oracle_capped,
     oracle_copula_axioms_loop,
@@ -303,37 +304,6 @@ def test_axioms_catch_limits_that_are_not_0_and_1():
         assert limits.witnesses == tuple(
             {"point": point, "value": value, "expected": expected} for point, value, expected in witnesses
         )
-
-
-COORD = st.integers(-3, 3).map(lambda k: F(k, 2))
-# lenient grid masses: negative ones, and totals other than 1
-MASS = st.integers(-4, 4).map(lambda k: F(k, 4))
-
-
-@st.composite
-def five_family_dfs(draw):
-    """An empirical, grid, product, comonotone or countermonotone df on 1-3 axes, or a lenient one.
-
-    The lenient subjects load from payloads but need not be cdfs: grid dfs
-    with masses of either sign and any total, composed dfs built directly on
-    margins of any range, and the countermonotone df on three margins.
-    """
-    kind = draw(st.sampled_from(["empirical", "grid", "composed", "lenient-grid", "lenient-composed"]))
-    if kind == "composed":
-        return draw(composed_dfs())
-    if kind == "lenient-composed":
-        cls = draw(st.sampled_from([ProductDf, ComonotoneDf, CountermonotoneDf]))
-        dim = 3 if cls is CountermonotoneDf else draw(st.integers(1, 3))
-        cdf = cls is CountermonotoneDf and draw(st.booleans())
-        return cls(tuple(draw(monotone_fns(cdf=cdf)) for _ in range(dim)))
-    dim = draw(st.integers(1, 3))
-    points = draw(st.lists(st.tuples(*[COORD] * dim), min_size=1, max_size=6, unique=True))
-    if kind == "empirical":
-        return empirical_from_rows(points)
-    if kind == "grid":
-        return GridDf(tuple((p, F(1, len(points))) for p in points))
-    masses = draw(st.lists(MASS, min_size=len(points), max_size=len(points)))
-    return GridDf(tuple(zip(points, masses)))
 
 
 @settings(max_examples=100, deadline=None)

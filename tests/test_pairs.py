@@ -36,6 +36,7 @@ from copulacheck import (
 )
 from copulacheck import families
 from copulacheck.families import _RankIndex
+from copulacheck.mvdf import negative_boxes
 from helpers import (
     composed_dfs,
     level_pool,
@@ -226,5 +227,7 @@ def test_sweeps_and_box_batches_take_no_fraction_quantile_or_eval(monkeypatch):
             check_df_axioms(df, n_cuboids=20, seed=0),
         ]
         assert all(section.points for report in reports for section in report.sections)
+        # the sources are certified, so the checks skip their boxes: draw the batches here
+        assert list(negative_boxes(copula, 0, 20)) == list(negative_boxes(df, 0, 20)) == []
         assert list(copula.eval_grid([[F(0), F(1, 3), F(1)]] * 2))[-1] == 1
         assert copula.eval((F(1), F(1))) == 1
