@@ -46,18 +46,16 @@ by :func:`df_family`, are right-continuous by construction (see
 ``axis_right_limit`` is the value itself on the five classes.
 
 The boxes are drawn only for a df that
-:meth:`MultivariateDf.certainly_d_increasing` does not certify.  A family
-certifies itself when its structure alone makes every volume non-negative:
-empirical (the rows have weight 1), product (a volume is a product of margin
-increments), comonotone (a volume is the length of an intersection of margin
-intervals), countermonotone with d = 2 (a convex function of u + v is
-2-increasing), and a grid df with no negative mass.  The default is False, so
-the lenient grid df with a negative mass, the countermonotone df with d >= 3
-and any other class are swept.  A certified section is the one the sweep
-would give: no witness, and ``points`` still ``n_cuboids``.  The copula
-check in ``sklar`` asks the same of its source, since V_C(]s, t]) =
-V_F(]Q(s), Q(t)]) with each quantile Q_i non-decreasing.  Both checks refuse
-``n_cuboids < 1`` by :func:`require_box_count` before any work.
+:meth:`MultivariateDf.certainly_d_increasing` does not certify: a family
+that its structure alone makes d-increasing says so (``families`` lists
+them, each override with its reason).  The default is False, and
+:func:`family_certifies_d_increase` asks only the five family classes, so
+the lenient grid df with a negative mass, the countermonotone df with
+d >= 3 and any other class, subclasses of the families included, are
+swept.  A certified section is the one the sweep would give:
+no witness, and ``points`` still ``n_cuboids``.  The copula check in
+``sklar`` asks the same of its source.  Both checks refuse ``n_cuboids < 1``
+by :func:`require_box_count` before any work.
 """
 
 from __future__ import annotations
@@ -300,6 +298,14 @@ def _require_family(df: MultivariateDf) -> None:
         raise ValidationError(f"{type(df).__name__} is not one of the five df families")
 
 
+def family_certifies_d_increase(df: MultivariateDf) -> bool:
+    """``df.certainly_d_increasing()`` when its class is exactly one of the five families, else False.
+
+    A subclass may read its values another way, so it keeps the box sweep as any other class does.
+    """
+    return type(df) in _FAMILIES and df.certainly_d_increasing()
+
+
 class MultivariateDf(AxisSeparable):
     """Shared contract of the concrete distribution-function families.
 
@@ -453,7 +459,7 @@ def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int, max_witnesses
     _require_family(df)
     require_box_count(n_cuboids)
     volumes = Witnesses(max_witnesses)
-    if not df.certainly_d_increasing():
+    if not family_certifies_d_increase(df):
         for a, b, vol in negative_boxes(df, seed, n_cuboids):
             volumes.add(NO_DEVIATION, _box_violation, a, b, vol)
 

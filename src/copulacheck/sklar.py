@@ -16,7 +16,7 @@ copula axioms (non-negative volumes on the seeded boxes of
 ``mvdf.negative_boxes``, groundedness on the faces s_i = 0, and the
 dependence envelope max(sum s_i - (d-1), 0) <= C(s) <= min s_i).  The boxes
 are drawn only when the source's family does not certify d-increase
-(``mvdf.MultivariateDf.certainly_d_increasing``): C reads F at the
+(``mvdf.family_certifies_d_increase``): C reads F at the
 non-decreasing quantiles, so V_C(]s, t]) = V_F(]Q(s), Q(t)]) and a box of C
 can be negative only where one of F can.  All
 comparisons are exact; failures become report entries with rational witnesses,
@@ -79,6 +79,7 @@ from .mvdf import (
     AxisSeparable,
     MultivariateDf,
     Ratio,
+    family_certifies_d_increase,
     lattice_point,
     lower_bound_grid,
     min_grid,
@@ -338,7 +339,7 @@ def verify_copula_axioms(
     """
     require_box_count(n_cuboids)
     sink = Witnesses(max_witnesses)
-    if not copula.source.certainly_d_increasing():
+    if not family_certifies_d_increase(copula.source):
         for a, b, (vn, vd) in negative_boxes(copula, seed, n_cuboids):
             sink.add((-vn, vd), _box_witness, a, b, (vn, vd))
 
