@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from copulacheck import (
-    ComonotoneDf,
     CountermonotoneDf,
     Cuboid,
     DomainError,
@@ -37,10 +36,8 @@ from helpers import (
     LeftContinuousEmpirical,
     LeftContinuousGrid,
     check_index_boxes,
-    composed_dfs,
     count_in_box,
     five_family_dfs,
-    monotone_fns,
     oracle_capped,
     oracle_copula_axioms_loop,
     oracle_df_volumes,
