@@ -8,35 +8,33 @@ pieces), the reports carry exact rational counterexample witnesses.
 
 Dfs and copulas evaluate one point with ``eval`` and a product grid with
 ``eval_grid(axes)``, which yields values in ``itertools.product`` order.
-``eval_grid`` is built on two public hooks that every df and copula has:
+Both are built on two public hooks that every df and copula has:
 ``pair_codes(axis, pairs)`` codes one axis's coordinates given as integer
-pairs (``axis_codes(axis, values)`` on values), and ``code_ratio(codes)``
-turns one code per axis into the exact value as an integer pair
-``(numerator, denominator)``, with a positive denominator and not
-necessarily reduced.  ``code_value(codes)`` is that pair as a ``Fraction``.
-A third hook, ``code_grid(code_axes)``, yields the pairs on the product of
-per-axis code lists; ``ratio_grid(axes)`` codes each axis and reads the grid
-through it, and ``eval_grid`` is the ``Fraction``s of ``ratio_grid``.  By
-default ``code_grid`` applies ``code_ratio`` at each point; a product,
-comonotone or countermonotone df folds the axes pairwise with its combining
-step, and an empirical or grid df reads its rank index for the whole grid at
-once.  ``vertex_sum(ratio_grid, box)`` takes a pair grid evaluator
+pairs (``axis_codes(axis, values)`` on values), and ``code_grid(code_axes)``
+yields the exact values on the product of per-axis code lists, each as an
+integer pair ``(numerator, denominator)`` with a positive denominator and
+not necessarily reduced.  ``code_grid`` is the one place a family computes
+its value: a product, comonotone or countermonotone df folds the axes
+pairwise with its combining step, and an empirical or grid df reads its
+rank index for the whole grid at once.  ``ratio_grid(axes)`` codes each axis
+and reads the grid through it, and ``eval_grid`` is the ``Fraction``s of
+``ratio_grid``.  ``code_ratio(codes)`` reads one code per axis as the
+1 x ... x 1 grid, and ``code_value(codes)`` is that pair as a ``Fraction``.
+``vertex_sum(ratio_grid, box)`` takes a pair grid evaluator
 (``df.ratio_grid`` or ``copula.ratio_grid``), not a point evaluator, sums
 over the box's corners as one 2 x ... x 2 grid, and returns the exact
-``Fraction``.  The seeded boxes of the axiom checks are read as columns
-instead: each vertex for the whole batch with ``code_ratio``, each box's
-volume an integer pair.  ``GridSpec`` gives every verification axis as
-integer pairs.  The verifiers code those pairs, compare values by integer
-cross-multiplication, count every violation, and build ``Fraction``s only
-for the witnesses they keep: the first ``max_witnesses`` per section, all
-by default.
+``Fraction``.  The seeded boxes of the axiom checks are read the same way,
+one ``code_grid`` call on each box's corners, each box's volume an integer
+pair.  ``GridSpec`` gives every verification axis as integer pairs.  The
+verifiers code those pairs, compare values by integer cross-multiplication,
+count every violation, and build ``Fraction``s only for the witnesses they
+keep: the first ``max_witnesses`` per section, all by default.
 
 Each function has one evaluation path: ``eval`` codes its point with the
-same ``pair_codes`` as a sweep and combines the codes with ``code_ratio``,
-the one-point form of ``code_grid``, and a monotone function's ``eval``,
-``gen_inverse`` and ``gen_inverse_right`` are one-point calls into its batch
-kernels.  The independent oracles they are tested against live in
-``tests/helpers.py``.
+same ``pair_codes`` as a sweep and reads it with ``code_grid`` as a
+one-point grid, and a monotone function's ``eval``, ``gen_inverse`` and
+``gen_inverse_right`` are one-point calls into its batch kernels.  The
+independent oracles they are tested against live in ``tests/helpers.py``.
 """
 
 from .errors import CopulaCheckError, DomainError, ValidationError

@@ -25,15 +25,15 @@ reads the table lazily by strides.  Each value is the integer pair
 (weight, denominator).
 
 For the hooks of ``mvdf.AxisSeparable``, a counting family's ``pair_codes``
-are ranks, its ``code_ratio`` the pair (weight below them, denominator) and
-its ``code_grid`` the rank index's whole-grid read; a margin-composed
-family's ``pair_codes`` are its margin values as the unreduced pairs of the
-margin's ``eval_pairs``, its ``code_ratio`` combines them by integer arithmetic
-(product, cross-multiplied minimum, lower bound over a common denominator),
-and its ``code_grid`` is the same combination as one fold over the axes
+are ranks and its ``code_grid`` the rank index's whole-grid read; a
+margin-composed family's ``pair_codes`` are its margin values as the
+unreduced pairs of the margin's ``eval_pairs``, and its ``code_grid``
+combines them by integer arithmetic as one fold over the axes
 (``mvdf.product_grid``, ``mvdf.min_grid``, ``mvdf.lower_bound_grid``): the
 first d - 1 axes joined pairwise into a list, the last streamed lazily
 against it, and the lower bound clipped at 0 once, at the end.
+``code_grid`` is each family's only value computation: one point is its
+1 x .. x 1 grid and a box its 2 x .. x 2 grid (``mvdf``).
 No family defines ``axis_codes``: every value reaches ``pair_codes`` as a
 pair, and one point goes through the same hooks as a grid.
 
@@ -77,8 +77,6 @@ from .mvdf import (
     lower_bound_grid,
     min_grid,
     product_grid,
-    ratio_lower_bound,
-    ratio_min,
 )
 from .scalars import as_scalar
 
@@ -110,9 +108,9 @@ class _RankIndex:
     rows scanned reach the cells of the cumulative table; only then is that
     d-dimensional prefix-sum table built, and each later query is one lookup.
     So a job with few evaluations never pays for the table, and a sweep pays
-    for it at most once over.  A point (``ratio``) charges its rows; a grid
-    (``grid``) charges points x rows once, so it either scans throughout or
-    reads the table throughout.
+    for it at most once over.  A query is a grid (``grid``; a point is a
+    1 x .. x 1 grid): it charges points x rows once, so it either scans
+    throughout or reads the table throughout.
     """
 
     def __init__(self, points: Sequence[tuple[Fraction, ...]], weights: Sequence[int], denominator: int):
@@ -138,17 +136,6 @@ class _RankIndex:
         self._cells = self._strides[0] * self._sizes[0]
         self._scanned = 0
         self._table: list[int] | None = None
-
-    def ratio(self, ranks: Sequence[int]) -> Ratio:
-        return self._weight_below(ranks), self._denominator
-
-    def _weight_below(self, ranks: Sequence[int]) -> int:
-        if self._table is None:
-            self._scanned += len(self._rows)
-            if self._scanned < self._cells:
-                return self._scan(ranks)
-            self._table = self._cumulative_table()
-        return self._table[sum(map(mul, ranks, self._strides))]
 
     def _scan(self, ranks: Sequence[int]) -> int:
         return sum(w for row, w in self._rows if all(map(le, row, ranks)))
@@ -212,9 +199,6 @@ class _CountingDf(MultivariateDf):
 
     def pair_codes(self, axis: int, pairs: Iterable[Ratio]) -> list[int]:
         return _ranks(*self._rank_index().keys[axis], pairs, 1)
-
-    def code_ratio(self, codes: Sequence[int]) -> Ratio:
-        return self._rank_index().ratio(codes)
 
     def code_grid(self, code_axes: Sequence[Sequence[int]]) -> Iterator[Ratio]:
         return self._rank_index().grid(code_axes)
@@ -289,10 +273,6 @@ class _MarginComposedDf(MultivariateDf):
     def dim(self) -> int:
         return len(self.margins)
 
-    @abstractmethod
-    def code_ratio(self, codes: Sequence[Ratio]) -> Ratio:
-        """The family's combining operation on the margin values, one pair per axis."""
-
     # bench/spans.py traces these by name in the class's own __dict__
     eval = AxisSeparable.eval
     axis_right_limit = MultivariateDf.axis_right_limit
@@ -318,13 +298,6 @@ class ProductDf(_MarginComposedDf):
         """True: a box's volume is the product of the margin increments G_i(b_i) - G_i(a_i)."""
         return True
 
-    def code_ratio(self, codes: Sequence[Ratio]) -> Ratio:
-        num, den = 1, 1
-        for n, d in codes:
-            num *= n
-            den *= d
-        return num, den
-
     def code_grid(self, code_axes: Sequence[Sequence[Ratio]]) -> Iterator[Ratio]:
         return product_grid(code_axes)
 
@@ -339,9 +312,6 @@ class ComonotoneDf(_MarginComposedDf):
     def certainly_d_increasing(self) -> bool:
         """True: a box's volume is the length of the intersection of the intervals ]G_i(a_i), G_i(b_i)]."""
         return True
-
-    def code_ratio(self, codes: Sequence[Ratio]) -> Ratio:
-        return ratio_min(codes)
 
     def code_grid(self, code_axes: Sequence[Sequence[Ratio]]) -> Iterator[Ratio]:
         return min_grid(code_axes)
@@ -368,9 +338,6 @@ class CountermonotoneDf(_MarginComposedDf):
     def certainly_d_increasing(self) -> bool:
         """Only for d = 2: a convex function of u + v is 2-increasing, and W is max(u + v - 1, 0)."""
         return self.dim == 2
-
-    def code_ratio(self, codes: Sequence[Ratio]) -> Ratio:
-        return ratio_lower_bound(codes)
 
     def code_grid(self, code_axes: Sequence[Sequence[Ratio]]) -> Iterator[Ratio]:
         return lower_bound_grid(code_axes)

@@ -10,21 +10,22 @@ value 0 and all coordinates at +inf give 1.
 Every family is separable by axis (:class:`AxisSeparable`): ``pair_codes``
 codes one axis's coordinates given as integer pairs (into margin values as
 pairs, or ranks among the axis breakpoints), ``axis_codes`` codes values
-through it, and ``code_ratio`` combines one code per axis into the
-value as an integer pair ``(numerator, denominator)``, with a positive
-denominator and not necessarily reduced (a :data:`Ratio`).  ``code_grid``
-reads the pairs of the product of per-axis code lists, by default with
-``code_ratio`` at each point; a family may read the whole grid at once, as
-the margin-composed ones do with the folds :func:`product_grid`,
+through it, and ``code_grid`` reads the values on the product of per-axis
+code lists, each as an integer pair ``(numerator, denominator)`` with a
+positive denominator and not necessarily reduced (a :data:`Ratio`).
+``code_grid`` is the one place a family computes its value: the
+margin-composed families fold the axes with :func:`product_grid`,
 :func:`min_grid` and :func:`lower_bound_grid`, which also give the bounds M
-and W of a level grid.  ``ratio_grid`` codes each axis point of a product
-grid once and reads the grid through ``code_grid``, ``eval_grid`` is its
-``Fraction``s, and a box's vertices are the 2 x .. x 2 grid of its corners
-(:func:`vertex_sum`).  The seeded boxes are drawn as columns of integer
-indices k of corners k/1000 (:func:`unit_box_columns`), and
-:func:`box_volumes` codes each distinct corner of a batch once, as the pair
-(k, 1000), then reads each vertex for all boxes at once with ``code_ratio``
-down the columns and adds each box's vertices into one unreduced pair.
+and W of a level grid, and the counting families read their rank index for
+the whole grid.  A single point is the 1 x .. x 1 grid of its codes
+(``code_ratio``), and a box is the 2 x .. x 2 grid of its corners, whose
+pairs :func:`_signed_sum` adds with their signs (:func:`vertex_sum`).
+``ratio_grid`` codes each axis point of a product grid once and reads the
+grid through ``code_grid``, and ``eval_grid`` is its ``Fraction``s.  The
+seeded boxes are drawn as columns of integer indices k of corners k/1000
+(:func:`unit_box_columns`), and :func:`box_volumes` codes each distinct
+corner of a batch once, as the pair (k, 1000), then reads each box with one
+``code_grid`` call on its corners' codes.
 
 The sweeps compare pairs by integer cross-multiplication, so a ``Fraction``
 is built only where a value leaves the sweep: ``code_value`` and
@@ -32,9 +33,9 @@ is built only where a value leaves the sweep: ``code_value`` and
 :func:`vertex_sum` call, and one per kept witness in the verifiers, which
 sweep the integer-pair axes of ``sklar.GridSpec`` and decode a witness's
 grid point only when they keep it.  There is no second evaluation path:
-grids go through ``code_grid`` and single points (``eval`` and the box
-vertices) through ``code_ratio``, over the codes of the same
-``pair_codes``, and the independent oracles live in the tests.
+grids, single points (``eval``) and box vertices all go through
+``code_grid``, over the codes of the same ``pair_codes``, and the
+independent oracles live in the tests.
 
 :func:`check_df_axioms` probes non-negative volumes exactly on seeded random
 boxes and the limit conditions at fixed points, and returns a report;
@@ -128,43 +129,22 @@ def vertex_sum(ratio_grid: RatioGridFn, box: Cuboid) -> Fraction:
     ``itertools.product`` order, like :meth:`AxisSeparable.ratio_grid`.  The
     box is the grid ``((b_i, a_i))_i``, so the vertex at index ``eps`` takes
     ``a_i`` where ``eps_i`` is 1 and has the sign ``(-1)`` to the number of
-    ``a`` coordinates.  :func:`_signed_sums` adds the pairs, and the sum
+    ``a`` coordinates.  :func:`_signed_sum` adds the pairs, and the sum
     becomes one ``Fraction``.
     """
-    vertices = [(pair,) for pair in ratio_grid(tuple(zip(box.b, box.a)))]
-    return Fraction(*next(_signed_sums(box.dim, vertices)))
+    return Fraction(*_signed_sum(box.dim, ratio_grid(tuple(zip(box.b, box.a)))))
 
 
-def _signed_sums(dim: int, vertices: Sequence[Iterable[Ratio]]) -> Iterator[Ratio]:
-    """Per box, the signed sum of its vertex pairs, from one column of pairs per vertex, lazily.
+def _signed_sum(dim: int, pairs: Iterable[Ratio]) -> Ratio:
+    """The signed sum of a d-box's vertex pairs in ``itertools.product`` order, the first with the sign +1.
 
-    The vertices come in ``itertools.product`` order, the first with the sign
-    +1.  Each sum is one unreduced pair, cross-multiplied vertex by vertex.
+    The sum is one unreduced pair, cross-multiplied vertex by vertex.
     """
-    sums = iter(vertices[0])
-    for positive, column in zip(_even_vertices(dim)[1:], vertices[1:]):
-        sums = map(_sum_join if positive else _difference_join, sums, column)
-    return sums
-
-
-def ratio_min(ratios: Iterable[Ratio]) -> Ratio:
-    """The least of the pairs, by cross-multiplication: M(s) = min s_i, the upper bound."""
-    it = iter(ratios)
-    best_n, best_d = next(it)
-    for n, d in it:
-        if n * best_d < best_n * d:
-            best_n, best_d = n, d
-    return best_n, best_d
-
-
-def ratio_lower_bound(ratios: Sequence[Ratio]) -> Ratio:
-    """W(s) = max(sum s_i - (d-1), 0), the sum taken over the product of the denominators."""
-    num, den = 0, 1
-    for n, d in ratios:
-        num = num * d + n * den
-        den *= d
-    num -= (len(ratios) - 1) * den
-    return (num, den) if num > 0 else (0, 1)
+    pairs = iter(pairs)
+    total = next(pairs)
+    for positive, pair in zip(_even_vertices(dim)[1:], pairs):
+        total = _sum_join(total, pair) if positive else _difference_join(total, pair)
+    return total
 
 
 def _fold_grid(
@@ -204,14 +184,15 @@ def product_grid(code_axes: Sequence[Sequence[Ratio]]) -> Iterator[Ratio]:
 
 
 def min_grid(code_axes: Sequence[Sequence[Ratio]]) -> Iterator[Ratio]:
-    """:func:`ratio_min` at each grid point, by one fold: M on a level grid."""
+    """The least pair at each grid point, the first of equals, by one fold: M(s) = min s_i on a level grid."""
     return _fold_grid(_min_join, POS_PAIR, code_axes)
 
 
 def lower_bound_grid(code_axes: Sequence[Sequence[Ratio]]) -> Iterator[Ratio]:
-    """:func:`ratio_lower_bound` at each grid point, by one fold of sums: W on a level grid.
+    """W(s) = max(sum s_i - (d-1), 0) at each grid point, by one fold of sums: W on a level grid.
 
-    The sum is clipped at 0 once, at the last axis.
+    The sum is taken over the product of the denominators and clipped at 0
+    once, at the last axis.
     """
     excess = len(code_axes) - 1
 
@@ -239,8 +220,15 @@ class AxisSeparable(ABC):
         return self.pair_codes(axis, as_pairs(values))
 
     @abstractmethod
+    def code_grid(self, code_axes: Sequence[Sequence]) -> Iterator[Ratio]:
+        """Exact values as pairs on the product of per-axis code lists, in ``itertools.product`` order.
+
+        The one place a family computes its value; the pairs are yielded lazily.
+        """
+
     def code_ratio(self, codes: Sequence) -> Ratio:
-        """Exact value at the point whose coordinates have ``codes``, one per axis, as a pair."""
+        """Exact value at the point whose coordinates have ``codes``, one per axis, as a pair: a 1 x .. x 1 grid."""
+        return next(self.code_grid([(c,) for c in codes]))
 
     def code_value(self, codes: Sequence) -> Fraction:
         """Exact value at the point whose coordinates have ``codes``, one per axis."""
@@ -254,14 +242,6 @@ class AxisSeparable(ABC):
     def eval(self, t: Sequence) -> Fraction:
         """Exact value at the point ``t``: its codes, as a sweep codes them, through ``code_ratio``."""
         return self.code_value(self._point_codes(tuple(t)))
-
-    def code_grid(self, code_axes: Sequence[Sequence]) -> Iterator[Ratio]:
-        """Exact values as pairs on the product of per-axis code lists, in ``itertools.product`` order.
-
-        ``code_ratio`` at each combination by default; a family may read the
-        whole grid at once, as long as the pairs are yielded lazily.
-        """
-        return map(self.code_ratio, iter_product(*code_axes))
 
     def ratio_grid(self, axes: Axes) -> Iterator[Ratio]:
         """Exact values on the product grid of ``axes`` as pairs, in ``itertools.product`` order.
@@ -311,7 +291,7 @@ class MultivariateDf(AxisSeparable):
 
     The contract is the axis hooks, the margins and the breakpoints; the
     payload format is not part of it (``serialize`` owns it).  ``pair_codes``
-    and ``code_ratio`` must implement the extended-real semantics (any -inf
+    and ``code_grid`` must implement the extended-real semantics (any -inf
     coordinate gives 0 for cdf families, +inf coordinates drop the
     constraint), and the margins are produced analytically from the family's
     own structure, never by numeric extraction from the evaluator.
@@ -405,18 +385,17 @@ def box_volumes(
     """The volume under ``fn`` of each box in the lattice columns ``lower`` and ``upper``, as unreduced pairs.
 
     Each axis codes the distinct corner indices of the batch once, as the
-    pairs (k, LATTICE), with one ``pair_codes`` call.  Each of the 2^d
-    vertices is then read for every box at once, by ``code_ratio`` down the
-    columns of its corners' codes, and :func:`_signed_sums` adds each box's
-    vertices; the volumes are yielded lazily.
+    pairs (k, LATTICE), with one ``pair_codes`` call.  Each box is then one
+    ``code_grid`` call on its corners' codes, and :func:`_signed_sum` adds
+    its vertices; the volumes are yielded lazily.
     """
-    columns = []
+    dim, columns = fn.dim, []
     for axis, (los, his) in enumerate(zip(lower, upper)):
         ks = sorted(set(los).union(his))
         code = dict(zip(ks, fn.pair_codes(axis, [(k, LATTICE) for k in ks]))).__getitem__
-        columns.append((list(map(code, his)), list(map(code, los))))
-    # vertex eps reads b_i where eps_i is 0 and a_i where it is 1, as vertex_sum's grid ((b_i, a_i))_i
-    return _signed_sums(fn.dim, [map(fn.code_ratio, zip(*cols)) for cols in iter_product(*columns)])
+        columns.append(zip(map(code, his), map(code, los)))
+    # box j is the grid ((b_i, a_i))_i, as in vertex_sum
+    return (_signed_sum(dim, fn.code_grid(corners)) for corners in zip(*columns))
 
 
 def negative_boxes(fn: AxisSeparable, seed: int, count: int) -> Iterator[tuple[Indices, Indices, Ratio]]:

@@ -45,8 +45,8 @@ as integer pairs (``mvdf.Ratio``) and builds no ``Fraction``; ``levels``,
 ``lemma_grids`` hands them to ``monotone.lemma_report``.  Only
 :class:`Copula` applies the quantile transform: its ``pair_codes``
 range-checks and transforms level pairs and hands the quantiles, as pairs,
-to the source's ``pair_codes``; its ``code_ratio`` and ``code_grid`` are the
-source's.  Every sweep transforms each axis point once, the random boxes
+to the source's ``pair_codes``; its ``code_grid`` is the source's.  Every
+sweep transforms each axis point once, the random boxes
 (``mvdf.box_volumes``) each distinct corner pair (k, 1000) of the batch
 once, and the Sklar identity the margin values F_i(x_i) as the pairs the
 margins return.
@@ -61,8 +61,8 @@ and a ``Fraction`` is built only for a witness the sink keeps: a negative
 box's corners and volume, or a grid point decoded from its flat index.
 ``max_witnesses`` caps the kept witnesses; the default, below 0, keeps all.
 ``Copula.eval`` at one point codes its levels as a sweep does and reads them
-with the source's ``code_ratio``, so the copula, like every df, has a single
-evaluation path.
+as a 1 x .. x 1 grid of the source's ``code_grid``, so the copula, like
+every df, has a single evaluation path.
 """
 
 from __future__ import annotations
@@ -178,11 +178,6 @@ class Copula(AxisSeparable):
     def axis_codes(self, axis: int, levels: Sequence) -> list:
         """Each level coerced to an exact rational as the range check reaches it, then ``pair_codes``."""
         return self.pair_codes(axis, (as_scalar(u).as_integer_ratio() for u in levels))
-
-    @property
-    def code_ratio(self) -> Callable[[Sequence], Ratio]:
-        """The source's ``code_ratio``: the codes already are the source's."""
-        return self.source.code_ratio
 
     @property
     def code_grid(self) -> Callable[[Sequence[Sequence]], Iterator[Ratio]]:

@@ -75,8 +75,6 @@ from copulacheck import (
 from copulacheck.mvdf import (
     LATTICE,
     box_volumes,
-    ratio_lower_bound,
-    ratio_min,
     unit_box_columns,
 )
 from copulacheck.scalars import as_ext, as_scalar, is_finite
@@ -237,6 +235,29 @@ def is_right_increase(fn: MonotoneFn, x: Fraction) -> bool:
         return False
     i = bisect_right([k.x for k in ks], x) - 1
     return ks[i].value < ks[i + 1].left
+
+
+# -- verdict oracles read off the knot list ------------------------------------------
+
+
+def knot_jumps(fn: MonotoneFn) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """(x, G(x-), G(x)) at each knot where G jumps; between knots G is affine and the tails are constant."""
+    return [(k.x, k.left, k.value) for k in fn.knots if k.left != k.value]
+
+
+def knot_bottom_value(fn: MonotoneFn) -> Fraction:
+    """G(Q(0)) with Q(0) = inf {x : G(x) > 0}, for a cdf G, which is 0 left of its first knot.
+
+    G leaves 0 either on the affine piece into a knot, so Q(0) is the knot
+    before it, where G is still 0, or by a jump at a knot, so Q(0) is that
+    knot and the bottom value its value.
+    """
+    for k in fn.knots:
+        if k.left > 0:
+            return Fraction(0)
+        if k.value > 0:
+            return k.value
+    return Fraction(0)
 
 
 # -- random generators ------------------------------------------------------------
@@ -828,7 +849,7 @@ def oracle_lemma_report(fn: MonotoneFn, us, xs) -> Report:
     )
 
 
-# -- Fraction oracles for the combining hooks ---------------------------------------
+# -- Fraction and pair oracles for the combining hooks ------------------------------
 
 
 def oracle_product(values) -> Fraction:
@@ -840,6 +861,26 @@ def oracle_product(values) -> Fraction:
 
 def oracle_lower_bound(values) -> Fraction:
     return max(sum(values) - (len(values) - 1), Fraction(0))
+
+
+def ratio_min(ratios) -> tuple[int, int]:
+    """The first least of the pairs, by cross-multiplication: M(s) = min s_i, point by point."""
+    it = iter(ratios)
+    best_n, best_d = next(it)
+    for n, d in it:
+        if n * best_d < best_n * d:
+            best_n, best_d = n, d
+    return best_n, best_d
+
+
+def ratio_lower_bound(ratios) -> tuple[int, int]:
+    """W(s) = max(sum s_i - (d-1), 0) as a pair, summed over the product of the denominators and clipped once."""
+    num, den = 0, 1
+    for n, d in ratios:
+        num = num * d + n * den
+        den *= d
+    num -= (len(ratios) - 1) * den
+    return (num, den) if num > 0 else (0, 1)
 
 
 # the value each margin-composed family combines its margin values into

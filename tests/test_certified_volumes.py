@@ -11,7 +11,8 @@ read by the oracles, have no negative volume; and every report, on every
 golden input, is the same with the predicate patched to False.  Only the
 five family classes are asked, so a subclass keeps the sweep.  The
 cross-command tests state verdicts that the margins decide on a valid df,
-with no oracle.
+read off the knot lists by the scans in ``helpers`` (``knot_jumps``,
+``knot_bottom_value``).
 """
 
 import json
@@ -23,7 +24,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from copulacheck import (
     NEG_INF,
@@ -42,15 +43,18 @@ from copulacheck import (
     empirical_from_rows,
     extract_copula,
     grid_df,
+    make_monotone,
     product_df,
     uniform_cdf,
     verify_copula_axioms,
     verify_uniform_margins,
 )
 from copulacheck import cli, mvdf, sklar
-from copulacheck.mvdf import lower_bound_grid, ratio_lower_bound
+from copulacheck.mvdf import lower_bound_grid
 from helpers import (
     five_family_dfs,
+    knot_bottom_value,
+    knot_jumps,
     monotone_fns,
     naive_vertex_sum,
     oracle_copula_axioms_loop,
@@ -93,9 +97,6 @@ def d_increasing_count(report) -> int:
 
 class LowerBoundProduct(ProductDf):
     """A subclass of a certified family that reads W instead, which is not 3-increasing."""
-
-    def code_ratio(self, codes):
-        return ratio_lower_bound(codes)
 
     def code_grid(self, code_axes):
         return lower_bound_grid(code_axes)
@@ -279,13 +280,21 @@ def valid_dfs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(valid_dfs(), st.integers(1, 4), st.integers(0, 2**32), st.integers(1, 30))
+@example(product_df([uniform_cdf(), uniform_cdf()]), 4, 0, 5)  # no jump: every verdict passes
+@example(comonotone_df([make_monotone([(0, 0, 0), (1, F(1, 2), 1)]), uniform_cdf()]), 4, 0, 5)  # a jump above 0
+@example(empirical_from_rows([(0, 1), (1, 0)]), 4, 0, 5)  # jumps from 0: grounded fails too
 def test_the_margins_decide_the_copula_verdicts_on_a_valid_df(df, m, seed, n_cuboids):
-    """margins fails iff fh_upper does; fh_lower never fails; and the swept boxes find no d-increase failure."""
+    """Read off the margins' knots: margins and fh_upper fail iff some margin jumps, grounded iff some G_i(Q_i(0)) > 0.
+
+    fh_lower never fails, and the swept boxes find no d-increase failure.
+    """
     assert df.certainly_d_increasing()
     copula = extract_copula(df)
     report = verify_copula_axioms(copula, n_cuboids, seed, GridSpec(m))
     kinds = {w["kind"] for w in report.sections[0].witnesses}
-    assert (not verify_uniform_margins(copula, GridSpec(m)).passed) == ("fh_upper" in kinds)
+    jumps = any(knot_jumps(g) for g in copula.margins)
+    assert (not verify_uniform_margins(copula, GridSpec(m)).passed) == jumps == ("fh_upper" in kinds)
+    assert ("grounded" in kinds) == any(knot_bottom_value(g) > 0 for g in copula.margins)
     assert "fh_lower" not in kinds
     with sweeping_every_family():
         swept = verify_copula_axioms(copula, n_cuboids, seed, GridSpec(m))

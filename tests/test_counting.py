@@ -222,10 +222,11 @@ def _random_rank_axes(df, rng, max_len=3):
 
 
 def _check_code_grid(df, rank_axes):
-    """``code_grid`` pairs against ``code_ratio`` and the oracle at each point, in product order."""
+    """``code_grid`` pairs against the oracle at each point, in product order, each on the df's denominator."""
     got = list(df.code_grid(rank_axes))
     points = list(product(*rank_axes))
     assert [F(*pair) for pair in got] == [oracle_counting_value(df, r) for r in points], rank_axes
+    assert {den for _, den in got} <= {df._weighted_points()[2]}, rank_axes
     return got, points
 
 
@@ -239,7 +240,7 @@ def _check_code_grid(df, rank_axes):
     ),
     1,
 )
-def test_code_grid_matches_code_ratio_on_every_index_path(df, seed):
+def test_code_grid_matches_the_row_scan_on_every_index_path(df, seed):
     """The scan path, the call that builds the table, and table reads all equal the point values."""
     df = replace(df)
     rng = random.Random(seed)
@@ -263,13 +264,12 @@ def test_code_grid_matches_code_ratio_on_every_index_path(df, seed):
         rng.shuffle(ranks)
     _check_code_grid(df, all_ranks)
     assert index._table is not None
-    assert got == [df.code_ratio(r) for r in points]
+    assert _check_code_grid(df, rank_axes)[0] == got  # the table gives the scan's pairs
 
     # table path: later calls read the table, -inf and +inf ranks included
     for _ in range(3):
         rank_axes = _random_rank_axes(df, rng)
-        got, points = _check_code_grid(df, [[*ranks, *inf] for ranks, inf in zip(rank_axes, inf_ranks)])
-        assert got == [df.code_ratio(r) for r in points]
+        _check_code_grid(df, [[*ranks, *inf] for ranks, inf in zip(rank_axes, inf_ranks)])
     assert list(df.code_grid([[] for _ in range(df.dim)])) == []
     check_index_boxes(df, seed)
 
@@ -280,26 +280,22 @@ def test_code_grid_matches_code_ratio_on_every_index_path(df, seed):
     assert copula.code_grid == df.code_grid
     axes = [rng.sample(pool, min(3, len(pool))) for pool in (level_pool(m) for m in copula.margins)]
     codes = [copula.axis_codes(i, levels) for i, levels in enumerate(axes)]
-    assert list(copula.ratio_grid(axes)) == [copula.code_ratio(c) for c in product(*codes)]
-    assert list(copula.eval_grid(axes)) == [oracle_eval(copula, t) for t in product(*axes)]
+    want = [oracle_eval(copula, t) for t in product(*axes)]
+    for pairs in (list(copula.ratio_grid(axes)), [copula.code_ratio(c) for c in product(*codes)]):
+        assert [F(*p) for p in pairs] == want
+    assert list(copula.eval_grid(axes)) == want
     check_index_boxes(copula, seed)
 
 
 def test_a_sweep_that_reaches_the_cells_reads_the_table_not_the_rows(monkeypatch):
     """Grid calls charge the scan budget once: a large sweep never scans, a small call never tabulates."""
-    calls = []
+    calls, scan = [], _RankIndex._scan
 
-    def spy(name):
-        original = getattr(_RankIndex, name)
+    def spy(self, ranks):
+        calls.append(tuple(ranks))
+        return scan(self, ranks)
 
-        def wrapped(self, ranks):
-            calls.append((name, tuple(ranks)))
-            return original(self, ranks)
-
-        monkeypatch.setattr(_RankIndex, name, wrapped)
-
-    spy("_weight_below")
-    spy("_scan")
+    monkeypatch.setattr(_RankIndex, "_scan", spy)
     rows = [(F(k), F(3 * k % 7)) for k in range(7)]  # 8 x 8 = 64 cells, 7 rows
     df = empirical_from_rows(rows)
     report = verify_sklar_identity(df, GridSpec(4))
@@ -311,7 +307,7 @@ def test_a_sweep_that_reaches_the_cells_reads_the_table_not_the_rows(monkeypatch
     small = empirical_from_rows(rows)
     assert list(small.eval_grid([(F(1), F(5, 2)), (F(4),)])) == [F(2, 7), F(2, 7)]
     assert small._index._table is None and small._index._scanned == 14
-    assert [name for name, _ in calls] == ["_scan", "_scan"]
+    assert calls == [(2, 5), (3, 5)]  # x <= 1 and x <= 5/2 have 2 and 3 breakpoints, y <= 4 has 5
 
 
 def test_rank_index_is_invisible(tmp_path):
@@ -472,8 +468,8 @@ class EveryProbeFails(MultivariateDf):
     def pair_codes(self, axis, pairs):
         return [int(not (b == 1 and 0 <= a < self.sizes[axis])) for a, b in pairs]
 
-    def code_ratio(self, codes):
-        return sum(codes), 1
+    def code_grid(self, code_axes):
+        return ((sum(codes), 1) for codes in product(*code_axes))
 
     def margin_fn(self, axis):
         raise NotImplementedError

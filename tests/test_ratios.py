@@ -1,9 +1,10 @@
 """Integer-pair combining hooks and the copula verifiers that compare pairs.
 
-Every family's ``code_ratio`` returns its value as ``(numerator,
-denominator)`` with a positive denominator, and the verifiers decide each
-comparison by cross-multiplying such pairs.  These tests hold the hooks to
-the families' formulas in ``Fraction`` arithmetic (``helpers.ORACLE_COMBINE``),
+Every family's ``code_grid`` yields its values as ``(numerator,
+denominator)`` with a positive denominator, ``code_ratio`` reads one point
+as a 1 x .. x 1 grid, and the verifiers decide each comparison by
+cross-multiplying such pairs.  These tests hold the hooks to the families'
+formulas in ``Fraction`` arithmetic (``helpers.ORACLE_COMBINE``),
 and the verifiers' reports, witness order included, to oracles that evaluate
 ``Copula.eval`` one point at a time, on inputs that pass and inputs that fail.
 """
@@ -20,8 +21,11 @@ from copulacheck import (
     NEG_INF,
     POS_INF,
     ComonotoneDf,
+    Copula,
     CountermonotoneDf,
     Cuboid,
+    EmpiricalDf,
+    GridDf,
     GridSpec,
     ProductDf,
     empirical_from_rows,
@@ -34,17 +38,20 @@ from copulacheck import (
     verify_uniform_margins,
     vertex_sum,
 )
-from copulacheck.mvdf import lower_bound_grid, min_grid, product_grid, ratio_lower_bound, ratio_min
+from copulacheck.mvdf import AxisSeparable, lower_bound_grid, min_grid, product_grid
 from copulacheck.serialize import load_payload
 from helpers import (
     ORACLE_COMBINE,
     check_index_boxes,
     composed_dfs,
     oracle_copula_axioms,
+    oracle_eval,
     oracle_lower_bound,
     oracle_product,
     oracle_sklar_identity,
     oracle_uniform_margins,
+    ratio_lower_bound,
+    ratio_min,
 )
 
 F = Fraction
@@ -110,12 +117,14 @@ def composed_grids(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(composed_grids())
-def test_composed_code_grid_equals_code_ratio_at_every_point(case):
+def test_composed_code_grid_equals_the_fraction_formula_at_every_point(case):
+    """The fold at every grid point, and each point read alone, against the family's formula over the walked margins."""
     df, axes = case
     codes = [df.axis_codes(i, xs) for i, xs in enumerate(axes)]
-    got = list(df.code_grid(codes))
-    assert all(d > 0 for _, d in got)
-    assert [F(*p) for p in got] == [F(*df.code_ratio(c)) for c in itertools.product(*codes)]
+    want = [oracle_eval(df, t) for t in itertools.product(*axes)]
+    for got in (list(df.code_grid(codes)), [df.code_ratio(c) for c in itertools.product(*codes)]):
+        assert all(d > 0 for _, d in got)
+        assert [F(*p) for p in got] == want
 
 
 # per-axis lists of pairs, unreduced, with 0 and 1 among them, values in [-2, 3]
@@ -133,6 +142,17 @@ def test_bound_grids_equal_the_pointwise_bounds(axes):
     assert [F(*p) for p in lower] == [F(*ratio_lower_bound(p)) for p in points]
     assert list(min_grid(axes)) == [ratio_min(p) for p in points]  # the first least pair, as written
     assert [F(*p) for p in product_grid(axes)] == [oracle_product([F(*q) for q in p]) for p in points]
+
+
+def test_code_grid_is_the_one_place_a_value_is_computed():
+    """``code_ratio`` is defined once, on ``AxisSeparable``; the families and ``Copula`` define ``code_grid`` only."""
+    families = (EmpiricalDf, GridDf, ProductDf, ComonotoneDf, CountermonotoneDf)
+    assert "code_ratio" in vars(AxisSeparable) and "code_grid" in AxisSeparable.__abstractmethods__
+    for cls in {base for c in (*families, Copula) for base in c.__mro__} - {AxisSeparable}:
+        assert "code_ratio" not in vars(cls), cls
+    for cls in families:
+        assert cls.code_grid is not AxisSeparable.code_grid and not cls.__abstractmethods__, cls
+    assert "code_grid" in vars(Copula)
 
 
 def test_a_grid_of_a_million_points_yields_its_first_pair_without_building_the_grid():

@@ -99,8 +99,8 @@ def test_df_to_payload_refuses_a_df_outside_the_families():
         def pair_codes(self, axis, pairs):
             return list(pairs)
 
-        def code_ratio(self, codes):
-            return 0, 1
+        def code_grid(self, code_axes):
+            return ((0, 1) for _ in code_axes[0])
 
         def margin_fn(self, axis):
             return uniform_cdf()
