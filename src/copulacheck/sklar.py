@@ -69,7 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -88,7 +88,7 @@ from .mvdf import (
     vertex_sum,  # bench/spans.py traces it by name in this module too
 )
 from .report import Report, Witnesses
-from .scalars import as_scalar
+from .scalars import POS_INF, as_scalar
 
 
 @dataclass(frozen=True)
@@ -256,6 +256,26 @@ def _changed_runs(changed: Sequence[Sequence[bool]]) -> Iterator[tuple[int, rang
     return walk(0, 0)
 
 
+def _changed_points(changed: Sequence[Sequence[bool]], streams: Sequence[tuple[Callable, Sequence]]) -> Iterator[tuple]:
+    """(flat index, value of each stream) at each grid point where some axis changes, in flat order.
+
+    A stream is a grid reader, as ``code_grid``, and its per-axis lists.
+    Each block of :func:`_changed_runs` reads every stream once, on the
+    indices its axes take in that block; a block whose axis keeps every
+    index reads nothing.
+    """
+    blocks = []
+    for j, mask in enumerate(changed):
+        if not any(mask):
+            blocks.append(None)
+            continue
+        # the indices each axis takes in block j: kept before j, changed at j, all after j
+        picks = [[k for k, differs in enumerate(changed[i]) if differs == (i == j)] for i in range(j + 1)]
+        picks += [range(len(later)) for later in changed[j + 1 :]]
+        blocks.append([read([[axis[k] for k in ks] for axis, ks in zip(axes, picks)]) for read, axes in streams])
+    return chain.from_iterable(zip(flats, *blocks[j]) for j, flats in _changed_runs(changed))
+
+
 def verify_sklar_identity(df: MultivariateDf, grid: GridSpec = GridSpec(), max_witnesses: int = -1) -> Report:
     """Compare F(x) against C(F_1(x_1), ..., F_d(x_d)) on a merged grid.
 
@@ -272,25 +292,12 @@ def verify_sklar_identity(df: MultivariateDf, grid: GridSpec = GridSpec(), max_w
     c_codes = [copula.pair_codes(i, m.eval_pairs(pts)) for i, (m, pts) in enumerate(zip(copula.margins, axes))]
     changed = [list(map(_changed, fs, cs)) for fs, cs in zip(f_codes, c_codes)]
 
-    # per block, the streams of F and C; a block whose axis keeps every code is empty
-    blocks = []
-    for j, mask in enumerate(changed):
-        if not any(mask):
-            blocks.append(None)
-            continue
-        # the indices each axis takes in block j: kept before j, changed at j, all after j
-        picks = [[k for k, differs in enumerate(changed[i]) if differs == (i == j)] for i in range(j + 1)]
-        picks += [range(len(axis)) for axis in axes[j + 1 :]]
-        f_block, c_block = ([[axis[k] for k in ks] for axis, ks in zip(codes, picks)] for codes in (f_codes, c_codes))
-        blocks.append((df.code_grid(f_block), copula.code_grid(c_block)))
-
     sink = Witnesses(max_witnesses)
-    for j, flats in _changed_runs(changed):
-        for flat, expected, got in zip(flats, *blocks[j]):
-            (en, ed), (gn, gd) = expected, got
-            diff = gn * ed - en * gd
-            if diff:
-                sink.add((abs(diff), gd * ed), _grid_witness, axes, flat, expected, got, "identity")
+    for flat, expected, got in _changed_points(changed, ((df.code_grid, f_codes), (copula.code_grid, c_codes))):
+        (en, ed), (gn, gd) = expected, got
+        diff = gn * ed - en * gd
+        if diff:
+            sink.add((abs(diff), gd * ed), _grid_witness, axes, flat, expected, got, "identity")
     return _flat_report("sklar_identity", prod(map(len, axes)), sink)
 
 
@@ -334,14 +341,24 @@ def verify_copula_axioms(
     """
     require_box_count(n_cuboids)
     sink = Witnesses(max_witnesses)
-    if not family_certifies_d_increase(copula.source):
+    source = copula.source
+    certified = family_certifies_d_increase(source)
+    if not certified:
         for a, b, (vn, vd) in negative_boxes(copula, seed, n_cuboids):
             sink.add((-vn, vd), _box_witness, a, b, (vn, vd))
 
     axis_levels = [grid.levels(m) for m in copula.margins]
     codes = [copula.pair_codes(i, levels) for i, levels in enumerate(axis_levels)]
-    sweep = zip(copula.code_grid(codes), lower_bound_grid(axis_levels), min_grid(axis_levels))
-    for flat, (value, lower, upper) in enumerate(sweep):
+    if certified and source.eval((POS_INF,) * source.dim) == 1:
+        # a level keeps its value under the round trip G_i(Q_i(s)) outside the jump gaps of G_i
+        changed = [
+            list(map(_changed, levels, m.eval_pairs(m.gen_inverse_right_pairs(levels))))
+            for m, levels in zip(copula.margins, axis_levels)
+        ]
+    else:
+        changed = [[True] * len(levels) for levels in axis_levels]
+    streams = ((copula.code_grid, codes), (lower_bound_grid, axis_levels), (min_grid, axis_levels))
+    for flat, value, lower, upper in _changed_points(changed, streams):
         (vn, vd), (ln, ld), (un, ud) = value, lower, upper
         # levels lie in [0, 1], so M(s) = min s_i is 0 exactly where some s_i is 0
         if vn and not un:

@@ -245,6 +245,19 @@ def knot_jumps(fn: MonotoneFn) -> list[tuple[Fraction, Fraction, Fraction]]:
     return [(k.x, k.left, k.value) for k in fn.knots if k.left != k.value]
 
 
+def knot_jump_gaps(fn: MonotoneFn) -> list[tuple[Fraction, Fraction]]:
+    """The jump gaps [G(x-), G(x)) of G, as (left, value), one per knot whose left limit is not its value.
+
+    A level s in a gap moves under the round trip G(Q(s)), Q(s) = inf {x : G(x) > s}: Q(s) is the
+    knot, where G is the gap's top.  Every other level of a cdf is kept.
+    """
+    gaps = []
+    for k in fn.knots:
+        if k.left != k.value:
+            gaps.append((k.left, k.value))
+    return gaps
+
+
 def knot_bottom_value(fn: MonotoneFn) -> Fraction:
     """G(Q(0)) with Q(0) = inf {x : G(x) > 0}, for a cdf G, which is 0 left of its first knot.
 

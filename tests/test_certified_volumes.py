@@ -57,6 +57,7 @@ from helpers import (
     knot_jumps,
     monotone_fns,
     naive_vertex_sum,
+    oracle_capped,
     oracle_copula_axioms_loop,
     oracle_df_volumes,
     oracle_eval,
@@ -126,6 +127,7 @@ def test_each_family_is_certified_as_its_volumes_allow():
 
 @settings(max_examples=150, deadline=None)
 @given(five_family_dfs(), st.integers(0, 2**32), st.integers(1, 40))
+@example(GridDf((((F(0),), F(1, 4)),)), 0, 1)  # certified, but F(+inf) = 1/4 while its margin reaches 1
 def test_a_certified_df_and_its_copula_have_no_negative_seeded_box(df, seed, n_cuboids):
     """Where the predicate holds, the sweep and the box-by-box oracle find nothing, and the skipped report is theirs."""
     if isinstance(df, GridDf):
@@ -140,6 +142,18 @@ def test_a_certified_df_and_its_copula_have_no_negative_seeded_box(df, seed, n_c
     assert list(mvdf.negative_boxes(copula, seed, n_cuboids)) == [] == oracle_negative_boxes(copula, seed, n_cuboids)
     report = verify_copula_axioms(copula, n_cuboids, seed, GridSpec(2))
     assert report == oracle_copula_axioms_loop(copula, n_cuboids, seed, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(five_family_dfs(), st.integers(1, 4), st.sampled_from([-1, 3]), st.integers(0, 2**32), st.integers(1, 20))
+@example(GridDf((((F(0),), F(1, 4)),)), 2, -1, 0, 1)
+def test_the_copula_sweep_matches_the_point_by_point_loop(df, m, max_witnesses, seed, n_cuboids):
+    """Lenient dfs included: the skipped level points, read one at a time, hold no witness the sweep lacks."""
+    copula = copula_or_none(df)
+    if copula is None:
+        return
+    report = verify_copula_axioms(copula, n_cuboids, seed, GridSpec(m), max_witnesses)
+    assert report == oracle_capped(oracle_copula_axioms_loop(copula, n_cuboids, seed, m), max_witnesses)
 
 
 @settings(max_examples=100, deadline=None)

@@ -14,13 +14,17 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, prod
+from pathlib import Path
 from random import Random
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from copulacheck.serialize import load_payload
+
 from copulacheck import (
+    POS_INF,
     EmpiricalDf,
     GridDf,
     GridSpec,
@@ -32,6 +36,7 @@ from copulacheck import (
     extract_copula,
     grid_df,
     make_monotone,
+    mvdf,
     product_df,
     sklar,
     uniform_cdf,
@@ -41,12 +46,14 @@ from copulacheck import (
 )
 from helpers import (
     composed_dfs,
+    knot_jump_gaps,
     monotone_fns,
     oracle_axis_points,
     oracle_df_axes,
     oracle_lemma_grids,
     oracle_level_axes,
     oracle_capped,
+    oracle_copula_axioms_loop,
     oracle_sklar_identity,
     walk_eval,
     walk_inverse,
@@ -341,8 +348,8 @@ def oracle_reads(df, m: int) -> Counter:
     return reads
 
 
-def sweep_reads(df, m: int):
-    """The identity's report on ``GridSpec(m)``, and the code values of each point ``code_grid`` yielded to it."""
+def code_grid_reads(df, run):
+    """``run()``, and the code values of each point the ``code_grid`` of ``df``'s class yielded during it."""
     reads = Counter()
     original = type(df).code_grid
 
@@ -352,8 +359,12 @@ def sweep_reads(df, m: int):
             yield value
 
     with patch.object(type(df), "code_grid", spy):
-        report = verify_sklar_identity(df, GridSpec(m))
-    return report, reads
+        return run(), reads
+
+
+def sweep_reads(df, m: int):
+    """The identity's report on ``GridSpec(m)``, and the code values of each point ``code_grid`` yielded to it."""
+    return code_grid_reads(df, lambda: verify_sklar_identity(df, GridSpec(m)))
 
 
 CONTINUOUS = make_monotone([(-1, 0, 0), (0, F(1, 2), F(1, 2)), (3, 1, 1)])
@@ -399,3 +410,104 @@ def test_a_counting_sweep_reads_all_but_the_kept_corner():
     assert reads == oracle_reads(df, 4)
     assert sum(reads.values()) == 2 * (report.sections[0].points - 1)
     assert report == oracle_sklar_identity(df, 4)
+
+
+# -- the copula sweep reads only the level points that can fail ------------------------------------
+
+
+def oracle_level_reads(copula, m: int, changed) -> Counter:
+    """The source's code values at each level point where ``changed(G_i, s_i)`` holds on some axis,
+    each level coded at its knot-walk quantile Q_i(s_i)."""
+    source = copula.source
+    axes = [
+        [(oracle_code(source, i, walk_inverse(g, s, True)), changed(g, s)) for s in levels]
+        for i, (g, levels) in enumerate(zip(copula.margins, oracle_level_axes(copula, m)))
+    ]
+    reads = Counter()
+    for point in product(*axes):
+        codes, moved = zip(*point)
+        if any(moved):
+            reads[codes] += 1
+    return reads
+
+
+def round_trip_moves(g, s) -> bool:
+    return walk_eval(g, walk_inverse(g, s, True)) != s
+
+
+def copula_sweep_reads(copula, m: int):
+    """The copula axioms report on ``GridSpec(m)`` with one box, and the code values the sweep read.
+
+    A certified source is also read once at (+inf, .., +inf), for its total mass; that read is left out.
+    """
+    report, reads = code_grid_reads(copula.source, lambda: verify_copula_axioms(copula, 1, 0, GridSpec(m)))
+    if mvdf.family_certifies_d_increase(copula.source):
+        top = tuple(oracle_code(copula.source, i, POS_INF) for i in range(copula.dim))
+        assert reads[top] > 0
+        reads[top] -= 1
+        reads = +reads
+    return report, reads
+
+
+@pytest.mark.parametrize("family", CONTINUOUS_DFS)
+def test_continuous_margins_read_no_level_point(family):
+    """No level lies in a jump gap, so the sweep reads no point, yet every one is counted."""
+    copula = extract_copula(CONTINUOUS_DFS[family]())
+    report, reads = copula_sweep_reads(copula, 7)
+    assert reads == oracle_level_reads(copula, 7, round_trip_moves) == Counter()
+    assert report.sections[0].points == 1 + prod(len(axis) for axis in oracle_level_axes(copula, 7))
+    assert report == oracle_copula_axioms_loop(copula, 1, 0, 7) and report.passed
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("margin", [STEP, ONE_THIRD_TO_HALF], ids=["step", "numerators"])
+def test_a_step_margin_reads_the_level_slabs_of_its_changed_levels(margin, axis):
+    """Beside a uniform margin, exactly the slabs of the step margin's levels in a jump gap are read."""
+    margins = [uniform_cdf(), uniform_cdf()]
+    margins[axis] = margin
+    copula = extract_copula(ProductDf(tuple(margins)))
+    levels = oracle_level_axes(copula, 6)
+    changed = [s for s in levels[axis] if round_trip_moves(margin, s)]
+    assert 0 < len(changed) < len(levels[axis])
+    report, reads = copula_sweep_reads(copula, 6)
+    assert reads == oracle_level_reads(copula, 6, round_trip_moves)
+    assert sum(reads.values()) == len(levels[1 - axis]) * len(changed)
+    assert report == oracle_copula_axioms_loop(copula, 1, 0, 6) and not report.passed
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+EVERY_POINT_SOURCES = {
+    # uncertified: a countermonotone df on three margins, a grid df with a negative mass
+    "counter3": lambda: load_payload((GOLDEN_INPUTS / "counter3.json").read_text(encoding="utf-8")),
+    "signed": lambda: load_payload((GOLDEN_INPUTS / "signed.json").read_text(encoding="utf-8")),
+    # certified, but F(+inf) = 1/4 while its margin is divided by 1/4
+    "quarter-mass": lambda: GridDf((((F(0),), F(1, 4)),)),
+}
+
+
+@pytest.mark.parametrize("name", EVERY_POINT_SOURCES)
+def test_a_source_without_both_certificates_reads_every_level_point(name):
+    """Off a certified df of total mass 1 the Frechet bounds need not hold, so every level point is read.
+
+    The seeded boxes read the same ``code_grid``, so none is drawn here.
+    """
+    copula = extract_copula(EVERY_POINT_SOURCES[name]())
+    with patch.object(sklar, "negative_boxes", lambda *args: iter(())):
+        _, reads = copula_sweep_reads(copula, 3)
+    assert reads == oracle_level_reads(copula, 3, lambda g, s: True)
+    assert sum(reads.values()) == prod(len(axis) for axis in oracle_level_axes(copula, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(monotone_fns(cdf=True), min_size=1, max_size=3), st.integers(1, 5))
+def test_a_level_is_read_iff_it_lies_in_a_jump_gap_of_its_margin(margins, m):
+    """The changed levels, scanned off the knot list: s is changed iff left <= s < value at some jump."""
+
+    def in_a_gap(g, s) -> bool:
+        return any(left <= s < value for left, value in knot_jump_gaps(g))
+
+    copula = extract_copula(ProductDf(tuple(margins)))
+    for g, levels in zip(margins, oracle_level_axes(copula, m)):
+        assert [in_a_gap(g, s) for s in levels] == [round_trip_moves(g, s) for s in levels]
+    _, reads = copula_sweep_reads(copula, m)
+    assert reads == oracle_level_reads(copula, m, in_a_gap)
