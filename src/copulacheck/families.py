@@ -170,6 +170,11 @@ class _RankIndex:
         return table
 
     def margin(self, axis: int) -> MonotoneFn:
+        """The step cdf of ``axis``: the weight at or below each breakpoint over the total weight.
+
+        The total, not the denominator: a lenient grid payload whose masses
+        sum to t != 1 gets margins divided by t, while F(+inf, .., +inf) = t.
+        """
         sums = [0] * self._sizes[axis]
         for row, w in self._rows:
             sums[row[axis]] += w

@@ -35,6 +35,16 @@ that ends in a jump.  The rest is read as d product blocks, one ``code_grid``
 call per side each, and compared in flat order; ``points`` still counts
 every grid point.
 
+The grounded and envelope checks skip points too.  A level s of G_i moves
+under the round trip G_i(Q_i(s)) exactly when it lies in a jump gap
+[G_i(x-), G_i(x)).  If the source's family certifies d-increase and
+F(+inf, .., +inf) = 1, the Frechet bounds of F (Nelsen, 2006, 2.5) put
+C(s) = F(Q(s)) between W and M of the G_i(Q_i(s_i)), so a point where no
+level moves passes all three checks and is not read.  (A certified lenient
+grid payload can have F(+inf, .., +inf) = t != 1 and margins divided by t.)
+Both sweeps read through ``_changed_points``: the blocks of ``_changed_runs``,
+one grid call per stream and block, in flat order.
+
 :class:`GridSpec` builds every verification grid and always merges the
 structural breakpoints of the inputs, so a violation at a jump cannot hide
 between grid points.  It makes the k/m points of a range from integers, in
@@ -259,10 +269,8 @@ def _changed_runs(changed: Sequence[Sequence[bool]]) -> Iterator[tuple[int, rang
 def _changed_points(changed: Sequence[Sequence[bool]], streams: Sequence[tuple[Callable, Sequence]]) -> Iterator[tuple]:
     """(flat index, value of each stream) at each grid point where some axis changes, in flat order.
 
-    A stream is a grid reader, as ``code_grid``, and its per-axis lists.
-    Each block of :func:`_changed_runs` reads every stream once, on the
-    indices its axes take in that block; a block whose axis keeps every
-    index reads nothing.
+    A stream is a grid reader, as ``code_grid``, with its per-axis lists; each
+    block of :func:`_changed_runs` reads every stream once, on the block's indices.
     """
     blocks = []
     for j, mask in enumerate(changed):
@@ -337,7 +345,11 @@ def verify_copula_axioms(
     d-increasing, and ``points`` counts ``n_cuboids`` either way.  Grid
     points merge the margin critical levels.  Grounded means
     C(s) = 0 whenever some coordinate is 0; the envelope is
-    max(sum s_i - (d-1), 0) <= C(s) <= min s_i.
+    max(sum s_i - (d-1), 0) <= C(s) <= min s_i.  On a certified source with
+    F(+inf, .., +inf) = 1 only the level points where some level lies in a
+    jump gap of its margin are read (module docstring), since no other point
+    can fail; on any other source every level point is.  ``points`` counts
+    every level point either way.
     """
     require_box_count(n_cuboids)
     sink = Witnesses(max_witnesses)
@@ -350,7 +362,7 @@ def verify_copula_axioms(
     axis_levels = [grid.levels(m) for m in copula.margins]
     codes = [copula.pair_codes(i, levels) for i, levels in enumerate(axis_levels)]
     if certified and source.eval((POS_INF,) * source.dim) == 1:
-        # a level keeps its value under the round trip G_i(Q_i(s)) outside the jump gaps of G_i
+        # the Frechet bounds of F decide every point where no level moves under G_i(Q_i(s))
         changed = [
             list(map(_changed, levels, m.eval_pairs(m.gen_inverse_right_pairs(levels))))
             for m, levels in zip(copula.margins, axis_levels)

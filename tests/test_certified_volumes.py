@@ -9,7 +9,10 @@ wherever it is True the sweep and its box-by-box oracle find no negative box,
 on the df and on its copula; a grid df is certified exactly when its cells,
 read by the oracles, have no negative volume; and every report, on every
 golden input, is the same with the predicate patched to False.  Only the
-five family classes are asked, so a subclass keeps the sweep.  The
+five family classes are asked, so a subclass keeps the sweep.  The copula
+sweep, which on a certified df of total mass 1 skips the level points no
+check can fail at, equals the point-by-point loop on every family, lenient
+dfs included.  The
 cross-command tests state verdicts that the margins decide on a valid df,
 read off the knot lists by the scans in ``helpers`` (``knot_jumps``,
 ``knot_bottom_value``).

@@ -7,7 +7,10 @@ breakpoint among them by integer division, and the identity reads the copula
 on the margin levels of the grid.  Its axes (``axis_pairs``, ``levels``,
 ``df_axes``, ``lemma_grids``) are integer pairs, equal to the oracle's points
 by value; ``grid_pairs`` pins the pair each point is given as.  The reports
-must equal the oracle's.
+must equal the oracle's.  Both sweeps skip points: the identity's reads are
+held to the points where some margin's round trip changes a code, and the
+copula sweep's to the level points where some level lies in a jump gap of its
+margin, scanned off the knot list (``helpers.knot_jump_gaps``).
 """
 
 from collections import Counter
@@ -432,6 +435,7 @@ def oracle_level_reads(copula, m: int, changed) -> Counter:
 
 
 def round_trip_moves(g, s) -> bool:
+    """Whether the level s of G moves under G(Q(s)), Q(s) = inf {x : G(x) > s}, from the knot walks."""
     return walk_eval(g, walk_inverse(g, s, True)) != s
 
 
