@@ -402,15 +402,16 @@ class GridDf(_CountingDf):
         width = len(masses[0].point)
         if width == 0:
             raise ValidationError("mass 1: empty point")
+        # each point keyed once by its reduced pairs: a repeat leaves the set one short
         seen = set()
         for i, gm in enumerate(masses):
             if len(gm.point) != width:
                 raise ValidationError(
                     f"mass {i + 1}: point has {len(gm.point)} coordinates, expected {width}"
                 )
-            if gm.point in seen:
+            seen.add(tuple(c.as_integer_ratio() for c in gm.point))
+            if len(seen) == i:
                 raise ValidationError(f"mass {i + 1}: duplicate support point {gm.point}")
-            seen.add(gm.point)
         object.__setattr__(self, "masses", masses)
 
     @property

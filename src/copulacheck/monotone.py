@@ -9,16 +9,23 @@ piecewise-linear-with-jumps function G on the whole real line:
   open right endpoint ``(x_{k+1}, left_{k+1})``;
 * G(x) = ``knots[-1].value`` at and beyond the last knot (the supremum ``d``).
 
-Right-continuity is structural: every piece is closed on the left.  The module
-offers exact evaluation, one-sided limits, and the two generalized inverses
+Right-continuity is structural: every piece is closed on the left.  The
+constructor encodes a knot list once: it reads each knot's ``x``, ``left`` and
+``value`` as reduced integer pairs and checks the three order rules on them
+by cross-multiplication (abscissae strictly increasing, ``left <= value``,
+the previous ``value <= left``).  The answer tables below, the critical-level
+pairs and the abscissa pairs that ``sklar.GridSpec`` places on its axes all
+read those pairs, so loading a function and building its grids compare and
+hash no ``Fraction``.  The module offers exact evaluation, one-sided limits,
+and the two generalized inverses
 
     gen_inverse(u)       = inf { x : G(x) >= u }
     gen_inverse_right(u) = inf { x : G(x) > u }
 
 G, its left limit and both inverses are one walk on integer pairs in the
 format of ``scalars`` (a/b as (a, b), b > 0; -inf as (-1, 0), +inf as (1, 0)),
-over one of two answer tables built on the first call.  Each
-table carries its own sorted keys: the walk counts the keys below a/b (s = 0)
+over one of two answer tables built from the knot pairs on the first call.
+Each table carries its own sorted keys: the walk counts the keys below a/b (s = 0)
 or at or below it (s = 1) and answers at that rank by a constant or an affine
 piece at a/b.  G(x) and G(x-) are s = 1 and s = 0 on the abscissa table;
 ``gen_inverse_right`` and ``gen_inverse`` are s = 1 and s = 0 on the level
@@ -138,14 +145,13 @@ class _SweepTables:
     infimum at 0, value_i or the piece on [x_i, x_{i+1}) at i + 1.
     ``inverse`` is the inverse by rank among the knot levels: -inf at 0, x_k at
     2k + 1, the crossing between value_{k-1} and left_k at 2k, +inf at the
-    end, the infinities as their pairs.
+    end, the infinities as their pairs.  Both are built from the pairs
+    ``MonotoneFn`` encoded its knots as.
     """
 
     __slots__ = ("g", "inverse")
 
-    def __init__(self, knots: Sequence[Knot], levels: Sequence[Fraction]) -> None:
-        xs = [k.x.as_integer_ratio() for k in knots]
-        pairs = [lv.as_integer_ratio() for lv in levels]
+    def __init__(self, xs: Sequence[Ratio], pairs: Sequence[Ratio]) -> None:
         pieces = [None, *map(_piece, xs, pairs[1::2], xs[1:], pairs[2::2]), None]
         self.g = (*zip(*xs), pairs[:1] + pairs[1::2], pieces)
         crossings: list[_Piece] = [None] * (len(pairs) + 1)
@@ -155,6 +161,8 @@ class _SweepTables:
 
 def _coerce_knot(entry, index: int) -> Knot:
     if isinstance(entry, Knot):
+        if type(entry.x) is type(entry.left) is type(entry.value) is Fraction:
+            return entry
         return Knot(as_scalar(entry.x), as_scalar(entry.left), as_scalar(entry.value))
     try:
         x, left, value = entry
@@ -165,11 +173,20 @@ def _coerce_knot(entry, index: int) -> Knot:
 
 @dataclass(frozen=True)
 class MonotoneFn:
-    """Non-decreasing right-continuous function with finitely many breakpoints."""
+    """Non-decreasing right-continuous function with finitely many breakpoints.
+
+    The constructor is the one place a knot list is encoded: it reads each
+    knot's ``x``, ``left`` and ``value`` as integer pairs once, checks the
+    three order rules on them by cross-multiplication, and keeps them for the
+    answer tables and the grid axes (``knot_x_pairs``, ``critical_level_pairs``).
+    A ``Knot`` whose fields are already ``Fraction``s is kept as it is.
+    """
 
     knots: tuple[Knot, ...]
     _xs: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-    _levels: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    # the knot abscissae and the knot levels (left_0, value_0, left_1, ...), as reduced pairs
+    _x_pairs: tuple[Ratio, ...] = field(init=False, repr=False, compare=False)
+    _levels: tuple[Ratio, ...] = field(init=False, repr=False, compare=False)
     # built on the first batch call, so loading a payload does no work for it;
     # threads that race to build it build equal tables
     _sweep: Optional[_SweepTables] = field(default=None, init=False, repr=False, compare=False)
@@ -178,24 +195,29 @@ class MonotoneFn:
         knots = tuple(_coerce_knot(k, i) for i, k in enumerate(self.knots))
         if not knots:
             raise ValidationError("a monotone function needs at least one knot")
+        xs = tuple(k.x.as_integer_ratio() for k in knots)
+        levels = tuple(lv.as_integer_ratio() for k in knots for lv in (k.left, k.value))
         for i, k in enumerate(knots):
-            if k.left > k.value:
+            (ln, ld), (vn, vd) = levels[2 * i], levels[2 * i + 1]
+            if ln * vd > vn * ld:
                 raise ValidationError(
                     f"knot index {i}: left limit {k.left} exceeds value {k.value}"
                 )
             if i > 0:
                 prev = knots[i - 1]
-                if k.x <= prev.x:
+                (xn, xd), (pn, pd), (qn, qd) = xs[i], xs[i - 1], levels[2 * i - 1]
+                if xn * pd <= pn * xd:
                     raise ValidationError(
                         f"knot index {i}: abscissa {k.x} not greater than {prev.x}"
                     )
-                if prev.value > k.left:
+                if qn * ld > ln * qd:
                     raise ValidationError(
                         f"knot index {i}: left limit {k.left} below previous value {prev.value}"
                     )
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "_xs", tuple(k.x for k in knots))
-        object.__setattr__(self, "_levels", tuple(lv for k in knots for lv in (k.left, k.value)))
+        object.__setattr__(self, "_x_pairs", xs)
+        object.__setattr__(self, "_levels", levels)
 
     # -- range ---------------------------------------------------------------
 
@@ -215,8 +237,16 @@ class MonotoneFn:
     def knot_xs(self) -> tuple[Fraction, ...]:
         return self._xs
 
+    def knot_x_pairs(self) -> tuple[Ratio, ...]:
+        """The knot abscissae as reduced pairs, sorted and distinct."""
+        return self._x_pairs
+
     def critical_levels(self) -> tuple[Fraction, ...]:
         """Sorted distinct levels at which the inverse can change its local form."""
+        return tuple(dict.fromkeys(lv for k in self.knots for lv in (k.left, k.value)))
+
+    def critical_level_pairs(self) -> tuple[Ratio, ...]:
+        """The critical levels as reduced pairs: the knot levels deduplicated as tuples."""
         return tuple(dict.fromkeys(self._levels))
 
     # -- evaluation ----------------------------------------------------------
@@ -227,7 +257,7 @@ class MonotoneFn:
 
     def _tables(self) -> _SweepTables:
         if self._sweep is None:
-            object.__setattr__(self, "_sweep", _SweepTables(self.knots, self._levels))
+            object.__setattr__(self, "_sweep", _SweepTables(self._x_pairs, self._levels))
         return self._sweep
 
     def eval_many(self, xs: Iterable[ExtScalar]) -> list[Fraction]:
@@ -261,7 +291,7 @@ class MonotoneFn:
 
         A pair with a negative denominator, or (0, 0), is no value and raises ``ValidationError``.
         """
-        (lo_n, lo_d), (hi_n, hi_d) = self.inf_value.as_integer_ratio(), self.sup_value.as_integer_ratio()
+        (lo_n, lo_d), (hi_n, hi_d) = self._levels[0], self._levels[-1]
         out = []
         for a, b in pairs:
             if b < 0 or a == b == 0:
@@ -374,7 +404,7 @@ def lemma_report(fn: MonotoneFn, us: Iterable[Ratio], xs: Iterable[Ratio], max_w
             raise ValidationError(f"point pair ({a}, {b}) needs a positive denominator")
 
     # u = inf G, where G^-1(u) = -inf, has no left limit
-    lo_n, lo_d = fn.inf_value.as_integer_ratio()
+    lo_n, lo_d = fn._levels[0]
     above = sum(a * lo_d > lo_n * b for a, b in pairs)
 
     ff_witnesses = Witnesses(max_witnesses)

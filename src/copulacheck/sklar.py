@@ -49,10 +49,13 @@ one grid call per stream and block, in flat order.
 structural breakpoints of the inputs, so a violation at a jump cannot hide
 between grid points.  It makes the k/m points of a range from integers, in
 order, and places each breakpoint among them by integer division, so grid
-points are never compared.  Its one emitter, ``axis_pairs``, gives an axis
-as integer pairs (``mvdf.Ratio``) and builds no ``Fraction``; ``levels``,
-``df_axes`` and ``lemma_grids`` give their axes in that format, and
-``lemma_grids`` hands them to ``monotone.lemma_report``.  Only
+points are never compared.  The breakpoints arrive as sorted, distinct
+pairs (a margin's ``critical_level_pairs`` and ``knot_x_pairs``, a df's
+breakpoints), so one pass merges them and no ``Fraction`` is compared.  Its
+one emitter, ``axis_pairs``, gives an axis as integer pairs (``mvdf.Ratio``)
+and builds no ``Fraction``; ``levels``, ``df_axes`` and ``lemma_grids`` give
+their axes in that format, and ``lemma_grids`` hands them to
+``monotone.lemma_report``.  Only
 :class:`Copula` applies the quantile transform: its ``pair_codes``
 range-checks and transforms level pairs and hands the quantiles, as pairs,
 to the source's ``pair_codes``; its ``code_grid`` is the source's.  Every
@@ -111,15 +114,17 @@ class GridSpec:
         if not isinstance(self.m, int) or self.m < 1:
             raise ValidationError(f"grid resolution must be an integer >= 1, got {self.m!r}")
 
-    def axis_pairs(self, lo: Fraction, hi: Fraction, extra: Sequence[Fraction] = ()) -> tuple[Ratio, ...]:
+    def axis_pairs(self, lo: Fraction, hi: Fraction, extra: Sequence[Ratio] = ()) -> tuple[Ratio, ...]:
         """k/m points on [lo, hi] merged with the structural breakpoints, sorted and distinct, as pairs.
 
+        ``extra`` holds the breakpoints as sorted, distinct pairs (b > 0),
+        as ``MonotoneFn.knot_x_pairs`` and ``critical_level_pairs`` give them.
         Grid point k is the unreduced pair (start + k span, den), built from
         integers, so grid points are never compared and no ``Fraction`` is
         built.  A breakpoint p/q is placed by one integer division: dropped
-        when it equals a grid point, else put, as its ``as_integer_ratio()``,
-        just before the next one, before lo or past hi.  ``lo == hi`` is one
-        grid point.
+        when it equals a grid point, else put, as given, just before the next
+        one, before lo or past hi; the breakpoints are sorted, so one pass
+        merges them.  ``lo == hi`` is one grid point.
         """
         # with lo = a/b and hi = c/d, point k is (a d m + k (c b - a d)) / (b d m)
         a, b, c, d, m = lo.numerator, lo.denominator, hi.numerator, hi.denominator, self.m
@@ -128,20 +133,17 @@ class GridSpec:
             raise ValidationError(f"grid range [{lo}, {hi}] is empty")
         if not span:  # lo == hi: one grid point, and the placement below only reads signs
             m, span = 0, 1
-        # gaps[k]: the breakpoints just before grid point k; gap m + 1 lies past hi
-        gaps: dict[int, list] = {m + 1: []}
-        for p in extra:
-            q = p.denominator
-            k, r = divmod(p.numerator * den - start * q, span * q)
-            if not r and 0 <= k <= m:
-                continue  # p is grid point k
-            gap = k + 1 if r else k
-            gaps.setdefault(min(max(gap, 0), m + 1), []).append(p)
+        # gap: the grid point the breakpoint goes just before; gap m + 1 lies past hi
         pairs, done = [], 0
-        for gap in sorted(gaps):
+        for p, q in extra:
+            k, r = divmod(p * den - start * q, span * q)
+            if not r and 0 <= k <= m:
+                continue  # p/q is grid point k
+            gap = min(max(k + 1 if r else k, 0), m + 1)
             pairs += [(start + k * span, den) for k in range(done, gap)]
-            pairs += [p.as_integer_ratio() for p, _ in groupby(sorted(gaps[gap]))]
+            pairs.append((p, q))
             done = gap
+        pairs += [(start + k * span, den) for k in range(done, m + 1)]
         return tuple(pairs)
 
     def levels(self, fn: MonotoneFn) -> tuple[Ratio, ...]:
@@ -150,17 +152,20 @@ class GridSpec:
         A jump of a margin forces the copula away from its axioms exactly at
         these levels, so no verification grid may step over them.
         """
-        return self.axis_pairs(fn.inf_value, fn.sup_value, fn.critical_levels())
+        return self.axis_pairs(fn.inf_value, fn.sup_value, fn.critical_level_pairs())
 
     def lemma_grids(self, fn: MonotoneFn) -> tuple[tuple[Ratio, ...], tuple[Ratio, ...]]:
         """The level grid of G and its point grid, one unit past the knots on each side, as pairs."""
         xs = fn.knot_xs()
-        return self.levels(fn), self.axis_pairs(xs[0] - 1, xs[-1] + 1, xs)
+        return self.levels(fn), self.axis_pairs(xs[0] - 1, xs[-1] + 1, fn.knot_x_pairs())
 
     def df_axes(self, df: MultivariateDf) -> list[tuple[Ratio, ...]]:
         """Per-axis points on the support box of ``df`` merged with its breakpoints, as pairs."""
         lo, hi = df.support_box()
-        return [self.axis_pairs(lo[i], hi[i], df.axis_breakpoints(i)) for i in range(df.dim)]
+        return [
+            self.axis_pairs(lo[i], hi[i], [p.as_integer_ratio() for p in df.axis_breakpoints(i)])
+            for i in range(df.dim)
+        ]
 
 
 @dataclass(frozen=True)
@@ -360,12 +365,14 @@ def verify_copula_axioms(
             sink.add((-vn, vd), _box_witness, a, b, (vn, vd))
 
     axis_levels = [grid.levels(m) for m in copula.margins]
-    codes = [copula.pair_codes(i, levels) for i, levels in enumerate(axis_levels)]
+    # one range-checked quantile walk per axis, read by the codes and by the level mask
+    quantiles = [m.gen_inverse_right_pairs(levels) for m, levels in zip(copula.margins, axis_levels)]
+    codes = [source.pair_codes(i, qs) for i, qs in enumerate(quantiles)]
     if certified and source.eval((POS_INF,) * source.dim) == 1:
         # the Frechet bounds of F decide every point where no level moves under G_i(Q_i(s))
         changed = [
-            list(map(_changed, levels, m.eval_pairs(m.gen_inverse_right_pairs(levels))))
-            for m, levels in zip(copula.margins, axis_levels)
+            list(map(_changed, levels, m.eval_pairs(qs)))
+            for m, levels, qs in zip(copula.margins, axis_levels, quantiles)
         ]
     else:
         changed = [[True] * len(levels) for levels in axis_levels]

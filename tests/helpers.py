@@ -273,6 +273,42 @@ def knot_bottom_value(fn: MonotoneFn) -> Fraction:
     return Fraction(0)
 
 
+# -- knot validation oracle -------------------------------------------------------
+
+
+def oracle_knots(entries) -> tuple[Knot, ...]:
+    """The knots a ``MonotoneFn`` of ``entries`` holds, or the ``ValidationError`` it raises.
+
+    The constructor's loop as it was before it encoded the knots as integer
+    pairs: every entry is coerced first, each ``Knot`` rebuilt, and the three
+    order rules are then checked knot by knot with ``Fraction`` compares.
+    """
+    knots = []
+    for i, entry in enumerate(entries):
+        if isinstance(entry, Knot):
+            knots.append(Knot(as_scalar(entry.x), as_scalar(entry.left), as_scalar(entry.value)))
+            continue
+        try:
+            x, left, value = entry
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"knot index {i}: expected (x, left, value)") from exc
+        knots.append(Knot(as_scalar(x), as_scalar(left), as_scalar(value)))
+    if not knots:
+        raise ValidationError("a monotone function needs at least one knot")
+    for i, k in enumerate(knots):
+        if k.left > k.value:
+            raise ValidationError(f"knot index {i}: left limit {k.left} exceeds value {k.value}")
+        if i > 0:
+            prev = knots[i - 1]
+            if k.x <= prev.x:
+                raise ValidationError(f"knot index {i}: abscissa {k.x} not greater than {prev.x}")
+            if prev.value > k.left:
+                raise ValidationError(
+                    f"knot index {i}: left limit {k.left} below previous value {prev.value}"
+                )
+    return tuple(knots)
+
+
 # -- random generators ------------------------------------------------------------
 
 
@@ -295,6 +331,34 @@ def monotone_fns(draw, cdf=False):
     return MonotoneFn(
         tuple(Knot(x, levels[2 * i], levels[2 * i + 1]) for i, x in enumerate(sorted(xs)))
     )
+
+
+# a small pool, so that equal abscissae and equal or crossing levels are drawn often
+KNOT_FIELDS = st.one_of(
+    st.integers(-2, 2),
+    st.sampled_from([Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 4)]),
+)
+
+
+@st.composite
+def knot_entries(draw):
+    """Hypothesis strategy: 0-5 knot entries, ``Knot``s or triples, near-valid or broken by one edit.
+
+    The abscissae are sorted with repeats allowed and the levels sorted, so
+    an unedited list is often valid; one edit may then put any pool value,
+    a float or a wrong-shaped entry in one place.
+    """
+    n = draw(st.integers(0, 5))
+    xs = sorted(draw(st.lists(KNOT_FIELDS, min_size=n, max_size=n)))
+    levels = sorted(draw(st.lists(KNOT_FIELDS, min_size=2 * n, max_size=2 * n)))
+    fields = [[xs[i], levels[2 * i], levels[2 * i + 1]] for i in range(n)]
+    if n and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, 2))
+        fields[i][j] = draw(st.one_of(KNOT_FIELDS, st.sampled_from([0.5, 1.0, float("inf")])))
+    entries = [Knot(*f) if draw(st.booleans()) else tuple(f) for f in fields]
+    if n and draw(st.integers(0, 9)) == 5:
+        entries[draw(st.integers(0, n - 1))] = tuple(fields[0][:2])
+    return entries
 
 
 @st.composite

@@ -97,6 +97,15 @@ def test_grid_rejects_bad_masses():
         GridDf((((), F(1)),))
 
 
+def test_grid_duplicate_check_names_the_first_repeat_by_value():
+    """Points that share coordinates are distinct; a repeat in another form is the first duplicate."""
+    masses = [((0, 0), F(1, 4)), ((0, 1), F(1, 4)), ((F(1, 2), 1), F(1, 4)), ((1, 0), F(1, 4))]
+    assert len(GridDf(tuple(masses)).masses) == 4
+    with pytest.raises(ValidationError) as info:
+        GridDf(tuple(masses + [((F(2, 4), F(3, 3)), 0), ((0, 0), 0)]))
+    assert str(info.value) == f"mass 5: duplicate support point {(F(1, 2), F(1))}"
+
+
 def test_gridmass_invariants():
     gm = GridMass(point=(F(1, 2),), mass=F(1, 3))
     assert gm.mass == F(1, 3) and gm.point == (F(1, 2),)

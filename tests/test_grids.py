@@ -24,7 +24,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copulacheck.serialize import load_payload
+from copulacheck.serialize import dumps_payload, load_payload, monotone_to_payload
 
 from copulacheck import (
     POS_INF,
@@ -88,6 +88,11 @@ def grid_point_pairs(m, lo, hi) -> dict:
     return {lo + F(k, m) * (hi - lo): (a * d * m + k * (c * b - a * d), b * d * m) for k in range(m + 1)}
 
 
+def sorted_pairs(extra) -> tuple:
+    """Breakpoints as ``axis_pairs`` takes them: sorted, distinct, each as its reduced pair."""
+    return tuple(p.as_integer_ratio() for p in sorted(set(map(F, extra))))
+
+
 def grid_pairs(m, lo, hi, extra=()) -> tuple:
     """The set oracle's axis as pairs: a grid point as its unreduced pair, any other point reduced."""
     grid = grid_point_pairs(m, lo, hi)
@@ -99,14 +104,14 @@ def grid_pairs(m, lo, hi, extra=()) -> tuple:
 def test_axis_points_match_the_set_oracle(m, lo, hi, degenerate, extra):
     lo, hi = (lo, lo) if degenerate else sorted((lo, hi))
     extra = extra + extra[: len(extra) // 2]
-    got = GridSpec(m).axis_pairs(lo, hi, extra)
+    got = GridSpec(m).axis_pairs(lo, hi, sorted_pairs(extra))
     want = oracle_axis_points(m, lo, hi, extra)
     assert values(got) == want
     assert got == grid_pairs(m, lo, hi, extra)
 
 
 def test_axis_points_keep_both_ends_exactly():
-    got = GridSpec(3).axis_pairs(F(-1, 2), F(2, 3), [F(2, 3), 0, F(-1, 2)])
+    got = GridSpec(3).axis_pairs(F(-1, 2), F(2, 3), sorted_pairs([F(2, 3), 0, F(-1, 2)]))
     assert values(got) == (F(-1, 2), F(-1, 9), 0, F(5, 18), F(2, 3))
     assert got == ((-9, 18), (-2, 18), (0, 1), (5, 18), (12, 18))
 
@@ -120,9 +125,10 @@ def test_axis_points_reject_an_empty_range():
 
 
 def assert_placed(m, lo, hi, extra):
-    """``axis_pairs`` equals the set oracle by value, and every breakpoint tied with a grid
-    point yields to the grid's own unreduced pair while every other one is its reduced pair."""
-    got = GridSpec(m).axis_pairs(lo, hi, extra)
+    """``axis_pairs`` on the sorted distinct pairs of ``extra`` equals the set oracle on the raw
+    ``extra`` by value, and every breakpoint tied with a grid point yields to the grid's own
+    unreduced pair while every other one is its reduced pair."""
+    got = GridSpec(m).axis_pairs(lo, hi, sorted_pairs(extra))
     want = oracle_axis_points(m, lo, hi, extra)
     assert values(got) == want
     assert got == grid_pairs(m, lo, hi, extra)
@@ -198,17 +204,38 @@ def test_the_grid_points_are_never_compared():
         return patch.object(F, name, lambda *args: calls.append(name) or method(*args))
 
     lo, hi = F(-1, 3), F(7, 5)
-    # at most one breakpoint per gap, so no breakpoint meets another either
     one_per_gap = [F(-1), F(0), F(3, 2), F(1, 5) + F(1, 10**12)]
+    extra = sorted_pairs(one_per_gap)
     with spy("__lt__"), spy("__eq__"):
         # nor is a Fraction built: the module's name would fail on a call
         with patch.object(sklar, "Fraction", None):
             bare = GridSpec(50).axis_pairs(lo, hi)
-            placed = GridSpec(50).axis_pairs(lo, hi, one_per_gap)
+            placed = GridSpec(50).axis_pairs(lo, hi, extra)
     assert calls == []
     assert values(bare) == oracle_axis_points(50, lo, hi)
     assert values(placed) == oracle_axis_points(50, lo, hi, one_per_gap)
     assert [bare, placed] == [grid_pairs(50, lo, hi), grid_pairs(50, lo, hi, one_per_gap)]
+
+
+def test_a_monotone_payload_loads_and_grids_without_comparing_or_hashing_a_fraction():
+    """Its knots are validated, deduplicated into critical levels and placed as integer pairs."""
+    # repeated levels, a jump, a flat piece and knots off the grid
+    fn = make_monotone([(F(-2, 3), 0, 0), (0, 0, F(1, 4)), (F(1, 7), F(1, 3), F(1, 2)), (1, F(1, 2), 1)])
+    text = dumps_payload(monotone_to_payload(fn))
+    calls = []
+
+    def spy(name):
+        method = getattr(F, name)
+        return patch.object(F, name, lambda *args: calls.append(name) or method(*args))
+
+    with spy("__lt__"), spy("__le__"), spy("__gt__"), spy("__eq__"), spy("__hash__"):
+        loaded = load_payload(text)
+        levels = GridSpec(6).levels(loaded)
+        us, xs = GridSpec(6).lemma_grids(loaded)
+    assert calls == []
+    assert loaded == fn and levels == us
+    assert values(levels) == oracle_axis_points(6, F(0), F(1), fn.critical_levels())
+    assert (values(us), values(xs)) == oracle_lemma_grids(fn, 6)
 
 
 @given(composed_dfs(), st.integers(1, 30))

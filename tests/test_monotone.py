@@ -2,8 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+
 from copulacheck import (
     DomainError,
+    Knot,
+    MonotoneFn,
     NEG_INF,
     POS_INF,
     ValidationError,
@@ -14,7 +18,7 @@ from copulacheck import (
     uniform_cdf,
 )
 from copulacheck.scalars import as_pairs
-from helpers import assert_matches_scan, grid, is_right_increase, merged
+from helpers import assert_matches_scan, grid, is_right_increase, knot_entries, merged, oracle_knots
 
 F = Fraction
 
@@ -26,6 +30,30 @@ def test_valid_constructions(g_id, g_bern):
     assert g_id.inf_value == 0 and g_id.sup_value == 1
     assert g_bern.inf_value == 0 and g_bern.sup_value == 1
     assert uniform_cdf() == g_id
+
+
+def _outcome(build, entries):
+    """The knots ``build`` gives, or the type and message of its ValidationError."""
+    try:
+        return build(entries)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@given(knot_entries())
+@settings(max_examples=400, deadline=None)
+def test_pair_validation_matches_the_fraction_oracle(entries):
+    """Equal abscissae, crossing levels, int, float and wrong-shaped fields, and the empty list:
+    the integer-pair checks raise what the ``Fraction`` compares raise, or both accept."""
+    got = _outcome(lambda e: MonotoneFn(tuple(e)).knots, entries)
+    assert got == _outcome(oracle_knots, entries)
+    if isinstance(got, tuple) and got and isinstance(got[0], Knot):
+        fn = MonotoneFn(tuple(entries))
+        assert fn.knot_x_pairs() == tuple(x.as_integer_ratio() for x in fn.knot_xs())
+        assert fn.critical_level_pairs() == tuple(u.as_integer_ratio() for u in fn.critical_levels())
+        for entry, kept in zip(entries, fn.knots):
+            exact = isinstance(entry, Knot) and all(type(v) is F for v in (entry.x, entry.left, entry.value))
+            assert (kept is entry) == exact
 
 
 def test_rejects_left_above_value():
