@@ -6,7 +6,9 @@ per axis point.  ``GridSpec`` builds each point from integers and places each
 breakpoint among them by integer division, and the identity reads the copula
 on the margin levels of the grid.  Its axes (``axis_pairs``, ``levels``,
 ``df_axes``, ``lemma_grids``) are integer pairs, equal to the oracle's points
-by value; ``grid_pairs`` pins the pair each point is given as.  The reports
+by value; ``grid_pairs`` pins the pair each point is given as.  ``axis_pairs``
+takes its breakpoints as sorted, distinct pairs (``sorted_pairs``), and the
+set oracle the raw, unsorted and repeated ones.  The reports
 must equal the oracle's.  Both sweeps skip points: the identity's reads are
 held to the points where some margin's round trip changes a code, and the
 copula sweep's to the level points where some level lies in a jump gap of its
@@ -14,6 +16,7 @@ margin, scanned off the knot list (``helpers.knot_jump_gaps``).
 """
 
 from collections import Counter
+from contextlib import ExitStack
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, prod
@@ -196,17 +199,18 @@ def test_a_fine_grid_places_breakpoints_with_huge_denominators():
     assert len(got) > m + 1
 
 
+def spy(calls: list, name: str):
+    """Patch ``Fraction.<name>`` to record each of its calls in ``calls``."""
+    method = getattr(F, name)
+    return patch.object(F, name, lambda *args: calls.append(name) or method(*args))
+
+
 def test_the_grid_points_are_never_compared():
     calls = []
-
-    def spy(name):
-        method = getattr(F, name)
-        return patch.object(F, name, lambda *args: calls.append(name) or method(*args))
-
     lo, hi = F(-1, 3), F(7, 5)
     one_per_gap = [F(-1), F(0), F(3, 2), F(1, 5) + F(1, 10**12)]
     extra = sorted_pairs(one_per_gap)
-    with spy("__lt__"), spy("__eq__"):
+    with spy(calls, "__lt__"), spy(calls, "__eq__"):
         # nor is a Fraction built: the module's name would fail on a call
         with patch.object(sklar, "Fraction", None):
             bare = GridSpec(50).axis_pairs(lo, hi)
@@ -223,12 +227,9 @@ def test_a_monotone_payload_loads_and_grids_without_comparing_or_hashing_a_fract
     fn = make_monotone([(F(-2, 3), 0, 0), (0, 0, F(1, 4)), (F(1, 7), F(1, 3), F(1, 2)), (1, F(1, 2), 1)])
     text = dumps_payload(monotone_to_payload(fn))
     calls = []
-
-    def spy(name):
-        method = getattr(F, name)
-        return patch.object(F, name, lambda *args: calls.append(name) or method(*args))
-
-    with spy("__lt__"), spy("__le__"), spy("__gt__"), spy("__eq__"), spy("__hash__"):
+    with ExitStack() as stack:
+        for name in ("__lt__", "__le__", "__gt__", "__eq__", "__hash__"):
+            stack.enter_context(spy(calls, name))
         loaded = load_payload(text)
         levels = GridSpec(6).levels(loaded)
         us, xs = GridSpec(6).lemma_grids(loaded)
