@@ -378,7 +378,7 @@ def step_cdf(atoms: Iterable[tuple[Fraction, Fraction | int]], total: Fraction |
 
 
 def _ff_witness(x: Ratio, lhs: Ratio) -> dict:
-    return {"x": Fraction(*x), "lhs": pair_value(lhs)}
+    return {"x": pair_value(x), "lhs": pair_value(lhs)}
 
 
 def lemma_report(fn: MonotoneFn, us: Iterable[Ratio], xs: Iterable[Ratio], max_witnesses: int = -1) -> Report:

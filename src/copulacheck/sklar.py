@@ -35,15 +35,15 @@ that ends in a jump.  The rest is read as d product blocks, one ``code_grid``
 call per side each, and compared in flat order; ``points`` still counts
 every grid point.
 
-The grounded and envelope checks skip points too.  A level s of G_i moves
-under the round trip G_i(Q_i(s)) exactly when it lies in a jump gap
-[G_i(x-), G_i(x)).  If the source's family certifies d-increase and
-F(+inf, .., +inf) = 1, the Frechet bounds of F (Nelsen, 2006, 2.5) put
-C(s) = F(Q(s)) between W and M of the G_i(Q_i(s_i)), so a point where no
-level moves passes all three checks and is not read.  (A certified lenient
-grid payload can have F(+inf, .., +inf) = t != 1 and margins divided by t.)
-Both sweeps read through ``_changed_points``: the blocks of ``_changed_runs``,
-one grid call per stream and block, in flat order.
+The grounded and envelope checks skip points too, by the codes the sweep
+reads anyway.  A margin-composed source's code of a level s is its margin's
+value G_i(Q_i(s)), which moves off s exactly in a jump gap [G_i(x-), G_i(x)).
+Where every code is its level, C(s) is Pi(s), M(s) or W(s): grounded and
+between W and M (Nelsen, 2006, 2.5), so no check can fail and the point is
+not read.  A counting source's codes are ranks, which never equal a level, so
+each of its points is read, as is every point of a source whose family does
+not certify d-increase.  Both sweeps read through ``_changed_points``: the
+blocks of ``_changed_runs``, one grid call per stream and block, in flat order.
 
 :class:`GridSpec` builds every verification grid and always merges the
 structural breakpoints of the inputs, so a violation at a jump cannot hide
@@ -101,7 +101,7 @@ from .mvdf import (
     vertex_sum,  # bench/spans.py traces it by name in this module too
 )
 from .report import Report, Witnesses
-from .scalars import POS_INF, as_scalar
+from .scalars import as_scalar, pair_value
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ def _grid_witness(axes: Sequence[Sequence[Ratio]], flat: int, expected: Ratio, g
     point = []
     for axis in reversed(axes):
         flat, k = divmod(flat, len(axis))
-        point.append(Fraction(*axis[k]))
+        point.append(pair_value(axis[k]))
     return _witness(tuple(reversed(point)), Fraction(*expected), Fraction(*got), kind)
 
 
@@ -242,7 +242,7 @@ def _flat_report(check: str, points: int, sink: Witnesses) -> Report:
 
 
 def _changed(f_code, c_code) -> bool:
-    """Whether an axis point's quantile round trip changes its code: ranks differ, or pairs by value."""
+    """Whether two codes of an axis point differ: ranks by ``!=``, pairs by value; a rank is never a pair."""
     return f_code != c_code and (type(f_code) is not tuple or f_code[0] * c_code[1] != c_code[0] * f_code[1])
 
 
@@ -350,32 +350,26 @@ def verify_copula_axioms(
     d-increasing, and ``points`` counts ``n_cuboids`` either way.  Grid
     points merge the margin critical levels.  Grounded means
     C(s) = 0 whenever some coordinate is 0; the envelope is
-    max(sum s_i - (d-1), 0) <= C(s) <= min s_i.  On a certified source with
-    F(+inf, .., +inf) = 1 only the level points where some level lies in a
-    jump gap of its margin are read (module docstring), since no other point
-    can fail; on any other source every level point is.  ``points`` counts
-    every level point either way.
+    max(sum s_i - (d-1), 0) <= C(s) <= min s_i.  Each level is coded once by
+    ``copula.pair_codes``; on a certified source only the level points where
+    some code differs from its level are read (module docstring), since no
+    other point can fail, and on any other source every level point is.
+    ``points`` counts every level point either way.
     """
     require_box_count(n_cuboids)
     sink = Witnesses(max_witnesses)
-    source = copula.source
-    certified = family_certifies_d_increase(source)
+    certified = family_certifies_d_increase(copula.source)
     if not certified:
         for a, b, (vn, vd) in negative_boxes(copula, seed, n_cuboids):
             sink.add((-vn, vd), _box_witness, a, b, (vn, vd))
 
     axis_levels = [grid.levels(m) for m in copula.margins]
-    # one range-checked quantile walk per axis, read by the codes and by the level mask
-    quantiles = [m.gen_inverse_right_pairs(levels) for m, levels in zip(copula.margins, axis_levels)]
-    codes = [source.pair_codes(i, qs) for i, qs in enumerate(quantiles)]
-    if certified and source.eval((POS_INF,) * source.dim) == 1:
-        # the Frechet bounds of F decide every point where no level moves under G_i(Q_i(s))
-        changed = [
-            list(map(_changed, levels, m.eval_pairs(qs)))
-            for m, levels, qs in zip(copula.margins, axis_levels, quantiles)
-        ]
-    else:
-        changed = [[True] * len(levels) for levels in axis_levels]
+    codes = [copula.pair_codes(i, levels) for i, levels in enumerate(axis_levels)]
+    # where every code is its level, C(s) is Pi, M or W of the levels: grounded and within W and M
+    changed = [
+        list(map(_changed, cs, levels)) if certified else [True] * len(levels)
+        for cs, levels in zip(codes, axis_levels)
+    ]
     streams = ((copula.code_grid, codes), (lower_bound_grid, axis_levels), (min_grid, axis_levels))
     for flat, value, lower, upper in _changed_points(changed, streams):
         (vn, vd), (ln, ld), (un, ud) = value, lower, upper

@@ -11,8 +11,10 @@ takes its breakpoints as sorted, distinct pairs (``sorted_pairs``), and the
 set oracle the raw, unsorted and repeated ones.  The reports
 must equal the oracle's.  Both sweeps skip points: the identity's reads are
 held to the points where some margin's round trip changes a code, and the
-copula sweep's to the level points where some level lies in a jump gap of its
-margin, scanned off the knot list (``helpers.knot_jump_gaps``).
+copula sweep's, on a margin-composed df, to the level points where some level
+lies in a jump gap of its margin, scanned off the knot list
+(``helpers.knot_jump_gaps``); a counting df's ranks never equal a level, so
+its sweep reads every level point.
 """
 
 from collections import Counter
@@ -30,7 +32,6 @@ from hypothesis import given, settings, strategies as st
 from copulacheck.serialize import dumps_payload, load_payload, monotone_to_payload
 
 from copulacheck import (
-    POS_INF,
     EmpiricalDf,
     GridDf,
     GridSpec,
@@ -42,7 +43,6 @@ from copulacheck import (
     extract_copula,
     grid_df,
     make_monotone,
-    mvdf,
     product_df,
     sklar,
     uniform_cdf,
@@ -380,13 +380,13 @@ def oracle_reads(df, m: int) -> Counter:
 
 
 def code_grid_reads(df, run):
-    """``run()``, and the code values of each point the ``code_grid`` of ``df``'s class yielded during it."""
-    reads = Counter()
+    """``run()``, and the code values of each point the ``code_grid`` of ``df``'s class yielded during it, in order."""
+    reads = []
     original = type(df).code_grid
 
     def spy(self, code_axes):
         for codes, value in zip(product(*code_axes), original(self, code_axes)):
-            reads[tuple(F(*c) if type(c) is tuple else c for c in codes)] += 1
+            reads.append(tuple(F(*c) if type(c) is tuple else c for c in codes))
             yield value
 
     with patch.object(type(df), "code_grid", spy):
@@ -395,7 +395,8 @@ def code_grid_reads(df, run):
 
 def sweep_reads(df, m: int):
     """The identity's report on ``GridSpec(m)``, and the code values of each point ``code_grid`` yielded to it."""
-    return code_grid_reads(df, lambda: verify_sklar_identity(df, GridSpec(m)))
+    report, reads = code_grid_reads(df, lambda: verify_sklar_identity(df, GridSpec(m)))
+    return report, Counter(reads)
 
 
 CONTINUOUS = make_monotone([(-1, 0, 0), (0, F(1, 2), F(1, 2)), (3, 1, 1)])
@@ -468,17 +469,9 @@ def round_trip_moves(g, s) -> bool:
 
 
 def copula_sweep_reads(copula, m: int):
-    """The copula axioms report on ``GridSpec(m)`` with one box, and the code values the sweep read.
-
-    A certified source is also read once at (+inf, .., +inf), for its total mass; that read is left out.
-    """
+    """The copula axioms report on ``GridSpec(m)`` with one box, and the code values the sweep read."""
     report, reads = code_grid_reads(copula.source, lambda: verify_copula_axioms(copula, 1, 0, GridSpec(m)))
-    if mvdf.family_certifies_d_increase(copula.source):
-        top = tuple(oracle_code(copula.source, i, POS_INF) for i in range(copula.dim))
-        assert reads[top] > 0
-        reads[top] -= 1
-        reads = +reads
-    return report, reads
+    return report, Counter(reads)
 
 
 @pytest.mark.parametrize("family", CONTINUOUS_DFS)
@@ -512,14 +505,14 @@ EVERY_POINT_SOURCES = {
     # uncertified: a countermonotone df on three margins, a grid df with a negative mass
     "counter3": lambda: load_payload((GOLDEN_INPUTS / "counter3.json").read_text(encoding="utf-8")),
     "signed": lambda: load_payload((GOLDEN_INPUTS / "signed.json").read_text(encoding="utf-8")),
-    # certified, but F(+inf) = 1/4 while its margin is divided by 1/4
+    # certified, but its codes are ranks, and F(+inf) = 1/4 while its margin is divided by 1/4
     "quarter-mass": lambda: GridDf((((F(0),), F(1, 4)),)),
 }
 
 
 @pytest.mark.parametrize("name", EVERY_POINT_SOURCES)
 def test_a_source_without_both_certificates_reads_every_level_point(name):
-    """Off a certified df of total mass 1 the Frechet bounds need not hold, so every level point is read.
+    """An uncertified source, or one whose codes are ranks, which never equal a level, is read at every level point.
 
     The seeded boxes read the same ``code_grid``, so none is drawn here.
     """
@@ -528,6 +521,25 @@ def test_a_source_without_both_certificates_reads_every_level_point(name):
         _, reads = copula_sweep_reads(copula, 3)
     assert reads == oracle_level_reads(copula, 3, lambda g, s: True)
     assert sum(reads.values()) == prod(len(axis) for axis in oracle_level_axes(copula, 3))
+
+
+COUNTING_SOURCES = {
+    "empirical": lambda: empirical_from_rows([(0, 1), (1, 0), (F(1, 2), F(1, 2))]),
+    "grid": lambda: grid_df([((0, 0), F(1, 2)), ((1, F(1, 3)), F(1, 4)), ((2, 1), F(1, 4))]),
+}
+
+
+@pytest.mark.parametrize("name", COUNTING_SOURCES)
+def test_a_counting_df_reads_every_level_point_in_flat_order(name):
+    """Its codes are ranks, so no level point is skipped, (1, .., 1) included, and nothing else is read."""
+    copula = extract_copula(COUNTING_SOURCES[name]())
+    report, reads = code_grid_reads(copula.source, lambda: verify_copula_axioms(copula, 1, 0, GridSpec(3)))
+    codes = [
+        [oracle_code(copula.source, i, walk_inverse(g, s, True)) for s in levels]
+        for i, (g, levels) in enumerate(zip(copula.margins, oracle_level_axes(copula, 3)))
+    ]
+    assert reads == list(product(*codes))
+    assert report == oracle_copula_axioms_loop(copula, 1, 0, 3)
 
 
 @settings(max_examples=100, deadline=None)

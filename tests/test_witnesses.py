@@ -31,6 +31,7 @@ from copulacheck import (
     verify_uniform_margins,
 )
 from copulacheck import Report, cli, sklar
+from copulacheck.scalars import NEG_INF, NEG_PAIR
 from copulacheck.serialize import report_to_json
 from helpers import composed_dfs, oracle_capped
 
@@ -173,3 +174,17 @@ def test_verdicts_read_the_count_when_no_witness_is_kept():
     out = json.loads(report_to_json(Report("lemma", sections)))
     assert out["pass"] is False and out["pass_a"] is False
     assert out["violations_a"] == [] and out["truncated"]
+
+
+def test_a_kept_witness_decodes_an_axis_point_at_minus_inf():
+    """A grid witness decodes its point by ``scalars.pair_value``, so an axis pair (-1, 0) is -inf."""
+    axes = [(NEG_PAIR, (1, 2)), ((0, 1), (3, 4))]
+    sink = Witnesses()
+    # flat index 1: the first point of axis 1 and the second of axis 2
+    sink.add((1, 4), sklar._grid_witness, axes, 1, (1, 4), (1, 2), "identity")
+    section = sink.section("sklar_identity", "violations", 4)
+    assert section.witnesses == (
+        {"point": (NEG_INF, F(3, 4)), "expected": F(1, 4), "got": F(1, 2), "deviation": F(1, 4), "kind": "identity"},
+    )
+    out = json.loads(report_to_json(Report("sklar_identity", (section,))))
+    assert out["violations"][0]["point"] == ["-inf", "3/4"]
