@@ -45,8 +45,8 @@ coordinate, whatever the signs and total of the weights.  A margin-composed
 F is a product, minimum or clipped sum max(sum - (d-1), 0) of margins that
 are right-continuous by their knots (``monotone``), and each of the three is
 continuous in the margin values, whatever their range.  The five classes
-join ``mvdf``'s registry by ``mvdf.df_family``; ``check_df_axioms`` and
-``axis_right_limit`` refuse any other class, subclasses of these included.
+join ``mvdf``'s registry by ``mvdf.df_family``, and every check refuses any
+other class, subclasses of these included (``mvdf.require_family``).
 Each class also says, by ``certainly_d_increasing``, whether its structure
 alone makes every box volume non-negative, so that the axiom checks need
 draw no box: always for the empirical, product and comonotone dfs, for the

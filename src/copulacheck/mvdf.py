@@ -40,23 +40,24 @@ independent oracles live in the tests.
 :func:`check_df_axioms` probes non-negative volumes exactly on seeded random
 boxes and the limit conditions at fixed points, and returns a report;
 failures are counted in ``report.Witnesses`` sinks, which keep exact
-witnesses for the first K, never exceptions.  Its right-continuity section
-is certified, not probed: the five family classes, which join the registry
-by :func:`df_family`, are right-continuous by construction (see
-``families``), and any other class is refused.  For the same reason
-``axis_right_limit`` is the value itself on the five classes.
+witnesses for the first K, never exceptions.  Every check admits only the
+five family classes, which join the registry by :func:`df_family`:
+:func:`require_family` refuses any other class, subclasses of the families
+included, at the entry of ``check_df_axioms``, ``axis_right_limit`` and the
+copula of ``sklar``.  So the right-continuity section is certified, not
+probed: the five classes are right-continuous by construction (see
+``families``), and for the same reason ``axis_right_limit`` is the value
+itself.
 
 The boxes are drawn only for a df that
-:meth:`MultivariateDf.certainly_d_increasing` does not certify: a family
-that its structure alone makes d-increasing says so (``families`` lists
-them, each override with its reason).  The default is False, and
-:func:`family_certifies_d_increase` asks only the five family classes, so
-the lenient grid df with a negative mass, the countermonotone df with
-d >= 3 and any other class, subclasses of the families included, are
-swept.  A certified section is the one the sweep would give:
-no witness, and ``points`` still ``n_cuboids``.  The copula check in
-``sklar`` asks the same of its source.  Both checks refuse ``n_cuboids < 1``
-by :func:`require_box_count` before any work.
+:meth:`MultivariateDf.certainly_d_increasing` does not certify: each of the
+five families says whether its structure alone makes it d-increasing
+(``families`` gives each reason), so the lenient grid df with a negative
+mass and the countermonotone df with d >= 3 are swept.  A certified section
+is the one the sweep would give: no witness, and ``points`` still
+``n_cuboids``.  The copula check in ``sklar`` asks the same of its source.
+Both checks refuse ``n_cuboids < 1`` by :func:`require_box_count` before
+any work.
 """
 
 from __future__ import annotations
@@ -272,18 +273,13 @@ def df_family(cls: type) -> type:
     return cls
 
 
-def _require_family(df: MultivariateDf) -> None:
-    """Refuse, with ``ValidationError``, a df whose class is not exactly one of the five families."""
+def require_family(df: MultivariateDf) -> None:
+    """Refuse, with ``ValidationError``, a df whose class is not exactly one of the five families.
+
+    The entry rule of every check: a subclass may read its values another way.
+    """
     if type(df) not in _FAMILIES:
         raise ValidationError(f"{type(df).__name__} is not one of the five df families")
-
-
-def family_certifies_d_increase(df: MultivariateDf) -> bool:
-    """``df.certainly_d_increasing()`` when its class is exactly one of the five families, else False.
-
-    A subclass may read its values another way, so it keeps the box sweep as any other class does.
-    """
-    return type(df) in _FAMILIES and df.certainly_d_increasing()
 
 
 class MultivariateDf(AxisSeparable):
@@ -302,7 +298,8 @@ class MultivariateDf(AxisSeparable):
     def certainly_d_increasing(self) -> bool:
         """Whether the family alone proves every box volume non-negative, so no box need be drawn.
 
-        False here, so a class that does not override it keeps the seeded box sweep.
+        Each of the five families, the only classes a check admits
+        (:func:`require_family`), overrides it with its reason; False here.
         """
         return False
 
@@ -320,7 +317,7 @@ class MultivariateDf(AxisSeparable):
         It is ``eval(t)``: the five families are right-continuous by
         construction, and any other class is refused with ``ValidationError``.
         """
-        _require_family(self)
+        require_family(self)
         if not 0 <= axis < self.dim:
             raise DomainError(f"axis {axis} out of range 0..{self.dim - 1}")
         return self.eval(t)
@@ -435,10 +432,10 @@ def check_df_axioms(df: MultivariateDf, n_cuboids: int, seed: int, max_witnesses
     section keeps the witnesses of its first ``max_witnesses`` violations
     (all when below 0) and counts the rest.
     """
-    _require_family(df)
+    require_family(df)
     require_box_count(n_cuboids)
     volumes = Witnesses(max_witnesses)
-    if not family_certifies_d_increase(df):
+    if not df.certainly_d_increasing():
         for a, b, vol in negative_boxes(df, seed, n_cuboids):
             volumes.add(NO_DEVIATION, _box_violation, a, b, vol)
 

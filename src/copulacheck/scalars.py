@@ -31,10 +31,6 @@ NEG_PAIR: Ratio = (-1, 0)
 POS_PAIR: Ratio = (1, 0)
 
 
-def is_finite(x: ExtScalar) -> bool:
-    return isinstance(x, Fraction)
-
-
 def as_scalar(value) -> Fraction:
     """Coerce an int or Fraction to Fraction.  Floats are rejected: they are inexact."""
     if isinstance(value, Fraction):

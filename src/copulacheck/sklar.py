@@ -14,11 +14,12 @@ the factorization F(x) = C(F_1(x_1), ..., F_d(x_d)) on the grid of F's support
 box, uniformity of the one-dimensional sections C(1,..,s,..,1) = s, and the
 copula axioms (non-negative volumes on the seeded boxes of
 ``mvdf.negative_boxes``, groundedness on the faces s_i = 0, and the
-dependence envelope max(sum s_i - (d-1), 0) <= C(s) <= min s_i).  The boxes
-are drawn only when the source's family does not certify d-increase
-(``mvdf.family_certifies_d_increase``): C reads F at the
-non-decreasing quantiles, so V_C(]s, t]) = V_F(]Q(s), Q(t)]) and a box of C
-can be negative only where one of F can.  All
+dependence envelope max(sum s_i - (d-1), 0) <= C(s) <= min s_i).  A
+:class:`Copula` admits only a source of the five families
+(``mvdf.require_family``), so every verifier sees one of them.  The boxes
+are drawn only when the source does not certify d-increase: C reads F at
+the non-decreasing quantiles, so V_C(]s, t]) = V_F(]Q(s), Q(t)]) and a box
+of C can be negative only where one of F can.  All
 comparisons are exact; failures become report entries with rational witnesses,
 because for discontinuous margins the construction genuinely breaks and
 exhibiting the exact break points is the purpose of this module.
@@ -41,8 +42,7 @@ value G_i(Q_i(s)), which moves off s exactly in a jump gap [G_i(x-), G_i(x)).
 Where every code is its level, C(s) is Pi(s), M(s) or W(s): grounded and
 between W and M (Nelsen, 2006, 2.5), so no check can fail and the point is
 not read.  A counting source's codes are ranks, which never equal a level, so
-each of its points is read, as is every point of a source whose family does
-not certify d-increase.  Both sweeps read through ``_changed_points``: the
+each of its points is read.  Both sweeps read through ``_changed_points``: the
 blocks of ``_changed_runs``, one grid call per stream and block, in flat order.
 
 :class:`GridSpec` builds every verification grid and always merges the
@@ -92,12 +92,12 @@ from .mvdf import (
     AxisSeparable,
     MultivariateDf,
     Ratio,
-    family_certifies_d_increase,
     lattice_point,
     lower_bound_grid,
     min_grid,
     negative_boxes,
     require_box_count,
+    require_family,
     vertex_sum,  # bench/spans.py traces it by name in this module too
 )
 from .report import Report, Witnesses
@@ -173,11 +173,14 @@ class Copula(AxisSeparable):
     """Candidate copula of a cdf: right-limit quantile transform then evaluation.
 
     Margins are cached at extraction time; evaluation is lazy and no grid is
-    ever materialized here.
+    ever materialized here.  A source outside the five families is refused.
     """
 
     source: MultivariateDf
     margins: tuple[MonotoneFn, ...]
+
+    def __post_init__(self) -> None:
+        require_family(self.source)
 
     @property
     def dim(self) -> int:
@@ -201,7 +204,8 @@ class Copula(AxisSeparable):
 
 
 def extract_copula(df: MultivariateDf) -> Copula:
-    """Build the candidate copula of ``df``; rejects sources that are not cdfs."""
+    """Build the candidate copula of ``df``; refuses a df outside the five families first, then non-cdf sources."""
+    require_family(df)
     margins = []
     for i in range(df.dim):
         m = df.margin_fn(i)
@@ -351,25 +355,20 @@ def verify_copula_axioms(
     points merge the margin critical levels.  Grounded means
     C(s) = 0 whenever some coordinate is 0; the envelope is
     max(sum s_i - (d-1), 0) <= C(s) <= min s_i.  Each level is coded once by
-    ``copula.pair_codes``; on a certified source only the level points where
-    some code differs from its level are read (module docstring), since no
-    other point can fail, and on any other source every level point is.
-    ``points`` counts every level point either way.
+    ``copula.pair_codes``, and only the level points where some code differs
+    from its level are read (module docstring), since no other point can
+    fail.  ``points`` counts every level point.
     """
     require_box_count(n_cuboids)
     sink = Witnesses(max_witnesses)
-    certified = family_certifies_d_increase(copula.source)
-    if not certified:
+    if not copula.source.certainly_d_increasing():
         for a, b, (vn, vd) in negative_boxes(copula, seed, n_cuboids):
             sink.add((-vn, vd), _box_witness, a, b, (vn, vd))
 
     axis_levels = [grid.levels(m) for m in copula.margins]
     codes = [copula.pair_codes(i, levels) for i, levels in enumerate(axis_levels)]
     # where every code is its level, C(s) is Pi, M or W of the levels: grounded and within W and M
-    changed = [
-        list(map(_changed, cs, levels)) if certified else [True] * len(levels)
-        for cs, levels in zip(codes, axis_levels)
-    ]
+    changed = [list(map(_changed, cs, levels)) for cs, levels in zip(codes, axis_levels)]
     streams = ((copula.code_grid, codes), (lower_bound_grid, axis_levels), (min_grid, axis_levels))
     for flat, value, lower, upper in _changed_points(changed, streams):
         (vn, vd), (ln, ld), (un, ud) = value, lower, upper

@@ -77,7 +77,7 @@ from copulacheck.mvdf import (
     box_volumes,
     unit_box_columns,
 )
-from copulacheck.scalars import as_ext, as_scalar, is_finite
+from copulacheck.scalars import as_ext, as_scalar
 from copulacheck.sklar import _witness
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -100,6 +100,11 @@ def run_cli(*args, cwd=None) -> subprocess.CompletedProcess:
         cwd=cwd,
         env=env,
     )
+
+
+def is_finite(x) -> bool:
+    """Whether an extended real is a rational, not one of the two infinities."""
+    return isinstance(x, Fraction)
 
 
 def grid(lo, hi, m) -> list[Fraction]:

@@ -9,8 +9,8 @@ wherever it is True the sweep and its box-by-box oracle find no negative box,
 on the df and on its copula; a grid df is certified exactly when its cells,
 read by the oracles, have no negative volume; and every report, on every
 golden input, is the same with the predicate patched to False.  Only the
-five family classes are asked, so a subclass keeps the sweep.  The copula
-sweep, which on a certified df skips the level points whose codes equal
+five family classes get into a check, so a subclass is refused before any
+work.  The copula sweep, which skips the level points whose codes equal
 their levels, where no check can fail, equals the point-by-point loop on
 every family, lenient dfs included.  The cross-command tests state
 verdicts that the margins decide on a valid df, read off the knot lists by
@@ -49,11 +49,13 @@ from copulacheck import (
     product_df,
     uniform_cdf,
     verify_copula_axioms,
+    verify_sklar_identity,
     verify_uniform_margins,
 )
 from copulacheck import cli, mvdf, sklar
 from copulacheck.mvdf import lower_bound_grid
 from helpers import (
+    LeftContinuousEmpirical,
     five_family_dfs,
     knot_bottom_value,
     knot_jumps,
@@ -200,19 +202,29 @@ def test_only_an_uncertified_source_draws_its_boxes(monkeypatch):
     for df in (CountermonotoneDf((u, u, u)), signed):
         check_df_axioms(df, 50, 0)
         verify_copula_axioms(extract_copula(df), 50, 0)
-    verify_copula_axioms(extract_copula(LowerBoundProduct((u, u, u))), 50, 0)
+    with pytest.raises(ValidationError, match="LowerBoundProduct is not one of the five df families"):
+        extract_copula(LowerBoundProduct((u, u, u)))
     assert df_calls == ["CountermonotoneDf", "GridDf"]
-    assert copula_calls == ["Copula"] * 3
+    assert copula_calls == ["Copula"] * 2
 
 
-def test_a_subclass_of_a_certified_family_keeps_the_sweep():
-    """The predicate is inherited, but only the five family classes are asked, so the negative boxes show."""
-    u = uniform_cdf()
-    copula = extract_copula(LowerBoundProduct((u, u, u)))
-    assert copula.source.certainly_d_increasing()
-    assert not mvdf.family_certifies_d_increase(copula.source)
-    report = verify_copula_axioms(copula, 200, 0)
-    assert d_increasing_count(report) == len(oracle_negative_boxes(copula, 0, 200)) > 0
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LowerBoundProduct((uniform_cdf(),) * 3),
+        lambda: LeftContinuousEmpirical(((F(0), F(1)), (F(1), F(0)))),
+    ],
+    ids=["lower-bound-product", "left-continuous-empirical"],
+)
+def test_a_copula_of_a_df_outside_the_five_families_is_refused_before_any_margin(build, monkeypatch):
+    """A subclass inherits the certificate but may read its values another way, so no copula check takes it."""
+    df = build()
+    margins = tuple(df.margin_fn(i) for i in range(df.dim))
+    monkeypatch.setattr(type(df), "margin_fn", lambda *args: pytest.fail("a margin was read"))
+    refused = f"{type(df).__name__} is not one of the five df families"
+    for build_copula in (extract_copula, lambda df: sklar.Copula(df, margins), verify_sklar_identity):
+        with pytest.raises(ValidationError, match=refused):
+            build_copula(df)
 
 
 @pytest.mark.parametrize("case", AXIOM_CASES, ids=[c["name"] for c in AXIOM_CASES])

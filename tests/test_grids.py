@@ -29,7 +29,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copulacheck.serialize import dumps_payload, load_payload, monotone_to_payload
+from copulacheck.serialize import dumps_payload, load_payload, monotone_to_payload, report_to_json
 
 from copulacheck import (
     EmpiricalDf,
@@ -501,22 +501,42 @@ def test_a_step_margin_reads_the_level_slabs_of_its_changed_levels(margin, axis)
 
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
-EVERY_POINT_SOURCES = {
-    # uncertified: a countermonotone df on three margins, a grid df with a negative mass
-    "counter3": lambda: load_payload((GOLDEN_INPUTS / "counter3.json").read_text(encoding="utf-8")),
-    "signed": lambda: load_payload((GOLDEN_INPUTS / "signed.json").read_text(encoding="utf-8")),
-    # certified, but its codes are ranks, and F(+inf) = 1/4 while its margin is divided by 1/4
+
+
+def golden_df(name: str):
+    return load_payload((GOLDEN_INPUTS / name).read_text(encoding="utf-8"))
+
+
+def test_an_uncertified_source_of_continuous_margins_reads_no_level_point():
+    """The countermonotone df on three uniform margins draws its boxes, but every code is its level.
+
+    The seeded boxes read the same ``code_grid``, so none is drawn while the
+    reads are counted; the report, boxes included, is the point-by-point loop's.
+    """
+    copula = extract_copula(golden_df("counter3.json"))
+    assert not copula.source.certainly_d_increasing()
+    with patch.object(sklar, "negative_boxes", lambda *args: iter(())):
+        _, reads = copula_sweep_reads(copula, 20)
+    assert reads == oracle_level_reads(copula, 20, round_trip_moves) == Counter()
+    report = verify_copula_axioms(copula, 200, 0, GridSpec(20))
+    assert report_to_json(report) == report_to_json(oracle_copula_axioms_loop(copula, 200, 0, 20))
+
+
+RANK_CODED_SOURCES = {
+    # uncertified: a grid df with a negative mass
+    "signed": lambda: golden_df("signed.json"),
+    # certified, and F(+inf) = 1/4 while its margin is divided by 1/4
     "quarter-mass": lambda: GridDf((((F(0),), F(1, 4)),)),
 }
 
 
-@pytest.mark.parametrize("name", EVERY_POINT_SOURCES)
-def test_a_source_without_both_certificates_reads_every_level_point(name):
-    """An uncertified source, or one whose codes are ranks, which never equal a level, is read at every level point.
+@pytest.mark.parametrize("name", RANK_CODED_SOURCES)
+def test_a_source_whose_codes_are_ranks_reads_every_level_point(name):
+    """A counting source's codes are ranks, which never equal a level, so it is read at every level point.
 
     The seeded boxes read the same ``code_grid``, so none is drawn here.
     """
-    copula = extract_copula(EVERY_POINT_SOURCES[name]())
+    copula = extract_copula(RANK_CODED_SOURCES[name]())
     with patch.object(sklar, "negative_boxes", lambda *args: iter(())):
         _, reads = copula_sweep_reads(copula, 3)
     assert reads == oracle_level_reads(copula, 3, lambda g, s: True)

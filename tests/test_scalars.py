@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copulacheck import NEG_INF, POS_INF, ValidationError, fmt, parse_ext, parse_scalar, scalars
-from copulacheck.scalars import NEG_PAIR, POS_PAIR, as_ext, as_pairs, as_scalar, is_finite, pair_value
+from copulacheck.scalars import NEG_PAIR, POS_PAIR, as_ext, as_pairs, as_scalar, pair_value
 
 
 def test_decimal_strings_parse_exactly():
@@ -154,4 +154,3 @@ def test_coercions_reject_floats():
         as_ext(0.5)
     assert as_ext(POS_INF) == POS_INF
     assert as_scalar(3) == Fraction(3)
-    assert is_finite(Fraction(1)) and not is_finite(POS_INF)
